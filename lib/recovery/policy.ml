@@ -11,8 +11,8 @@ type t = {
   l2_attempts : int;
 }
 
-(* [generic] mirrors the engine's historical budget: two generic
-   replays, then Recovery_failed. *)
+(* [generic]: two generic replays, then Recovery_failed.  The engine's
+   legacy path is this ladder with [l0_attempts = max_recovery_attempts]. *)
 let generic = { l0_attempts = 2; l1_attempts = 0; l1_depth = 1; l2_attempts = 0 }
 let deep = { generic with l1_attempts = 2; l1_depth = 2 }
 let full = { deep with l2_attempts = 3 }

@@ -33,8 +33,9 @@ type t = {
 }
 
 val generic : t
-(** L0 only: [l1_attempts = l2_attempts = 0].  Matches the engine's
-    historical recovery budget of two replays. *)
+(** L0 only: [l1_attempts = l2_attempts = 0], two replays.  The
+    engine's legacy path ([policy = None]) {e is} this ladder with
+    [l0_attempts = max_recovery_attempts]. *)
 
 val deep : t
 (** L0 + L1, no perturbation. *)

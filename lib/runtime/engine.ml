@@ -9,76 +9,9 @@
     [on_recover] callback (used to suppress a fault during recovery,
     mirroring the paper's end-to-end check in §4.1). *)
 
-type config = Scheduler.config = {
-  protocol : Ft_core.Protocol.spec;
-  medium : Checkpointer.medium;
-  cost : Checkpointer.cost_model;
-  batch : int;
-  deadline_ns : int option;
-  max_instructions : int;
-  auto_recover : bool;
-  suppress_faults_on_recovery : bool;
-  max_recovery_attempts : int;
-  reboot_delay_ns : int;
-  recovery_retry_delay_ns : int;
-  kills : (int * int) list;
-  kill_at_decision : (int * int) list;
-  pick_override : (int list -> int option) option;
-  twopc_timeout_ns : int;
-  twopc_max_retries : int;
-  heap_words : int;
-  stack_words : int;
-  page_size : int;
-  expand_resources_on_recovery : bool;
-  excluded_pages : int -> bool;
-  policy : Ft_recovery.Policy.t option;
-  quarantine : Ft_recovery.Quarantine.params option;
-  recovery_kills : (Scheduler.recovery_stage * int) list;
-  det_cap : int;
-}
+include Run_types
 
 let default_config = Scheduler.default_config
-
-type outcome = Scheduler.outcome =
-  | Completed
-  | Deadline
-  | Recovery_failed
-  | Deadlocked
-  | Instruction_budget
-  | Net_unreachable
-
-type result = Scheduler.result = {
-  outcome : outcome;
-  trace : Ft_core.Trace.t;
-  visible : int list;
-  sim_time_ns : int;
-  wall_instructions : int;
-  commit_counts : int array;
-  nd_counts : int array;
-  logged_counts : int array;
-  visible_counts : int array;
-  recoveries : int;
-  crashes : int;
-  recovery_crashes : int;
-  activation : (int * int) option;
-  first_crash : (int * int) option;
-  commit_after_activation : bool;
-  memory_pokes : int;
-  aborted_rounds : int;
-  orphan_rollbacks : int;
-  visible_times : (int * int * int) list;
-  crash_times : (int * int) list;
-  deep_rollbacks : int;
-  perturbed_replays : int;
-  ladder_peaks : int array;
-  fault_classes : Ft_recovery.Classifier.verdict array;
-  quarantine_trips : int;
-  replay_mismatches : int;
-  nested_crashes : int;
-  cascade_resumes : int;
-  det_high_water : int;
-  det_forced_flushes : int;
-}
 
 type t = Scheduler.t
 

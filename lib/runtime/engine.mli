@@ -6,126 +6,14 @@
     and recovers crashed processes from their last checkpoint.
 
     Since the multi-tenant refactor this is a thin facade over a
-    1-tenant {!Scheduler}; the types are equalities so the two APIs
-    interoperate. *)
+    1-tenant {!Scheduler}; both include the one declaration of the run
+    types ({!Run_types}), so the two APIs interoperate. *)
 
-type config = Scheduler.config = {
-  protocol : Ft_core.Protocol.spec;
-  medium : Checkpointer.medium;
-  cost : Checkpointer.cost_model;
-  batch : int;  (** max instructions per scheduling slice *)
-  deadline_ns : int option;  (** stop the run at this simulated time *)
-  max_instructions : int;  (** safety net against runaway executions *)
-  auto_recover : bool;
-  suppress_faults_on_recovery : bool;
-      (** the paper's end-to-end check (§4.1): restore pristine code and
-          silence the injector when recovering *)
-  max_recovery_attempts : int;
-  reboot_delay_ns : int;  (** after a kernel panic *)
-  recovery_retry_delay_ns : int;
-      (** pacing between attempts when recovery itself crashes: a
-          process restart, not a machine reboot *)
-  kills : (int * int) list;  (** (time_ns, pid) stop failures to inject *)
-  kill_at_decision : (int * int) list;
-      (** (decision_index, pid) stop failures, applied just before the
-          scheduler's Nth pick — lets the model-checker cross-check
-          enumerate crash points deterministically *)
-  pick_override : (int list -> int option) option;
-      (** schedule replay hook: given the runnable pids (ascending),
-          choose who runs next; [None] (the value or the result) falls
-          back to the smallest-local-clock default *)
-  twopc_timeout_ns : int;
-      (** 2PC prepare/commit timeout: with an unreliable transport
-          attached, an unreachable participant makes the coordinator
-          presume abort and retry the round after the timeout (doubling
-          per retry) *)
-  twopc_max_retries : int;
-      (** aborted-round retries before the coordinator gives up and the
-          run degrades to [Net_unreachable] *)
-  heap_words : int;
-  stack_words : int;
-  page_size : int;
-  expand_resources_on_recovery : bool;
-      (** §2.6: grow resource limits at reboot, turning fixed ND
-          exhaustion results transient *)
-  excluded_pages : int -> bool;
-      (** §2.6: recomputable heap pages left out of checkpoints; lost at
-          recovery *)
-  policy : Ft_recovery.Policy.t option;
-      (** escalation ladder driving recovery; [None] is the legacy
-          generic-replay path *)
-  quarantine : Ft_recovery.Quarantine.params option;
-      (** crash-loop circuit breaker; [None] = off *)
-  recovery_kills : (Scheduler.recovery_stage * int) list;
-      (** injected nested failures: [(stage, n)] crashes the recovering
-          process again at the [n]th entry into that recovery stage *)
-  det_cap : int;
-      (** hard cap on the live determinant count; past it the store
-          degrades to a forced flush-to-checkpoint.  [0] = uncapped *)
-}
+include module type of struct
+  include Run_types
+end
 
 val default_config : config
-
-type outcome = Scheduler.outcome =
-  | Completed  (** every process halted *)
-  | Deadline
-  | Recovery_failed  (** a process kept crashing past its last commit *)
-  | Deadlocked
-  | Instruction_budget
-  | Net_unreachable
-      (** the attached transport's retry budget ran out (a link gave up,
-          or a 2PC round exhausted its presumed-abort retries): the run
-          degrades instead of wedging in [Block_recv] *)
-
-type result = Scheduler.result = {
-  outcome : outcome;
-  trace : Ft_core.Trace.t;
-  visible : int list;  (** values output to the user, in order *)
-  sim_time_ns : int;
-  wall_instructions : int;
-  commit_counts : int array;  (** protocol-triggered commits, per process *)
-  nd_counts : int array;
-  logged_counts : int array;
-  visible_counts : int array;
-  recoveries : int;
-  crashes : int;
-  recovery_crashes : int;
-      (** crashes injected during restore itself; each costs a reboot
-          delay and a retry from the same checkpoint *)
-  activation : (int * int) option;  (** pid, trace index at activation *)
-  first_crash : (int * int) option;
-  commit_after_activation : bool;
-      (** a commit landed between fault activation and the first crash:
-          the Table-1 Lose-work violation criterion *)
-  memory_pokes : int;  (** kernel-fault memory corruptions applied *)
-  aborted_rounds : int;
-      (** 2PC (and dependent-commit) rounds presumed aborted on a
-          prepare/commit timeout *)
-  orphan_rollbacks : int;
-      (** message-logging protocols: survivors rolled back at recovery
-          because their state depended on lost non-determinism *)
-  visible_times : (int * int * int) list;
-      (** (pid, value, local time ns) of each visible output, in order *)
-  crash_times : (int * int) list;
-      (** (pid, local time ns) of each crash, in order *)
-  deep_rollbacks : int;  (** L1 recoveries *)
-  perturbed_replays : int;  (** L2 recoveries *)
-  ladder_peaks : int array;  (** per process: highest rung used *)
-  fault_classes : Ft_recovery.Classifier.verdict array;
-      (** per process, from observed replay behavior *)
-  quarantine_trips : int;  (** cumulative breaker trips *)
-  replay_mismatches : int;
-      (** replayed visible outputs that disagreed with the value already
-          released at that sequence position; must be 0 at every rung *)
-  nested_crashes : int;
-      (** injected crashes that landed during a recovery stage *)
-  cascade_resumes : int;
-      (** orphan cascades resumed from persisted progress after the
-          victim re-crashed mid-cascade *)
-  det_high_water : int;  (** peak live determinant count *)
-  det_forced_flushes : int;
-      (** determinant-cap hits that forced a flush-to-checkpoint *)
-}
 
 type t
 

@@ -63,64 +63,7 @@ type proc = {
   mutable last_visible_at : int;
 }
 
-(* The stateful stages of the recovery path itself, as injection sites
-   for nested failures: a process may crash again while its own restore
-   replays ([Mid_restore]), while the orphan-rollback cascade it
-   triggered is mid-flight ([Mid_cascade]), or while coordinating a
-   dependent-commit round ([Mid_round]). *)
-type recovery_stage = Mid_restore | Mid_cascade | Mid_round
-
-type config = {
-  protocol : Ft_core.Protocol.spec;
-  medium : Checkpointer.medium;
-  cost : Checkpointer.cost_model;
-  batch : int;                  (* max instructions per scheduling slice *)
-  deadline_ns : int option;     (* stop the run at this simulated time *)
-  max_instructions : int;       (* safety net against runaways *)
-  auto_recover : bool;
-  suppress_faults_on_recovery : bool;
-  max_recovery_attempts : int;
-  reboot_delay_ns : int;        (* after a kernel panic *)
-  recovery_retry_delay_ns : int;
-      (* pacing between attempts when recovery itself crashes: a
-         process restart, not a machine reboot *)
-  kills : (int * int) list;     (* (time_ns, pid) stop failures to inject *)
-  kill_at_decision : (int * int) list;
-      (* (decision_index, pid) stop failures: applied just before the
-         scheduler's Nth pick, so crash points can be enumerated
-         deterministically (model-checker cross-check) *)
-  pick_override : (int list -> int option) option;
-      (* given the runnable pids (ascending), choose who runs next;
-         [None] falls back to the smallest-local-clock default *)
-  twopc_timeout_ns : int;
-      (* 2PC prepare/commit timeout: an unreachable participant makes
-         the coordinator presume abort and retry the round later *)
-  twopc_max_retries : int;
-      (* aborted-round retries (doubling backoff) before the coordinator
-         gives up and the run degrades to Net_unreachable *)
-  heap_words : int;
-  stack_words : int;
-  page_size : int;
-  expand_resources_on_recovery : bool;
-      (* §2.6: grow resource limits at reboot, turning fixed ND
-         exhaustion results transient *)
-  excluded_pages : int -> bool;
-      (* §2.6: recomputable heap pages left out of checkpoints *)
-  policy : Ft_recovery.Policy.t option;
-      (* escalation ladder driving recovery; [None] is the legacy
-         generic-replay path, byte-identical to the old engine *)
-  quarantine : Ft_recovery.Quarantine.params option;
-      (* per-tenant crash-loop circuit breaker; [None] = off *)
-  recovery_kills : (recovery_stage * int) list;
-      (* injected nested failures: (stage, n) crashes the recovering
-         (or coordinating) process again at the tenant's nth entry into
-         that recovery stage *)
-  det_cap : int;
-      (* hard cap on the live determinant count (logging styles): past
-         it the store degrades gracefully to a forced flush-to-checkpoint
-         of the appending process instead of growing unbounded.
-         0 = uncapped *)
-}
+include Run_types
 
 let default_config =
   {
@@ -150,62 +93,6 @@ let default_config =
     recovery_kills = [];
     det_cap = 0;
   }
-
-type outcome =
-  | Completed            (* every process halted *)
-  | Deadline             (* simulated deadline reached *)
-  | Recovery_failed      (* a process kept crashing past its last commit *)
-  | Deadlocked           (* all processes blocked *)
-  | Instruction_budget   (* safety net tripped *)
-  | Net_unreachable      (* the transport's retry budget ran out: a link
-                            (or a 2PC round) gave up instead of wedging *)
-
-type result = {
-  outcome : outcome;
-  trace : Ft_core.Trace.t;
-  visible : int list;                  (* values output, in order *)
-  sim_time_ns : int;
-  wall_instructions : int;
-  commit_counts : int array;
-  nd_counts : int array;
-  logged_counts : int array;
-  visible_counts : int array;
-  recoveries : int;
-  crashes : int;
-  recovery_crashes : int;              (* crashes during restore itself *)
-  activation : (int * int) option;     (* pid, trace index at activation *)
-  first_crash : (int * int) option;    (* pid, trace index of crash event *)
-  commit_after_activation : bool;
-  memory_pokes : int;                  (* kernel-fault memory corruptions *)
-  aborted_rounds : int;                (* 2PC rounds presumed aborted on a
-                                          prepare/commit timeout *)
-  orphan_rollbacks : int;              (* logging styles: survivors rolled
-                                          back because their state depended
-                                          on a victim's lost ND *)
-  visible_times : (int * int * int) list;
-      (* (pid, value, local time) of each visible output, in order —
-         the serve harness turns these into per-request latencies *)
-  crash_times : (int * int) list;      (* (pid, local time) of each crash,
-                                          in order — MTTR measurement *)
-  deep_rollbacks : int;                (* L1 recoveries that discarded
-                                          committed generations *)
-  perturbed_replays : int;             (* L2 recoveries *)
-  ladder_peaks : int array;            (* per process: highest rung used *)
-  fault_classes : Ft_recovery.Classifier.verdict array;
-      (* per process, from observed replay behavior *)
-  quarantine_trips : int;              (* cumulative breaker trips *)
-  replay_mismatches : int;             (* replayed outputs that disagreed
-                                          with already-released values:
-                                          must be 0 at every rung *)
-  nested_crashes : int;                (* injected crashes that landed
-                                          during a recovery stage *)
-  cascade_resumes : int;               (* orphan cascades resumed from
-                                          persisted progress after the
-                                          victim re-crashed mid-cascade *)
-  det_high_water : int;                (* peak live determinant count *)
-  det_forced_flushes : int;            (* determinant-cap hits that forced
-                                          a flush-to-checkpoint *)
-}
 
 (* One application instance: the state the legacy engine called [t]. *)
 type tenant = {
@@ -543,29 +430,21 @@ let finish_restore tn (p : proc) (kstate, cost) =
   p.blocked <- false;
   p.halted <- false
 
-(* Legacy generic recovery (ladder rung L0 only): the engine's
-   historical path, untouched when [cfg.policy = None]. *)
-let recover_generic tn (p : proc) =
-  if p.recoveries >= tn.cfg.max_recovery_attempts then give_up tn p
-  else begin
-    p.recoveries <- p.recoveries + 1;
-    tn.total_recoveries <- tn.total_recoveries + 1;
-    pre_replay tn p;
-    match restore_with_retry tn p with
-    | None -> give_up tn p
-    | Some restored ->
-        finish_restore tn p restored;
-        (match tn.on_replay with
-        | Some f -> f p.pid ~salt:p.salt
-        | None -> ())
-  end
-
-(* Policy-driven recovery: the escalation ladder.  The attempt index
-   (consecutive crashes since the process last committed past its
-   restore point) picks the rung; each rung restores *some* committed
-   state — Consistency is never traded, only whose work is lost and
-   what environment the replay sees. *)
-let recover_policy tn pol (p : proc) =
+(* Recovery is the escalation ladder.  The attempt index (consecutive
+   crashes since the process last committed past its restore point)
+   picks the rung; each rung restores *some* committed state —
+   Consistency is never traded, only whose work is lost and what
+   environment the replay sees.  The legacy path ([policy = None]) is
+   this same ladder on rung L0 alone, [max_recovery_attempts] replays
+   deep: it gives up at the same crash, with the same counters and
+   callbacks, as the engine's historical generic replay. *)
+let recover tn (p : proc) =
+  let pol =
+    Option.value tn.cfg.policy
+      ~default:
+        { Ft_recovery.Policy.generic with
+          l0_attempts = tn.cfg.max_recovery_attempts }
+  in
   p.recoveries <- p.recoveries + 1;
   match Ft_recovery.Policy.decide pol ~attempt:p.recoveries with
   | Ft_recovery.Policy.Give_up -> give_up tn p
@@ -612,11 +491,6 @@ let recover_policy tn pol (p : proc) =
           (match tn.on_replay with
           | Some f -> f p.pid ~salt:p.salt
           | None -> ()))
-
-let recover tn (p : proc) =
-  match tn.cfg.policy with
-  | None -> recover_generic tn p
-  | Some pol -> recover_policy tn pol p
 
 (* Orphan detection and re-rollback (message-logging protocols).  After
    a victim is restored to its last commit, a survivor [s] is an orphan
@@ -673,12 +547,17 @@ let rec orphan_cascade tn (victim : proc) =
        this call is superseded by the re-entrant one. *)
     if recovery_crash_due tn Mid_cascade && not victim.failed then begin
       tn.nested_crashes <- tn.nested_crashes + 1;
-      Ft_vm.Machine.kill victim.machine;
-      crash_proc tn victim;
+      kill_proc tn victim;
       superseded := true
     end
   done;
   if not !superseded then tn.cascade_progress <- None
+
+(* A stop failure: the machine dies where it stands, and the process
+   takes the ordinary crash path. *)
+and kill_proc tn (p : proc) =
+  Ft_vm.Machine.kill p.machine;
+  crash_proc tn p
 
 and recover_and_cascade tn (p : proc) =
   recover tn p;
@@ -766,8 +645,7 @@ let do_local_commit ?round tn (p : proc) =
   | exception Ft_stablemem.Rio.Crash_point _ ->
       (* The process died partway through writing its checkpoint; the
          torn Vista transaction is rolled back by the restore. *)
-      Ft_vm.Machine.kill p.machine;
-      crash_proc tn p;
+      kill_proc tn p;
       false
   | cost ->
       p.time <- p.time + cost;
@@ -819,12 +697,15 @@ let do_local_commit ?round tn (p : proc) =
       | _ -> ());
       true
 
-(* Two-phase commit: the coordinator asks every live process to commit and
+(* One coordinated commit round, shared by two-phase commit and
+   dependent commit: the coordinator asks [participants] to commit and
    waits for all acknowledgements.  Time: participants commit after one
    message latency; the coordinator finishes one latency after the last.
    The acknowledgements are recorded in the trace (as logged protocol
    messages) so the participants' commits happen-before whatever the
    coordinator does next — the edge Save-work-orphan relies on.
+   [on_participant q ~acked] runs after each participant, whether or not
+   its commit survived to acknowledge.
 
    With an unreliable transport attached, the round is guarded by a
    prepare/commit timeout with presumed-abort: if any participant is
@@ -834,14 +715,9 @@ let do_local_commit ?round tn (p : proc) =
    healing partition only delays the round.  A round that exhausts its
    retries degrades the run to [Net_unreachable] rather than committing
    unsafely or wedging. *)
-let do_global_commit tn (coordinator : proc) =
+let commit_round tn (coordinator : proc) ~participants ~on_participant =
   let latency =
     (Ft_os.Kernel.costs tn.kernel).Ft_os.Kernel.network_latency_ns
-  in
-  let live_participants () =
-    Array.to_list tn.procs
-    |> List.filter (fun q ->
-           (not q.halted) && (not q.failed) && q.pid <> coordinator.pid)
   in
   let base = Ft_os.Kernel.net_base tn.kernel in
   let reachable (q : proc) =
@@ -854,18 +730,19 @@ let do_global_commit tn (coordinator : proc) =
         && Ft_net.Transport.reachable net ~src:(base + q.pid)
              ~dst:(base + coordinator.pid) ~now
   in
-  let commit_round () =
+  let run_round () =
     let start = coordinator.time in
     let finish = ref start in
     let round = tn.round in
     tn.round <- round + 1;
     (* participants first, each acknowledging to the coordinator *)
     List.iter
-      (fun q ->
+      (fun (q : proc) ->
         q.time <- max q.time (start + latency);
         (* A participant whose commit crashed (and rolled back) never
            acknowledges; the coordinator still commits the others. *)
-        if do_local_commit ~round tn q then begin
+        let acked = do_local_commit ~round tn q in
+        if acked then begin
           let tag = tn.ack_tag in
           tn.ack_tag <- tag - 1;
           ignore
@@ -875,14 +752,15 @@ let do_global_commit tn (coordinator : proc) =
             (Ft_core.Trace.record tn.trace ~pid:coordinator.pid ~logged:true
                (Ft_core.Event.Receive { src = q.pid; tag }));
           if q.time > !finish then finish := q.time
-        end)
-      (live_participants ());
+        end;
+        on_participant q ~acked)
+      participants;
     (* the coordinator commits last, once every ack is in *)
     coordinator.time <- max coordinator.time (!finish + latency);
     do_local_commit ~round tn coordinator
   in
   let rec attempt retries =
-    if List.for_all reachable (live_participants ()) then commit_round ()
+    if List.for_all reachable participants then run_round ()
     else begin
       (* presumed abort: no participant prepared, so nothing to undo —
          the round simply never happened *)
@@ -902,6 +780,17 @@ let do_global_commit tn (coordinator : proc) =
     end
   in
   attempt 0
+
+(* Two-phase commit: a round over every live process.  It is not a
+   recovery stage — [Mid_round] injections never count or crash it. *)
+let do_global_commit tn (coordinator : proc) =
+  let participants =
+    Array.to_list tn.procs
+    |> List.filter (fun q ->
+           (not q.halted) && (not q.failed) && q.pid <> coordinator.pid)
+  in
+  commit_round tn coordinator ~participants
+    ~on_participant:(fun _ ~acked:_ -> ())
 
 (* Dependent commit: the asynchronous-logging alternative to a global
    2PC at output commit.  The coordinator is about to execute a visible
@@ -930,123 +819,65 @@ let do_global_commit tn (coordinator : proc) =
    all — that asynchrony is the entire point of logging protocols.
 
    Unreachable dependencies are handled exactly like an unreachable 2PC
-   participant: presumed abort, doubling timeout, degrade to
-   [Net_unreachable] when the retry budget runs out. *)
+   participant (the same [commit_round]): presumed abort, doubling
+   timeout, degrade to [Net_unreachable] when the retry budget runs
+   out. *)
 exception Round_superseded
 
 let do_dependent_commit tn (coordinator : proc) =
-  let latency =
-    (Ft_os.Kernel.costs tn.kernel).Ft_os.Kernel.network_latency_ns
-  in
   let nprocs = Array.length tn.procs in
-  let committed_own q = Ft_core.Vclock.get tn.committed_dvs.(q) q in
-  let dependencies () =
-    let in_set = Array.make nprocs false in
-    let rec close pid =
-      let dv = Ft_os.Kernel.dv tn.kernel pid in
-      for q = 0 to nprocs - 1 do
-        if
-          q <> coordinator.pid
-          && (not in_set.(q))
-          && (not tn.procs.(q).halted)
-          && (not tn.procs.(q).failed)
-          && Ft_core.Vclock.get dv q > tn.stable_marks.(pid).(q)
-        then begin
-          in_set.(q) <- true;
-          close q
-        end
-      done
-    in
-    close coordinator.pid;
-    Array.to_list tn.procs |> List.filter (fun q -> in_set.(q.pid))
+  let in_set = Array.make nprocs false in
+  let rec close pid =
+    let dv = Ft_os.Kernel.dv tn.kernel pid in
+    for q = 0 to nprocs - 1 do
+      if
+        q <> coordinator.pid
+        && (not in_set.(q))
+        && (not tn.procs.(q).halted)
+        && (not tn.procs.(q).failed)
+        && Ft_core.Vclock.get dv q > tn.stable_marks.(pid).(q)
+      then begin
+        in_set.(q) <- true;
+        close q
+      end
+    done
   in
-  let self_tainted () =
-    Ft_core.Vclock.get
-      (Ft_os.Kernel.dv tn.kernel coordinator.pid)
-      coordinator.pid
-    > committed_own coordinator.pid
-  in
-  let base = Ft_os.Kernel.net_base tn.kernel in
-  let reachable (q : proc) =
-    match Ft_os.Kernel.net tn.kernel with
-    | None -> true
-    | Some net ->
-        let now = coordinator.time in
-        Ft_net.Transport.reachable net ~src:(base + coordinator.pid)
-          ~dst:(base + q.pid) ~now
-        && Ft_net.Transport.reachable net ~src:(base + q.pid)
-             ~dst:(base + coordinator.pid) ~now
-  in
-  let commit_round deps =
-    let start = coordinator.time in
-    let finish = ref start in
-    let round = tn.round in
-    tn.round <- round + 1;
-    List.iter
-      (fun (q : proc) ->
-        q.time <- max q.time (start + latency);
-        if do_local_commit ~round tn q then begin
-          let tag = tn.ack_tag in
-          tn.ack_tag <- tag - 1;
-          ignore
-            (Ft_core.Trace.record tn.trace ~pid:q.pid
-               (Ft_core.Event.Send { dest = coordinator.pid; tag }));
-          ignore
-            (Ft_core.Trace.record tn.trace ~pid:coordinator.pid ~logged:true
-               (Ft_core.Event.Receive { src = q.pid; tag }));
-          (* the ack confirms everything of q's own ND to date is now
-             durable; the coordinator's next commit snapshots this
-             knowledge, so q is not re-contacted for old taint *)
+  close coordinator.pid;
+  match Array.to_list tn.procs |> List.filter (fun q -> in_set.(q.pid)) with
+  | [] ->
+      (* No remote dependencies: a tainted coordinator makes a plain
+         local commit; an untainted one owes nothing before output. *)
+      let own = coordinator.pid in
+      if
+        Ft_core.Vclock.get (Ft_os.Kernel.dv tn.kernel own) own
+        > Ft_core.Vclock.get tn.committed_dvs.(own) own
+      then do_local_commit tn coordinator
+      else true
+  | participants -> (
+      let on_participant (q : proc) ~acked =
+        (* the ack confirms everything of q's own ND to date is now
+           durable; the coordinator's next commit snapshots this
+           knowledge, so q is not re-contacted for old taint *)
+        if acked then
           tn.stable_marks.(coordinator.pid).(q.pid) <-
             Ft_core.Vclock.get (Ft_os.Kernel.dv tn.kernel q.pid) q.pid;
-          if q.time > !finish then finish := q.time
-        end;
         (* Injected nested failure: the coordinator dies between
            participants, mid-round. *)
-        if recovery_crash_due tn Mid_round then raise Round_superseded)
-      deps;
-    coordinator.time <- max coordinator.time (!finish + latency);
-    do_local_commit ~round tn coordinator
-  in
-  let commit_round deps =
-    match commit_round deps with
-    | committed -> committed
-    | exception Round_superseded ->
-        (* The coordinator crashed mid-round.  Participants' commits and
-           the acks already recorded STAND — commits are never undone, so
-           no participant is stranded waiting on an outcome.  The
-           coordinator's own stable-mark updates for the dead round were
-           not yet committed and revert with its restore; its replay
-           re-derives a (smaller) dependency set and runs a fresh round
-           that supersedes this one. *)
-        tn.nested_crashes <- tn.nested_crashes + 1;
-        Ft_vm.Machine.kill coordinator.machine;
-        crash_proc tn coordinator;
-        false
-  in
-  let rec attempt retries =
-    match dependencies () with
-    | [] ->
-        (* No remote dependencies: a tainted coordinator makes a plain
-           local commit; an untainted one owes nothing before output. *)
-        if self_tainted () then do_local_commit tn coordinator else true
-    | deps ->
-        if List.for_all reachable deps then commit_round deps
-        else begin
-          tn.aborted_rounds <- tn.aborted_rounds + 1;
-          if retries >= tn.cfg.twopc_max_retries then begin
-            coordinator.failed <- true;
-            if tn.outcome = None then tn.outcome <- Some Net_unreachable;
-            false
-          end
-          else begin
-            coordinator.time <-
-              coordinator.time + (tn.cfg.twopc_timeout_ns * (1 lsl retries));
-            attempt (retries + 1)
-          end
-        end
-  in
-  attempt 0
+        if recovery_crash_due tn Mid_round then raise Round_superseded
+      in
+      match commit_round tn coordinator ~participants ~on_participant with
+      | committed -> committed
+      | exception Round_superseded ->
+          (* The coordinator crashed mid-round.  Participants' commits and
+             the acks already recorded STAND — commits are never undone, so
+             no participant is stranded waiting on an outcome.  The
+             coordinator's own stable-mark updates for the dead round were
+             not yet committed and revert with its restore; its replay
+             re-derives a (smaller) dependency set and runs a fresh round
+             that supersedes this one. *)
+          tn.nested_crashes <- tn.nested_crashes + 1;
+          kill_proc tn coordinator;
+          false)
 
 (* Like [do_local_commit], [false] means the committing process crashed
    mid-commit and was restored: abandon the surrounding control flow. *)
@@ -1316,6 +1147,15 @@ let runnable tn (p : proc) =
   (not p.halted) && (not p.failed)
   && ((not p.blocked) || Ft_os.Kernel.mailbox_nonempty tn.kernel p.pid)
 
+(* Apply the due entries of a kill list ([(when, pid)] pairs), skipping
+   processes already halted or failed. *)
+let kill_due tn due =
+  List.iter
+    (fun (_, pid) ->
+      let p = tn.procs.(pid) in
+      if (not p.halted) && not p.failed then kill_proc tn p)
+    due
+
 let pick tn =
   (* deterministic stop failures keyed by scheduling-decision index:
      applied before the pick, so the kill changes this decision's
@@ -1324,14 +1164,7 @@ let pick tn =
     List.partition (fun (d, _) -> d <= tn.decisions) tn.decision_kills
   in
   tn.decision_kills <- later;
-  List.iter
-    (fun (_, pid) ->
-      let p = tn.procs.(pid) in
-      if (not p.halted) && not p.failed then begin
-        Ft_vm.Machine.kill p.machine;
-        crash_proc tn p
-      end)
-    due;
+  kill_due tn due;
   let best = ref None in
   Array.iter
     (fun p ->
@@ -1364,14 +1197,7 @@ let apply_due_kills tn =
       tn.kills_pending
   in
   tn.kills_pending <- later;
-  List.iter
-    (fun (_, pid) ->
-      let p = tn.procs.(pid) in
-      if (not p.halted) && not p.failed then begin
-        Ft_vm.Machine.kill p.machine;
-        crash_proc tn p
-      end)
-    due
+  kill_due tn due
 
 let past_deadline tn (p : proc) =
   match tn.cfg.deadline_ns with Some d -> p.time >= d | None -> false

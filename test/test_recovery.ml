@@ -196,8 +196,8 @@ let bohr_code () =
     code;
   code
 
-let run_bohr ?policy () =
-  let cfg = { Engine.default_config with policy } in
+let run_bohr ?policy ?(max_recovery_attempts = 3) () =
+  let cfg = { Engine.default_config with policy; max_recovery_attempts } in
   let kernel = make_kernel () in
   let _, r = Engine.execute ~cfg ~kernel ~programs:[| bohr_code () |] () in
   r
@@ -244,15 +244,24 @@ let test_crash_bar_prevents_l0_loop () =
 (* Legacy guard: the same Bohrbug on the policy-free path keeps the
    engine's historical behavior — duplicates in the visible stream are
    tolerated (no egress dedup without a policy), and the run still ends
-   in Recovery_failed. *)
+   in Recovery_failed.  The budget is [max_recovery_attempts] replays,
+   so the run crashes once more than it recovers: the legacy path is the
+   L0-only ladder with that budget, giving up at the same crash. *)
 let test_legacy_path_unchanged () =
-  let r = run_bohr () in
-  Alcotest.(check bool) "legacy gave up" true
-    (r.Engine.outcome = Engine.Recovery_failed);
-  Alcotest.(check bool) "legacy output consistent" true
-    (Ft_core.Consistency.is_consistent ~reference:expected_output
-       ~observed:r.Engine.visible);
-  Alcotest.(check int) "mismatch counter dormant" 0 r.Engine.replay_mismatches
+  List.iter
+    (fun n ->
+      let r = run_bohr ~max_recovery_attempts:n () in
+      let name = Printf.sprintf "budget %d: " n in
+      Alcotest.(check bool) (name ^ "legacy gave up") true
+        (r.Engine.outcome = Engine.Recovery_failed);
+      Alcotest.(check bool) (name ^ "legacy output consistent") true
+        (Ft_core.Consistency.is_consistent ~reference:expected_output
+           ~observed:r.Engine.visible);
+      Alcotest.(check int) (name ^ "mismatch counter dormant") 0
+        r.Engine.replay_mismatches;
+      Alcotest.(check int) (name ^ "recoveries") n r.Engine.recoveries;
+      Alcotest.(check int) (name ^ "crashes") (n + 1) r.Engine.crashes)
+    [ 1; 3; 10 ]
 
 (* Sequenced egress under plain stop failures: a policy run with kills
    must release each output exactly once — not merely a consistent

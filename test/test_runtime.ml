@@ -472,6 +472,44 @@ let test_nested_cascade_resumes () =
        ~reference:(pingpong_reference 6)
        ~observed:r.Ft_runtime.Engine.visible)
 
+let test_nested_round_kill () =
+  (* [Mid_round] counts entries into a dependent-commit round only.
+     Under optimistic logging the client's visibles open rounds over the
+     server, so the injection fires once and the superseded round's
+     replay still completes consistently.  CPV-2PC's global rounds are
+     not a recovery stage: the same plan must be inert there, leaving
+     the run exactly as it is without it. *)
+  let cfg protocol recovery_kills =
+    { Ft_runtime.Engine.default_config with
+      protocol;
+      kills = [ (900_000, 1) ];
+      recovery_kills }
+  in
+  let plan = [ (Ft_runtime.Scheduler.Mid_round, 1) ] in
+  let r =
+    run_pingpong ~cfg:(cfg Ft_core.Protocols.optimistic plan) ~rounds:6 ()
+  in
+  Alcotest.(check int) "optimistic: nested crash fired" 1
+    r.Ft_runtime.Engine.nested_crashes;
+  Alcotest.(check bool) "optimistic: completed" true
+    (r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Completed);
+  Alcotest.(check bool) "optimistic: consistent" true
+    (Ft_core.Consistency.is_consistent
+       ~reference:(pingpong_reference 6)
+       ~observed:r.Ft_runtime.Engine.visible);
+  let plain =
+    run_pingpong ~cfg:(cfg Ft_core.Protocols.cpv_2pc []) ~rounds:6 ()
+  in
+  let planned =
+    run_pingpong ~cfg:(cfg Ft_core.Protocols.cpv_2pc plan) ~rounds:6 ()
+  in
+  Alcotest.(check int) "2pc: plan inert" 0
+    planned.Ft_runtime.Engine.nested_crashes;
+  Alcotest.(check (list int)) "2pc: same output"
+    plain.Ft_runtime.Engine.visible planned.Ft_runtime.Engine.visible;
+  Alcotest.(check int) "2pc: same simulated time"
+    plain.Ft_runtime.Engine.sim_time_ns planned.Ft_runtime.Engine.sim_time_ns
+
 let test_breaker_counts_nested_crashes () =
   (* The quarantine breaker's sliding window must see recovery-time
      crashes like any other: one scheduled kill plus two nested restore
@@ -852,6 +890,8 @@ let tests =
       test_nested_restore_kill_completes;
     Alcotest.test_case "nested cascade resumes" `Quick
       test_nested_cascade_resumes;
+    Alcotest.test_case "nested round kill (2pc inert)" `Quick
+      test_nested_round_kill;
     Alcotest.test_case "breaker counts nested crashes" `Quick
       test_breaker_counts_nested_crashes;
     Alcotest.test_case "det cap forces flush" `Quick
