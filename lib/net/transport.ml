@@ -349,14 +349,11 @@ let pending_in t ~lo ~hi =
   Q.exists (fun _ ev -> let s = event_src ev in lo <= s && s < hi) t.queue
 
 let next_event_in t ~lo ~hi =
-  Seq.fold_left
-    (fun acc ((at, _), ev) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          let s = event_src ev in
-          if lo <= s && s < hi then Some at else None)
-    None (Q.to_seq t.queue)
+  Seq.find_map
+    (fun ((at, _), ev) ->
+      let s = event_src ev in
+      if lo <= s && s < hi then Some at else None)
+    (Q.to_seq t.queue)
 
 let any_failed_in t ~lo ~hi =
   Hashtbl.fold

@@ -17,7 +17,15 @@
     [~base]), links never cross tenants, and the per-tenant network
     verdicts (pending frames, earliest event, exhausted retry budgets)
     are answered by the transport's range queries, so a tenant sharing a
-    transport reaches the same conclusions it would on a private one. *)
+    transport reaches the same conclusions it would on a private one.
+
+    The pick is the minimum of an ordered index of live tenants keyed
+    by [(next time, tid)], so a step costs a re-key, not a scan of the
+    fleet.  A step can move only its own tenant's key and, through the
+    transport's pumps and deliveries, the keys of tenants on the same
+    transport; only those are re-keyed after it.  Every key is thus the
+    one a full rescan would compute, and ordering on the pair keeps the
+    lowest-tid tie-break, so each step picks the tenant a scan would. *)
 
 type proc = {
   pid : int;
@@ -1147,24 +1155,26 @@ let runnable tn (p : proc) =
   (not p.halted) && (not p.failed)
   && ((not p.blocked) || Ft_os.Kernel.mailbox_nonempty tn.kernel p.pid)
 
-(* Apply the due entries of a kill list ([(when, pid)] pairs), skipping
-   processes already halted or failed. *)
-let kill_due tn due =
-  List.iter
-    (fun (_, pid) ->
-      let p = tn.procs.(pid) in
-      if (not p.halted) && not p.failed then kill_proc tn p)
-    due
+(* Apply a due kill-list entry, skipping processes already halted or
+   failed. *)
+let kill_due tn pid =
+  let p = tn.procs.(pid) in
+  if (not p.halted) && not p.failed then kill_proc tn p
 
 let pick tn =
   (* deterministic stop failures keyed by scheduling-decision index:
      applied before the pick, so the kill changes this decision's
-     runnable set *)
-  let due, later =
-    List.partition (fun (d, _) -> d <= tn.decisions) tn.decision_kills
+     runnable set.  The list is sorted, so the due entries are a
+     prefix. *)
+  let rec kill_due_decisions () =
+    match tn.decision_kills with
+    | (d, pid) :: later when d <= tn.decisions ->
+        tn.decision_kills <- later;
+        kill_due tn pid;
+        kill_due_decisions ()
+    | _ -> ()
   in
-  tn.decision_kills <- later;
-  kill_due tn due;
+  kill_due_decisions ();
   let best = ref None in
   Array.iter
     (fun p ->
@@ -1197,7 +1207,7 @@ let apply_due_kills tn =
       tn.kills_pending
   in
   tn.kills_pending <- later;
-  kill_due tn due
+  List.iter (fun (_, pid) -> kill_due tn pid) due
 
 let past_deadline tn (p : proc) =
   match tn.cfg.deadline_ns with Some d -> p.time >= d | None -> false
@@ -1364,30 +1374,131 @@ let tenant_next_time tn =
         | None -> min_int)
     | None -> min_int
 
-(* Pick the live tenant furthest behind on the virtual clock (ties break
-   to the lowest tenant id — the strict [<] keeps the first minimum). *)
-let pick_tenant t =
-  let best = ref None in
-  let best_time = ref max_int in
+(* Live tenants in an array binary min-heap ordered by [(key, tid)]: the
+   minimum is the tenant furthest behind on the virtual clock, ties to
+   the lowest tid.  Indexed by tid so a key can move in place, and
+   allocation-free, so a step leaves no garbage behind. *)
+type index = {
+  heap : int array;  (* tids, heap-ordered *)
+  slot : int array;  (* tid -> its position in [heap] *)
+  key : int array;   (* tid -> its [tenant_next_time] *)
+  mutable size : int;
+}
+
+let before ix a b =
+  ix.key.(a) < ix.key.(b) || (ix.key.(a) = ix.key.(b) && a < b)
+
+let swap ix i j =
+  let a = ix.heap.(i) and b = ix.heap.(j) in
+  ix.heap.(i) <- b;
+  ix.heap.(j) <- a;
+  ix.slot.(b) <- i;
+  ix.slot.(a) <- j
+
+let rec sift_up ix i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before ix ix.heap.(i) ix.heap.(parent) then begin
+    swap ix i parent;
+    sift_up ix parent
+  end
+
+let rec sift_down ix i =
+  let l = (2 * i) + 1 in
+  if l < ix.size then begin
+    let c =
+      if l + 1 < ix.size && before ix ix.heap.(l + 1) ix.heap.(l) then l + 1
+      else l
+    in
+    if before ix ix.heap.(c) ix.heap.(i) then begin
+      swap ix i c;
+      sift_down ix c
+    end
+  end
+
+let index_add ix tid k =
+  ix.key.(tid) <- k;
+  ix.heap.(ix.size) <- tid;
+  ix.slot.(tid) <- ix.size;
+  ix.size <- ix.size + 1;
+  sift_up ix (ix.size - 1)
+
+let index_rekey ix tid k =
+  let old = ix.key.(tid) in
+  ix.key.(tid) <- k;
+  if k < old then sift_up ix ix.slot.(tid) else sift_down ix ix.slot.(tid)
+
+let index_remove ix tid =
+  let i = ix.slot.(tid) in
+  ix.size <- ix.size - 1;
+  if i < ix.size then begin
+    let last = ix.heap.(ix.size) in
+    swap ix i ix.size;
+    sift_up ix i;
+    sift_down ix ix.slot.(last)
+  end
+
+(* For each tenant, the tenants whose keys one of its steps can move:
+   itself, or every tenant on its transport ([==]) — a pump can deliver
+   into a co-tenant's mailbox or fire its link events.  Tenants on one
+   transport share one array. *)
+let rekey_groups t =
+  let shared = ref [] in
+  let group net =
+    match List.assq_opt net !shared with
+    | Some g -> g
+    | None ->
+        let on_net u =
+          match Ft_os.Kernel.net u.kernel with
+          | Some n -> n == net
+          | None -> false
+        in
+        let g =
+          Array.of_seq (Seq.filter on_net (Array.to_seq t.tenants))
+        in
+        shared := (net, g) :: !shared;
+        g
+  in
+  Array.map
+    (fun tn ->
+      match Ft_os.Kernel.net tn.kernel with
+      | None -> [| tn |]
+      | Some net -> group net)
+    t.tenants
+
+(* The index and the groups are built here, not in [create]: transports
+   may be attached between the two calls.  After each step only the
+   stepped tenant's group is re-keyed, and a tenant with a result
+   leaves. *)
+let run t =
+  let groups = rekey_groups t in
+  let n = Array.length t.tenants in
+  let ix =
+    {
+      heap = Array.make n 0;
+      slot = Array.make n 0;
+      key = Array.make n 0;
+      size = 0;
+    }
+  in
   Array.iter
     (fun tn ->
-      if tn.result = None then begin
-        let at = tenant_next_time tn in
-        if at < !best_time || !best = None then begin
-          best := Some tn;
-          best_time := at
-        end
-      end)
+      if Option.is_none tn.result then
+        index_add ix tn.tid (tenant_next_time tn))
     t.tenants;
-  !best
-
-let run t =
+  let rekey tn =
+    if Option.is_none tn.result then begin
+      let k = tenant_next_time tn in
+      if k <> ix.key.(tn.tid) then index_rekey ix tn.tid k
+    end
+  in
   let rec drive () =
     if t.live = 0 then Array.map (fun tn -> Option.get tn.result) t.tenants
     else begin
-      (match pick_tenant t with
-      | Some tn -> step t tn
-      | None -> assert false);
+      let tn = t.tenants.(ix.heap.(0)) in
+      step t tn;
+      (* only a tenant's own step can finish it *)
+      if Option.is_some tn.result then index_remove ix tn.tid;
+      Array.iter rekey groups.(tn.tid);
       drive ()
     end
   in

@@ -8,15 +8,19 @@
     furthest behind on the virtual clock (ties to the lowest tenant id)
     and runs one iteration of the legacy engine loop for it, so a
     1-tenant scheduler is step-identical to the old {!Engine} — which is
-    now a facade over this module.
+    now a facade over this module.  Live tenants sit in an index ordered
+    by (next time, tenant id); a step re-keys only its own tenant and
+    the tenants on its transport, so its cost does not grow with the
+    fleet.
 
     Tenants may share one {!Ft_net.Transport}: give each kernel a
     disjoint global pid range with {!Ft_os.Kernel.set_net}[ ~base] and
     route the transport's [deliver] callback back through
-    {!Ft_os.Kernel.deliver_net}.  Links never cross tenants, so the
-    per-tenant network verdicts (pending frames, earliest event, dead
-    links) come from the transport's range queries and match what a
-    private transport would say. *)
+    {!Ft_os.Kernel.deliver_net} to the kernels attached to that same
+    transport.  Links never cross tenants, so the per-tenant network
+    verdicts (pending frames, earliest event, dead links) come from the
+    transport's range queries and match what a private transport would
+    say. *)
 
 include module type of struct
   include Run_types
@@ -68,4 +72,5 @@ val activation_recorded : t -> tid:int -> bool
 
 val run : t -> result array
 (** Drive every tenant to its verdict; [(run t).(tid)] is tenant
-    [tid]'s result. *)
+    [tid]'s result.  Attach transports before this call: the tenant
+    index, and which tenants share a transport, are fixed here. *)
