@@ -20,12 +20,15 @@ open Toolkit
 (* The bench regenerates through the same job lists the CLI sweeps use
    (no store: a bench run should always measure, never resume), on every
    available core. *)
+let sweep ~name js =
+  Ft_exp.Exp.lookup (Ft_exp.Exp.run_sweep ~quiet:true ~name js)
+
 let regenerate () =
   print_string
     (Ft_harness.Report.section "Figure 3: the protocol space");
   print_string (Ft_core.Protocol_space.render Ft_core.Protocol_space.all);
   let fig8_lookup =
-    Ft_exp.Exp.eval_lookup
+    sweep ~name:"figure8"
       (List.concat_map
          (Ft_harness.Figure8.jobs ~scale:0.25)
          Ft_harness.Figure8.all_apps)
@@ -38,7 +41,7 @@ let regenerate () =
     Ft_harness.Figure8.all_apps;
   let both = [ Ft_harness.Table1.Nvi; Ft_harness.Table1.Postgres ] in
   let t1_lookup =
-    Ft_exp.Exp.eval_lookup
+    sweep ~name:"table1"
       (List.concat_map
          (fun app -> Ft_harness.Table1.jobs ~target_crashes:15 ~app ())
          both)
@@ -57,7 +60,7 @@ let regenerate () =
       end)
     both;
   let t2_lookup =
-    Ft_exp.Exp.eval_lookup
+    sweep ~name:"table2"
       (List.concat_map
          (fun app -> Ft_harness.Table2.jobs ~target_crashes:15 ~app ())
          both)
@@ -83,7 +86,8 @@ let pool_speedup () =
   in
   let time workers =
     let t0 = Unix.gettimeofday () in
-    ignore (Ft_exp.Exp.eval ~workers (jobs ()));
+    ignore
+      (Ft_exp.Exp.run_sweep ~workers ~quiet:true ~name:"figure8" (jobs ()));
     Unix.gettimeofday () -. t0
   in
   let n = Ft_exp.Pool.default_workers () in
@@ -809,27 +813,11 @@ let write_json ~path ~quick ~fig8 ~mc ~goodput ~commit_panel ~serve ~rescue
             Obj (List.map (fun (name, ns) -> (name, Float ns)) bechamel) );
         ])
   in
-  let existing =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match of_string (String.trim s) with
-      | Ok (Obj kvs) -> kvs
-      | _ -> []
-    end
-    else []
-  in
-  let kept =
-    List.filter (fun (k, _) -> not (List.mem_assoc k fresh)) existing
-  in
-  let obj = Obj (fresh @ kept) in
-  let oc = open_out path in
-  output_string oc (to_string obj);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nbench: wrote %s\n" path
+  match Ft_harness.Report.merge_bench ~path fresh with
+  | Ok () -> Printf.printf "\nbench: wrote %s\n" path
+  | Error msg ->
+      Printf.eprintf "bench: %s\n" msg;
+      exit 2
 
 let () =
   let json_path = ref None and quick = ref false in

@@ -39,6 +39,13 @@ let sweep opts ~name jobs =
     (Ft_exp.Exp.run_sweep ?workers:opts.workers ~fresh:opts.fresh
        ~out_dir:opts.out_dir ~name jobs)
 
+(* [--bench-out FILE]: merge a campaign's bench keys into FILE.  A file
+   that is not a JSON object is refused (exit 2) and left untouched. *)
+let merge_bench_out bench_out kvs =
+  Option.fold ~none:(Ok ())
+    ~some:(fun path -> Ft_harness.Report.merge_bench ~path kvs)
+    bench_out
+
 let run_figure8 apps scale seed opts =
   let jobs = List.concat_map (Ft_harness.Figure8.jobs ~scale ~seed) apps in
   let lookup = sweep opts ~name:"figure8" jobs in
@@ -49,11 +56,6 @@ let run_figure8 apps scale seed opts =
            (Ft_harness.Figure8.of_records ~scale ~seed app lookup)))
     apps;
   `Ok 0
-
-let table1_app_of_string = function
-  | "nvi" -> Ok Ft_harness.Table1.Nvi
-  | "postgres" -> Ok Ft_harness.Table1.Postgres
-  | s -> Error (Printf.sprintf "unknown app %S (nvi or postgres)" s)
 
 let table1_rows crashes opts apps =
   let jobs =
@@ -198,136 +200,77 @@ let run_netstorm loss dup reorder partition apps scale seed opts =
    multi-tenant scheduler, open-loop load, Poisson kills, SLO-grade
    reporting.  Exits non-zero on any oracle violation, zero goodput, or
    missing shard, so CI can gate on it. *)
-let run_serve procs requests proto_names crash_rate recovery_crash_rate
-    det_cap storm_name shard_size interval_ns poison smoke bench_out seed
-    opts =
-  let bad = ref [] in
-  let protocols =
-    match proto_names with
-    | [] -> [ Ft_core.Protocols.cpvs ]
-    | [ "all" ] -> Ft_core.Protocols.figure8
-    | names ->
-        List.filter_map
-          (fun n ->
-            match Ft_core.Protocols.by_name n with
-            | Some s -> Some s
-            | None ->
-                bad := n :: !bad;
-                None)
-          names
+let run_serve procs requests protocols crash_rate recovery_crash_rate det_cap
+    storm shard_size interval_ns poison smoke bench_out seed opts =
+  let p =
+    if smoke then
+      {
+        Ft_harness.Serve.smoke_params with
+        seed;
+        storm;
+        poison;
+        recovery_crash_rate;
+      }
+    else
+      {
+        Ft_harness.Serve.default_params with
+        procs;
+        requests;
+        crash_rate;
+        recovery_crash_rate;
+        det_cap;
+        storm;
+        seed;
+        shard_size;
+        interval_ns;
+        poison;
+      }
   in
-  let storm =
-    match storm_name with
-    | None -> Ok None
-    | Some s -> (
-        match
-          List.find_opt
-            (fun pt -> pt.Ft_harness.Netstorm.label = s)
-            Ft_harness.Netstorm.default_points
-        with
-        | Some pt -> Ok (Some pt)
-        | None -> Error s)
+  let report =
+    Ft_harness.Serve.run ?workers:opts.workers ~out_dir:opts.out_dir
+      ~fresh:opts.fresh ~protocols p
   in
-  match (!bad, storm) with
-  | n :: _, _ -> `Error (false, "unknown protocol " ^ n)
-  | _, Error s -> `Error (false, "unknown storm tier " ^ s ^ " (calm, breeze, gale or storm)")
-  | [], Ok storm ->
-      let p =
-        if smoke then
-          {
-            Ft_harness.Serve.smoke_params with
-            seed;
-            storm;
-            poison;
-            recovery_crash_rate;
-          }
-        else
-          {
-            Ft_harness.Serve.default_params with
-            procs;
-            requests;
-            crash_rate;
-            recovery_crash_rate;
-            det_cap;
-            storm;
-            seed;
-            shard_size;
-            interval_ns;
-            poison;
-          }
-      in
-      let report =
-        Ft_harness.Serve.run ?workers:opts.workers ~out_dir:opts.out_dir
-          ~fresh:opts.fresh ~protocols p
-      in
-      print_string (Ft_harness.Serve.render report);
-      Option.iter
-        (fun path -> Ft_harness.Serve.merge_bench ~path report)
-        bench_out;
-      let goodput_ok =
-        List.for_all
-          (fun s -> s.Ft_harness.Serve.s_goodput > 0.)
-          report.Ft_harness.Serve.summaries
-      in
-      if Ft_harness.Serve.clean report && goodput_ok then `Ok 0
-      else fail_run "serve found violations or zero goodput"
+  print_string (Ft_harness.Serve.render report);
+  let goodput_ok =
+    List.for_all
+      (fun s -> s.Ft_harness.Serve.s_goodput > 0.)
+      report.Ft_harness.Serve.summaries
+  in
+  match merge_bench_out bench_out (Ft_harness.Serve.bench_kv report) with
+  | Error msg -> `Error (false, msg)
+  | Ok () when Ft_harness.Serve.clean report && goodput_ok -> `Ok 0
+  | Ok () -> fail_run "serve found violations or zero goodput"
 
 (* Rescue: inject recurring application faults — the kind generic replay
    re-executes — and measure how much of the crashed-run mass each
    escalation rung (deep rollback, perturbed replay) reclaims.  Exits
    non-zero on any Consistency violation at any rung or a missing cell,
    so CI can gate on it. *)
-let run_rescue app_names proto_names ladder_names crashes smoke bench_out
-    seed opts =
-  let bad = ref [] in
-  let protocols =
-    match proto_names with
-    | [] -> Ft_harness.Rescue.default_spec.Ft_harness.Rescue.protocols
-    | names ->
-        List.filter_map
-          (fun n ->
-            match Ft_core.Protocols.by_name n with
-            | Some s -> Some s
-            | None ->
-                bad := n :: !bad;
-                None)
-          names
+let run_rescue apps protocols ladder_names crashes smoke bench_out seed opts =
+  let spec =
+    if smoke then
+      { Ft_harness.Rescue.smoke_spec with Ft_harness.Rescue.seed0 = seed }
+    else
+      {
+        Ft_harness.Rescue.default_spec with
+        Ft_harness.Rescue.apps;
+        protocols;
+        ladder_names =
+          (if ladder_names = [] then Ft_harness.Rescue.ladders
+           else ladder_names);
+        target_crashes = crashes;
+        seed0 = seed;
+      }
   in
-  let bad_ladder =
-    List.find_opt
-      (fun n -> Ft_recovery.Policy.by_name n = None)
-      ladder_names
+  let report =
+    Ft_harness.Rescue.run ?workers:opts.workers ~out_dir:opts.out_dir
+      ~fresh:opts.fresh spec
   in
-  match (!bad, bad_ladder) with
-  | n :: _, _ -> `Error (false, "unknown protocol " ^ n)
-  | _, Some n ->
-      `Error (false, "unknown ladder " ^ n ^ " (generic, deep or full)")
-  | [], None ->
-      let spec =
-        if smoke then
-          { Ft_harness.Rescue.smoke_spec with Ft_harness.Rescue.seed0 = seed }
-        else
-          {
-            Ft_harness.Rescue.default_spec with
-            Ft_harness.Rescue.apps = app_names;
-            protocols;
-            ladder_names =
-              (if ladder_names = [] then Ft_harness.Rescue.ladders
-               else ladder_names);
-            target_crashes = crashes;
-            seed0 = seed;
-          }
-      in
-      let report =
-        Ft_harness.Rescue.run ?workers:opts.workers ~out_dir:opts.out_dir
-          ~fresh:opts.fresh spec
-      in
-      print_string (Ft_harness.Rescue.render report);
-      Option.iter
-        (fun path -> Ft_harness.Rescue.merge_bench ~path report)
-        bench_out;
-      if Ft_harness.Rescue.clean report then `Ok 0
-      else fail_run "rescue found consistency violations or missing cells"
+  print_string (Ft_harness.Rescue.render report);
+  match merge_bench_out bench_out (Ft_harness.Rescue.bench_kv report) with
+  | Error msg -> `Error (false, msg)
+  | Ok () when Ft_harness.Rescue.clean report -> `Ok 0
+  | Ok () -> fail_run "rescue found consistency violations or missing cells"
 
 let run_ablation opts =
   let lookup = sweep opts ~name:"ablation" (Ft_harness.Ablation.jobs ()) in
@@ -339,257 +282,283 @@ let run_ablation opts =
    checker honest.  Exits non-zero on any honest-protocol violation, on
    any surviving mutant, and on sweep jobs that died without a verdict,
    so CI can gate on it. *)
-let run_mc nprocs depth proto_names mutants no_prune engine_xcheck opts =
-  let bad = ref [] in
-  let specs =
-    match proto_names with
-    | [] -> Ft_core.Protocols.figure8_extended
-    | names ->
-        List.filter_map
-          (fun n ->
-            match Ft_core.Protocols.by_name n with
-            | Some s -> Some s
-            | None ->
-                bad := n :: !bad;
-                None)
-          names
+let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
+  let program = Ft_mc.Model.default_program ~nprocs ~depth in
+  let honest_jobs =
+    Ft_mc.Checker.jobs ~no_prune
+      ~specs:(List.map (fun s -> (s, Ft_mc.Model.Honest)) specs)
+      ~program ()
   in
-  if !bad <> [] then
-    `Error (false, "unknown protocol(s): " ^ String.concat ", " !bad)
-  else begin
-    let program = Ft_mc.Model.default_program ~nprocs ~depth in
-    let honest_jobs =
-      Ft_mc.Checker.jobs ~no_prune
-        ~specs:(List.map (fun s -> (s, Ft_mc.Model.Honest)) specs)
-        ~program ()
-    in
-    (* a mutant may bring its own program: some kills need a shape the
-       default menus cannot express (the 3-process causal chain) *)
-    let mutant_program m =
-      match m.Ft_mc.Mutants.program with Some p -> p | None -> program
-    in
-    let mutant_jobs =
-      if not mutants then []
-      else
-        List.concat_map
-          (fun m ->
-            Ft_mc.Checker.jobs ~no_prune ~lose_work:false
-              ~specs:[ (m.Ft_mc.Mutants.spec, m.Ft_mc.Mutants.defect) ]
-              ~program:(mutant_program m) ())
-          Ft_mc.Mutants.all
-    in
-    let xcheck_jobs =
-      if engine_xcheck then Ft_mc.Engine_xcheck.jobs ~specs () else []
-    in
-    let lookup =
-      sweep opts ~name:"mc" (honest_jobs @ mutant_jobs @ xcheck_jobs)
-    in
-    let missing = ref 0 in
-    let stats_of jobs =
-      List.fold_left
-        (fun acc j ->
-          match Option.bind (lookup j.Ft_exp.Job.key)
-                  Ft_mc.Checker.stats_of_value
-          with
-          | Some s -> Ft_mc.Checker.add_stats acc s
-          | None ->
-              incr missing;
-              acc)
-        Ft_mc.Checker.zero_stats jobs
-    in
-    Printf.printf "Model checker: %d procs x %d events, program %s\n" nprocs
-      depth
-      (String.sub (Ft_mc.Model.program_digest program) 0 12);
-    Printf.printf "%-12s %8s %8s %8s %10s %6s\n" "protocol" "nodes" "runs"
-      "memo" "steps" "viol";
-    let honest_viol = ref 0 in
+  (* a mutant may bring its own program: some kills need a shape the
+     default menus cannot express (the 3-process causal chain) *)
+  let mutant_program m =
+    match m.Ft_mc.Mutants.program with Some p -> p | None -> program
+  in
+  let mutant_jobs =
+    if not mutants then []
+    else
+      List.concat_map
+        (fun m ->
+          Ft_mc.Checker.jobs ~no_prune ~lose_work:false
+            ~specs:[ (m.Ft_mc.Mutants.spec, m.Ft_mc.Mutants.defect) ]
+            ~program:(mutant_program m) ())
+        Ft_mc.Mutants.all
+  in
+  let xcheck_jobs =
+    if engine_xcheck then Ft_mc.Engine_xcheck.jobs ~specs () else []
+  in
+  let lookup =
+    sweep opts ~name:"mc" (honest_jobs @ mutant_jobs @ xcheck_jobs)
+  in
+  let missing = ref 0 in
+  let stats_of jobs =
+    List.fold_left
+      (fun acc j ->
+        match Option.bind (lookup j.Ft_exp.Job.key)
+                Ft_mc.Checker.stats_of_value
+        with
+        | Some s -> Ft_mc.Checker.add_stats acc s
+        | None ->
+            incr missing;
+            acc)
+      Ft_mc.Checker.zero_stats jobs
+  in
+  Printf.printf "Model checker: %d procs x %d events, program %s\n" nprocs
+    depth
+    (String.sub (Ft_mc.Model.program_digest program) 0 12);
+  Printf.printf "%-12s %8s %8s %8s %10s %6s\n" "protocol" "nodes" "runs"
+    "memo" "steps" "viol";
+  let honest_viol = ref 0 in
+  List.iter
+    (fun spec ->
+      let jobs =
+        Ft_mc.Checker.jobs ~no_prune
+          ~specs:[ (spec, Ft_mc.Model.Honest) ]
+          ~program ()
+      in
+      let s = stats_of jobs in
+      let nviol = List.length s.Ft_mc.Checker.violations in
+      honest_viol := !honest_viol + nviol;
+      Printf.printf "%-12s %8d %8d %8d %10d %6d\n"
+        spec.Ft_core.Protocol.spec_name s.Ft_mc.Checker.nodes
+        s.Ft_mc.Checker.runs s.Ft_mc.Checker.memo_hits
+        s.Ft_mc.Checker.steps nviol;
+      List.iteri
+        (fun i v ->
+          if i < 3 then
+            Printf.printf "    %s at sched=%s crash=%s: %s\n"
+              (Ft_mc.Checker.oracle_to_string v.Ft_mc.Checker.v_oracle)
+              (Ft_mc.Checker.prefix_to_string v.Ft_mc.Checker.v_prefix)
+              (Ft_mc.Checker.crash_to_string v.Ft_mc.Checker.v_crash)
+              v.Ft_mc.Checker.v_detail)
+        s.Ft_mc.Checker.violations)
+    specs;
+  let surviving = ref [] in
+  if mutants then begin
+    print_newline ();
+    print_endline "Mutant suite (every mutant must be killed):";
     List.iter
-      (fun spec ->
+      (fun m ->
+        let program = mutant_program m in
         let jobs =
-          Ft_mc.Checker.jobs ~no_prune
-            ~specs:[ (spec, Ft_mc.Model.Honest) ]
+          Ft_mc.Checker.jobs ~no_prune ~lose_work:false
+            ~specs:[ (m.Ft_mc.Mutants.spec, m.Ft_mc.Mutants.defect) ]
             ~program ()
         in
         let s = stats_of jobs in
-        let nviol = List.length s.Ft_mc.Checker.violations in
-        honest_viol := !honest_viol + nviol;
-        Printf.printf "%-12s %8d %8d %8d %10d %6d\n"
-          spec.Ft_core.Protocol.spec_name s.Ft_mc.Checker.nodes
-          s.Ft_mc.Checker.runs s.Ft_mc.Checker.memo_hits
-          s.Ft_mc.Checker.steps nviol;
-        List.iteri
-          (fun i v ->
-            if i < 3 then
-              Printf.printf "    %s at sched=%s crash=%s: %s\n"
-                (Ft_mc.Checker.oracle_to_string v.Ft_mc.Checker.v_oracle)
-                (Ft_mc.Checker.prefix_to_string v.Ft_mc.Checker.v_prefix)
-                (Ft_mc.Checker.crash_to_string v.Ft_mc.Checker.v_crash)
-                v.Ft_mc.Checker.v_detail)
-          s.Ft_mc.Checker.violations)
-      specs;
-    let surviving = ref [] in
-    if mutants then begin
-      print_newline ();
-      print_endline "Mutant suite (every mutant must be killed):";
-      List.iter
-        (fun m ->
-          let program = mutant_program m in
-          let jobs =
-            Ft_mc.Checker.jobs ~no_prune ~lose_work:false
-              ~specs:[ (m.Ft_mc.Mutants.spec, m.Ft_mc.Mutants.defect) ]
-              ~program ()
-          in
-          let s = stats_of jobs in
-          match s.Ft_mc.Checker.violations with
-          | [] ->
-              surviving := m.Ft_mc.Mutants.mutant_name :: !surviving;
-              Printf.printf "  %-22s SURVIVED (expected: %s)\n"
-                m.Ft_mc.Mutants.mutant_name m.Ft_mc.Mutants.expected
-          | v :: _ ->
-              let r =
-                Ft_mc.Shrink.minimize ~lose_work:false
-                  ~spec:m.Ft_mc.Mutants.spec ~defect:m.Ft_mc.Mutants.defect
-                  ~program v
-              in
-              Printf.printf
-                "  %-22s killed by %s (%d violations); shrunk repro:\n"
-                m.Ft_mc.Mutants.mutant_name
-                (Ft_mc.Checker.oracle_to_string v.Ft_mc.Checker.v_oracle)
-                (List.length s.Ft_mc.Checker.violations);
-              String.split_on_char '\n'
-                (Ft_mc.Shrink.to_script ~spec:m.Ft_mc.Mutants.spec r)
-              |> List.iter (fun l -> Printf.printf "    | %s\n" l))
-        Ft_mc.Mutants.all
-    end;
-    let xcheck_failures = ref 0 in
-    if engine_xcheck then begin
-      print_newline ();
-      print_endline "Engine cross-check (real VM + kernel + checkpointer):";
-      List.iter
-        (fun j ->
-          match Option.bind (lookup j.Ft_exp.Job.key)
-                  Ft_mc.Engine_xcheck.stats_of_value
-          with
-          | Some s ->
-              xcheck_failures :=
-                !xcheck_failures + List.length s.Ft_mc.Engine_xcheck.x_failures;
-              Printf.printf "  %-40s runs=%5d kills=%5d failures=%d\n"
-                j.Ft_exp.Job.key s.Ft_mc.Engine_xcheck.x_runs
-                s.Ft_mc.Engine_xcheck.x_kills
-                (List.length s.Ft_mc.Engine_xcheck.x_failures);
-              List.iteri
-                (fun i f -> if i < 3 then Printf.printf "    %s\n" f)
-                s.Ft_mc.Engine_xcheck.x_failures
-          | None -> incr missing)
-        xcheck_jobs
-    end;
-    if !honest_viol > 0 then
-      fail_run "model checker found protocol violations"
-    else if !surviving <> [] then
-      fail_run ("surviving mutants: " ^ String.concat ", " !surviving)
-    else if !xcheck_failures > 0 then
-      fail_run "engine cross-check failures"
-    else if !missing > 0 then
-      fail_run "sweep jobs died without a verdict"
-    else `Ok 0
-  end
+        match s.Ft_mc.Checker.violations with
+        | [] ->
+            surviving := m.Ft_mc.Mutants.mutant_name :: !surviving;
+            Printf.printf "  %-22s SURVIVED (expected: %s)\n"
+              m.Ft_mc.Mutants.mutant_name m.Ft_mc.Mutants.expected
+        | v :: _ ->
+            let r =
+              Ft_mc.Shrink.minimize ~lose_work:false
+                ~spec:m.Ft_mc.Mutants.spec ~defect:m.Ft_mc.Mutants.defect
+                ~program v
+            in
+            Printf.printf
+              "  %-22s killed by %s (%d violations); shrunk repro:\n"
+              m.Ft_mc.Mutants.mutant_name
+              (Ft_mc.Checker.oracle_to_string v.Ft_mc.Checker.v_oracle)
+              (List.length s.Ft_mc.Checker.violations);
+            String.split_on_char '\n'
+              (Ft_mc.Shrink.to_script ~spec:m.Ft_mc.Mutants.spec r)
+            |> List.iter (fun l -> Printf.printf "    | %s\n" l))
+      Ft_mc.Mutants.all
+  end;
+  let xcheck_failures = ref 0 in
+  if engine_xcheck then begin
+    print_newline ();
+    print_endline "Engine cross-check (real VM + kernel + checkpointer):";
+    List.iter
+      (fun j ->
+        match Option.bind (lookup j.Ft_exp.Job.key)
+                Ft_mc.Engine_xcheck.stats_of_value
+        with
+        | Some s ->
+            xcheck_failures :=
+              !xcheck_failures + List.length s.Ft_mc.Engine_xcheck.x_failures;
+            Printf.printf "  %-40s runs=%5d kills=%5d failures=%d\n"
+              j.Ft_exp.Job.key s.Ft_mc.Engine_xcheck.x_runs
+              s.Ft_mc.Engine_xcheck.x_kills
+              (List.length s.Ft_mc.Engine_xcheck.x_failures);
+            List.iteri
+              (fun i f -> if i < 3 then Printf.printf "    %s\n" f)
+              s.Ft_mc.Engine_xcheck.x_failures
+        | None -> incr missing)
+      xcheck_jobs
+  end;
+  if !honest_viol > 0 then
+    fail_run "model checker found protocol violations"
+  else if !surviving <> [] then
+    fail_run ("surviving mutants: " ^ String.concat ", " !surviving)
+  else if !xcheck_failures > 0 then
+    fail_run "engine cross-check failures"
+  else if !missing > 0 then
+    fail_run "sweep jobs died without a verdict"
+  else `Ok 0
 
 (* Run one application under one protocol and print the run's vitals. *)
-let run_single app_name proto_name medium_name seed scale kills_ms =
-  match
-    ( Ft_harness.Figure8.app_of_name app_name,
-      Ft_core.Protocols.by_name proto_name )
-  with
-  | None, _ -> `Error (false, "unknown app " ^ app_name)
-  | _, None -> `Error (false, "unknown protocol " ^ proto_name)
-  | Some app, Some protocol ->
-      let medium =
-        match String.lowercase_ascii medium_name with
-        | "disk" -> Ft_runtime.Checkpointer.Disk Ft_stablemem.Disk.default
-        | _ -> Ft_runtime.Checkpointer.Reliable_memory
-      in
-      let w = Ft_harness.Figure8.workload ~scale app in
-      let kills = List.map (fun ms -> (ms * 1_000_000, 0)) kills_ms in
-      let cfg =
-        Ft_apps.Workload.engine_config w
-          { Ft_runtime.Engine.default_config with protocol; medium; kills }
-      in
-      let kernel = Ft_apps.Workload.kernel ~seed w in
-      let _, r =
-        Ft_runtime.Engine.execute ~cfg ~kernel ~programs:w.programs ()
-      in
-      Printf.printf "app        : %s (%d process%s)\n" app_name w.nprocs
-        (if w.nprocs = 1 then "" else "es");
-      Printf.printf "protocol   : %s on %s\n" protocol.Ft_core.Protocol.spec_name
-        (match medium with
-        | Ft_runtime.Checkpointer.Reliable_memory -> "reliable memory"
-        | Ft_runtime.Checkpointer.Disk _ -> "synchronous disk");
-      Printf.printf "outcome    : %s\n"
-        (match r.Ft_runtime.Engine.outcome with
-        | Ft_runtime.Engine.Completed -> "completed"
-        | Ft_runtime.Engine.Deadline -> "deadline"
-        | Ft_runtime.Engine.Recovery_failed -> "recovery failed"
-        | Ft_runtime.Engine.Deadlocked -> "deadlocked"
-        | Ft_runtime.Engine.Instruction_budget -> "instruction budget"
-        | Ft_runtime.Engine.Net_unreachable -> "network unreachable");
-      Printf.printf "sim time   : %.3f s\n"
-        (float_of_int r.Ft_runtime.Engine.sim_time_ns /. 1e9);
-      Printf.printf "commits    : %s (total %d)\n"
-        (String.concat "/"
-           (Array.to_list
-              (Array.map string_of_int r.Ft_runtime.Engine.commit_counts)))
-        (Array.fold_left ( + ) 0 r.Ft_runtime.Engine.commit_counts);
-      Printf.printf "nd events  : %d (%d logged)\n"
-        (Array.fold_left ( + ) 0 r.Ft_runtime.Engine.nd_counts)
-        (Array.fold_left ( + ) 0 r.Ft_runtime.Engine.logged_counts);
-      Printf.printf "visible    : %d events\n"
-        (List.length r.Ft_runtime.Engine.visible);
-      Printf.printf "crashes    : %d (recoveries %d)\n"
-        r.Ft_runtime.Engine.crashes r.Ft_runtime.Engine.recoveries;
-      (* Whole-trace Save-work reads a killed logging run's dead
-         rolled-back segments as uncovered ND (the oracle's domain is
-         crash-free traces — the checker runs it on the crash-free
-         prefix), so report it only where it is meaningful. *)
-      Printf.printf "save-work  : %s\n"
-        (if
-           r.Ft_runtime.Engine.crashes > 0
-           && protocol.Ft_core.Protocol.style <> Ft_core.Protocol.Coordinated
-         then "n/a (killed logging run; oracle domain is crash-free traces)"
-         else if Ft_core.Save_work.holds r.Ft_runtime.Engine.trace then
-           "upheld"
-         else "VIOLATED");
-      if app = Ft_harness.Figure8.Xpilot then
-        Printf.printf "frame rate : %.1f fps\n" (Ft_apps.Xpilot.fps r);
-      `Ok 0
+let run_single app protocol medium seed scale kills_ms =
+  let w = Ft_harness.Figure8.workload ~scale app in
+  let kills = List.map (fun ms -> (ms * 1_000_000, 0)) kills_ms in
+  let cfg =
+    Ft_apps.Workload.engine_config w
+      { Ft_runtime.Engine.default_config with protocol; medium; kills }
+  in
+  let kernel = Ft_apps.Workload.kernel ~seed w in
+  let _, r =
+    Ft_runtime.Engine.execute ~cfg ~kernel ~programs:w.programs ()
+  in
+  Printf.printf "app        : %s (%d process%s)\n"
+    (Ft_harness.Figure8.app_name app) w.nprocs
+    (if w.nprocs = 1 then "" else "es");
+  Printf.printf "protocol   : %s on %s\n" protocol.Ft_core.Protocol.spec_name
+    (match medium with
+    | Ft_runtime.Checkpointer.Reliable_memory -> "reliable memory"
+    | Ft_runtime.Checkpointer.Disk _ -> "synchronous disk");
+  Printf.printf "outcome    : %s\n"
+    (match r.Ft_runtime.Engine.outcome with
+    | Ft_runtime.Engine.Completed -> "completed"
+    | Ft_runtime.Engine.Deadline -> "deadline"
+    | Ft_runtime.Engine.Recovery_failed -> "recovery failed"
+    | Ft_runtime.Engine.Deadlocked -> "deadlocked"
+    | Ft_runtime.Engine.Instruction_budget -> "instruction budget"
+    | Ft_runtime.Engine.Net_unreachable -> "network unreachable");
+  Printf.printf "sim time   : %.3f s\n"
+    (float_of_int r.Ft_runtime.Engine.sim_time_ns /. 1e9);
+  Printf.printf "commits    : %s (total %d)\n"
+    (String.concat "/"
+       (Array.to_list
+          (Array.map string_of_int r.Ft_runtime.Engine.commit_counts)))
+    (Array.fold_left ( + ) 0 r.Ft_runtime.Engine.commit_counts);
+  Printf.printf "nd events  : %d (%d logged)\n"
+    (Array.fold_left ( + ) 0 r.Ft_runtime.Engine.nd_counts)
+    (Array.fold_left ( + ) 0 r.Ft_runtime.Engine.logged_counts);
+  Printf.printf "visible    : %d events\n"
+    (List.length r.Ft_runtime.Engine.visible);
+  Printf.printf "crashes    : %d (recoveries %d)\n"
+    r.Ft_runtime.Engine.crashes r.Ft_runtime.Engine.recoveries;
+  (* Whole-trace Save-work reads a killed logging run's dead
+     rolled-back segments as uncovered ND (the oracle's domain is
+     crash-free traces — the checker runs it on the crash-free
+     prefix), so report it only where it is meaningful. *)
+  Printf.printf "save-work  : %s\n"
+    (if
+       r.Ft_runtime.Engine.crashes > 0
+       && protocol.Ft_core.Protocol.style <> Ft_core.Protocol.Coordinated
+     then "n/a (killed logging run; oracle domain is crash-free traces)"
+     else if Ft_core.Save_work.holds r.Ft_runtime.Engine.trace then
+       "upheld"
+     else "VIOLATED");
+  if app = Ft_harness.Figure8.Xpilot then
+    Printf.printf "frame rate : %.1f fps\n" (Ft_apps.Xpilot.fps r);
+  `Ok 0
 
 (* Disassemble a workload's compiled code (a development aid: the fault
    model operates at this level). *)
-let run_disasm app_name pid =
-  match Ft_harness.Figure8.app_of_name app_name with
-  | None -> `Error (false, "unknown app " ^ app_name)
-  | Some app ->
-      let w = Ft_harness.Figure8.workload ~scale:0.05 app in
-      if pid < 0 || pid >= Array.length w.Ft_apps.Workload.programs then
-        `Error (false, "no such process")
-      else begin
-        print_endline (Ft_vm.Asm.disassemble w.Ft_apps.Workload.programs.(pid));
-        `Ok 0
-      end
+let run_disasm app pid =
+  let w = Ft_harness.Figure8.workload ~scale:0.05 app in
+  if pid < 0 || pid >= Array.length w.Ft_apps.Workload.programs then
+    `Error (false, "no such process")
+  else begin
+    print_endline (Ft_vm.Asm.disassemble w.Ft_apps.Workload.programs.(pid));
+    `Ok 0
+  end
 
 (* --- cmdliner plumbing --------------------------------------------------- *)
 
+(* One converter per vocabulary, shared by every subcommand that takes
+   it.  A value outside it is a usage error: cmdliner names the flag
+   and the command exits 2. *)
+
+let named ~what name of_name =
+  Arg.conv
+    ( (fun s ->
+        Option.to_result ~none:(`Msg ("unknown " ^ what ^ " " ^ s))
+          (of_name s)),
+      fun fmt v -> Format.pp_print_string fmt (name v) )
+
+let fig8_app =
+  named ~what:"app" Ft_harness.Figure8.app_name Ft_harness.Figure8.app_of_name
+
+let table1_app =
+  Arg.enum
+    (List.map
+       (fun a -> (Ft_harness.Table1.app_name a, a))
+       [ Ft_harness.Table1.Nvi; Ft_harness.Table1.Postgres ])
+
+(* Protocol names resolve through [Protocols.by_name]; with [~all]
+   (serve's spelling), [all] stands for the Figure 8 seven.  Each value
+   parses to a list so that [all] and a single name share one type. *)
+let protocols ?(all = false) () =
+  named ~what:"protocol"
+    (fun ps ->
+      String.concat "," (List.map (fun p -> p.Ft_core.Protocol.spec_name) ps))
+    (fun s ->
+      if all && s = "all" then Some Ft_core.Protocols.figure8
+      else Option.map (fun p -> [ p ]) (Ft_core.Protocols.by_name s))
+
+(* Repeatable [--protocol]; [default] when absent. *)
+let protocols_arg ?all ~default ~doc () =
+  Term.(const (function [] -> default | ps -> List.concat ps)
+        $ Arg.(value & opt_all (protocols ?all ()) []
+               & info [ "protocol" ] ~doc))
+
+let bounded base ok what =
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser base s with
+        | Ok v when not (ok v) -> Error (`Msg (s ^ " is not " ^ what))
+        | r -> r),
+      Arg.conv_printer base )
+
+let pos_int = bounded Arg.int (fun n -> n > 0) "a positive integer"
+let nonneg_int = bounded Arg.int (fun n -> n >= 0) "a non-negative integer"
+
+let nonneg_float =
+  bounded Arg.float
+    (fun x -> x >= 0. && Float.is_finite x)
+    "a non-negative number"
+
+let probability =
+  bounded Arg.float (fun p -> p >= 0. && p <= 1.) "a probability in [0,1]"
+
+let scale = bounded Arg.float (fun x -> x > 0. && x <= 1.) "a scale in (0,1]"
+
 let scale_arg =
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Workload scale (0,1].")
+  Arg.(value & opt scale 1.0 & info [ "scale" ] ~doc:"Workload scale (0,1].")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Kernel RNG seed.")
 
 let crashes_arg =
-  Arg.(value & opt int 50 & info [ "crashes" ]
+  Arg.(value & opt nonneg_int 50 & info [ "crashes" ]
          ~doc:"Target crash count per fault type.")
 
 let jobs_arg =
-  Arg.(value & opt int 0
+  Arg.(value & opt nonneg_int 0
        & info [ "j"; "jobs" ]
            ~doc:"Worker domains for the sweep (0 = one per core).")
 
@@ -605,29 +574,20 @@ let out_arg =
 
 let sweep_opts_term =
   let mk j fresh out_dir =
-    { workers = (if j <= 0 then None else Some j); fresh; out_dir }
+    { workers = (if j = 0 then None else Some j); fresh; out_dir }
   in
   Term.(const mk $ jobs_arg $ fresh_arg $ out_arg)
 
-let fig8_apps_arg =
-  let conv_app =
-    Arg.conv
-      ( (fun s ->
-          match Ft_harness.Figure8.app_of_name s with
-          | Some a -> Ok a
-          | None -> Error (`Msg ("unknown app " ^ s))),
-        fun fmt a ->
-          Format.pp_print_string fmt (Ft_harness.Figure8.app_name a) )
-  in
-  Arg.(value & opt_all conv_app Ft_harness.Figure8.all_apps
+let fig8_apps_arg default =
+  Arg.(value & opt_all fig8_app default
        & info [ "app" ] ~doc:"Application (repeatable).")
 
+let fig8_app_arg =
+  Arg.(value & opt fig8_app Ft_harness.Figure8.Nvi
+       & info [ "app" ] ~doc:"Application.")
+
 let t_apps_arg =
-  let parse s = Result.map_error (fun m -> `Msg m) (table1_app_of_string s) in
-  let print fmt a =
-    Format.pp_print_string fmt (Ft_harness.Table1.app_name a)
-  in
-  Arg.(value & opt_all (Arg.conv (parse, print))
+  Arg.(value & opt_all table1_app
          [ Ft_harness.Table1.Nvi; Ft_harness.Table1.Postgres ]
        & info [ "app" ] ~doc:"Application: nvi or postgres (repeatable).")
 
@@ -638,7 +598,8 @@ let space_cmd =
 let figure8_cmd =
   Cmd.v (Cmd.info "figure8" ~doc:"Regenerate Figure 8 (a-d).")
     Term.(ret
-            (const run_figure8 $ fig8_apps_arg $ scale_arg $ seed_arg
+            (const run_figure8 $ fig8_apps_arg Ft_harness.Figure8.all_apps
+            $ scale_arg $ seed_arg
             $ sweep_opts_term))
 
 let table1_cmd =
@@ -674,7 +635,7 @@ let torture_cmd =
 
 let netstorm_cmd =
   let rate name doc =
-    Arg.(value & opt (some float) None & info [ name ] ~docv:"P" ~doc)
+    Arg.(value & opt (some probability) None & info [ name ] ~docv:"P" ~doc)
   in
   let loss_arg = rate "loss" "Per-frame drop probability." in
   let dup_arg = rate "dup" "Per-frame duplication probability." in
@@ -684,21 +645,8 @@ let netstorm_cmd =
          & info [ "partition" ]
              ~doc:"Cut the 0<->1 link mid-run and heal it.")
   in
-  let apps_arg =
-    let conv_app =
-      Arg.conv
-        ( (fun s ->
-            match Ft_harness.Figure8.app_of_name s with
-            | Some a -> Ok a
-            | None -> Error (`Msg ("unknown app " ^ s))),
-          fun fmt a ->
-            Format.pp_print_string fmt (Ft_harness.Figure8.app_name a) )
-    in
-    Arg.(value & opt_all conv_app Ft_harness.Netstorm.default_apps
-         & info [ "app" ] ~doc:"Application (repeatable).")
-  in
   let scale_arg =
-    Arg.(value & opt float 0.25
+    Arg.(value & opt scale 0.25
          & info [ "scale" ] ~doc:"Workload scale (0,1].")
   in
   Cmd.v
@@ -707,61 +655,68 @@ let netstorm_cmd =
              network.")
     Term.(ret
             (const run_netstorm $ loss_arg $ dup_arg $ reorder_arg
-            $ partition_arg $ apps_arg $ scale_arg $ seed_arg
+            $ partition_arg $ fig8_apps_arg Ft_harness.Netstorm.default_apps
+            $ scale_arg $ seed_arg
             $ sweep_opts_term))
 
 let serve_cmd =
   let procs_arg =
-    Arg.(value & opt int 100
+    Arg.(value & opt pos_int 100
          & info [ "procs" ] ~doc:"Tenant instances in the fleet.")
   in
   let requests_arg =
-    Arg.(value & opt int 100_000
+    Arg.(value & opt nonneg_int 100_000
          & info [ "requests" ] ~doc:"Total queries, fleet-wide.")
   in
   let proto_arg =
-    Arg.(value & opt_all string []
-         & info [ "protocol" ]
-             ~doc:"Protocol (repeatable; $(b,all) for the Figure 8 seven; \
-                   the message-logging pair $(b,causal-log) and \
-                   $(b,optimistic) resolve by name; default CPVS).")
+    protocols_arg ~all:true ~default:[ Ft_core.Protocols.cpvs ]
+      ~doc:"Protocol (repeatable; $(b,all) for the Figure 8 seven; the \
+            message-logging pair $(b,causal-log) and $(b,optimistic) \
+            resolve by name; default CPVS)."
+      ()
   in
   let crash_arg =
-    Arg.(value & opt float 0.5
+    Arg.(value & opt nonneg_float 0.5
          & info [ "crash-rate" ] ~docv:"R"
              ~doc:"Expected kills per tenant per simulated second.")
   in
   let recovery_crash_arg =
-    Arg.(value & opt float 0.
+    Arg.(value & opt nonneg_float 0.
          & info [ "recovery-crash-rate" ] ~docv:"R"
              ~doc:"Expected nested failures per tenant per campaign: \
                    crashes injected into the recovery path itself \
                    (mid-restore, mid-cascade, mid-commit-round).")
   in
   let det_cap_arg =
-    Arg.(value & opt int 256
+    Arg.(value & opt nonneg_int 256
          & info [ "det-cap" ] ~docv:"N"
              ~doc:"Hard cap on live determinants per tenant (0 = \
                    uncapped): past it the kernel forces a flush instead \
                    of growing the log.  Ignored under $(b,--smoke).")
   in
   let storm_arg =
-    Arg.(value & opt (some string) None
+    let tier =
+      Arg.enum
+        (List.map
+           (fun pt -> (pt.Ft_harness.Netstorm.label, pt))
+           Ft_harness.Netstorm.default_points)
+    in
+    Arg.(value & opt (some tier) None
          & info [ "storm" ] ~docv:"TIER"
              ~doc:"Netstorm weather on the shard-shared transport: \
                    $(b,calm), $(b,breeze), $(b,gale) or $(b,storm).")
   in
   let shard_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt pos_int 64
          & info [ "shard-size" ] ~doc:"Tenants per scheduler/job.")
   in
   let interval_arg =
-    Arg.(value & opt int 1_000_000
+    Arg.(value & opt nonneg_int 1_000_000
          & info [ "interval-ns" ]
              ~doc:"Open-loop arrival interval per tenant, ns.")
   in
   let poison_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt nonneg_int 0
          & info [ "poison" ] ~docv:"N"
              ~doc:"Crash-looping tenants: plant a deterministic Bohrbug in \
                    the first $(docv) tenants (every generic replay \
@@ -792,33 +747,22 @@ let serve_cmd =
             $ bench_out_arg $ seed_arg $ sweep_opts_term))
 
 let rescue_cmd =
-  let apps_arg =
-    let conv_app =
-      Arg.conv
-        ( (fun s ->
-            match Ft_harness.Rescue.app_of_string s with
-            | Some a -> Ok a
-            | None -> Error (`Msg ("unknown app " ^ s))),
-          fun fmt a ->
-            Format.pp_print_string fmt (Ft_harness.Rescue.app_name a) )
-    in
-    Arg.(value & opt_all conv_app
-           [ Ft_harness.Rescue.Nvi; Ft_harness.Rescue.Postgres ]
-         & info [ "app" ] ~doc:"Application: nvi or postgres (repeatable).")
-  in
   let proto_arg =
-    Arg.(value & opt_all string []
-         & info [ "protocol" ]
-             ~doc:"Protocol (repeatable; default CPVS and CBNDVS).")
+    protocols_arg
+      ~default:Ft_harness.Rescue.default_spec.Ft_harness.Rescue.protocols
+      ~doc:"Protocol (repeatable; default CPVS and CBNDVS)." ()
   in
   let ladder_arg =
-    Arg.(value & opt_all string []
+    let ladder =
+      Arg.enum (List.map (fun n -> (n, n)) Ft_harness.Rescue.ladders)
+    in
+    Arg.(value & opt_all ladder []
          & info [ "ladder" ]
              ~doc:"Recovery ladder: $(b,generic), $(b,deep) or $(b,full) \
                    (repeatable; default all three).")
   in
   let crashes_arg =
-    Arg.(value & opt int 40
+    Arg.(value & opt nonneg_int 40
          & info [ "crashes" ]
              ~doc:"Target crashed runs per (app, fault, protocol, ladder) \
                    cell.")
@@ -844,7 +788,7 @@ let rescue_cmd =
        ~doc:"Measure how much of the unrecoverable app-fault mass each \
              escalation rung (deep rollback, perturbed replay) rescues.")
     Term.(ret
-            (const run_rescue $ apps_arg $ proto_arg $ ladder_arg
+            (const run_rescue $ t_apps_arg $ proto_arg $ ladder_arg
             $ crashes_arg $ smoke_arg $ bench_out_arg $ rescue_seed_arg
             $ sweep_opts_term))
 
@@ -854,17 +798,16 @@ let ablation_cmd =
 
 let mc_cmd =
   let procs_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt pos_int 2
          & info [ "procs" ] ~doc:"Number of model processes.")
   in
   let depth_arg =
-    Arg.(value & opt int 6
+    Arg.(value & opt nonneg_int 6
          & info [ "depth" ] ~doc:"Events per process.")
   in
   let proto_arg =
-    Arg.(value & opt_all string []
-         & info [ "protocol" ]
-             ~doc:"Protocol to check (repeatable; default: all of Figure 8).")
+    protocols_arg ~default:Ft_core.Protocols.figure8_extended
+      ~doc:"Protocol to check (repeatable; default: all of Figure 8)." ()
   in
   let mutants_arg =
     Arg.(value & flag
@@ -890,14 +833,21 @@ let mc_cmd =
             $ no_prune_arg $ xcheck_arg $ sweep_opts_term))
 
 let run_cmd =
-  let app_arg =
-    Arg.(value & opt string "nvi" & info [ "app" ] ~doc:"Application.")
-  in
+  (* without [~all] every value parses to exactly one protocol *)
   let proto_arg =
-    Arg.(value & opt string "CPVS" & info [ "protocol" ] ~doc:"Protocol.")
+    Term.(const List.hd
+          $ Arg.(value & opt (protocols ()) [ Ft_core.Protocols.cpvs ]
+                 & info [ "protocol" ] ~doc:"Protocol."))
   in
   let medium_arg =
-    Arg.(value & opt string "memory"
+    let medium =
+      Arg.enum
+        [
+          ("memory", Ft_runtime.Checkpointer.Reliable_memory);
+          ("disk", Ft_runtime.Checkpointer.Disk Ft_stablemem.Disk.default);
+        ]
+    in
+    Arg.(value & opt medium Ft_runtime.Checkpointer.Reliable_memory
          & info [ "medium" ] ~doc:"memory or disk.")
   in
   let kills_arg =
@@ -906,18 +856,15 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one application under one protocol.")
-    Term.(ret (const run_single $ app_arg $ proto_arg $ medium_arg $ seed_arg
-               $ scale_arg $ kills_arg))
+    Term.(ret (const run_single $ fig8_app_arg $ proto_arg $ medium_arg
+               $ seed_arg $ scale_arg $ kills_arg))
 
 let disasm_cmd =
-  let app_arg =
-    Arg.(value & opt string "nvi" & info [ "app" ] ~doc:"Application.")
-  in
   let pid_arg =
     Arg.(value & opt int 0 & info [ "pid" ] ~doc:"Process index.")
   in
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble a workload's compiled code.")
-    Term.(ret (const run_disasm $ app_arg $ pid_arg))
+    Term.(ret (const run_disasm $ fig8_app_arg $ pid_arg))
 
 let all_cmd =
   Cmd.v (Cmd.info "all" ~doc:"Regenerate every table and figure.")

@@ -3,10 +3,10 @@
 
     A sweep is a named list of jobs.  [run_sweep] skips every job whose
     key+seed is already in the sweep's results store, runs the rest on
-    the pool, appends their rows as they finish, and returns one record
-    per job in job-list order — so the harness render functions see the
-    same rows whether the results were computed serially, in parallel,
-    or in an earlier process entirely. *)
+    the pool, appends their rows, and returns one record per job in
+    job-list order — so the harness render functions see the same rows
+    whether the results were computed serially, in parallel, in an
+    earlier process entirely, or in memory with no store at all. *)
 
 type sweep_result = {
   records : Store.record list;  (** one per job, in job order *)
@@ -52,42 +52,47 @@ let record_of_pool_result (j : Job.t) outcome dur =
         duration_s = dur;
       }
 
-let run_sweep ?workers ?timeout_s ?retries ?(fresh = false)
-    ?(out_dir = default_out_dir) ?(quiet = false) ~name jobs =
-  let store = Store.load ~fresh ~dir:out_dir ~sweep:name () in
-  let todo =
-    List.filter
-      (fun j -> not (Store.mem store ~key:j.Job.key ~seed:j.Job.seed))
-      jobs
-  in
-  let total = List.length jobs in
-  let skipped = total - List.length todo in
-  if (not quiet) && skipped > 0 then
-    Printf.eprintf "[%s] warm store %s: skipped %d/%d completed jobs\n%!" name
-      (Store.path store) skipped total;
+let run_sweep ?workers ?timeout_s ?retries ?(fresh = false) ?out_dir
+    ?(quiet = false) ~name jobs =
   let on_progress = if quiet then None else Some (progress_printer ~name) in
-  let results = Pool.run ?workers ?timeout_s ?retries ?on_progress todo in
-  if (not quiet) && todo <> [] then prerr_newline ();
-  List.iter
-    (fun (j, outcome, dur) ->
-      Store.add store (record_of_pool_result j outcome dur))
-    results;
-  Store.close store;
-  let records =
-    List.map
-      (fun j ->
-        match Store.find store ~key:j.Job.key ~seed:j.Job.seed with
-        | Some r -> r
-        | None ->
-            (* unreachable: every todo job was just added *)
-            {
-              Store.key = j.Job.key;
-              seed = j.Job.seed;
-              status = Store.Failed "missing from store";
-              value = Jstore.Null;
-              duration_s = 0.;
-            })
-      jobs
+  let run todo =
+    let results = Pool.run ?workers ?timeout_s ?retries ?on_progress todo in
+    if (not quiet) && todo <> [] then prerr_newline ();
+    List.map (fun (j, outcome, dur) -> record_of_pool_result j outcome dur)
+      results
+  in
+  let records, ran =
+    match out_dir with
+    | None -> (run jobs, List.length jobs)
+    | Some dir ->
+        let store = Store.load ~fresh ~dir ~sweep:name () in
+        let todo =
+          List.filter
+            (fun j -> not (Store.mem store ~key:j.Job.key ~seed:j.Job.seed))
+            jobs
+        in
+        let total = List.length jobs in
+        let skipped = total - List.length todo in
+        if (not quiet) && skipped > 0 then
+          Printf.eprintf "[%s] warm store %s: skipped %d/%d completed jobs\n%!"
+            name (Store.path store) skipped total;
+        List.iter (Store.add store) (run todo);
+        Store.close store;
+        ( List.map
+            (fun j ->
+              match Store.find store ~key:j.Job.key ~seed:j.Job.seed with
+              | Some r -> r
+              | None ->
+                  (* unreachable: every todo job was just added *)
+                  {
+                    Store.key = j.Job.key;
+                    seed = j.Job.seed;
+                    status = Store.Failed "missing from store";
+                    value = Jstore.Null;
+                    duration_s = 0.;
+                  })
+            jobs,
+          List.length todo )
   in
   let failed =
     List.fold_left
@@ -95,7 +100,7 @@ let run_sweep ?workers ?timeout_s ?retries ?(fresh = false)
         match r.Store.status with Store.Failed _ -> n + 1 | _ -> n)
       0 records
   in
-  { records; ran = List.length todo; skipped; failed }
+  { records; ran; skipped = List.length jobs - ran; failed }
 
 let lookup sr =
   let tbl = Hashtbl.create 64 in
@@ -105,19 +110,4 @@ let lookup sr =
       | Store.Completed -> Hashtbl.replace tbl r.Store.key r.Store.value
       | Store.Failed _ -> ())
     sr.records;
-  fun key -> Hashtbl.find_opt tbl key
-
-let eval ?workers jobs =
-  let results = Pool.run ?workers jobs in
-  List.filter_map
-    (fun ((j : Job.t), outcome, _) ->
-      match outcome with
-      | Pool.Done v -> Some (j.Job.key, v)
-      | Pool.Failed _ -> None)
-    results
-
-let eval_lookup ?workers jobs =
-  let assoc = eval ?workers jobs in
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) assoc;
   fun key -> Hashtbl.find_opt tbl key

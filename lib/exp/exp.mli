@@ -21,19 +21,14 @@ val run_sweep :
   name:string ->
   Job.t list ->
   sweep_result
-(** Runs the jobs not already present in [out_dir/name.jsonl] on the
-    pool, appending rows as they finish, and returns one record per job
-    in job order.  [fresh] ignores and truncates the warm store.
-    Progress lines and the skipped-job count go to stderr unless
-    [quiet], keeping stdout byte-identical across [-j] settings. *)
+(** Runs [jobs] on the pool and returns one record per job in job
+    order.  With [out_dir], the sweep is stored: jobs already present in
+    [out_dir/name.jsonl] are skipped, the rest are appended to it, and
+    [fresh] ignores and truncates the warm store.  Without [out_dir],
+    every job runs in memory and no file is touched.  Progress lines and
+    the skipped-job count go to stderr unless [quiet], keeping stdout
+    byte-identical across [-j] settings. *)
 
 val lookup : sweep_result -> string -> Jstore.value option
 (** Key-indexed view of a sweep's completed values (failed rows are
     absent). *)
-
-val eval : ?workers:int -> Job.t list -> (string * Jstore.value) list
-(** Runs jobs with no store and no progress output; returns completed
-    [key, value] pairs in job order. *)
-
-val eval_lookup : ?workers:int -> Job.t list -> string -> Jstore.value option
-(** [eval] packaged as a lookup function. *)

@@ -15,6 +15,11 @@
     job values, so the ablations run on the same parallel, resumable
     sweep machinery as the paper's tables. *)
 
+(* The one-off studies below run their jobs serially, in memory. *)
+let sweep js =
+  Ft_exp.Exp.lookup
+    (Ft_exp.Exp.run_sweep ~workers:1 ~quiet:true ~name:"ablation" js)
+
 (* --- crash early ---------------------------------------------------------- *)
 
 type crash_early_row = {
@@ -137,8 +142,7 @@ let crash_early_of_records ?(cadences = [ 1; 16; 1_000_000 ])
 let crash_early ?(cadences = [ 1; 16; 1_000_000 ]) ?(target_crashes = 25)
     ?(max_attempts = 700) () =
   crash_early_of_records ~cadences ~target_crashes ~max_attempts
-    (Ft_exp.Exp.eval_lookup ~workers:1
-       (crash_early_jobs ~cadences ~target_crashes ~max_attempts ()))
+    (sweep (crash_early_jobs ~cadences ~target_crashes ~max_attempts ()))
 
 let render_crash_early rows =
   Report.section
@@ -231,7 +235,7 @@ let exclusion_of_records ?(commands = 40) lookup =
 
 let exclusion ?(commands = 40) () =
   exclusion_of_records ~commands
-    (Ft_exp.Exp.eval_lookup ~workers:1 (exclusion_jobs ~commands ()))
+    (sweep (exclusion_jobs ~commands ()))
 
 let render_exclusion rows =
   Report.section "Ablation: excluding recomputable state from commits (2.6)"
@@ -289,7 +293,7 @@ let page_size_of_records ?(sizes = [ 16; 64; 256 ]) lookup =
 
 let page_size ?(sizes = [ 16; 64; 256 ]) () =
   page_size_of_records ~sizes
-    (Ft_exp.Exp.eval_lookup ~workers:1 (page_size_jobs ~sizes ()))
+    (sweep (page_size_jobs ~sizes ()))
 
 let render_page_size rows =
   Report.section "Ablation: COW page size (checkpoint payload vs traps)"
@@ -350,8 +354,7 @@ let disk_model_of_records lookup =
     disk_model_media
 
 let disk_model () =
-  disk_model_of_records
-    (Ft_exp.Exp.eval_lookup ~workers:1 (disk_model_jobs ()))
+  disk_model_of_records (sweep (disk_model_jobs ()))
 
 let render_disk_model rows =
   Report.section "Ablation: commit medium (why Rio matters)"
@@ -375,4 +378,4 @@ let render_records lookup =
   ^ render_disk_model (disk_model_of_records lookup)
 
 let run_all () =
-  render_records (Ft_exp.Exp.eval_lookup ~workers:1 (jobs ()))
+  render_records (sweep (jobs ()))

@@ -188,7 +188,9 @@ let of_records ?(classic = false) ?(scale = 1.0) ?(seed = 42) app lookup =
 
 let measure ?(classic = false) ?(scale = 1.0) ?(seed = 42) app =
   of_records ~classic ~scale ~seed app
-    (Ft_exp.Exp.eval_lookup ~workers:1 (jobs ~classic ~scale ~seed app))
+    (Ft_exp.Exp.lookup
+       (Ft_exp.Exp.run_sweep ~workers:1 ~quiet:true ~name:"figure8"
+          (jobs ~classic ~scale ~seed app)))
 
 let render (r : app_result) =
   let headers, rows =

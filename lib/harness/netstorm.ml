@@ -322,12 +322,8 @@ let run ?workers ?out_dir ?(fresh = false) ?(quiet = false) ?(scale = 0.25)
     ?(seed = 42) ?(points = default_points) ?(apps = default_apps) () =
   let js = jobs ~scale ~seed ~points ~apps () in
   let lookup =
-    match out_dir with
-    | None -> Ft_exp.Exp.eval_lookup ?workers js
-    | Some out_dir ->
-        Ft_exp.Exp.lookup
-          (Ft_exp.Exp.run_sweep ?workers ~fresh ~out_dir ~quiet
-             ~name:"netstorm" js)
+    Ft_exp.Exp.lookup
+      (Ft_exp.Exp.run_sweep ?workers ?out_dir ~fresh ~quiet ~name:"netstorm" js)
   in
   of_records ~scale ~seed ~points ~apps lookup
 

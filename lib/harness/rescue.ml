@@ -23,20 +23,6 @@ module Jstore = Ft_exp.Jstore
 module Policy = Ft_recovery.Policy
 module Classifier = Ft_recovery.Classifier
 
-type app = Nvi | Postgres
-
-let app_name = function Nvi -> "nvi" | Postgres -> "postgres"
-
-let app_of_string = function
-  | "nvi" -> Some Nvi
-  | "postgres" -> Some Postgres
-  | _ -> None
-
-let workload = function
-  | Nvi -> Ft_apps.Nvi.workload ~params:Ft_apps.Nvi.small_params ()
-  | Postgres ->
-      Ft_apps.Postgres.workload ~params:Ft_apps.Postgres.small_params ()
-
 (* The ladders under comparison.  [generic] is the paper's baseline —
    the rung everything above it is measured against. *)
 let ladders = [ "generic"; "deep"; "full" ]
@@ -53,7 +39,7 @@ let base_cfg ~protocol ~ladder w =
     }
 
 let reference ~protocol app =
-  let w = workload app in
+  let w = Table1.workload app in
   let cfg = base_cfg ~protocol ~ladder:Policy.generic w in
   let kernel = Ft_apps.Workload.kernel w in
   let _, r = Engine.execute ~cfg ~kernel ~programs:w.programs () in
@@ -96,7 +82,7 @@ type trial =
    code array. *)
 let run_one ~app ~fault_type ~protocol ~ladder ~reference_visible ~horizon
     ~seed =
-  let w = workload app in
+  let w = Table1.workload app in
   let cfg = base_cfg ~protocol ~ladder w in
   let cfg =
     { cfg with Engine.max_instructions = (40 * horizon) + 200_000 }
@@ -181,7 +167,7 @@ let run_one ~app ~fault_type ~protocol ~ladder ~reference_visible ~horizon
             })
 
 type row = {
-  app : app;
+  app : Table1.app;
   fault_type : Ft_faults.Fault_type.t;
   protocol_name : string;
   ladder : string;
@@ -317,14 +303,14 @@ let cell_seed ~seed0 ~app ~protocol_name ft =
     go 0 Ft_faults.Fault_type.all
   in
   seed0
-  + (match app with Nvi -> 0 | Postgres -> 1_000_000)
+  + (match app with Table1.Nvi -> 0 | Postgres -> 1_000_000)
   + (100_000 * (Hashtbl.hash protocol_name mod 10))
   + (1_000 * fault_index)
 
 let job_key ~target_crashes ~max_attempts ~seed ~app ~protocol_name
     ~ladder_name ft =
   Printf.sprintf "rescue/%s/%s/%s/%s/crashes=%d/attempts=%d/seed=%d"
-    (app_name app) protocol_name ladder_name
+    (Table1.app_name app) protocol_name ladder_name
     (Ft_faults.Fault_type.to_string ft)
     target_crashes max_attempts seed
 
@@ -383,7 +369,7 @@ let row_of_json ~app ~fault_type ~protocol_name ~ladder v =
   }
 
 type spec = {
-  apps : app list;
+  apps : Table1.app list;
   protocols : Ft_core.Protocol.spec list;
   ladder_names : string list;
   fault_types : Ft_faults.Fault_type.t list;
@@ -394,7 +380,7 @@ type spec = {
 
 let default_spec =
   {
-    apps = [ Nvi; Postgres ];
+    apps = [ Table1.Nvi; Postgres ];
     protocols = [ Ft_core.Protocols.cpvs; Ft_core.Protocols.cbndvs ];
     ladder_names = ladders;
     fault_types = Ft_faults.Fault_type.all;
@@ -408,7 +394,7 @@ let default_spec =
 let smoke_spec =
   {
     default_spec with
-    apps = [ Nvi ];
+    apps = [ Table1.Nvi ];
     ladder_names = [ "generic"; "full" ];
     target_crashes = 4;
     max_attempts = 40;
@@ -473,12 +459,8 @@ let of_records spec lookup =
 let run ?workers ?out_dir ?(fresh = false) ?(quiet = false) spec =
   let js = jobs spec in
   let lookup =
-    match out_dir with
-    | None -> Ft_exp.Exp.eval_lookup ?workers js
-    | Some out_dir ->
-        Ft_exp.Exp.lookup
-          (Ft_exp.Exp.run_sweep ?workers ~fresh ~out_dir ~quiet ~name:"rescue"
-             js)
+    Ft_exp.Exp.lookup
+      (Ft_exp.Exp.run_sweep ?workers ?out_dir ~fresh ~quiet ~name:"rescue" js)
   in
   of_records spec lookup
 
@@ -548,7 +530,7 @@ let render r =
          (List.map
             (fun row ->
               [
-                app_name row.app;
+                Table1.app_name row.app;
                 Ft_faults.Fault_type.to_string row.fault_type;
                 row.protocol_name;
                 row.ladder;
@@ -617,25 +599,3 @@ let bench_kv r =
     ("rescue_violations", Jstore.Int (full.l_violations + generic.l_violations));
     ("rescue_work_per_minstr", Jstore.Float full.l_work_per_minstr);
   ]
-
-let merge_bench ~path r =
-  let existing =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match Jstore.of_string (String.trim s) with
-      | Ok (Jstore.Obj kvs) -> kvs
-      | _ -> []
-    end
-    else [ ("schema", Jstore.String "ft-bench/1") ]
-  in
-  let fresh = bench_kv r in
-  let kept =
-    List.filter (fun (k, _) -> not (List.mem_assoc k fresh)) existing
-  in
-  let oc = open_out path in
-  output_string oc (Jstore.to_string (Jstore.Obj (kept @ fresh)));
-  output_char oc '\n';
-  close_out oc

@@ -10,16 +10,11 @@
     highest ladder rung the scheduler used.  Consistency must be clean
     at every rung — violations fail the campaign. *)
 
-type app = Nvi | Postgres
-
-val app_name : app -> string
-val app_of_string : string -> app option
-
 val ladders : string list
 (** ["generic"; "deep"; "full"] — {!Ft_recovery.Policy.by_name} names. *)
 
 type row = {
-  app : app;
+  app : Table1.app;
   fault_type : Ft_faults.Fault_type.t;
   protocol_name : string;
   ladder : string;
@@ -63,7 +58,7 @@ val work_per_minstr : row -> float
 val ref_work_per_minstr : row -> float
 
 type spec = {
-  apps : app list;
+  apps : Table1.app list;
   protocols : Ft_core.Protocol.spec list;
   ladder_names : string list;
   fault_types : Ft_faults.Fault_type.t list;
@@ -114,7 +109,3 @@ val render : report -> string
 val bench_kv : report -> (string * Ft_exp.Jstore.value) list
 (** [rescue_rescued_frac], [rescue_generic_frac], [rescue_l2_rescues],
     [rescue_violations], [rescue_work_per_minstr]. *)
-
-val merge_bench : path:string -> report -> unit
-(** Merge {!bench_kv} into a BENCH_RESULTS.json, preserving every key it
-    does not own. *)

@@ -601,12 +601,8 @@ let run ?workers ?out_dir ?(fresh = false) ?(quiet = false)
     ?(protocols = [ Ft_core.Protocols.cpvs ]) p =
   let js = jobs ~protocols p in
   let lookup =
-    match out_dir with
-    | None -> Ft_exp.Exp.eval_lookup ?workers js
-    | Some out_dir ->
-        Ft_exp.Exp.lookup
-          (Ft_exp.Exp.run_sweep ?workers ~fresh ~out_dir ~quiet ~name:"serve"
-             js)
+    Ft_exp.Exp.lookup
+      (Ft_exp.Exp.run_sweep ?workers ?out_dir ~fresh ~quiet ~name:"serve" js)
   in
   of_records ~protocols p lookup
 
@@ -719,28 +715,3 @@ let bench_kv r =
   in
   ("serve_mttr_nested_ns", Jstore.Int (if n = 0 then 0 else tot / n))
   :: per_proto
-
-(* Merge the serve keys into an existing flat BENCH_RESULTS.json (or
-   start one) without disturbing the bench harness's keys: the CI schema
-   gate requires the key set only ever to grow. *)
-let merge_bench ~path r =
-  let existing =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match Jstore.of_string (String.trim s) with
-      | Ok (Jstore.Obj kvs) -> kvs
-      | _ -> []
-    end
-    else [ ("schema", Jstore.String "ft-bench/1") ]
-  in
-  let fresh = bench_kv r in
-  let kept =
-    List.filter (fun (k, _) -> not (List.mem_assoc k fresh)) existing
-  in
-  let oc = open_out path in
-  output_string oc (Jstore.to_string (Jstore.Obj (kept @ fresh)));
-  output_char oc '\n';
-  close_out oc

@@ -130,7 +130,3 @@ val bench_kv : report -> (string * Ft_exp.Jstore.value) list
     nested_crashes,det_high_water,det_forced_flushes}] pairs, plus the
     fleet-level [serve_mttr_nested_ns] (mean repair time pooled over
     tenants whose recovery path itself crashed). *)
-
-val merge_bench : path:string -> report -> unit
-(** Merge {!bench_kv} into a flat BENCH_RESULTS.json, preserving every
-    other key (the CI schema gate requires the key set only to grow). *)

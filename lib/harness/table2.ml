@@ -181,8 +181,9 @@ let of_records ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 5000)
 let run ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 5000)
     ~(app : Table1.app) () =
   of_records ~target_crashes ~max_attempts ~seed0 ~app
-    (Ft_exp.Exp.eval_lookup ~workers:1
-       (jobs ~target_crashes ~max_attempts ~seed0 ~app ()))
+    (Ft_exp.Exp.lookup
+       (Ft_exp.Exp.run_sweep ~workers:1 ~quiet:true ~name:"table2"
+          (jobs ~target_crashes ~max_attempts ~seed0 ~app ())))
 
 let failure_pct row =
   if row.crashes = 0 then 0.

@@ -255,12 +255,8 @@ let run ?defect ?workers ?out_dir ?(fresh = false) ?(quiet = false)
   let pts = points_list ~total_writes ~points ~seed:sc.seed in
   let js = jobs ?defect sc ~total_writes ~post pts in
   let lookup =
-    match out_dir with
-    | None -> Ft_exp.Exp.eval_lookup ?workers js
-    | Some out_dir ->
-        Ft_exp.Exp.lookup
-          (Ft_exp.Exp.run_sweep ?workers ~fresh ~out_dir ~quiet
-             ~name:"torture" js)
+    Ft_exp.Exp.lookup
+      (Ft_exp.Exp.run_sweep ?workers ?out_dir ~fresh ~quiet ~name:"torture" js)
   in
   let explored = ref 0
   and rolled = ref 0

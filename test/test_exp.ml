@@ -354,7 +354,55 @@ let test_sweep_failed_rows_recorded () =
       Alcotest.(check bool) "healthy job visible" true
         (lookup "job/1" = Some (Ft_exp.Jstore.Int 1)))
 
+(* With no [out_dir] a sweep runs every job in memory and touches no
+   file, yet its lookup agrees with a stored sweep's, failed job
+   included. *)
+let test_sweep_in_memory_matches_stored () =
+  let jobs () =
+    List.init 6 (fun i ->
+        Ft_exp.Job.make ~key:(Printf.sprintf "job/%d" i) ~seed:i (fun () ->
+            if i = 3 then failwith "injected";
+            Ft_exp.Jstore.Int (i * i)))
+  in
+  let dir = mk_temp_dir () and cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      rm_rf dir)
+    (fun () ->
+      Sys.chdir dir;
+      let mem =
+        Ft_exp.Exp.run_sweep ~workers:2 ~retries:0 ~quiet:true ~name:"m"
+          (jobs ())
+      in
+      Alcotest.(check int) "in memory: all ran" 6 mem.Ft_exp.Exp.ran;
+      Alcotest.(check int) "in memory: none skipped" 0 mem.Ft_exp.Exp.skipped;
+      Alcotest.(check int) "in memory: failed counted" 1 mem.Ft_exp.Exp.failed;
+      Alcotest.(check (array string)) "in memory: no file" [||]
+        (Sys.readdir dir);
+      let stored =
+        Ft_exp.Exp.run_sweep ~workers:2 ~retries:0 ~out_dir:"store"
+          ~quiet:true ~name:"m" (jobs ())
+      in
+      let in_mem = Ft_exp.Exp.lookup mem
+      and on_disk = Ft_exp.Exp.lookup stored in
+      List.iter
+        (fun (j : Ft_exp.Job.t) ->
+          Alcotest.(check bool) (j.Ft_exp.Job.key ^ " same value") true
+            (in_mem j.Ft_exp.Job.key = on_disk j.Ft_exp.Job.key))
+        (jobs ());
+      Alcotest.(check bool) "healthy job present" true
+        (in_mem "job/2" = Some (Ft_exp.Jstore.Int 4));
+      Alcotest.(check bool) "failed job absent in memory" true
+        (in_mem "job/3" = None);
+      Alcotest.(check bool) "failed job absent when stored" true
+        (on_disk "job/3" = None))
+
 (* --- determinism regression: parallel == serial --------------------------- *)
+
+let in_memory ~workers jobs =
+  Ft_exp.Exp.lookup
+    (Ft_exp.Exp.run_sweep ~workers ~quiet:true ~name:"determinism" jobs)
 
 (* The acceptance bar for the whole refactor: the rendered tables are
    byte-identical at -j 1 and -j 4.  Small campaigns keep the test
@@ -366,7 +414,7 @@ let table1_rendered workers =
     Ft_harness.Table1.jobs ~target_crashes:2 ~max_attempts:20
       ~app:Ft_harness.Table1.Postgres ()
   in
-  let lookup = Ft_exp.Exp.eval_lookup ~workers jobs in
+  let lookup = in_memory ~workers jobs in
   Ft_harness.Table1.render ~app:Ft_harness.Table1.Postgres
     (Ft_harness.Table1.of_records ~target_crashes:2 ~max_attempts:20
        ~app:Ft_harness.Table1.Postgres lookup)
@@ -380,7 +428,7 @@ let table2_rendered workers =
     Ft_harness.Table2.jobs ~target_crashes:2 ~max_attempts:10
       ~app:Ft_harness.Table1.Postgres ()
   in
-  let lookup = Ft_exp.Exp.eval_lookup ~workers jobs in
+  let lookup = in_memory ~workers jobs in
   Ft_harness.Table2.render ~app:Ft_harness.Table1.Postgres
     (Ft_harness.Table2.of_records ~target_crashes:2 ~max_attempts:10
        ~app:Ft_harness.Table1.Postgres lookup)
@@ -391,7 +439,7 @@ let test_table2_parallel_equals_serial () =
 
 let figure8_rendered workers =
   let jobs = Ft_harness.Figure8.jobs ~scale:0.05 Ft_harness.Figure8.Nvi in
-  let lookup = Ft_exp.Exp.eval_lookup ~workers jobs in
+  let lookup = in_memory ~workers jobs in
   Ft_harness.Figure8.render
     (Ft_harness.Figure8.of_records ~scale:0.05 Ft_harness.Figure8.Nvi lookup)
 
@@ -406,8 +454,7 @@ let test_measure_matches_records_path () =
   let via_measure = Ft_harness.Figure8.measure ~scale:0.05 app in
   let via_records =
     Ft_harness.Figure8.of_records ~scale:0.05 app
-      (Ft_exp.Exp.eval_lookup ~workers:2
-         (Ft_harness.Figure8.jobs ~scale:0.05 app))
+      (in_memory ~workers:2 (Ft_harness.Figure8.jobs ~scale:0.05 app))
   in
   Alcotest.(check string)
     "same rendering"
@@ -497,6 +544,8 @@ let tests =
       test_sweep_resume_skips_completed;
     Alcotest.test_case "sweep records failures" `Quick
       test_sweep_failed_rows_recorded;
+    Alcotest.test_case "sweep in memory matches stored" `Quick
+      test_sweep_in_memory_matches_stored;
     Alcotest.test_case "table1 parallel == serial" `Slow
       test_table1_parallel_equals_serial;
     Alcotest.test_case "table2 parallel == serial" `Slow

@@ -217,13 +217,62 @@ let test_serve_tiny_fleet_clean () =
    under -j1 and -j4. *)
 let serve_rendered workers =
   let jobs = Ft_harness.Serve.jobs tiny_serve_params in
-  let lookup = Ft_exp.Exp.eval_lookup ~workers jobs in
+  let lookup =
+    Ft_exp.Exp.lookup
+      (Ft_exp.Exp.run_sweep ~workers ~quiet:true ~name:"serve" jobs)
+  in
   Ft_harness.Serve.render
     (Ft_harness.Serve.of_records tiny_serve_params lookup)
 
 let test_serve_parallel_equals_serial () =
   Alcotest.(check string)
     "serve -j1 == -j4" (serve_rendered 1) (serve_rendered 4)
+
+(* BENCH_RESULTS.json merging: a missing file starts with the schema
+   key, an existing object keeps keys it does not share and takes the
+   new values of those it does, and a file that is not an object is
+   refused and left byte-identical. *)
+let test_merge_bench () =
+  let module J = Ft_exp.Jstore in
+  let path = Filename.temp_file "ft_bench" ".json" in
+  let read () =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let read_obj () =
+    match J.of_string (String.trim (read ())) with
+    | Ok (J.Obj kvs) -> kvs
+    | _ -> Alcotest.fail "bench file is not an object"
+  in
+  let merge kvs = Ft_harness.Report.merge_bench ~path kvs in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Sys.remove path;
+      Alcotest.(check bool) "missing file merges" true
+        (merge [ ("a", J.Int 1) ] = Ok ());
+      Alcotest.(check bool) "missing file: schema + new keys" true
+        (read_obj () = [ ("schema", J.String "ft-bench/1"); ("a", J.Int 1) ]);
+      Alcotest.(check bool) "object merges" true
+        (merge [ ("a", J.Int 2); ("b", J.Int 3) ] = Ok ());
+      let kvs = read_obj () in
+      Alcotest.(check bool) "other key kept" true
+        (List.assoc_opt "schema" kvs = Some (J.String "ft-bench/1"));
+      Alcotest.(check bool) "shared key overwritten" true
+        (List.assoc_opt "a" kvs = Some (J.Int 2));
+      Alcotest.(check bool) "new key added" true
+        (List.assoc_opt "b" kvs = Some (J.Int 3));
+      List.iter
+        (fun bad ->
+          let oc = open_out_bin path in
+          output_string oc bad;
+          close_out oc;
+          Alcotest.(check bool) (bad ^ " refused") true
+            (Result.is_error (merge [ ("a", J.Int 4) ]));
+          Alcotest.(check string) (bad ^ " untouched") bad (read ()))
+        [ "[1]\n"; "not json"; "" ])
 
 (* Byte-identical pinning of the paper outputs: any change to simulated
    (charged) costs, protocol decisions, workload generation or RNG
@@ -323,7 +372,7 @@ let test_serve_quarantines_poisoned_tenant () =
 let test_rescue_tiny_campaign () =
   let spec =
     {
-      Ft_harness.Rescue.apps = [ Ft_harness.Rescue.Nvi ];
+      Ft_harness.Rescue.apps = [ Ft_harness.Table1.Nvi ];
       protocols = [ Ft_core.Protocols.cpvs ];
       ladder_names = [ "generic"; "full" ];
       fault_types =
@@ -393,6 +442,7 @@ let tests =
     Alcotest.test_case "serve quarantines poisoned tenant" `Slow
       test_serve_quarantines_poisoned_tenant;
     Alcotest.test_case "rescue tiny campaign" `Slow test_rescue_tiny_campaign;
+    Alcotest.test_case "merge bench results" `Quick test_merge_bench;
   ]
 
 let () = Alcotest.run "ft_harness" [ ("harness", tests) ]
