@@ -176,7 +176,8 @@ let table1_bench =
     (Staged.stage (fun () ->
          Sys.opaque_identity
            (Ft_harness.Table1.campaign ~target_crashes:2 ~max_attempts:10
-              ~app:Ft_harness.Table1.Postgres
+              ~mk_workload:(fun () ->
+                Ft_harness.Table1.workload Ft_harness.Table1.Postgres)
               Ft_faults.Fault_type.Destination_reg)))
 
 let table2_bench =

@@ -851,7 +851,7 @@ let run_cmd =
          & info [ "medium" ] ~doc:"memory or disk.")
   in
   let kills_arg =
-    Arg.(value & opt_all int []
+    Arg.(value & opt_all nonneg_int []
          & info [ "kill-at" ] ~doc:"Stop failure at this millisecond.")
   in
   Cmd.v

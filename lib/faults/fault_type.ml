@@ -20,6 +20,11 @@ let all =
   [ Stack_bit_flip; Heap_bit_flip; Destination_reg; Initialization;
     Delete_branch; Delete_instruction; Off_by_one ]
 
+(* Position in [all]: the campaigns fold it into their trial seeds. *)
+let index t =
+  let rec go i = function f :: tl when f <> t -> go (i + 1) tl | _ -> i in
+  go 0 all
+
 let to_string = function
   | Stack_bit_flip -> "stack bit flip"
   | Heap_bit_flip -> "heap bit flip"

@@ -10,5 +10,9 @@ type t =
   | Off_by_one
 
 val all : t list
+
+val index : t -> int
+(** Position in {!all}. *)
+
 val to_string : t -> string
 val of_string : string -> t option

@@ -29,63 +29,6 @@ type crash_early_row = {
   violation_pct : float;
 }
 
-(* One campaign: violation rate of heap bit flips in nvi at one
-   consistency-check cadence.  [seed] pins every trial
-   (trial i uses seed + i), independent of the cadence's position in
-   the sweep. *)
-let crash_early_campaign ~check_every ~target_crashes ~max_attempts ~seed =
-  let mk_workload () =
-    Ft_apps.Nvi.workload
-      ~params:{ Ft_apps.Nvi.small_params with Ft_apps.Nvi.check_every }
-      ()
-  in
-  (* run a Table-1-style campaign against this variant *)
-  let w = mk_workload () in
-  let cfg = Table1.base_cfg w in
-  let kernel = Ft_apps.Workload.kernel w in
-  let _, ref_run =
-    Ft_runtime.Engine.execute ~cfg ~kernel ~programs:w.programs ()
-  in
-  let horizon = ref_run.Ft_runtime.Engine.wall_instructions in
-  let crashes = ref 0 and violations = ref 0 and attempt = ref 0 in
-  while !crashes < target_crashes && !attempt < max_attempts do
-    let w = mk_workload () in
-    let cfg =
-      { (Table1.base_cfg w) with
-        Ft_runtime.Engine.max_instructions = (40 * horizon) + 200_000 }
-    in
-    let kernel = Ft_apps.Workload.kernel w in
-    let engine =
-      Ft_runtime.Engine.create ~cfg ~kernel ~programs:w.programs ()
-    in
-    let rng = Random.State.make [| seed + !attempt |] in
-    (match
-       Ft_faults.App_injector.plan rng Ft_faults.Fault_type.Heap_bit_flip
-         ~code:w.programs.(0) ~horizon
-     with
-    | Some plan ->
-        Ft_faults.App_injector.arm engine ~pid:0 plan;
-        let r = Ft_runtime.Engine.run engine in
-        if
-          r.Ft_runtime.Engine.first_crash <> None
-          && r.Ft_runtime.Engine.outcome
-             <> Ft_runtime.Engine.Instruction_budget
-        then begin
-          incr crashes;
-          if r.Ft_runtime.Engine.commit_after_activation then incr violations
-        end
-    | None -> ());
-    incr attempt
-  done;
-  {
-    check_every;
-    crashes = !crashes;
-    violations = !violations;
-    violation_pct =
-      (if !crashes = 0 then 0.
-       else 100. *. float_of_int !violations /. float_of_int !crashes);
-  }
-
 let crash_early_seed0 = 31_000
 
 (* the cadence is the campaign's identity; fold it into the seed *)
@@ -95,49 +38,55 @@ let crash_early_key ~target_crashes ~max_attempts ~check_every ~seed =
   Printf.sprintf "ablation/crash_early/every=%d/crashes=%d/attempts=%d/seed=%d"
     check_every target_crashes max_attempts seed
 
-let crash_early_jobs ?(cadences = [ 1; 16; 1_000_000 ]) ?(target_crashes = 25)
-    ?(max_attempts = 700) () =
+let crash_early_cells ~cadences ~target_crashes ~max_attempts =
   List.map
     (fun check_every ->
       let seed = crash_early_seed ~check_every in
-      Ft_exp.Job.make
-        ~key:(crash_early_key ~target_crashes ~max_attempts ~check_every ~seed)
-        ~seed
-        (fun () ->
+      ( check_every,
+        seed,
+        crash_early_key ~target_crashes ~max_attempts ~check_every ~seed ))
+    cadences
+
+(* One cadence: Table 1's campaign of heap bit flips in nvi with a
+   consistency check every [check_every] keystrokes. *)
+let crash_early_jobs ?(cadences = [ 1; 16; 1_000_000 ]) ?(target_crashes = 25)
+    ?(max_attempts = 700) () =
+  List.map
+    (fun (check_every, seed, key) ->
+      Ft_exp.Job.make ~key ~seed (fun () ->
           let r =
-            crash_early_campaign ~check_every ~target_crashes ~max_attempts
-              ~seed
+            Table1.campaign ~target_crashes ~max_attempts ~seed0:seed
+              ~mk_workload:(fun () ->
+                Ft_apps.Nvi.workload
+                  ~params:
+                    { Ft_apps.Nvi.small_params with Ft_apps.Nvi.check_every }
+                  ())
+              Ft_faults.Fault_type.Heap_bit_flip
           in
           Ft_exp.Jstore.Obj
             [
-              ("check_every", Ft_exp.Jstore.Int r.check_every);
-              ("crashes", Ft_exp.Jstore.Int r.crashes);
-              ("violations", Ft_exp.Jstore.Int r.violations);
+              ("check_every", Ft_exp.Jstore.Int check_every);
+              ("crashes", Ft_exp.Jstore.Int r.Table1.crashes);
+              ("violations", Ft_exp.Jstore.Int r.Table1.violations);
             ]))
-    cadences
+    (crash_early_cells ~cadences ~target_crashes ~max_attempts)
 
 let crash_early_of_records ?(cadences = [ 1; 16; 1_000_000 ])
     ?(target_crashes = 25) ?(max_attempts = 700) lookup =
   List.map
-    (fun check_every ->
-      let seed = crash_early_seed ~check_every in
-      match
-        lookup (crash_early_key ~target_crashes ~max_attempts ~check_every ~seed)
-      with
-      | Some v ->
-          let crashes = Ft_exp.Jstore.get_int "crashes" v in
-          let violations = Ft_exp.Jstore.get_int "violations" v in
-          {
-            check_every;
-            crashes;
-            violations;
-            violation_pct =
-              (if crashes = 0 then 0.
-               else 100. *. float_of_int violations /. float_of_int crashes);
-          }
-      | None ->
-          { check_every; crashes = 0; violations = 0; violation_pct = 0. })
-    cadences
+    (fun (check_every, _, key) ->
+      let v = Option.value (lookup key) ~default:(Ft_exp.Jstore.Obj []) in
+      let crashes = Ft_exp.Jstore.get_int "crashes" v in
+      let violations = Ft_exp.Jstore.get_int "violations" v in
+      {
+        check_every;
+        crashes;
+        violations;
+        violation_pct =
+          (if crashes = 0 then 0.
+           else 100. *. float_of_int violations /. float_of_int crashes);
+      })
+    (crash_early_cells ~cadences ~target_crashes ~max_attempts)
 
 let crash_early ?(cadences = [ 1; 16; 1_000_000 ]) ?(target_crashes = 25)
     ?(max_attempts = 700) () =

@@ -98,14 +98,6 @@ let run_once ~(w : Ft_apps.Workload.t) ~protocol ~seed ~policy =
   ignore t;
   (r, tr)
 
-let outcome_name = function
-  | Engine.Completed -> "completed"
-  | Engine.Deadline -> "deadline"
-  | Engine.Recovery_failed -> "recovery-failed"
-  | Engine.Deadlocked -> "deadlocked"
-  | Engine.Instruction_budget -> "instruction-budget"
-  | Engine.Net_unreachable -> "net-unreachable"
-
 (* xpilot's count-based oracle: same per-process visible counts as the
    reference, and the same multiset of frame indices (the visible value
    is [frame * 100_000 + state]). *)
@@ -205,7 +197,8 @@ let job ~scale ~seed ~app ~protocol point =
       in
       Ft_exp.Jstore.Obj
         [
-          ("outcome", Ft_exp.Jstore.String (outcome_name r.Engine.outcome));
+          ( "outcome",
+            Ft_exp.Jstore.String (Engine.outcome_name r.Engine.outcome) );
           ("wedged", Ft_exp.Jstore.Bool wedged);
           ("consistent", Ft_exp.Jstore.Bool consistent);
           ("cons_msg", Ft_exp.Jstore.String cons_msg);

@@ -47,32 +47,34 @@ let reference ~protocol app =
     List.length r.Engine.visible,
     r.Engine.wall_instructions )
 
+type crash = {
+  rescued : bool;  (* completed with consistent output *)
+  rung : int;  (* highest ladder rung used (0..2) *)
+  violation : bool;
+      (* the recovery machinery corrupted or diverged the output
+         stream with no fault having activated — the only party left
+         to blame is the ladder itself *)
+  tainted : bool;
+      (* the fault itself escaped to the released output (a value
+         that is neither the expected next output nor a repeat) —
+         unrescuable by any recovery scheme, and not the ladder's
+         doing *)
+  absorbed : int;
+      (* replayed outputs that disagreed with a released value and
+         were absorbed by the sequenced egress: fault-induced replay
+         divergence the user never saw *)
+  verdict : Classifier.verdict;
+  work : int;  (* distinct visible outputs released *)
+  instr : int;
+  deep_rollbacks : int;
+  perturbed_replays : int;
+}
+
 type trial =
   | Benign  (* completed, correct, never crashed: discarded *)
   | Wrong_output  (* silent corruption without a crash: discarded *)
   | Hung  (* instruction budget without a crash: discarded *)
-  | Crashed of {
-      rescued : bool;  (* completed with consistent output *)
-      rung : int;  (* highest ladder rung used (0..2) *)
-      violation : bool;
-          (* the recovery machinery corrupted or diverged the output
-             stream with no fault having activated — the only party left
-             to blame is the ladder itself *)
-      tainted : bool;
-          (* the fault itself escaped to the released output (a value
-             that is neither the expected next output nor a repeat) —
-             unrescuable by any recovery scheme, and not the ladder's
-             doing *)
-      absorbed : int;
-          (* replayed outputs that disagreed with a released value and
-             were absorbed by the sequenced egress: fault-induced replay
-             divergence the user never saw *)
-      verdict : Classifier.verdict;
-      work : int;  (* distinct visible outputs released *)
-      instr : int;
-      deep_rollbacks : int;
-      perturbed_replays : int;
-    }
+  | Crashed of crash
 
 (* Half the bit flips are cosmic-ray one-shots (fired once, never
    re-armed: the transient mass L0 and — when the corruption was
@@ -83,9 +85,9 @@ type trial =
 let run_one ~app ~fault_type ~protocol ~ladder ~reference_visible ~horizon
     ~seed =
   let w = Table1.workload app in
-  let cfg = base_cfg ~protocol ~ladder w in
   let cfg =
-    { cfg with Engine.max_instructions = (40 * horizon) + 200_000 }
+    { (base_cfg ~protocol ~ladder w) with
+      Engine.max_instructions = Table1.budget ~horizon }
   in
   let kernel = Ft_apps.Workload.kernel w in
   let engine = Engine.create ~cfg ~kernel ~programs:w.programs () in
@@ -207,84 +209,50 @@ let ref_work_per_minstr row =
   if row.ref_instr = 0 then 0.
   else float_of_int row.ref_work *. 1e6 /. float_of_int row.ref_instr
 
-let campaign ?(target_crashes = 40) ?(max_attempts = 600) ~seed ~app
-    ~protocol ~ladder_name () =
+let campaign ~target_crashes ~max_attempts ~seed ~app ~protocol ~ladder_name
+    fault_type =
   let ladder = Option.get (Policy.by_name ladder_name) in
   let reference_visible, ref_w, ref_i = reference ~protocol app in
-  let horizon = ref_i in
-  let row =
-    ref
-      {
-        app;
-        fault_type = Ft_faults.Fault_type.Destination_reg;
-        protocol_name = protocol.Ft_core.Protocol.spec_name;
-        ladder = ladder_name;
-        trials = 0;
-        crashes = 0;
-        rescued_by_rung = [| 0; 0; 0 |];
-        unrescued = 0;
-        violations = 0;
-        tainted = 0;
-        absorbed = 0;
-        wrong_output = 0;
-        benign = 0;
-        deep_rollbacks = 0;
-        perturbed_replays = 0;
-        transient = 0;
-        heisenbug = 0;
-        bohrbug = 0;
-        sticky = 0;
-        work = 0;
-        instr = 0;
-        ref_work = 0;
-        ref_instr = 0;
-      }
+  let outcomes =
+    Table1.trials ~target_crashes ~max_attempts ~seed0:seed
+      ~crashed:(function Crashed _ -> true | _ -> false)
+      (fun seed ->
+        run_one ~app ~fault_type ~protocol ~ladder ~reference_visible
+          ~horizon:ref_i ~seed)
   in
-  fun fault_type ->
-    let r =
-      ref { !row with fault_type; rescued_by_rung = [| 0; 0; 0 |] }
-    in
-    let attempt = ref 0 in
-    while !r.crashes < target_crashes && !attempt < max_attempts do
-      (match
-         run_one ~app ~fault_type ~protocol ~ladder ~reference_visible
-           ~horizon ~seed:(seed + !attempt)
-       with
-      | Benign | Hung -> r := { !r with benign = !r.benign + 1 }
-      | Wrong_output -> r := { !r with wrong_output = !r.wrong_output + 1 }
-      | Crashed c ->
-          let rr = !r in
-          let rbr = Array.copy rr.rescued_by_rung in
-          if c.rescued then rbr.(c.rung) <- rbr.(c.rung) + 1;
-          r :=
-            {
-              rr with
-              crashes = rr.crashes + 1;
-              rescued_by_rung = rbr;
-              unrescued = (rr.unrescued + if c.rescued then 0 else 1);
-              violations = (rr.violations + if c.violation then 1 else 0);
-              tainted = (rr.tainted + if c.tainted then 1 else 0);
-              absorbed = rr.absorbed + c.absorbed;
-              deep_rollbacks = rr.deep_rollbacks + c.deep_rollbacks;
-              perturbed_replays = rr.perturbed_replays + c.perturbed_replays;
-              transient =
-                (rr.transient
-                + if c.verdict = Classifier.Transient then 1 else 0);
-              heisenbug =
-                (rr.heisenbug
-                + if c.verdict = Classifier.Heisenbug then 1 else 0);
-              bohrbug =
-                (rr.bohrbug + if c.verdict = Classifier.Bohrbug then 1 else 0);
-              sticky =
-                (rr.sticky + if c.verdict = Classifier.Sticky then 1 else 0);
-              work = rr.work + c.work;
-              instr = rr.instr + c.instr;
-              ref_work = rr.ref_work + ref_w;
-              ref_instr = rr.ref_instr + ref_i;
-            });
-      incr attempt
-    done;
-    { !r with trials = !attempt }
+  let cs =
+    List.filter_map (function Crashed c -> Some c | _ -> None) outcomes
+  in
+  let crashes = List.length cs in
+  let count p = List.length (List.filter p cs) in
+  let sum f = List.fold_left (fun a c -> a + f c) 0 cs in
+  let discarded p = List.length (List.filter p outcomes) in
+  {
+    app;
+    fault_type;
+    protocol_name = protocol.Ft_core.Protocol.spec_name;
+    ladder = ladder_name;
+    trials = List.length outcomes;
+    crashes;
+    rescued_by_rung =
+      Array.init 3 (fun rung -> count (fun c -> c.rescued && c.rung = rung));
+    unrescued = count (fun c -> not c.rescued);
+    violations = count (fun c -> c.violation);
+    tainted = count (fun c -> c.tainted);
+    absorbed = sum (fun c -> c.absorbed);
+    wrong_output = discarded (( = ) Wrong_output);
+    benign = discarded (function Benign | Hung -> true | _ -> false);
+    deep_rollbacks = sum (fun c -> c.deep_rollbacks);
+    perturbed_replays = sum (fun c -> c.perturbed_replays);
+    transient = count (fun c -> c.verdict = Classifier.Transient);
+    heisenbug = count (fun c -> c.verdict = Classifier.Heisenbug);
+    bohrbug = count (fun c -> c.verdict = Classifier.Bohrbug);
+    sticky = count (fun c -> c.verdict = Classifier.Sticky);
+    work = sum (fun c -> c.work);
+    instr = sum (fun c -> c.instr);
+    ref_work = crashes * ref_w;
+    ref_instr = crashes * ref_i;
+  }
 
 (* --- resumable jobs -------------------------------------------------------- *)
 
@@ -294,18 +262,10 @@ let campaign ?(target_crashes = 40) ?(max_attempts = 600) ~seed ~app
    identical fault sample, so a rescue delta between ladders is a paired
    comparison on the same bugs, not sampling noise. *)
 let cell_seed ~seed0 ~app ~protocol_name ft =
-  let fault_index =
-    let rec go i = function
-      | [] -> 0
-      | f :: _ when f = ft -> i
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 Ft_faults.Fault_type.all
-  in
   seed0
   + (match app with Table1.Nvi -> 0 | Postgres -> 1_000_000)
   + (100_000 * (Hashtbl.hash protocol_name mod 10))
-  + (1_000 * fault_index)
+  + (1_000 * Ft_faults.Fault_type.index ft)
 
 let job_key ~target_crashes ~max_attempts ~seed ~app ~protocol_name
     ~ladder_name ft =
@@ -400,15 +360,26 @@ let smoke_spec =
     max_attempts = 40;
   }
 
+(* Every cell with its trial seed and job key: [jobs] and [of_records]
+   both walk it. *)
 let cells spec =
   List.concat_map
     (fun app ->
       List.concat_map
         (fun protocol ->
+          let protocol_name = protocol.Ft_core.Protocol.spec_name in
           List.concat_map
             (fun ladder_name ->
               List.map
-                (fun ft -> (app, protocol, ladder_name, ft))
+                (fun ft ->
+                  let seed =
+                    cell_seed ~seed0:spec.seed0 ~app ~protocol_name ft
+                  in
+                  ( (app, protocol, ladder_name, ft),
+                    seed,
+                    job_key ~target_crashes:spec.target_crashes
+                      ~max_attempts:spec.max_attempts ~seed ~app
+                      ~protocol_name ~ladder_name ft ))
                 spec.fault_types)
             spec.ladder_names)
         spec.protocols)
@@ -416,45 +387,29 @@ let cells spec =
 
 let jobs spec =
   List.map
-    (fun (app, protocol, ladder_name, ft) ->
-      let protocol_name = protocol.Ft_core.Protocol.spec_name in
-      let seed = cell_seed ~seed0:spec.seed0 ~app ~protocol_name ft in
-      Ft_exp.Job.make
-        ~key:
-          (job_key ~target_crashes:spec.target_crashes
-             ~max_attempts:spec.max_attempts ~seed ~app ~protocol_name
-             ~ladder_name ft)
-        ~seed
-        (fun () ->
+    (fun ((app, protocol, ladder_name, ft), seed, key) ->
+      Ft_exp.Job.make ~key ~seed (fun () ->
           row_to_json
             (campaign ~target_crashes:spec.target_crashes
                ~max_attempts:spec.max_attempts ~seed ~app ~protocol
-               ~ladder_name () ft)))
+               ~ladder_name ft)))
     (cells spec)
 
 type report = { spec : spec; rows : row list; missing : string list }
 
 let of_records spec lookup =
-  let missing = ref [] in
-  let rows =
-    List.filter_map
-      (fun (app, protocol, ladder_name, ft) ->
-        let protocol_name = protocol.Ft_core.Protocol.spec_name in
-        let seed = cell_seed ~seed0:spec.seed0 ~app ~protocol_name ft in
-        let key =
-          job_key ~target_crashes:spec.target_crashes
-            ~max_attempts:spec.max_attempts ~seed ~app ~protocol_name
-            ~ladder_name ft
-        in
+  let rows, missing =
+    List.partition_map
+      (fun ((app, protocol, ladder, fault_type), _, key) ->
         match lookup key with
         | Some v ->
-            Some (row_of_json ~app ~fault_type:ft ~protocol_name ~ladder:ladder_name v)
-        | None ->
-            missing := key :: !missing;
-            None)
+            Left
+              (row_of_json ~app ~fault_type
+                 ~protocol_name:protocol.Ft_core.Protocol.spec_name ~ladder v)
+        | None -> Right key)
       (cells spec)
   in
-  { spec; rows; missing = List.rev !missing }
+  { spec; rows; missing }
 
 let run ?workers ?out_dir ?(fresh = false) ?(quiet = false) spec =
   let js = jobs spec in

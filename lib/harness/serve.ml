@@ -276,14 +276,6 @@ let mttrs (r : Scheduler.result) times =
       List.find_opt (fun t -> t > ct) acks |> Option.map (fun t -> t - ct))
     r.Scheduler.crash_times
 
-let outcome_name = function
-  | Scheduler.Completed -> "completed"
-  | Scheduler.Deadline -> "deadline"
-  | Scheduler.Recovery_failed -> "recovery-failed"
-  | Scheduler.Deadlocked -> "deadlocked"
-  | Scheduler.Instruction_budget -> "instruction-budget"
-  | Scheduler.Net_unreachable -> "net-unreachable"
-
 (* --- shard jobs ------------------------------------------------------------ *)
 
 let storm_tag p =
@@ -379,7 +371,9 @@ let job p ~protocol shard =
           | o ->
               incr failed;
               bad :=
-                Printf.sprintf "%s: outcome %s" tname (outcome_name o) :: !bad);
+                Printf.sprintf "%s: outcome %s" tname
+                  (Scheduler.outcome_name o)
+                :: !bad);
           (match
              Consistency.check ~reference:reference.Scheduler.visible
                ~observed:r.Scheduler.visible

@@ -44,8 +44,23 @@ let base_cfg w =
       suppress_faults_on_recovery = true;
       max_recovery_attempts = 2 }
 
-let reference app =
-  let w = workload app in
+(* The per-trial instruction budget of every fault campaign: a multiple
+   of the fault-free run's instruction count [horizon]. *)
+let budget ~horizon = (40 * horizon) + 200_000
+
+(* The trial loop of every fault campaign (Tables 1 and 2, Rescue, the
+   crash-early ablation): trial [i] runs [run (seed0 + i)], until
+   [target_crashes] outcomes [crashed] or [max_attempts] trials ran. *)
+let trials ~target_crashes ~max_attempts ~seed0 ~crashed run =
+  let rec go i crashes acc =
+    if crashes >= target_crashes || i >= max_attempts then List.rev acc
+    else
+      let o = run (seed0 + i) in
+      go (i + 1) (if crashed o then crashes + 1 else crashes) (o :: acc)
+  in
+  go 0 0 []
+
+let reference w =
   let cfg = base_cfg w in
   let kernel = Ft_apps.Workload.kernel w in
   let _, r = Ft_runtime.Engine.execute ~cfg ~kernel ~programs:w.programs () in
@@ -55,11 +70,11 @@ let reference app =
    multiple of the fault-free instruction count: an injected fault that
    loops forever is a hang, not a crash, and is discarded like the
    paper's non-crashing runs. *)
-let run_one ~app ~fault_type ~reference_visible ~horizon ~seed =
-  let w = workload app in
-  let cfg = base_cfg w in
+let run_one (w : Ft_apps.Workload.t) ~fault_type ~reference_visible ~horizon
+    ~seed =
   let cfg =
-    { cfg with Ft_runtime.Engine.max_instructions = (40 * horizon) + 200_000 }
+    { (base_cfg w) with
+      Ft_runtime.Engine.max_instructions = budget ~horizon }
   in
   let kernel = Ft_apps.Workload.kernel w in
   let engine = Ft_runtime.Engine.create ~cfg ~kernel ~programs:w.programs () in
@@ -92,33 +107,28 @@ let run_one ~app ~fault_type ~reference_visible ~horizon ~seed =
           }
 
 let campaign ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 1000)
-    ~app fault_type =
-  let reference_visible, horizon = reference app in
-  let crashes = ref 0 and violations = ref 0 and wrong = ref 0
-  and benign = ref 0 and mismatches = ref 0 in
-  let attempt = ref 0 in
-  while !crashes < target_crashes && !attempt < max_attempts do
-    (match
-       run_one ~app ~fault_type ~reference_visible ~horizon
-         ~seed:(seed0 + !attempt)
-     with
-    | No_effect | Hung -> incr benign
-    | Wrong_output -> incr wrong
-    | Crashed { violation; recovered } ->
-        incr crashes;
-        if violation then incr violations;
-        (* The paper found runs recovered iff they did not commit after
-           activation; any mismatch indicates a checkpointing bug. *)
-        if recovered = violation then incr mismatches);
-    incr attempt
-  done;
+    ~mk_workload fault_type =
+  let reference_visible, horizon = reference (mk_workload ()) in
+  let outcomes =
+    trials ~target_crashes ~max_attempts ~seed0
+      ~crashed:(function Crashed _ -> true | _ -> false)
+      (fun seed ->
+        run_one (mk_workload ()) ~fault_type ~reference_visible ~horizon ~seed)
+  in
+  let count p = List.length (List.filter p outcomes) in
   {
     fault_type;
-    crashes = !crashes;
-    violations = !violations;
-    wrong_output = !wrong;
-    no_effect = !benign;
-    end_to_end_mismatches = !mismatches;
+    crashes = count (function Crashed _ -> true | _ -> false);
+    violations =
+      count (function Crashed { violation; _ } -> violation | _ -> false);
+    wrong_output = count (( = ) Wrong_output);
+    no_effect = count (function No_effect | Hung -> true | _ -> false);
+    (* The paper found runs recovered iff they did not commit after
+       activation; any mismatch indicates a checkpointing bug. *)
+    end_to_end_mismatches =
+      count (function
+        | Crashed { violation; recovered } -> recovered = violation
+        | _ -> false);
   }
 
 (* Each campaign's per-trial RNG is seeded from the campaign's identity
@@ -127,17 +137,9 @@ let campaign ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 1000)
    a trial's seed, which is what makes parallel sweeps reproduce serial
    ones byte for byte. *)
 let campaign_seed ~seed0 ~app fault_type =
-  let fault_index =
-    let rec go i = function
-      | [] -> 0
-      | f :: _ when f = fault_type -> i
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 Ft_faults.Fault_type.all
-  in
   seed0
   + (match app with Nvi -> 0 | Postgres -> 100_000)
-  + (10_000 * fault_index)
+  + (10_000 * Ft_faults.Fault_type.index fault_type)
 
 let row_to_json r =
   Ft_exp.Jstore.Obj
@@ -165,36 +167,33 @@ let job_key ~target_crashes ~max_attempts ~seed ~app ft =
     (Ft_faults.Fault_type.to_string ft)
     target_crashes max_attempts seed
 
-let jobs ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 1000) ~app ()
-    =
+(* One (fault type, seed, job key) per campaign: [jobs] and [of_records]
+   both walk it. *)
+let cells ~target_crashes ~max_attempts ~seed0 ~app =
   List.map
     (fun ft ->
       let seed = campaign_seed ~seed0 ~app ft in
-      Ft_exp.Job.make
-        ~key:(job_key ~target_crashes ~max_attempts ~seed ~app ft)
-        ~seed
-        (fun () ->
-          row_to_json
-            (campaign ~target_crashes ~max_attempts ~seed0:seed ~app ft)))
+      (ft, seed, job_key ~target_crashes ~max_attempts ~seed ~app ft))
     Ft_faults.Fault_type.all
+
+let jobs ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 1000) ~app ()
+    =
+  List.map
+    (fun (ft, seed, key) ->
+      Ft_exp.Job.make ~key ~seed (fun () ->
+          row_to_json
+            (campaign ~target_crashes ~max_attempts ~seed0:seed
+               ~mk_workload:(fun () -> workload app)
+               ft)))
+    (cells ~target_crashes ~max_attempts ~seed0 ~app)
 
 let of_records ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 1000)
     ~app lookup =
   List.map
-    (fun ft ->
-      let seed = campaign_seed ~seed0 ~app ft in
-      match lookup (job_key ~target_crashes ~max_attempts ~seed ~app ft) with
-      | Some v -> row_of_json ft v
-      | None ->
-          {
-            fault_type = ft;
-            crashes = 0;
-            violations = 0;
-            wrong_output = 0;
-            no_effect = 0;
-            end_to_end_mismatches = 0;
-          })
-    Ft_faults.Fault_type.all
+    (fun (ft, _, key) ->
+      row_of_json ft
+        (Option.value (lookup key) ~default:(Ft_exp.Jstore.Obj [])))
+    (cells ~target_crashes ~max_attempts ~seed0 ~app)
 
 let run ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 1000) ~app () =
   of_records ~target_crashes ~max_attempts ~seed0 ~app

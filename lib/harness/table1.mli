@@ -28,13 +28,31 @@ type row = {
           residue is commits that captured no corrupted state *)
 }
 
+val budget : horizon:int -> int
+(** Per-trial instruction budget of every fault campaign, from the
+    fault-free run's instruction count: past it a trial is a hang. *)
+
+val trials :
+  target_crashes:int ->
+  max_attempts:int ->
+  seed0:int ->
+  crashed:('a -> bool) ->
+  (int -> 'a) ->
+  'a list
+(** [trials ~target_crashes ~max_attempts ~seed0 ~crashed run] is the
+    trial loop of every fault campaign: the outcomes of [run seed0],
+    [run (seed0 + 1)], ..., in order, stopping once [target_crashes] of
+    them satisfy [crashed] or [max_attempts] have run. *)
+
 val campaign :
   ?target_crashes:int ->
   ?max_attempts:int ->
   ?seed0:int ->
-  app:app ->
+  mk_workload:(unit -> Ft_apps.Workload.t) ->
   Ft_faults.Fault_type.t ->
   row
+(** One fault type's campaign against a fresh [mk_workload ()] per
+    trial (and one for the fault-free reference run). *)
 
 val campaign_seed : seed0:int -> app:app -> Ft_faults.Fault_type.t -> int
 (** The per-campaign trial seed, derived from the campaign's identity

@@ -17,69 +17,6 @@ type row = {
   no_effect : int;
 }
 
-let base_cfg (w : Ft_apps.Workload.t) =
-  Ft_apps.Workload.engine_config w
-    { Ft_runtime.Engine.default_config with
-      protocol = Ft_core.Protocols.cpvs;
-      suppress_faults_on_recovery = true;
-      max_recovery_attempts = 2 }
-
-let run_one ~(mk_workload : unit -> Ft_apps.Workload.t) ~reference_visible
-    ~horizon ~weights ~fault_type ~seed =
-  let w = mk_workload () in
-  let cfg = base_cfg w in
-  let cfg =
-    { cfg with Ft_runtime.Engine.max_instructions = (40 * horizon) + 200_000 }
-  in
-  let kernel = Ft_apps.Workload.kernel w in
-  let rng = Random.State.make [| seed |] in
-  let plan = Ft_faults.Os_injector.plan ~weights rng fault_type in
-  let fault = Ft_faults.Os_injector.arm kernel plan in
-  let engine = Ft_runtime.Engine.create ~cfg ~kernel ~programs:w.programs () in
-  let r = Ft_runtime.Engine.run engine in
-  ignore reference_visible;
-  let crashed =
-    r.Ft_runtime.Engine.crashes > 0
-    && r.Ft_runtime.Engine.outcome <> Ft_runtime.Engine.Instruction_budget
-  in
-  (* "Failed to recover" is the paper's criterion: the application does
-     not come back up and run to completion (typically a crash loop from
-     committed corrupted state).  A run whose output the kernel fault had
-     already garbled before the crash still counts as recovered — the
-     recovery system itself did its job. *)
-  let recovered =
-    r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Completed
-  in
-  ( crashed,
-    recovered,
-    Ft_faults.Os_injector.propagated fault )
-
-let campaign ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 5000)
-    ~mk_workload ~reference_visible ~horizon ~weights fault_type =
-  let crashes = ref 0 and failed = ref 0 and propagated = ref 0
-  and benign = ref 0 in
-  let attempt = ref 0 in
-  while !crashes < target_crashes && !attempt < max_attempts do
-    let crashed, recovered, prop =
-      run_one ~mk_workload ~reference_visible ~horizon ~weights ~fault_type
-        ~seed:(seed0 + !attempt)
-    in
-    if crashed then begin
-      incr crashes;
-      if not recovered then incr failed;
-      if prop then incr propagated
-    end
-    else incr benign;
-    incr attempt
-  done;
-  {
-    fault_type;
-    crashes = !crashes;
-    failed_recoveries = !failed;
-    propagated = !propagated;
-    no_effect = !benign;
-  }
-
 (* Table-2 sessions: comparable duration for both applications, with
    nvi making ~10x the syscalls per second (the paper's non-interactive
    nvi), so a kernel corruption window of a given length exposes nvi to
@@ -98,23 +35,58 @@ let workload = function
             Ft_apps.Postgres.queries = 120; interval_ns = 1_000_000 }
         ()
 
+(* One injected run: (crashed, recovered, propagated). *)
+let run_one (w : Ft_apps.Workload.t) ~horizon ~weights ~fault_type ~seed =
+  let cfg =
+    { (Table1.base_cfg w) with
+      Ft_runtime.Engine.max_instructions = Table1.budget ~horizon }
+  in
+  let kernel = Ft_apps.Workload.kernel w in
+  let rng = Random.State.make [| seed |] in
+  let plan = Ft_faults.Os_injector.plan ~weights rng fault_type in
+  let fault = Ft_faults.Os_injector.arm kernel plan in
+  let engine = Ft_runtime.Engine.create ~cfg ~kernel ~programs:w.programs () in
+  let r = Ft_runtime.Engine.run engine in
+  let crashed =
+    r.Ft_runtime.Engine.crashes > 0
+    && r.Ft_runtime.Engine.outcome <> Ft_runtime.Engine.Instruction_budget
+  in
+  (* "Failed to recover" is the paper's criterion: the application does
+     not come back up and run to completion (typically a crash loop from
+     committed corrupted state).  A run whose output the kernel fault had
+     already garbled before the crash still counts as recovered — the
+     recovery system itself did its job. *)
+  let recovered =
+    r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Completed
+  in
+  (crashed, recovered, Ft_faults.Os_injector.propagated fault)
+
 (* One full campaign for one fault type, self-contained (computes its
    own fault-free reference run): the unit of work a sweep job wraps. *)
-let standalone_campaign ~target_crashes ~max_attempts ~seed0
-    ~(app : Table1.app) ft =
-  let mk_workload () = workload app in
-  let w = mk_workload () in
-  let cfg = base_cfg w in
+let campaign ~target_crashes ~max_attempts ~seed0 ~(app : Table1.app)
+    fault_type =
+  let w = workload app in
   let kernel = Ft_apps.Workload.kernel w in
   let _, ref_run =
-    Ft_runtime.Engine.execute ~cfg ~kernel ~programs:w.programs ()
+    Ft_runtime.Engine.execute ~cfg:(Table1.base_cfg w) ~kernel
+      ~programs:w.programs ()
   in
-  let reference_visible = ref_run.Ft_runtime.Engine.visible in
   let horizon = ref_run.Ft_runtime.Engine.wall_instructions in
   (* the injected fault lands in kernel paths the app exercises *)
   let weights = Ft_faults.Os_injector.usage_weights kernel in
-  campaign ~target_crashes ~max_attempts ~seed0 ~mk_workload
-    ~reference_visible ~horizon ~weights ft
+  let outcomes =
+    Table1.trials ~target_crashes ~max_attempts ~seed0
+      ~crashed:(fun (crashed, _, _) -> crashed)
+      (fun seed -> run_one (workload app) ~horizon ~weights ~fault_type ~seed)
+  in
+  let count p = List.length (List.filter p outcomes) in
+  {
+    fault_type;
+    crashes = count (fun (c, _, _) -> c);
+    failed_recoveries = count (fun (c, recovered, _) -> c && not recovered);
+    propagated = count (fun (c, _, prop) -> c && prop);
+    no_effect = count (fun (c, _, _) -> not c);
+  }
 
 (* Same identity-derived trial seeding as Table 1 (see
    {!Table1.campaign_seed}), offset so the two tables never share
@@ -147,36 +119,29 @@ let job_key ~target_crashes ~max_attempts ~seed ~app ft =
     (Ft_faults.Fault_type.to_string ft)
     target_crashes max_attempts seed
 
-let jobs ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 5000)
-    ~(app : Table1.app) () =
+let cells ~target_crashes ~max_attempts ~seed0 ~app =
   List.map
     (fun ft ->
       let seed = campaign_seed ~seed0 ~app ft in
-      Ft_exp.Job.make
-        ~key:(job_key ~target_crashes ~max_attempts ~seed ~app ft)
-        ~seed
-        (fun () ->
-          row_to_json
-            (standalone_campaign ~target_crashes ~max_attempts ~seed0:seed
-               ~app ft)))
+      (ft, seed, job_key ~target_crashes ~max_attempts ~seed ~app ft))
     Ft_faults.Fault_type.all
+
+let jobs ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 5000)
+    ~(app : Table1.app) () =
+  List.map
+    (fun (ft, seed, key) ->
+      Ft_exp.Job.make ~key ~seed (fun () ->
+          row_to_json
+            (campaign ~target_crashes ~max_attempts ~seed0:seed ~app ft)))
+    (cells ~target_crashes ~max_attempts ~seed0 ~app)
 
 let of_records ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 5000)
     ~app lookup =
   List.map
-    (fun ft ->
-      let seed = campaign_seed ~seed0 ~app ft in
-      match lookup (job_key ~target_crashes ~max_attempts ~seed ~app ft) with
-      | Some v -> row_of_json ft v
-      | None ->
-          {
-            fault_type = ft;
-            crashes = 0;
-            failed_recoveries = 0;
-            propagated = 0;
-            no_effect = 0;
-          })
-    Ft_faults.Fault_type.all
+    (fun (ft, _, key) ->
+      row_of_json ft
+        (Option.value (lookup key) ~default:(Ft_exp.Jstore.Obj [])))
+    (cells ~target_crashes ~max_attempts ~seed0 ~app)
 
 let run ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 5000)
     ~(app : Table1.app) () =

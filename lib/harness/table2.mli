@@ -9,8 +9,6 @@ type row = {
   no_effect : int;
 }
 
-val base_cfg : Ft_apps.Workload.t -> Ft_runtime.Engine.config
-
 val workload : Table1.app -> Ft_apps.Workload.t
 (** Table-2 sessions: comparable durations, with nvi at ~10x postgres's
     syscall rate (the paper's non-interactive nvi). *)

@@ -143,6 +143,36 @@ let checkpoints t ~pid = Ft_stablemem.Vista.commits t.slots.(pid).vista
 
 let has_checkpoint t ~pid = checkpoints t ~pid > 0
 
+(* Everything but the heap, into the slot's open transaction: the live
+   stack prefix (straight from the machine's stack array), the machine
+   metadata (staged in the slot's scratch buffer) and the kernel-state
+   words (so restore needs nothing but the region), in that order — the
+   torture crash points index these writes.  Returns the stack words. *)
+let write_machine s ~(machine : Ft_vm.Machine.t) ~kwords =
+  let v = s.vista in
+  let sp = machine.Ft_vm.Machine.sp in
+  if sp > 0 then
+    Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.stack_base
+      ~src:machine.Ft_vm.Machine.stack ~spos:0 ~len:sp;
+  let nregs = Ft_vm.Instr.num_regs in
+  Array.blit machine.Ft_vm.Machine.regs 0 s.meta_buf 0 nregs;
+  s.meta_buf.(nregs) <- Ft_vm.Machine.pc machine;
+  s.meta_buf.(nregs + 1) <- sp;
+  s.meta_buf.(nregs + 2) <- machine.Ft_vm.Machine.fp;
+  s.meta_buf.(nregs + 3) <- Ft_vm.Machine.icount machine;
+  s.meta_buf.(nregs + 4) <- machine.Ft_vm.Machine.signal_handler;
+  s.meta_buf.(nregs + 5) <- (if machine.Ft_vm.Machine.in_signal then 1 else 0);
+  Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.meta_base ~src:s.meta_buf
+    ~spos:0 ~len:meta_words;
+  let klen = Array.length kwords in
+  if klen > s.kstate_cap then
+    invalid_arg "Checkpointer.commit: kernel state exceeds its region area";
+  s.kstate_buf.(0) <- klen;
+  Array.blit kwords 0 s.kstate_buf 1 klen;
+  Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.kstate_base
+    ~src:s.kstate_buf ~spos:0 ~len:(1 + klen);
+  sp
+
 (* Take a checkpoint of [machine] (incremental in its dirty pages) and the
    kernel state; returns the simulated cost in nanoseconds.
 
@@ -171,32 +201,8 @@ let commit ?(out_seq = 0) t ~pid ~(machine : Ft_vm.Machine.t) ~kstate =
       Ft_stablemem.Vista.write_sub ~diff:true v ~off:(p * page_size)
         ~src:s.page_buf ~spos:0 ~len:page_size)
     dirty;
-  (* Live stack prefix, straight from the machine's stack array. *)
-  let sp = machine.Ft_vm.Machine.sp in
-  if sp > 0 then
-    Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.stack_base
-      ~src:machine.Ft_vm.Machine.stack ~spos:0 ~len:sp;
-  (* Machine metadata, staged in the slot's scratch buffer. *)
-  let nregs = Ft_vm.Instr.num_regs in
-  Array.blit machine.Ft_vm.Machine.regs 0 s.meta_buf 0 nregs;
-  s.meta_buf.(nregs) <- Ft_vm.Machine.pc machine;
-  s.meta_buf.(nregs + 1) <- sp;
-  s.meta_buf.(nregs + 2) <- machine.Ft_vm.Machine.fp;
-  s.meta_buf.(nregs + 3) <- Ft_vm.Machine.icount machine;
-  s.meta_buf.(nregs + 4) <- machine.Ft_vm.Machine.signal_handler;
-  s.meta_buf.(nregs + 5) <- (if machine.Ft_vm.Machine.in_signal then 1 else 0);
-  Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.meta_base ~src:s.meta_buf
-    ~spos:0 ~len:meta_words;
-  (* Kernel state, serialized to words so restore needs nothing but the
-     region. *)
   let kw = Ft_os.Kernel.kstate_to_words kstate in
-  let klen = Array.length kw in
-  if klen > s.kstate_cap then
-    invalid_arg "Checkpointer.commit: kernel state exceeds its region area";
-  s.kstate_buf.(0) <- klen;
-  Array.blit kw 0 s.kstate_buf 1 klen;
-  Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.kstate_base
-    ~src:s.kstate_buf ~spos:0 ~len:(1 + klen);
+  let sp = write_machine s ~machine ~kwords:kw in
   Ft_stablemem.Vista.commit v;
   Ft_vm.Memory.clear_dirty heap;
   if t.history > 0 then begin
@@ -314,26 +320,7 @@ let rollback t ~pid ~(machine : Ft_vm.Machine.t) ~back =
             ~src:s.page_buf ~spos:0 ~len:page_size
         end
       done;
-      let sp = machine.Ft_vm.Machine.sp in
-      if sp > 0 then
-        Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.stack_base
-          ~src:machine.Ft_vm.Machine.stack ~spos:0 ~len:sp;
-      let nregs = Ft_vm.Instr.num_regs in
-      Array.blit machine.Ft_vm.Machine.regs 0 s.meta_buf 0 nregs;
-      s.meta_buf.(nregs) <- Ft_vm.Machine.pc machine;
-      s.meta_buf.(nregs + 1) <- sp;
-      s.meta_buf.(nregs + 2) <- machine.Ft_vm.Machine.fp;
-      s.meta_buf.(nregs + 3) <- Ft_vm.Machine.icount machine;
-      s.meta_buf.(nregs + 4) <- machine.Ft_vm.Machine.signal_handler;
-      s.meta_buf.(nregs + 5) <-
-        (if machine.Ft_vm.Machine.in_signal then 1 else 0);
-      Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.meta_base
-        ~src:s.meta_buf ~spos:0 ~len:meta_words;
-      let klen = Array.length g.g_kwords in
-      s.kstate_buf.(0) <- klen;
-      Array.blit g.g_kwords 0 s.kstate_buf 1 klen;
-      Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.kstate_base
-        ~src:s.kstate_buf ~spos:0 ~len:(1 + klen);
+      let sp = write_machine s ~machine ~kwords:g.g_kwords in
       Ft_stablemem.Vista.commit v;
       Ft_vm.Memory.clear_dirty heap;
       (* Drop the sacrificed generations; the reinstated one stays

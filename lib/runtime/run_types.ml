@@ -91,6 +91,15 @@ type outcome =
           or a 2PC round exhausted its presumed-abort retries): the run
           degrades instead of wedging in [Block_recv] *)
 
+(** The outcome as reports and stored records name it. *)
+let outcome_name = function
+  | Completed -> "completed"
+  | Deadline -> "deadline"
+  | Recovery_failed -> "recovery-failed"
+  | Deadlocked -> "deadlocked"
+  | Instruction_budget -> "instruction-budget"
+  | Net_unreachable -> "net-unreachable"
+
 type result = {
   outcome : outcome;
   trace : Ft_core.Trace.t;

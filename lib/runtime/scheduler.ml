@@ -67,8 +67,6 @@ type proc = {
   mutable nd_count : int;
   mutable logged_count : int;
   mutable visible_count : int;
-  mutable first_visible_at : int;
-  mutable last_visible_at : int;
 }
 
 include Run_types
@@ -209,8 +207,6 @@ let make_tenant tid (cfg, kernel, programs) =
           nd_count = 0;
           logged_count = 0;
           visible_count = 0;
-          first_visible_at = -1;
-          last_visible_at = -1;
         })
       programs
   in
@@ -1123,9 +1119,6 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
                   p.out_seq <- p.out_seq + 1;
                   if release then begin
                     p.visible_count <- p.visible_count + 1;
-                    if p.first_visible_at < 0 then
-                      p.first_visible_at <- p.time;
-                    p.last_visible_at <- p.time;
                     tn.visible_rev <- (p.pid, v, p.time) :: tn.visible_rev;
                     p.emitted_rev <- v :: p.emitted_rev;
                     p.emitted_n <- p.emitted_n + 1

@@ -58,7 +58,9 @@ let test_figure8_xpilot_full_speed () =
 let test_table1_mini_campaign () =
   let row =
     Ft_harness.Table1.campaign ~target_crashes:4 ~max_attempts:120
-      ~app:Ft_harness.Table1.Postgres Ft_faults.Fault_type.Stack_bit_flip
+      ~mk_workload:(fun () ->
+        Ft_harness.Table1.workload Ft_harness.Table1.Postgres)
+      Ft_faults.Fault_type.Stack_bit_flip
   in
   Alcotest.(check bool) "collected crashes" true
     (row.Ft_harness.Table1.crashes > 0);
@@ -333,6 +335,62 @@ let test_table1_golden () =
     (read_golden "table1_nvi_crashes3.golden")
     actual
 
+let test_table2_golden () =
+  let actual =
+    Ft_harness.Table2.render ~app:Ft_harness.Table1.Nvi
+      (Ft_harness.Table2.run ~target_crashes:3 ~app:Ft_harness.Table1.Nvi ())
+  in
+  Alcotest.(check string)
+    "table 2 rendering is byte-identical (nvi, 3 crashes per fault)"
+    (read_golden "table2_nvi_crashes3.golden")
+    actual
+
+(* 3 crashes in at most 200 attempts: the frequent cadences stop at the
+   crash target, "never" runs out of attempts first. *)
+let test_ablation_crash_early_golden () =
+  let actual =
+    Ft_harness.Ablation.render_crash_early
+      (Ft_harness.Ablation.crash_early ~cadences:[ 1; 16; 1_000_000 ]
+         ~target_crashes:3 ~max_attempts:200 ())
+  in
+  Alcotest.(check string)
+    "crash-early rendering is byte-identical (3 crashes, 200 attempts)"
+    (read_golden "ablation_crash_early_small.golden")
+    actual
+
+let test_rescue_golden () =
+  let spec =
+    {
+      Ft_harness.Rescue.apps = [ Ft_harness.Table1.Nvi ];
+      protocols = [ Ft_core.Protocols.cpvs ];
+      ladder_names = [ "generic"; "full" ];
+      fault_types =
+        [ Ft_faults.Fault_type.Stack_bit_flip; Ft_faults.Fault_type.Heap_bit_flip ];
+      target_crashes = 2;
+      max_attempts = 30;
+      seed0 = 7000;
+    }
+  in
+  Alcotest.(check string)
+    "rescue rendering is byte-identical (nvi, CPVS, generic vs full)"
+    (read_golden "rescue_mini.golden")
+    (Ft_harness.Rescue.render (Ft_harness.Rescue.run ~quiet:true spec))
+
+(* The campaign trial loop: consecutive seeds from [seed0], stopping at
+   the crash target or at the attempt cap, whichever comes first. *)
+let test_table1_trials () =
+  let odd_crashes ~target_crashes ~max_attempts =
+    Ft_harness.Table1.trials ~target_crashes ~max_attempts ~seed0:10
+      ~crashed:(fun seed -> seed mod 2 = 1)
+      Fun.id
+  in
+  Alcotest.(check (list int)) "stops at the crash target" [ 10; 11; 12; 13 ]
+    (odd_crashes ~target_crashes:2 ~max_attempts:100);
+  Alcotest.(check (list int)) "stops at the attempt cap" [ 10; 11; 12 ]
+    (odd_crashes ~target_crashes:5 ~max_attempts:3);
+  Alcotest.(check (list int)) "zero target runs nothing" []
+    (odd_crashes ~target_crashes:0 ~max_attempts:3)
+
 (* --- quarantine in the fleet (ladder rung L3) ------------------------------ *)
 
 (* One tenant carries a deterministic Bohrbug (wild jump): generic
@@ -439,6 +497,11 @@ let tests =
     Alcotest.test_case "figure8 classic golden rendering" `Quick
       test_figure8_classic_golden;
     Alcotest.test_case "table1 golden rendering" `Quick test_table1_golden;
+    Alcotest.test_case "table2 golden rendering" `Quick test_table2_golden;
+    Alcotest.test_case "ablation crash-early golden rendering" `Quick
+      test_ablation_crash_early_golden;
+    Alcotest.test_case "rescue golden rendering" `Quick test_rescue_golden;
+    Alcotest.test_case "table1 trial loop" `Quick test_table1_trials;
     Alcotest.test_case "serve quarantines poisoned tenant" `Slow
       test_serve_quarantines_poisoned_tenant;
     Alcotest.test_case "rescue tiny campaign" `Slow test_rescue_tiny_campaign;

@@ -929,13 +929,7 @@ let shared_transport_fleet () =
   Array.iteri
     (fun i (r : Ft_runtime.Scheduler.result) ->
       Printf.bprintf b "tenant %d %s sim_time_ns=%d\n" i
-        (match r.outcome with
-        | Completed -> "completed"
-        | Deadline -> "deadline"
-        | Recovery_failed -> "recovery-failed"
-        | Deadlocked -> "deadlocked"
-        | Instruction_budget -> "instruction-budget"
-        | Net_unreachable -> "net-unreachable")
+        (Ft_runtime.Scheduler.outcome_name r.outcome)
         r.sim_time_ns;
       Printf.bprintf b "  visible %s\n"
         (String.concat " "
