@@ -202,6 +202,13 @@ let run_netstorm loss dup reorder partition apps scale seed opts =
    missing shard, so CI can gate on it. *)
 let run_serve procs requests protocols crash_rate recovery_crash_rate det_cap
     storm shard_size interval_ns poison smoke bench_out seed opts =
+  if (not smoke) && requests < procs then
+    `Error
+      (true,
+       Printf.sprintf
+         "--requests (%d) must be at least --procs (%d): every tenant \
+          serves at least one query" requests procs)
+  else
   let p =
     if smoke then
       {

@@ -7,23 +7,38 @@
     never clear it (the recovery engine only ever resets machines), and
     every write is accounted so commit costs can be charged.
 
+    The region is paged and lazy.  Every page slot starts out pointing at
+    one shared all-zero page, so a region costs one page-table word per
+    {!page_words} words until it is written; the first store into a page
+    (a write, a blit, a [copy_within] or a [poke]) gives that slot its own
+    page.  The shared page is never written, so untouched pages of every
+    region read 0 from it.
+
     Every mutation goes through a word-granular path guarded by an
     optional write hook, so fault injectors ({!Ft_faults.Mem_injector})
     can observe the exact persisted-write sequence, crash the simulation
     between any two word writes ({!Crash_point}), and tear a {!blit_in}
     partway through — the substrate the crash-point torture harness
     drives.  When NO hook is installed (every failure-free run), the bulk
-    operations take a fast path: one [Array.blit] plus one accounting
-    update, with the exact same persisted words and the exact same
-    {!words_written} count as the hooked word-by-word path. *)
+    operations take a fast path: one [Array.blit] per page plus one
+    accounting update, with the exact same persisted words and the exact
+    same {!words_written} count as the hooked word-by-word path. *)
 
 exception Crash_point of int
 (** Raised by a write hook to model a crash after the carried number of
     word writes have persisted; the write the hook intercepted is NOT
     performed. *)
 
+let page_bits = 6
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
+
+(* Shared by the untouched pages of every region; never written. *)
+let zero_page = Array.make page_words 0
+
 type t = {
-  words : int array;
+  pages : int array array;  (* [zero_page] until the page's first store *)
+  size : int;
   mutable words_written : int;  (* lifetime accounting for cost models *)
   mutable on_write : (int -> int -> unit) option;
       (* called with (offset, value) BEFORE each word is persisted; a
@@ -31,46 +46,74 @@ type t = {
          later ones *)
 }
 
-let create ~size = { words = Array.make size 0; words_written = 0;
-                     on_write = None }
+let create ~size =
+  if size < 0 then invalid_arg "Rio.create: negative size";
+  { pages = Array.make ((size + page_mask) lsr page_bits) zero_page; size;
+    words_written = 0; on_write = None }
 
-let size t = Array.length t.words
+let size t = t.size
 
 let set_on_write t hook = t.on_write <- hook
 
-let read t off =
-  if off < 0 || off >= Array.length t.words then
-    invalid_arg "Rio.read: out of range";
-  t.words.(off)
+(* Page [p], given storage of its own on its first store. *)
+let own_page t p =
+  let pg = Array.unsafe_get t.pages p in
+  if pg != zero_page then pg
+  else begin
+    let pg = Array.make page_words 0 in
+    Array.unsafe_set t.pages p pg;
+    pg
+  end
 
 (* Bounds-unchecked read for hot scans whose range was validated once up
    front (e.g. Vista's diff comparison). *)
-let unsafe_read t off = Array.unsafe_get t.words off
+let unsafe_read t off =
+  Array.unsafe_get (Array.unsafe_get t.pages (off lsr page_bits))
+    (off land page_mask)
+
+let read t off =
+  if off < 0 || off >= t.size then invalid_arg "Rio.read: out of range";
+  unsafe_read t off
+
+let store t off v =
+  Array.unsafe_set (own_page t (off lsr page_bits)) (off land page_mask) v
 
 (* The single persisted-write path: hook, then store, then account. *)
 let write_word t off v =
   (match t.on_write with Some f -> f off v | None -> ());
-  t.words.(off) <- v;
+  store t off v;
   t.words_written <- t.words_written + 1
 
 let write t off v =
-  if off < 0 || off >= Array.length t.words then
-    invalid_arg "Rio.write: out of range";
+  if off < 0 || off >= t.size then invalid_arg "Rio.write: out of range";
   write_word t off v
+
+(* Words from [pos] up to the next page boundary of region offset [a]
+   or of [b] (whichever is nearer), capped at [len]: the next piece of a
+   copy that stays within one page on both sides. *)
+let piece ~pos ~len a b =
+  min (len - pos) (page_words - max (a land page_mask) (b land page_mask))
 
 (* Bulk copy of [src.(spos .. spos+len-1)] into the region.  Hooked:
    word by word, so a crash point can land between any two words and
-   leave a torn blit.  Unhooked: one [Array.blit] — bit-identical result
-   and identical [words_written] accounting, without the per-word
+   leave a torn blit.  Unhooked: one [Array.blit] per page — the same
+   result and the same [words_written] accounting, without the per-word
    closure check. *)
 let blit_sub_in t ~off src ~spos ~len =
-  if off < 0 || len < 0 || off + len > Array.length t.words then
+  if off < 0 || len < 0 || off + len > t.size then
     invalid_arg "Rio.blit_in: out of range";
   if spos < 0 || spos + len > Array.length src then
     invalid_arg "Rio.blit_in: bad source range";
   match t.on_write with
   | None ->
-      Array.blit src spos t.words off len;
+      let pos = ref 0 in
+      while !pos < len do
+        let d = off + !pos in
+        let n = piece ~pos:!pos ~len d d in
+        Array.blit src (spos + !pos) (own_page t (d lsr page_bits))
+          (d land page_mask) n;
+        pos := !pos + n
+      done;
       t.words_written <- t.words_written + len
   | Some _ ->
       for i = 0 to len - 1 do
@@ -86,36 +129,45 @@ let blit_in t ~off src = blit_sub_in t ~off src ~spos:0 ~len:(Array.length src)
    by word, ascending); every caller satisfies this, since the log and
    data areas never overlap. *)
 let copy_within t ~src_off ~dst_off ~len =
-  let n = Array.length t.words in
   if len < 0 || src_off < 0 || dst_off < 0
-     || src_off + len > n || dst_off + len > n
+     || src_off + len > t.size || dst_off + len > t.size
   then invalid_arg "Rio.copy_within: out of range";
   match t.on_write with
   | None ->
-      Array.blit t.words src_off t.words dst_off len;
+      let pos = ref 0 in
+      while !pos < len do
+        let s = src_off + !pos and d = dst_off + !pos in
+        let n = piece ~pos:!pos ~len s d in
+        let dst = own_page t (d lsr page_bits) in
+        Array.blit t.pages.(s lsr page_bits) (s land page_mask) dst
+          (d land page_mask) n;
+        pos := !pos + n
+      done;
       t.words_written <- t.words_written + len
   | Some _ ->
       for i = 0 to len - 1 do
-        write_word t (dst_off + i) t.words.(src_off + i)
+        write_word t (dst_off + i) (unsafe_read t (src_off + i))
       done
 
 (* Bulk copy out of the region (restoring a checkpoint). *)
-let blit_out t ~off dst =
-  if off < 0 || off + Array.length dst > Array.length t.words then
-    invalid_arg "Rio.blit_out: out of range";
-  Array.blit t.words off dst 0 (Array.length dst)
-
 let sub t ~off ~len =
+  if off < 0 || len < 0 || off + len > t.size then
+    invalid_arg "Rio.sub: out of range";
   let dst = Array.make len 0 in
-  blit_out t ~off dst;
+  let pos = ref 0 in
+  while !pos < len do
+    let s = off + !pos in
+    let n = piece ~pos:!pos ~len s s in
+    Array.blit t.pages.(s lsr page_bits) (s land page_mask) dst !pos n;
+    pos := !pos + n
+  done;
   dst
 
 (* Out-of-band mutation for fault injectors (e.g. cold-region bit
    flips): bypasses the hook and the write accounting, because it models
    corruption, not a write the program performed. *)
 let poke t off v =
-  if off < 0 || off >= Array.length t.words then
-    invalid_arg "Rio.poke: out of range";
-  t.words.(off) <- v
+  if off < 0 || off >= t.size then invalid_arg "Rio.poke: out of range";
+  store t off v
 
 let words_written t = t.words_written

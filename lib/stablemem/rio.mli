@@ -1,7 +1,8 @@
 (** A Rio-style reliable memory region (paper §3): word-addressable
     memory that survives simulated process and OS crashes, with write
     accounting for the commit cost model and a word-granular write hook
-    for crash-point fault injection. *)
+    for crash-point fault injection.  Pages are allocated lazily: a page
+    costs memory only once something is stored into it. *)
 
 exception Crash_point of int
 (** Raised by a write hook to model a crash after the carried number of
@@ -30,8 +31,8 @@ val write : t -> int -> int -> unit
 val blit_in : t -> off:int -> int array -> unit
 (** Bulk copy into the region (e.g. one checkpoint page).  With a hook
     installed the copy is word by word through the hook path; with no
-    hook it is a single [Array.blit] with identical persisted words and
-    identical {!words_written} accounting. *)
+    hook it is one [Array.blit] per page with identical persisted words
+    and identical {!words_written} accounting. *)
 
 val blit_sub_in : t -> off:int -> int array -> spos:int -> len:int -> unit
 (** [blit_sub_in t ~off src ~spos ~len] copies
@@ -43,8 +44,8 @@ val copy_within : t -> src_off:int -> dst_off:int -> len:int -> unit
     back into the data area) through the same fast-path/hooked-path
     split as {!blit_sub_in}.  The ranges must be disjoint. *)
 
-val blit_out : t -> off:int -> int array -> unit
 val sub : t -> off:int -> len:int -> int array
+(** A fresh copy of [len] region words from [off]. *)
 
 val poke : t -> int -> int -> unit
 (** Out-of-band mutation for fault injectors (cold-region bit flips):

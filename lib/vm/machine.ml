@@ -332,7 +332,3 @@ let restore t (s : snapshot) =
   t.signal_handler <- s.s_signal_handler;
   t.in_signal <- s.s_in_signal;
   t.status <- Running
-
-(* Size in words a full-process checkpoint of this machine would occupy:
-   registers + live stack + heap. *)
-let state_words t = Instr.num_regs + t.sp + Memory.size t.heap

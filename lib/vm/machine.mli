@@ -101,5 +101,3 @@ type snapshot = {
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 
-val state_words : t -> int
-(** Words a full-process checkpoint would occupy. *)

@@ -1,5 +1,6 @@
 (** Paged heap memory with dirty-page tracking: the substrate for
-    Discount Checking's copy-on-write incremental checkpoints (paper §3). *)
+    Discount Checking's copy-on-write incremental checkpoints (paper §3).
+    Pages are allocated on first write; untouched pages read 0. *)
 
 type t
 
@@ -10,7 +11,6 @@ val create : ?page_size:int -> size:int -> unit -> t
 
 val size : t -> int
 val page_size : t -> int
-val npages : t -> int
 
 val read : t -> int -> int
 (** Raises {!Out_of_bounds}: the crash event of a wild load. *)
@@ -24,17 +24,11 @@ val dirty_pages : t -> int list
 val dirty_count : t -> int
 val clear_dirty : t -> unit
 
-val snapshot_page : t -> int -> int array
-val restore_page : t -> int -> int array -> unit
-
 val blit_page_into : t -> int -> int array -> unit
 (** [blit_page_into t p dst] copies page [p] into [dst] (which must hold
     at least [page_size] words) without allocating. *)
 
-val iter_page : t -> int -> (int -> int -> unit) -> unit
-(** [iter_page t p f] calls [f addr word] for every word of page [p],
-    in address order, without copying the page. *)
-
 val snapshot : t -> int array
 val restore : t -> int array -> unit
-(** Also clears dirty tracking. *)
+(** Also clears dirty tracking.  The image must hold exactly {!size}
+    words ([Invalid_argument] otherwise). *)

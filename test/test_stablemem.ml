@@ -243,6 +243,171 @@ let test_rio_fast_path_accounting () =
   Alcotest.(check bool) "identical contents" true
     (Rio.sub fast ~off:0 ~len:64 = Rio.sub hooked ~off:0 ~len:64)
 
+(* Differential check of the paged, lazily allocated region against a
+   flat [int array] model.  Sizes are never a multiple of the 64-word
+   page, ranges cross page boundaries and often end exactly at the
+   region's end, and some ranges run past it (both sides must refuse
+   them before writing a word).  With a hook armed to raise after [k]
+   words, both sides must keep the same torn prefix. *)
+type rio_op =
+  | R_write of int * int
+  | R_blit of int * int array * int * int  (* off, src, spos, len *)
+  | R_copy of int * int * int              (* src_off, dst_off, len *)
+  | R_poke of int * int
+  | R_read of int
+  | R_sub of int * int
+
+let show_rio_op = function
+  | R_write (o, v) -> Printf.sprintf "write %d %d" o v
+  | R_blit (o, src, sp, l) ->
+      Printf.sprintf "blit off=%d src=%d spos=%d len=%d" o (Array.length src)
+        sp l
+  | R_copy (s, d, l) -> Printf.sprintf "copy %d->%d len=%d" s d l
+  | R_poke (o, v) -> Printf.sprintf "poke %d %d" o v
+  | R_read o -> Printf.sprintf "read %d" o
+  | R_sub (o, l) -> Printf.sprintf "sub %d %d" o l
+
+let gen_rio_case =
+  let open QCheck.Gen in
+  let* size = map2 (fun k r -> (64 * k) + r) (0 -- 4) (1 -- 63) in
+  let* hook = opt (0 -- 400) in
+  let len = frequency [ (3, 0 -- 10); (2, 0 -- 150) ] in
+  (* an offset for a range of [l] words: anywhere (possibly past the
+     end), ending at the region's end, or at a page boundary *)
+  let off l =
+    frequency
+      [ (4, 0 -- (size + 2)); (2, return (size - l));
+        (1, map (fun p -> 64 * p) (0 -- (size / 64))) ]
+  in
+  let op =
+    frequency
+      [ (3, map2 (fun o v -> R_write (o, v)) (off 1) (1 -- 999));
+        (3,
+         let* l = len in
+         let* o = off l in
+         let* extra = 0 -- 3 in
+         let* spos = 0 -- extra in
+         let+ src = array_size (return (l + extra)) (1 -- 999) in
+         R_blit (o, src, spos, l));
+        (3,
+         let* l = len in
+         let* src = off l in
+         let+ dst = off l in
+         (* disjoint ranges, as the interface requires *)
+         let l = if abs (src - dst) < l then abs (src - dst) else l in
+         R_copy (src, dst, l));
+        (1, map2 (fun o v -> R_poke (o, v)) (off 1) (1 -- 999));
+        (2, map (fun o -> R_read o) (off 1));
+        (2, let* l = len in map (fun o -> R_sub (o, l)) (off l)) ]
+  in
+  let+ ops = list_size (0 -- 25) op in
+  (size, hook, ops)
+
+let arb_rio_case =
+  QCheck.make gen_rio_case ~print:(fun (size, hook, ops) ->
+      Printf.sprintf "size=%d hook=%s\n%s" size
+        (match hook with None -> "none" | Some k -> string_of_int k)
+        (String.concat "\n" (List.map show_rio_op ops)))
+
+exception Model_crash
+
+(* The model: every persisted word goes through [persist], which
+   crashes after [budget] words exactly as the armed hook does. *)
+let run_rio_model ~size ~hook ops =
+  let m = Array.make size 0 and written = ref 0 and seen = ref 0 in
+  let persist off v =
+    (match hook with
+     | Some k when !seen >= k -> raise Model_crash
+     | _ -> incr seen);
+    m.(off) <- v;
+    incr written
+  in
+  let in_range off len = off >= 0 && len >= 0 && off + len <= size in
+  let results = ref [] in
+  let step = function
+    | R_write (o, v) -> if in_range o 1 then persist o v else raise Exit
+    | R_blit (o, src, sp, l) ->
+        if not (in_range o l && sp + l <= Array.length src) then raise Exit;
+        for i = 0 to l - 1 do persist (o + i) src.(sp + i) done
+    | R_copy (s, d, l) ->
+        if not (in_range s l && in_range d l) then raise Exit;
+        for i = 0 to l - 1 do persist (d + i) m.(s + i) done
+    | R_poke (o, v) -> if in_range o 1 then m.(o) <- v else raise Exit
+    | R_read o ->
+        if not (in_range o 1) then raise Exit;
+        results := [ m.(o) ] :: !results
+    | R_sub (o, l) ->
+        if not (in_range o l) then raise Exit;
+        results := Array.to_list (Array.sub m o l) :: !results
+  in
+  let crashed =
+    List.exists
+      (fun op ->
+        match step op with
+        | () -> false
+        | exception Exit -> results := [ -1 ] :: !results; false
+        | exception Model_crash -> true)
+      ops
+  in
+  (Array.to_list m, !written, List.rev !results, crashed)
+
+let run_rio ~size ~hook ops =
+  let r = Rio.create ~size in
+  let seen = ref 0 in
+  Option.iter
+    (fun k ->
+      Rio.set_on_write r
+        (Some
+           (fun _ _ ->
+             if !seen >= k then raise (Rio.Crash_point !seen);
+             incr seen)))
+    hook;
+  let results = ref [] in
+  let step = function
+    | R_write (o, v) -> Rio.write r o v
+    | R_blit (o, src, sp, l) -> Rio.blit_sub_in r ~off:o src ~spos:sp ~len:l
+    | R_copy (s, d, l) -> Rio.copy_within r ~src_off:s ~dst_off:d ~len:l
+    | R_poke (o, v) -> Rio.poke r o v
+    | R_read o -> results := [ Rio.read r o ] :: !results
+    | R_sub (o, l) -> results := Array.to_list (Rio.sub r ~off:o ~len:l) :: !results
+  in
+  let crashed =
+    List.exists
+      (fun op ->
+        match step op with
+        | () -> false
+        | exception Invalid_argument _ -> results := [ -1 ] :: !results; false
+        | exception Rio.Crash_point _ -> true)
+      ops
+  in
+  Rio.set_on_write r None;
+  (Array.to_list (Rio.sub r ~off:0 ~len:size), Rio.words_written r,
+   List.rev !results, crashed)
+
+let prop_rio_matches_flat_model =
+  QCheck.Test.make ~name:"paged rio matches a flat array model" ~count:500
+    arb_rio_case (fun (size, hook, ops) ->
+      run_rio ~size ~hook ops = run_rio_model ~size ~hook ops)
+
+(* Untouched pages of every region read from one shared zero page: no
+   store into one region, by any path, may show through in another. *)
+let test_rio_zero_page_not_aliased () =
+  let size = 300 in
+  let r = Rio.create ~size in
+  Rio.write r 5 1;
+  Rio.blit_in r ~off:60 (Array.make 10 2);
+  Rio.copy_within r ~src_off:60 ~dst_off:200 ~len:10;
+  Rio.poke r 299 3;
+  Rio.set_on_write r (Some (fun _ _ -> ()));
+  Rio.blit_in r ~off:130 (Array.make 5 4);
+  Rio.copy_within r ~src_off:130 ~dst_off:250 ~len:5;
+  let fresh = Rio.create ~size in
+  Alcotest.(check bool) "fresh region reads 0 everywhere" true
+    (Array.for_all (( = ) 0) (Rio.sub fresh ~off:0 ~len:size));
+  for off = 0 to size - 1 do
+    if Rio.read fresh off <> 0 then Alcotest.failf "word %d is not 0" off
+  done
+
 (* qcheck: a diff-mode write is observationally equivalent to the
    whole-range write — same data image whether the transaction commits
    or aborts, for any overlap pattern between incoming and current
@@ -360,6 +525,9 @@ let tests =
     QCheck_alcotest.to_alcotest prop_vista_atomicity;
     QCheck_alcotest.to_alcotest prop_crash_point_atomicity;
     QCheck_alcotest.to_alcotest prop_diff_mode_equivalence;
+    Alcotest.test_case "rio zero page not aliased" `Quick
+      test_rio_zero_page_not_aliased;
+    QCheck_alcotest.to_alcotest prop_rio_matches_flat_model;
   ]
 
 let () = Alcotest.run "ft_stablemem" [ ("stablemem", tests) ]
