@@ -39,13 +39,6 @@ let sweep opts ~name jobs =
     (Ft_exp.Exp.run_sweep ?workers:opts.workers ~fresh:opts.fresh
        ~out_dir:opts.out_dir ~name jobs)
 
-(* [--bench-out FILE]: merge a campaign's bench keys into FILE.  A file
-   that is not a JSON object is refused (exit 2) and left untouched. *)
-let merge_bench_out bench_out kvs =
-  Option.fold ~none:(Ok ())
-    ~some:(fun path -> Ft_harness.Report.merge_bench ~path kvs)
-    bench_out
-
 let run_figure8 apps scale seed opts =
   let jobs = List.concat_map (Ft_harness.Figure8.jobs ~scale ~seed) apps in
   let lookup = sweep opts ~name:"figure8" jobs in
@@ -201,7 +194,7 @@ let run_netstorm loss dup reorder partition apps scale seed opts =
    reporting.  Exits non-zero on any oracle violation, zero goodput, or
    missing shard, so CI can gate on it. *)
 let run_serve procs requests protocols crash_rate recovery_crash_rate det_cap
-    storm shard_size interval_ns poison smoke bench_out seed opts =
+    storm shard_size interval_ns poison smoke seed opts =
   if (not smoke) && requests < procs then
     `Error
       (true,
@@ -243,17 +236,15 @@ let run_serve procs requests protocols crash_rate recovery_crash_rate det_cap
       (fun s -> s.Ft_harness.Serve.s_goodput > 0.)
       report.Ft_harness.Serve.summaries
   in
-  match merge_bench_out bench_out (Ft_harness.Serve.bench_kv report) with
-  | Error msg -> `Error (false, msg)
-  | Ok () when Ft_harness.Serve.clean report && goodput_ok -> `Ok 0
-  | Ok () -> fail_run "serve found violations or zero goodput"
+  if Ft_harness.Serve.clean report && goodput_ok then `Ok 0
+  else fail_run "serve found violations or zero goodput"
 
 (* Rescue: inject recurring application faults — the kind generic replay
    re-executes — and measure how much of the crashed-run mass each
    escalation rung (deep rollback, perturbed replay) reclaims.  Exits
    non-zero on any Consistency violation at any rung or a missing cell,
    so CI can gate on it. *)
-let run_rescue apps protocols ladder_names crashes smoke bench_out seed opts =
+let run_rescue apps protocols ladder_names crashes smoke seed opts =
   let spec =
     if smoke then
       { Ft_harness.Rescue.smoke_spec with Ft_harness.Rescue.seed0 = seed }
@@ -274,10 +265,8 @@ let run_rescue apps protocols ladder_names crashes smoke bench_out seed opts =
       ~fresh:opts.fresh spec
   in
   print_string (Ft_harness.Rescue.render report);
-  match merge_bench_out bench_out (Ft_harness.Rescue.bench_kv report) with
-  | Error msg -> `Error (false, msg)
-  | Ok () when Ft_harness.Rescue.clean report -> `Ok 0
-  | Ok () -> fail_run "rescue found consistency violations or missing cells"
+  if Ft_harness.Rescue.clean report then `Ok 0
+  else fail_run "rescue found consistency violations or missing cells"
 
 let run_ablation opts =
   let lookup = sweep opts ~name:"ablation" (Ft_harness.Ablation.jobs ()) in
@@ -736,12 +725,6 @@ let serve_cmd =
              ~doc:"Small fixed fleet for CI: asserts non-zero goodput and \
                    clean oracles.")
   in
-  let bench_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "bench-out" ] ~docv:"FILE"
-             ~doc:"Merge the per-protocol serve metrics into this flat \
-                   BENCH_RESULTS.json.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve the postgres workload across a fleet of tenants under \
@@ -750,8 +733,8 @@ let serve_cmd =
     Term.(ret
             (const run_serve $ procs_arg $ requests_arg $ proto_arg
             $ crash_arg $ recovery_crash_arg $ det_cap_arg $ storm_arg
-            $ shard_arg $ interval_arg $ poison_arg $ smoke_arg
-            $ bench_out_arg $ seed_arg $ sweep_opts_term))
+            $ shard_arg $ interval_arg $ poison_arg $ smoke_arg $ seed_arg
+            $ sweep_opts_term))
 
 let rescue_cmd =
   let proto_arg =
@@ -780,12 +763,6 @@ let rescue_cmd =
              ~doc:"Small fixed campaign for CI: nvi, generic vs full, \
                    asserts zero Consistency violations at every rung.")
   in
-  let bench_out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "bench-out" ] ~docv:"FILE"
-             ~doc:"Merge the rescue metrics into this flat \
-                   BENCH_RESULTS.json.")
-  in
   let rescue_seed_arg =
     Arg.(value & opt int 7_000
          & info [ "seed" ] ~doc:"Base seed for the per-cell trial streams.")
@@ -796,8 +773,7 @@ let rescue_cmd =
              escalation rung (deep rollback, perturbed replay) rescues.")
     Term.(ret
             (const run_rescue $ t_apps_arg $ proto_arg $ ladder_arg
-            $ crashes_arg $ smoke_arg $ bench_out_arg $ rescue_seed_arg
-            $ sweep_opts_term))
+            $ crashes_arg $ smoke_arg $ rescue_seed_arg $ sweep_opts_term))
 
 let ablation_cmd =
   Cmd.v (Cmd.info "ablation" ~doc:"Run the DESIGN.md ablations (2.6).")

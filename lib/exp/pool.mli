@@ -19,9 +19,6 @@ type progress = {
   utilization : float;  (** busy worker-time / (workers * elapsed) *)
 }
 
-val default_workers : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val run :
   ?workers:int ->
   ?timeout_s:float ->
@@ -30,7 +27,7 @@ val run :
   Job.t list ->
   (Job.t * outcome * float) list
 (** Runs the jobs on [workers] domains (default
-    {!default_workers}; [1] runs in the calling domain with no spawn).
+    one per core; [1] runs in the calling domain with no spawn).
     Each returned triple carries the job, its outcome and its wall-clock
     duration in seconds, in input order.  A job raising is retried up to
     [retries] more times (default 1) before it becomes [Failed]; a job

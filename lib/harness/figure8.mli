@@ -29,15 +29,6 @@ type cell = {
 
 type app_result = { app : app; baseline_ns : int; cells : cell list }
 
-val run_once :
-  w:Ft_apps.Workload.t ->
-  protocol:Ft_core.Protocol.spec ->
-  medium:Ft_runtime.Checkpointer.medium ->
-  seed:int ->
-  Ft_runtime.Engine.result
-
-val overhead : baseline:int -> int -> float
-
 val jobs : ?classic:bool -> ?scale:float -> ?seed:int -> app -> Ft_exp.Job.t list
 (** One job per engine run: the NO-COMMIT baseline plus (protocol x
     medium) for the app's protocol space. *)

@@ -47,33 +47,3 @@ let fps x = Printf.sprintf "%.1f fps" x
 let section title =
   let bar = String.make (String.length title) '=' in
   Printf.sprintf "\n%s\n%s\n" title bar
-
-(* BENCH_RESULTS.json is one flat object whose keys several writers own
-   (the bench harness, [ft serve], [ft rescue]): each merges its own in
-   and keeps the rest, since the CI schema gate requires the key set
-   only ever to grow.  A file that is not a JSON object is refused and
-   left untouched rather than replaced. *)
-let merge_bench ~path kvs =
-  let module J = Ft_exp.Jstore in
-  let read () =
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    J.of_string (String.trim s)
-  in
-  try
-    match
-      if Sys.file_exists path then read ()
-      else Ok (J.Obj [ ("schema", J.String "ft-bench/1") ])
-    with
-    | Ok (J.Obj existing) ->
-        let kept =
-          List.filter (fun (k, _) -> not (List.mem_assoc k kvs)) existing
-        in
-        let oc = open_out path in
-        output_string oc (J.to_string (J.Obj (kept @ kvs)));
-        output_char oc '\n';
-        close_out oc;
-        Ok ()
-    | _ -> Error (path ^ " is not a JSON object; refusing to overwrite it")
-  with Sys_error e -> Error e

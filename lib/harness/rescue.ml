@@ -536,21 +536,3 @@ let render r =
       r.missing
   end;
   Buffer.contents b
-
-(* --- BENCH_RESULTS.json ----------------------------------------------------- *)
-
-let bench_kv r =
-  let s name =
-    match List.find_opt (fun s -> s.l_name = name) (summaries r) with
-    | Some s -> s
-    | None -> summarize_ladder [] name
-  in
-  let generic = s "generic" and full = s "full" in
-  [
-    ("rescue_rescued_frac", Jstore.Float (ladder_rescued_frac full));
-    ("rescue_generic_frac", Jstore.Float (ladder_rescued_frac generic));
-    ( "rescue_l2_rescues",
-      Jstore.Int full.l_rescued_by_rung.(2) );
-    ("rescue_violations", Jstore.Int (full.l_violations + generic.l_violations));
-    ("rescue_work_per_minstr", Jstore.Float full.l_work_per_minstr);
-  ]

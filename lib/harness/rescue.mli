@@ -92,20 +92,4 @@ val run :
 val clean : report -> bool
 (** No missing cells and zero Consistency violations at every rung. *)
 
-type ladder_summary = {
-  l_name : string;
-  l_crashes : int;
-  l_rescued_by_rung : int array;
-  l_unrescued : int;
-  l_violations : int;
-  l_work_per_minstr : float;
-  l_ref_work_per_minstr : float;
-}
-
-val summaries : report -> ladder_summary list
-val ladder_rescued_frac : ladder_summary -> float
 val render : report -> string
-
-val bench_kv : report -> (string * Ft_exp.Jstore.value) list
-(** [rescue_rescued_frac], [rescue_generic_frac], [rescue_l2_rescues],
-    [rescue_violations], [rescue_work_per_minstr]. *)

@@ -173,7 +173,7 @@ let tenant_config ?quarantine ?(recovery_kills = []) ?(det_cap = 0) ~protocol
 (* Build one shard's scheduler: tenants [lo, hi) of the fleet, each with
    its own kernel, plus (under a storm) one shared transport carved into
    per-kernel pid ranges. *)
-let shard_scheduler p ~protocol ~crash_rate ~lo ~hi () =
+let shard_scheduler p ~protocol ~lo ~hi =
   let n = hi - lo in
   let horizon_ns = (queries_per_tenant p * p.interval_ns * 2) + 2_000_000_000 in
   let ws = Array.init n (fun i -> tenant_workload p ~seed:p.seed (lo + i)) in
@@ -212,7 +212,7 @@ let shard_scheduler p ~protocol ~crash_rate ~lo ~hi () =
         if tid < p.poison then
           poison_program ws.(i).Ft_apps.Workload.programs.(0);
         let kills =
-          tenant_kills ~crash_rate ~horizon_ns ~seed:p.seed tid
+          tenant_kills ~crash_rate:p.crash_rate ~horizon_ns ~seed:p.seed tid
         in
         let recovery_kills =
           Ft_faults.Recovery_plan.tenant ~rate:p.recovery_crash_rate
@@ -227,15 +227,6 @@ let shard_scheduler p ~protocol ~crash_rate ~lo ~hi () =
           ws.(i).Ft_apps.Workload.programs ))
   in
   Scheduler.create ~tenants ()
-
-(* A tiny in-process fleet for the bench micros. *)
-let fleet ?(protocol = Ft_core.Protocols.cpvs) ?(crash_rate = 0.) ~tenants
-    ~queries_per_tenant:q ~seed () =
-  let p =
-    { default_params with
-      procs = tenants; requests = tenants * q; seed; shard_size = tenants }
-  in
-  shard_scheduler p ~protocol ~crash_rate ~lo:0 ~hi:tenants ()
 
 (* --- per-tenant measurement ---------------------------------------------- *)
 
@@ -300,9 +291,7 @@ let job p ~protocol shard =
     ~seed:p.seed
     (fun () ->
       let lo, hi = shard_bounds p shard in
-      let sched =
-        shard_scheduler p ~protocol ~crash_rate:p.crash_rate ~lo ~hi ()
-      in
+      let sched = shard_scheduler p ~protocol ~lo ~hi in
       let results = Scheduler.run sched in
       (* Fault-free reference per tenant: the Consistency oracle's
          ground truth and the cost baseline. *)
@@ -676,36 +665,3 @@ let render r =
     end
   end;
   Buffer.contents b
-
-(* --- BENCH_RESULTS.json ----------------------------------------------------- *)
-
-let bench_kv r =
-  let per_proto =
-    List.concat_map
-      (fun s ->
-        let k suffix = Printf.sprintf "serve_%s_%s" s.s_protocol suffix in
-        [
-          (k "p50_ns", Jstore.Int s.s_p50_ns);
-          (k "p99_ns", Jstore.Int s.s_p99_ns);
-          (k "p999_ns", Jstore.Int s.s_p999_ns);
-          (k "goodput", Jstore.Float s.s_goodput);
-          (k "mttr_ns", Jstore.Int s.s_mttr_mean_ns);
-          (k "work_per_minstr", Jstore.Float s.s_work_per_minstr);
-          (k "quarantined_tenants", Jstore.Int s.s_quarantined);
-          (k "crash_loop_events", Jstore.Int s.s_crash_loop_events);
-          (k "nested_crashes", Jstore.Int s.s_nested_crashes);
-          (k "det_high_water", Jstore.Int s.s_det_high_water);
-          (k "det_forced_flushes", Jstore.Int s.s_det_forced_flushes);
-        ])
-      r.summaries
-  in
-  (* Fleet-level nested-recovery MTTR: repair time pooled over every
-     tenant (any protocol) whose recovery path itself crashed. *)
-  let n = List.fold_left (fun a s -> a + s.s_mttr_nested_count) 0 r.summaries in
-  let tot =
-    List.fold_left
-      (fun a s -> a + (s.s_mttr_nested_count * s.s_mttr_nested_mean_ns))
-      0 r.summaries
-  in
-  ("serve_mttr_nested_ns", Jstore.Int (if n = 0 then 0 else tot / n))
-  :: per_proto

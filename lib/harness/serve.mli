@@ -43,18 +43,6 @@ val smoke_params : params
 
 val queries_per_tenant : params -> int
 
-val fleet :
-  ?protocol:Ft_core.Protocol.spec ->
-  ?crash_rate:float ->
-  tenants:int ->
-  queries_per_tenant:int ->
-  seed:int ->
-  unit ->
-  Ft_runtime.Scheduler.t
-(** A ready-to-run in-process multi-tenant scheduler over the serve
-    workload — the bench micros time {!Ft_runtime.Scheduler.run} on
-    it. *)
-
 val jobs :
   ?protocols:Ft_core.Protocol.spec list -> params -> Ft_exp.Job.t list
 (** One job per (protocol, shard); each steps its tenants in one
@@ -123,10 +111,3 @@ val run :
     sweep ([serve.jsonl]); without, evaluates in memory. *)
 
 val render : report -> string
-
-val bench_kv : report -> (string * Ft_exp.Jstore.value) list
-(** [serve_<protocol>_{p50_ns,p99_ns,p999_ns,goodput,mttr_ns,
-    work_per_minstr,quarantined_tenants,crash_loop_events,
-    nested_crashes,det_high_water,det_forced_flushes}] pairs, plus the
-    fleet-level [serve_mttr_nested_ns] (mean repair time pooled over
-    tenants whose recovery path itself crashed). *)

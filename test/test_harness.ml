@@ -230,52 +230,6 @@ let test_serve_parallel_equals_serial () =
   Alcotest.(check string)
     "serve -j1 == -j4" (serve_rendered 1) (serve_rendered 4)
 
-(* BENCH_RESULTS.json merging: a missing file starts with the schema
-   key, an existing object keeps keys it does not share and takes the
-   new values of those it does, and a file that is not an object is
-   refused and left byte-identical. *)
-let test_merge_bench () =
-  let module J = Ft_exp.Jstore in
-  let path = Filename.temp_file "ft_bench" ".json" in
-  let read () =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let read_obj () =
-    match J.of_string (String.trim (read ())) with
-    | Ok (J.Obj kvs) -> kvs
-    | _ -> Alcotest.fail "bench file is not an object"
-  in
-  let merge kvs = Ft_harness.Report.merge_bench ~path kvs in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      Sys.remove path;
-      Alcotest.(check bool) "missing file merges" true
-        (merge [ ("a", J.Int 1) ] = Ok ());
-      Alcotest.(check bool) "missing file: schema + new keys" true
-        (read_obj () = [ ("schema", J.String "ft-bench/1"); ("a", J.Int 1) ]);
-      Alcotest.(check bool) "object merges" true
-        (merge [ ("a", J.Int 2); ("b", J.Int 3) ] = Ok ());
-      let kvs = read_obj () in
-      Alcotest.(check bool) "other key kept" true
-        (List.assoc_opt "schema" kvs = Some (J.String "ft-bench/1"));
-      Alcotest.(check bool) "shared key overwritten" true
-        (List.assoc_opt "a" kvs = Some (J.Int 2));
-      Alcotest.(check bool) "new key added" true
-        (List.assoc_opt "b" kvs = Some (J.Int 3));
-      List.iter
-        (fun bad ->
-          let oc = open_out_bin path in
-          output_string oc bad;
-          close_out oc;
-          Alcotest.(check bool) (bad ^ " refused") true
-            (Result.is_error (merge [ ("a", J.Int 4) ]));
-          Alcotest.(check string) (bad ^ " untouched") bad (read ()))
-        [ "[1]\n"; "not json"; "" ])
-
 (* Byte-identical pinning of the paper outputs: any change to simulated
    (charged) costs, protocol decisions, workload generation or RNG
    derivation shows up here as a diff against the committed golden
@@ -326,24 +280,28 @@ let test_figure8_classic_golden () =
     actual
 
 let test_table1_golden () =
-  let actual =
-    Ft_harness.Table1.render ~app:Ft_harness.Table1.Nvi
-      (Ft_harness.Table1.run ~target_crashes:3 ~app:Ft_harness.Table1.Nvi ())
-  in
-  Alcotest.(check string)
-    "table 1 rendering is byte-identical (nvi, 3 crashes per fault)"
-    (read_golden "table1_nvi_crashes3.golden")
-    actual
+  List.iter
+    (fun app ->
+      let name = Ft_harness.Table1.app_name app in
+      Alcotest.(check string)
+        (Printf.sprintf
+           "table 1 rendering is byte-identical (%s, 3 crashes per fault)" name)
+        (read_golden (Printf.sprintf "table1_%s_crashes3.golden" name))
+        (Ft_harness.Table1.render ~app
+           (Ft_harness.Table1.run ~target_crashes:3 ~app ())))
+    [ Ft_harness.Table1.Nvi; Ft_harness.Table1.Postgres ]
 
 let test_table2_golden () =
-  let actual =
-    Ft_harness.Table2.render ~app:Ft_harness.Table1.Nvi
-      (Ft_harness.Table2.run ~target_crashes:3 ~app:Ft_harness.Table1.Nvi ())
-  in
-  Alcotest.(check string)
-    "table 2 rendering is byte-identical (nvi, 3 crashes per fault)"
-    (read_golden "table2_nvi_crashes3.golden")
-    actual
+  List.iter
+    (fun app ->
+      let name = Ft_harness.Table1.app_name app in
+      Alcotest.(check string)
+        (Printf.sprintf
+           "table 2 rendering is byte-identical (%s, 3 crashes per fault)" name)
+        (read_golden (Printf.sprintf "table2_%s_crashes3.golden" name))
+        (Ft_harness.Table2.render ~app
+           (Ft_harness.Table2.run ~target_crashes:3 ~app ())))
+    [ Ft_harness.Table1.Nvi; Ft_harness.Table1.Postgres ]
 
 (* 3 crashes in at most 200 attempts: the frequent cadences stop at the
    crash target, "never" runs out of attempts first. *)
@@ -375,6 +333,50 @@ let test_rescue_golden () =
     "rescue rendering is byte-identical (nvi, CPVS, generic vs full)"
     (read_golden "rescue_mini.golden")
     (Ft_harness.Rescue.render (Ft_harness.Rescue.run ~quiet:true spec))
+
+(* The serve campaign's simulated units, at full precision: the smoke
+   fleet at seed 11 plain, with one poisoned tenant, and with nested
+   failures over CPVS and the logging pair, plus the `ft serve --smoke`
+   fleet (seed 42).  Each section is the rendered report followed by one
+   line per protocol summary. *)
+let serve_golden_configs =
+  let p = { Ft_harness.Serve.smoke_params with seed = 11 } in
+  [
+    ("plain", None, p);
+    ("poison 1", None, { p with poison = 1 });
+    ( "recovery-crash-rate 2.0",
+      Some (Ft_core.Protocols.cpvs :: Ft_core.Protocols.message_logging),
+      { p with recovery_crash_rate = 2.0 } );
+    ("smoke seed 42", None, Ft_harness.Serve.smoke_params);
+  ]
+
+let serve_summary_line (s : Ft_harness.Serve.proto_summary) =
+  Printf.sprintf
+    "%s: p50_ns %d p99_ns %d p999_ns %d goodput %.17g mttr_ns %d \
+     nested_crashes %d mttr_nested %d x %d ns det_high_water %d \
+     det_forced_flushes %d quarantined %d crash_loop_events %d \
+     work_per_minstr %.17g\n"
+    s.s_protocol s.s_p50_ns s.s_p99_ns s.s_p999_ns s.s_goodput
+    s.s_mttr_mean_ns s.s_nested_crashes s.s_mttr_nested_count
+    s.s_mttr_nested_mean_ns s.s_det_high_water s.s_det_forced_flushes
+    s.s_quarantined s.s_crash_loop_events s.s_work_per_minstr
+
+let test_serve_golden () =
+  let actual =
+    String.concat ""
+      (List.map
+         (fun (name, protocols, p) ->
+           let r = Ft_harness.Serve.run ~quiet:true ?protocols p in
+           Printf.sprintf "## %s\n" name
+           ^ Ft_harness.Serve.render r
+           ^ String.concat ""
+               (List.map serve_summary_line r.Ft_harness.Serve.summaries))
+         serve_golden_configs)
+  in
+  Alcotest.(check string)
+    "serve reports and summaries are byte-identical (smoke fleet)"
+    (read_golden "serve_smoke.golden")
+    actual
 
 (* The campaign trial loop: consecutive seeds from [seed0], stopping at
    the crash target or at the attempt cap, whichever comes first. *)
@@ -501,11 +503,11 @@ let tests =
     Alcotest.test_case "ablation crash-early golden rendering" `Quick
       test_ablation_crash_early_golden;
     Alcotest.test_case "rescue golden rendering" `Quick test_rescue_golden;
+    Alcotest.test_case "serve golden summaries" `Quick test_serve_golden;
     Alcotest.test_case "table1 trial loop" `Quick test_table1_trials;
     Alcotest.test_case "serve quarantines poisoned tenant" `Slow
       test_serve_quarantines_poisoned_tenant;
     Alcotest.test_case "rescue tiny campaign" `Slow test_rescue_tiny_campaign;
-    Alcotest.test_case "merge bench results" `Quick test_merge_bench;
   ]
 
 let () = Alcotest.run "ft_harness" [ ("harness", tests) ]

@@ -27,6 +27,57 @@ let test_honest_clean () =
         (s.Ft_mc.Checker.nodes > 10 && s.Ft_mc.Checker.runs > 30))
     Protocols.figure8_extended
 
+(* The exploration itself is deterministic: nodes, runs and steps per
+   protocol at the 2x5 and 2x6 bounds are pinned, so a change to the
+   model, the menu or the memo shows up as a count diff. *)
+let honest_counts =
+  [
+    ( 5,
+      [
+        ("CAND", (33, 217, 2358));
+        ("CAND-LOG", (33, 191, 2395));
+        ("CPVS", (33, 201, 2316));
+        ("CBNDVS", (33, 191, 2428));
+        ("CBNDVS-LOG", (33, 191, 2428));
+        ("CPV-2PC", (61, 396, 4492));
+        ("CBNDV-2PC", (54, 345, 3985));
+        ("CAUSAL-LOG", (33, 191, 2150));
+        ("OPTIMISTIC", (33, 191, 2150));
+      ] );
+    ( 6,
+      [
+        ("CAND", (58, 368, 4740));
+        ("CAND-LOG", (58, 334, 5330));
+        ("CPVS", (58, 374, 5033));
+        ("CBNDVS", (58, 362, 5188));
+        ("CBNDVS-LOG", (58, 334, 5363));
+        ("CPV-2PC", (147, 1128, 14650));
+        ("CBNDV-2PC", (126, 934, 12267));
+        ("CAUSAL-LOG", (60, 374, 4988));
+        ("OPTIMISTIC", (60, 392, 5149));
+      ] );
+  ]
+
+let test_honest_counts () =
+  List.iter
+    (fun (depth, expected) ->
+      let program = program ~depth in
+      Alcotest.(check (list (pair string (triple int int int))))
+        (Printf.sprintf "nodes, runs, steps at 2x%d" depth)
+        expected
+        (List.map
+           (fun spec ->
+             let s =
+               Ft_mc.Checker.check ~spec ~defect:Ft_mc.Model.Honest ~program
+                 ()
+             in
+             ( spec.Protocol.spec_name,
+               ( s.Ft_mc.Checker.nodes,
+                 s.Ft_mc.Checker.runs,
+                 s.Ft_mc.Checker.steps ) ))
+           Protocols.figure8_extended))
+    honest_counts
+
 let test_honest_default_bound () =
   (* the issue's default bound: 2 procs x 6 events, all crash points *)
   let program = program ~depth:6 in
@@ -613,6 +664,8 @@ let () =
         [
           Alcotest.test_case "honest protocols exhaust 2x5 clean" `Quick
             test_honest_clean;
+          Alcotest.test_case "honest state counts (golden)" `Quick
+            test_honest_counts;
           Alcotest.test_case "default bound 2x6" `Quick
             test_honest_default_bound;
           Alcotest.test_case "message logging clean at default bound" `Quick

@@ -133,6 +133,60 @@ let test_asymmetric_ack_loss () =
   Alcotest.(check bool) "sender gave up without an ack" true
     (s.Transport.gave_up > 0)
 
+(* A paced stream of [n] messages down one link (one send per 5us, 20us
+   latency, 5us jitter), drained to completion: what retransmission
+   costs before any engine machinery is involved.  Returns the delivered
+   count, the last delivery time and the transport's stats. *)
+let net_burst ~loss ~n =
+  let delivered = ref 0 and last_ns = ref 1 in
+  let policy _ _ = Policy.make ~drop:loss () in
+  let t =
+    Transport.create ~policy ~seed:7 ~nprocs:2 ~latency_ns:20_000
+      ~jitter_ns:5_000
+      ~deliver:(fun ~at ~src:_ ~dst:_ () ->
+        incr delivered;
+        if at > !last_ns then last_ns := at)
+      ()
+  in
+  let gap = 5_000 in
+  for i = 0 to n - 1 do
+    Transport.send t ~now:(i * gap) ~src:0 ~dst:1 ();
+    Transport.pump t ~now:(i * gap)
+  done;
+  let now = ref (n * gap) in
+  while Transport.pending t do
+    (match Transport.next_event t with
+    | Some ts -> now := max (!now + 1) ts
+    | None -> incr now);
+    Transport.pump t ~now:!now
+  done;
+  (!delivered, !last_ns, Transport.stats t)
+
+(* Delivered, transmissions, retransmits and last-delivery ns per
+   (messages, loss): every message arrives, and the wire cost and the
+   drain time grow with the loss rate. *)
+let burst_golden =
+  [
+    ((2_000, 0.0), (2_000, 2_000, 0, 10_015_160));
+    ((2_000, 0.05), (2_000, 2_927, 927, 10_035_153));
+    ((2_000, 0.2), (2_000, 5_731, 3_731, 10_342_280));
+    ((10_000, 0.0), (10_000, 10_000, 0, 50_015_035));
+    ((10_000, 0.05), (10_000, 14_541, 4_541, 50_015_579));
+    ((10_000, 0.2), (10_000, 33_945, 23_945, 51_073_105));
+  ]
+
+let test_burst_golden () =
+  List.iter
+    (fun ((n, loss), expected) ->
+      let delivered, last_ns, s = net_burst ~loss ~n in
+      Alcotest.(check (pair (pair int int) (pair int int)))
+        (Printf.sprintf "%d msgs at loss %g" n loss)
+        (let d, tx, rtx, last = expected in
+         ((d, tx), (rtx, last)))
+        ((delivered, s.Transport.transmissions),
+         (s.Transport.retransmits, last_ns)))
+    burst_golden
+
 (* --- dependency vectors over a stormy wire ------------------------------- *)
 
 (* The message-logging protocols piggyback a dependency vector on every
@@ -442,6 +496,7 @@ let () =
             test_permanent_partition_exhausts_budget;
           Alcotest.test_case "asymmetric ack loss" `Quick
             test_asymmetric_ack_loss;
+          Alcotest.test_case "paced burst (golden)" `Quick test_burst_golden;
           QCheck_alcotest.to_alcotest dv_piggyback_roundtrip_prop;
         ] );
       ( "engine",
