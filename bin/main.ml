@@ -19,7 +19,7 @@ let print_space () =
         Printf.printf "  - %s\n" p.Ft_core.Protocol_space.name)
     Ft_core.Protocol_space.all
 
-(* Sweep plumbing: every table/figure subcommand lists its jobs, hands
+(* Sweep plumbing: every sweep-backed subcommand lists its jobs, hands
    them to the experiment runner (parallel workers, resumable results
    store), and renders from the returned records.  Progress and the
    skipped-job count go to stderr, so stdout is byte-identical across
@@ -32,146 +32,147 @@ type sweep_opts = { workers : int option; fresh : bool; out_dir : string }
    reports itself and which exit 2 (see the eval match at the bottom). *)
 let fail_run msg =
   Printf.eprintf "ft: %s\n%!" msg;
-  `Ok 1
+  1
 
-let sweep opts ~name jobs =
-  Ft_exp.Exp.lookup
-    (Ft_exp.Exp.run_sweep ?workers:opts.workers ~fresh:opts.fresh
-       ~out_dir:opts.out_dir ~name jobs)
+(* Runs [jobs] as the sweep [name] and hands its lookup to [report],
+   which prints the report and returns the command's exit code.  A job
+   that died without a verdict fails the command whatever the report
+   says: after the report, its key and error go to stderr and the exit
+   code is at least 1. *)
+let sweep opts ~name jobs report =
+  let sr =
+    Ft_exp.Exp.run_sweep ?workers:opts.workers ~fresh:opts.fresh
+      ~out_dir:opts.out_dir ~name jobs
+  in
+  let code = report (Ft_exp.Exp.lookup sr) in
+  match Ft_exp.Exp.failures sr with
+  | [] -> code
+  | dead ->
+      Printf.eprintf "ft: %d sweep jobs died without a verdict\n"
+        (List.length dead);
+      List.iter (fun (key, error) -> Printf.eprintf "  %s: %s\n%!" key error)
+        dead;
+      max code 1
 
 let run_figure8 apps scale seed opts =
-  let jobs = List.concat_map (Ft_harness.Figure8.jobs ~scale ~seed) apps in
-  let lookup = sweep opts ~name:"figure8" jobs in
-  List.iter
-    (fun app ->
-      print_string
-        (Ft_harness.Figure8.render
-           (Ft_harness.Figure8.of_records ~scale ~seed app lookup)))
-    apps;
-  `Ok 0
+  sweep opts ~name:"figure8"
+    (List.concat_map (Ft_harness.Figure8.jobs ~scale ~seed) apps)
+    (fun lookup ->
+      List.iter
+        (fun app ->
+          print_string
+            (Ft_harness.Figure8.render
+               (Ft_harness.Figure8.of_records ~scale ~seed app lookup)))
+        apps;
+      0)
 
-let table1_rows crashes opts apps =
-  let jobs =
-    List.concat_map
-      (fun app -> Ft_harness.Table1.jobs ~target_crashes:crashes ~app ())
-      apps
-  in
-  let lookup = sweep opts ~name:"table1" jobs in
-  List.map
-    (fun app ->
-      (app, Ft_harness.Table1.of_records ~target_crashes:crashes ~app lookup))
-    apps
+(* Tables 1 and 2: one sweep over [apps]; [report] gets each app's
+   rows. *)
+let table_sweep opts ~name ~jobs ~of_records apps report =
+  sweep opts ~name (List.concat_map jobs apps) (fun lookup ->
+      report (List.map (fun app -> (app, of_records app lookup)) apps))
 
-let table2_rows crashes opts apps =
-  let jobs =
-    List.concat_map
-      (fun app -> Ft_harness.Table2.jobs ~target_crashes:crashes ~app ())
-      apps
-  in
-  let lookup = sweep opts ~name:"table2" jobs in
-  List.map
-    (fun app ->
-      (app, Ft_harness.Table2.of_records ~target_crashes:crashes ~app lookup))
-    apps
+let table1_sweep crashes opts =
+  table_sweep opts ~name:"table1"
+    ~jobs:(fun app -> Ft_harness.Table1.jobs ~target_crashes:crashes ~app ())
+    ~of_records:(fun app lookup ->
+      Ft_harness.Table1.of_records ~target_crashes:crashes ~app lookup)
+
+let table2_sweep crashes opts =
+  table_sweep opts ~name:"table2"
+    ~jobs:(fun app -> Ft_harness.Table2.jobs ~target_crashes:crashes ~app ())
+    ~of_records:(fun app lookup ->
+      Ft_harness.Table2.of_records ~target_crashes:crashes ~app lookup)
 
 let run_table1 apps crashes opts =
-  List.iter
-    (fun (app, rows) -> print_string (Ft_harness.Table1.render ~app rows))
-    (table1_rows crashes opts apps);
-  `Ok 0
+  table1_sweep crashes opts apps (fun t1s ->
+      List.iter
+        (fun (app, rows) -> print_string (Ft_harness.Table1.render ~app rows))
+        t1s;
+      0)
 
 let run_table2 apps crashes opts =
-  List.iter
-    (fun (app, rows) -> print_string (Ft_harness.Table2.render ~app rows))
-    (table2_rows crashes opts apps);
-  `Ok 0
+  table2_sweep crashes opts apps (fun t2s ->
+      List.iter
+        (fun (app, rows) -> print_string (Ft_harness.Table2.render ~app rows))
+        t2s;
+      0)
 
 let run_analysis crashes opts =
-  let t1 =
-    List.assoc Ft_harness.Table1.Nvi
-      (table1_rows crashes opts [ Ft_harness.Table1.Nvi ])
-  in
-  let v = Ft_harness.Table1.average t1 /. 100. in
-  print_string (Ft_harness.Table1.render ~app:Ft_harness.Table1.Nvi t1);
-  print_string
-    (Ft_harness.Analysis.render_conflict
-       (Ft_harness.Analysis.conflict ~violation_rate:v ()));
-  let t2 =
-    List.assoc Ft_harness.Table1.Nvi
-      (table2_rows crashes opts [ Ft_harness.Table1.Nvi ])
-  in
-  print_string (Ft_harness.Table2.render ~app:Ft_harness.Table1.Nvi t2);
-  print_string
-    (Ft_harness.Analysis.render_propagation ~app:"nvi"
-       ~os_failure_rate:(Ft_harness.Table2.average t2 /. 100.)
-       ~violation_rate:v);
-  `Ok 0
+  let nvi = Ft_harness.Table1.Nvi in
+  table1_sweep crashes opts [ nvi ] (fun t1s ->
+      let t1 = List.assoc nvi t1s in
+      let v = Ft_harness.Table1.average t1 /. 100. in
+      print_string (Ft_harness.Table1.render ~app:nvi t1);
+      print_string
+        (Ft_harness.Analysis.render_conflict
+           (Ft_harness.Analysis.conflict ~violation_rate:v ()));
+      table2_sweep crashes opts [ nvi ] (fun t2s ->
+          let t2 = List.assoc nvi t2s in
+          print_string (Ft_harness.Table2.render ~app:nvi t2);
+          print_string
+            (Ft_harness.Analysis.render_propagation ~app:"nvi"
+               ~os_failure_rate:(Ft_harness.Table2.average t2 /. 100.)
+               ~violation_rate:v);
+          0))
 
 let run_all scale crashes seed opts =
   print_space ();
-  ignore (run_figure8 Ft_harness.Figure8.all_apps scale seed opts);
+  let figure8 = run_figure8 Ft_harness.Figure8.all_apps scale seed opts in
   let both = [ Ft_harness.Table1.Nvi; Ft_harness.Table1.Postgres ] in
-  let t1s = table1_rows crashes opts both in
-  List.iter
-    (fun (app, rows) -> print_string (Ft_harness.Table1.render ~app rows))
-    t1s;
-  let t2s = table2_rows crashes opts both in
-  List.iter
-    (fun (app, rows) -> print_string (Ft_harness.Table2.render ~app rows))
-    t2s;
-  let v_nvi = Ft_harness.Table1.average (List.assoc Ft_harness.Table1.Nvi t1s) /. 100. in
-  print_string
-    (Ft_harness.Analysis.render_conflict
-       (Ft_harness.Analysis.conflict ~violation_rate:v_nvi ()));
-  List.iter
-    (fun (app, rows) ->
-      let v =
-        Ft_harness.Table1.average (List.assoc app t1s) /. 100.
-      in
-      print_string
-        (Ft_harness.Analysis.render_propagation
-           ~app:(Ft_harness.Table1.app_name app)
-           ~os_failure_rate:(Ft_harness.Table2.average rows /. 100.)
-           ~violation_rate:v))
-    t2s;
-  `Ok 0
+  let tables =
+    table1_sweep crashes opts both (fun t1s ->
+        table2_sweep crashes opts both (fun t2s ->
+            List.iter
+              (fun (app, rows) ->
+                print_string (Ft_harness.Table1.render ~app rows))
+              t1s;
+            List.iter
+              (fun (app, rows) ->
+                print_string (Ft_harness.Table2.render ~app rows))
+              t2s;
+            let violation_rate app =
+              Ft_harness.Table1.average (List.assoc app t1s) /. 100.
+            in
+            print_string
+              (Ft_harness.Analysis.render_conflict
+                 (Ft_harness.Analysis.conflict
+                    ~violation_rate:(violation_rate Ft_harness.Table1.Nvi) ()));
+            List.iter
+              (fun (app, rows) ->
+                print_string
+                  (Ft_harness.Analysis.render_propagation
+                     ~app:(Ft_harness.Table1.app_name app)
+                     ~os_failure_rate:(Ft_harness.Table2.average rows /. 100.)
+                     ~violation_rate:(violation_rate app)))
+              t2s;
+            0))
+  in
+  max figure8 tables
 
 (* Crash-point torture: sweep an injected crash over every word write
    of a multi-page commit (or a seeded sample) and verify recovery.
-   Exits non-zero on any atomicity violation — and when sweep jobs
-   died without a verdict — so CI can gate on it. *)
-let run_torture points_s seed defect opts =
-  match
-    match String.lowercase_ascii points_s with
-    | "all" -> Ok Ft_harness.Torture.All
-    | s when String.length s > 7 && String.sub s 0 7 = "sample:" -> (
-        match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-        | Some n when n > 0 -> Ok (Ft_harness.Torture.Sample n)
-        | _ -> Error ("bad sample count in " ^ points_s))
-    | _ -> Error ("bad --points " ^ points_s ^ " (all or sample:N)")
-  with
-  | Error msg -> `Error (false, msg)
-  | Ok points ->
-      let sc = { Ft_harness.Torture.default_scenario with seed } in
-      let defect =
-        if defect then Some Ft_stablemem.Vista.Publish_header_first else None
-      in
+   Exits non-zero on any atomicity violation, so CI can gate on it. *)
+let run_torture points seed defect opts =
+  let sc = { Ft_harness.Torture.default_scenario with seed } in
+  let defect =
+    if defect then Some Ft_stablemem.Vista.Publish_header_first else None
+  in
+  let total_writes, post = Ft_harness.Torture.measure ?defect sc in
+  sweep opts ~name:"torture"
+    (Ft_harness.Torture.jobs ?defect ~points ~total_writes ~post sc)
+    (fun lookup ->
       let report =
-        Ft_harness.Torture.run ?defect ?workers:opts.workers
-          ~out_dir:opts.out_dir ~fresh:opts.fresh ~points sc
+        Ft_harness.Torture.of_records ?defect ~points ~total_writes sc lookup
       in
       print_string (Ft_harness.Torture.render report);
-      if
-        report.Ft_harness.Torture.violations = []
-        && report.Ft_harness.Torture.explored
-           = report.Ft_harness.Torture.requested
-      then `Ok 0
-      else fail_run "torture found atomicity violations"
+      if report.Ft_harness.Torture.violations = [] then 0
+      else fail_run "torture found atomicity violations")
 
 (* Netstorm: run the protocol space across an unreliable network and
    verify retransmission keeps every run complete and consistent.
-   Exits non-zero on any violation, wedged run or missing job, so CI
-   can gate on it. *)
+   Exits non-zero on any violation or wedged run, so CI can gate on
+   it. *)
 let run_netstorm loss dup reorder partition apps scale seed opts =
   let points =
     if loss = None && dup = None && reorder = None && not partition then
@@ -181,18 +182,20 @@ let run_netstorm loss dup reorder partition apps scale seed opts =
         Ft_harness.Netstorm.custom_point ?loss ?dup ?reorder ~partition ();
       ]
   in
-  let report =
-    Ft_harness.Netstorm.run ?workers:opts.workers ~out_dir:opts.out_dir
-      ~fresh:opts.fresh ~scale ~seed ~points ~apps ()
-  in
-  print_string (Ft_harness.Netstorm.render ~points ~apps report);
-  if Ft_harness.Netstorm.clean report then `Ok 0
-  else fail_run "netstorm found violations"
+  sweep opts ~name:"netstorm"
+    (Ft_harness.Netstorm.jobs ~scale ~seed ~points ~apps ())
+    (fun lookup ->
+      let cells =
+        Ft_harness.Netstorm.of_records ~scale ~seed ~points ~apps lookup
+      in
+      print_string (Ft_harness.Netstorm.render ~points ~apps cells);
+      if Ft_harness.Netstorm.violations cells = [] then 0
+      else fail_run "netstorm found violations")
 
 (* Serve: the fleet-scale campaign — many postgres tenants per
    multi-tenant scheduler, open-loop load, Poisson kills, SLO-grade
-   reporting.  Exits non-zero on any oracle violation, zero goodput, or
-   missing shard, so CI can gate on it. *)
+   reporting.  Exits non-zero on any oracle violation or zero goodput,
+   so CI can gate on it. *)
 let run_serve procs requests protocols crash_rate recovery_crash_rate det_cap
     storm shard_size interval_ns poison smoke seed opts =
   if (not smoke) && requests < procs then
@@ -226,24 +229,24 @@ let run_serve procs requests protocols crash_rate recovery_crash_rate det_cap
         poison;
       }
   in
-  let report =
-    Ft_harness.Serve.run ?workers:opts.workers ~out_dir:opts.out_dir
-      ~fresh:opts.fresh ~protocols p
-  in
-  print_string (Ft_harness.Serve.render report);
-  let goodput_ok =
-    List.for_all
-      (fun s -> s.Ft_harness.Serve.s_goodput > 0.)
-      report.Ft_harness.Serve.summaries
-  in
-  if Ft_harness.Serve.clean report && goodput_ok then `Ok 0
-  else fail_run "serve found violations or zero goodput"
+  `Ok
+    (sweep opts ~name:"serve" (Ft_harness.Serve.jobs ~protocols p)
+       (fun lookup ->
+         let report = Ft_harness.Serve.of_records ~protocols p lookup in
+         print_string (Ft_harness.Serve.render report);
+         let goodput_ok =
+           List.for_all
+             (fun s -> s.Ft_harness.Serve.s_goodput > 0.)
+             report.Ft_harness.Serve.summaries
+         in
+         if Ft_harness.Serve.clean report && goodput_ok then 0
+         else fail_run "serve found violations or zero goodput"))
 
 (* Rescue: inject recurring application faults — the kind generic replay
    re-executes — and measure how much of the crashed-run mass each
    escalation rung (deep rollback, perturbed replay) reclaims.  Exits
-   non-zero on any Consistency violation at any rung or a missing cell,
-   so CI can gate on it. *)
+   non-zero on any Consistency violation at any rung, so CI can gate on
+   it. *)
 let run_rescue apps protocols ladder_names crashes smoke seed opts =
   let spec =
     if smoke then
@@ -260,53 +263,58 @@ let run_rescue apps protocols ladder_names crashes smoke seed opts =
         seed0 = seed;
       }
   in
-  let report =
-    Ft_harness.Rescue.run ?workers:opts.workers ~out_dir:opts.out_dir
-      ~fresh:opts.fresh spec
-  in
-  print_string (Ft_harness.Rescue.render report);
-  if Ft_harness.Rescue.clean report then `Ok 0
-  else fail_run "rescue found consistency violations or missing cells"
+  sweep opts ~name:"rescue" (Ft_harness.Rescue.jobs spec) (fun lookup ->
+      let report = Ft_harness.Rescue.of_records spec lookup in
+      print_string (Ft_harness.Rescue.render report);
+      if Ft_harness.Rescue.clean report then 0
+      else fail_run "rescue found consistency violations")
 
 let run_ablation opts =
-  let lookup = sweep opts ~name:"ablation" (Ft_harness.Ablation.jobs ()) in
-  print_string (Ft_harness.Ablation.render_records lookup);
-  `Ok 0
+  sweep opts ~name:"ablation" (Ft_harness.Ablation.jobs ()) (fun lookup ->
+      print_string (Ft_harness.Ablation.render_records lookup);
+      0)
 
 (* Bounded model checking: every schedule x every crash point of a
    small program, per protocol, plus the mutant suite that keeps the
-   checker honest.  Exits non-zero on any honest-protocol violation, on
-   any surviving mutant, and on sweep jobs that died without a verdict,
-   so CI can gate on it. *)
+   checker honest.  Exits non-zero on any honest-protocol violation or
+   any surviving mutant, so CI can gate on it. *)
 let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
   let program = Ft_mc.Model.default_program ~nprocs ~depth in
-  let honest_jobs =
-    Ft_mc.Checker.jobs ~no_prune
-      ~specs:(List.map (fun s -> (s, Ft_mc.Model.Honest)) specs)
-      ~program ()
-  in
   (* a mutant may bring its own program: some kills need a shape the
      default menus cannot express (the 3-process causal chain) *)
   let mutant_program m =
     match m.Ft_mc.Mutants.program with Some p -> p | None -> program
   in
+  (* each protocol's and each mutant's jobs, built once: the sweep runs
+     them and the report reads their stats back *)
+  let honest_jobs =
+    List.map
+      (fun spec ->
+        ( spec,
+          Ft_mc.Checker.jobs ~no_prune
+            ~specs:[ (spec, Ft_mc.Model.Honest) ]
+            ~program () ))
+      specs
+  in
   let mutant_jobs =
     if not mutants then []
     else
-      List.concat_map
+      List.map
         (fun m ->
-          Ft_mc.Checker.jobs ~no_prune ~lose_work:false
-            ~specs:[ (m.Ft_mc.Mutants.spec, m.Ft_mc.Mutants.defect) ]
-            ~program:(mutant_program m) ())
+          ( m,
+            Ft_mc.Checker.jobs ~no_prune ~lose_work:false
+              ~specs:[ (m.Ft_mc.Mutants.spec, m.Ft_mc.Mutants.defect) ]
+              ~program:(mutant_program m) () ))
         Ft_mc.Mutants.all
   in
   let xcheck_jobs =
     if engine_xcheck then Ft_mc.Engine_xcheck.jobs ~specs () else []
   in
-  let lookup =
-    sweep opts ~name:"mc" (honest_jobs @ mutant_jobs @ xcheck_jobs)
-  in
-  let missing = ref 0 in
+  sweep opts ~name:"mc"
+    (List.concat_map snd honest_jobs
+    @ List.concat_map snd mutant_jobs
+    @ xcheck_jobs)
+  @@ fun lookup ->
   let stats_of jobs =
     List.fold_left
       (fun acc j ->
@@ -314,9 +322,7 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
                 Ft_mc.Checker.stats_of_value
         with
         | Some s -> Ft_mc.Checker.add_stats acc s
-        | None ->
-            incr missing;
-            acc)
+        | None -> acc)
       Ft_mc.Checker.zero_stats jobs
   in
   Printf.printf "Model checker: %d procs x %d events, program %s\n" nprocs
@@ -326,12 +332,7 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
     "memo" "steps" "viol";
   let honest_viol = ref 0 in
   List.iter
-    (fun spec ->
-      let jobs =
-        Ft_mc.Checker.jobs ~no_prune
-          ~specs:[ (spec, Ft_mc.Model.Honest) ]
-          ~program ()
-      in
+    (fun (spec, jobs) ->
       let s = stats_of jobs in
       let nviol = List.length s.Ft_mc.Checker.violations in
       honest_viol := !honest_viol + nviol;
@@ -348,19 +349,13 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
               (Ft_mc.Checker.crash_to_string v.Ft_mc.Checker.v_crash)
               v.Ft_mc.Checker.v_detail)
         s.Ft_mc.Checker.violations)
-    specs;
+    honest_jobs;
   let surviving = ref [] in
   if mutants then begin
     print_newline ();
     print_endline "Mutant suite (every mutant must be killed):";
     List.iter
-      (fun m ->
-        let program = mutant_program m in
-        let jobs =
-          Ft_mc.Checker.jobs ~no_prune ~lose_work:false
-            ~specs:[ (m.Ft_mc.Mutants.spec, m.Ft_mc.Mutants.defect) ]
-            ~program ()
-        in
+      (fun (m, jobs) ->
         let s = stats_of jobs in
         match s.Ft_mc.Checker.violations with
         | [] ->
@@ -371,7 +366,7 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
             let r =
               Ft_mc.Shrink.minimize ~lose_work:false
                 ~spec:m.Ft_mc.Mutants.spec ~defect:m.Ft_mc.Mutants.defect
-                ~program v
+                ~program:(mutant_program m) v
             in
             Printf.printf
               "  %-22s killed by %s (%d violations); shrunk repro:\n"
@@ -381,7 +376,7 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
             String.split_on_char '\n'
               (Ft_mc.Shrink.to_script ~spec:m.Ft_mc.Mutants.spec r)
             |> List.iter (fun l -> Printf.printf "    | %s\n" l))
-      Ft_mc.Mutants.all
+      mutant_jobs
   end;
   let xcheck_failures = ref 0 in
   if engine_xcheck then begin
@@ -389,10 +384,8 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
     print_endline "Engine cross-check (real VM + kernel + checkpointer):";
     List.iter
       (fun j ->
-        match Option.bind (lookup j.Ft_exp.Job.key)
-                Ft_mc.Engine_xcheck.stats_of_value
-        with
-        | Some s ->
+        Option.iter
+          (fun s ->
             xcheck_failures :=
               !xcheck_failures + List.length s.Ft_mc.Engine_xcheck.x_failures;
             Printf.printf "  %-40s runs=%5d kills=%5d failures=%d\n"
@@ -401,8 +394,9 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
               (List.length s.Ft_mc.Engine_xcheck.x_failures);
             List.iteri
               (fun i f -> if i < 3 then Printf.printf "    %s\n" f)
-              s.Ft_mc.Engine_xcheck.x_failures
-        | None -> incr missing)
+              s.Ft_mc.Engine_xcheck.x_failures)
+          (Option.bind (lookup j.Ft_exp.Job.key)
+             Ft_mc.Engine_xcheck.stats_of_value))
       xcheck_jobs
   end;
   if !honest_viol > 0 then
@@ -411,9 +405,7 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
     fail_run ("surviving mutants: " ^ String.concat ", " !surviving)
   else if !xcheck_failures > 0 then
     fail_run "engine cross-check failures"
-  else if !missing > 0 then
-    fail_run "sweep jobs died without a verdict"
-  else `Ok 0
+  else 0
 
 (* Run one application under one protocol and print the run's vitals. *)
 let run_single app protocol medium seed scale kills_ms =
@@ -505,6 +497,21 @@ let table1_app =
        (fun a -> (Ft_harness.Table1.app_name a, a))
        [ Ft_harness.Table1.Nvi; Ft_harness.Table1.Postgres ])
 
+(* Torture's crash points: [all] or [sample:N] with N > 0. *)
+let torture_points =
+  Arg.conv
+    ( (fun s ->
+        match String.lowercase_ascii s with
+        | "all" -> Ok Ft_harness.Torture.All
+        | l when String.starts_with ~prefix:"sample:" l -> (
+            match int_of_string_opt (String.sub l 7 (String.length l - 7)) with
+            | Some n when n > 0 -> Ok (Ft_harness.Torture.Sample n)
+            | _ -> Error (`Msg ("bad sample count in " ^ s)))
+        | _ -> Error (`Msg (s ^ " is not all or sample:N"))),
+      fun fmt -> function
+        | Ft_harness.Torture.All -> Format.pp_print_string fmt "all"
+        | Ft_harness.Torture.Sample n -> Format.fprintf fmt "sample:%d" n )
+
 (* Protocol names resolve through [Protocols.by_name]; with [~all]
    (serve's spelling), [all] stands for the Figure 8 seven.  Each value
    parses to a list so that [all] and a single name share one type. *)
@@ -589,30 +596,28 @@ let t_apps_arg =
 
 let space_cmd =
   Cmd.v (Cmd.info "space" ~doc:"Print the Figure 3 protocol space.")
-    Term.(const (fun () -> print_space (); `Ok 0) $ const () |> ret)
+    Term.(const (fun () -> print_space (); 0) $ const ())
 
 let figure8_cmd =
   Cmd.v (Cmd.info "figure8" ~doc:"Regenerate Figure 8 (a-d).")
-    Term.(ret
-            (const run_figure8 $ fig8_apps_arg Ft_harness.Figure8.all_apps
-            $ scale_arg $ seed_arg
-            $ sweep_opts_term))
+    Term.(const run_figure8 $ fig8_apps_arg Ft_harness.Figure8.all_apps
+          $ scale_arg $ seed_arg $ sweep_opts_term)
 
 let table1_cmd =
   Cmd.v (Cmd.info "table1" ~doc:"Regenerate Table 1.")
-    Term.(ret (const run_table1 $ t_apps_arg $ crashes_arg $ sweep_opts_term))
+    Term.(const run_table1 $ t_apps_arg $ crashes_arg $ sweep_opts_term)
 
 let table2_cmd =
   Cmd.v (Cmd.info "table2" ~doc:"Regenerate Table 2.")
-    Term.(ret (const run_table2 $ t_apps_arg $ crashes_arg $ sweep_opts_term))
+    Term.(const run_table2 $ t_apps_arg $ crashes_arg $ sweep_opts_term)
 
 let analysis_cmd =
   Cmd.v (Cmd.info "analysis" ~doc:"Run the Section 4 composed analysis.")
-    Term.(ret (const run_analysis $ crashes_arg $ sweep_opts_term))
+    Term.(const run_analysis $ crashes_arg $ sweep_opts_term)
 
 let torture_cmd =
   let points_arg =
-    Arg.(value & opt string "all"
+    Arg.(value & opt torture_points Ft_harness.Torture.All
          & info [ "points" ] ~docv:"SPEC"
              ~doc:"Crash points to explore: $(b,all) or $(b,sample:N).")
   in
@@ -625,9 +630,8 @@ let torture_cmd =
   Cmd.v
     (Cmd.info "torture"
        ~doc:"Crash a commit at every word write and verify recovery.")
-    Term.(ret
-            (const run_torture $ points_arg $ seed_arg $ defect_arg
-            $ sweep_opts_term))
+    Term.(const run_torture $ points_arg $ seed_arg $ defect_arg
+          $ sweep_opts_term)
 
 let netstorm_cmd =
   let rate name doc =
@@ -649,11 +653,9 @@ let netstorm_cmd =
     (Cmd.info "netstorm"
        ~doc:"Sweep the protocols across a lossy, reordering, partitioning \
              network.")
-    Term.(ret
-            (const run_netstorm $ loss_arg $ dup_arg $ reorder_arg
-            $ partition_arg $ fig8_apps_arg Ft_harness.Netstorm.default_apps
-            $ scale_arg $ seed_arg
-            $ sweep_opts_term))
+    Term.(const run_netstorm $ loss_arg $ dup_arg $ reorder_arg
+          $ partition_arg $ fig8_apps_arg Ft_harness.Netstorm.default_apps
+          $ scale_arg $ seed_arg $ sweep_opts_term)
 
 let serve_cmd =
   let procs_arg =
@@ -771,13 +773,12 @@ let rescue_cmd =
     (Cmd.info "rescue"
        ~doc:"Measure how much of the unrecoverable app-fault mass each \
              escalation rung (deep rollback, perturbed replay) rescues.")
-    Term.(ret
-            (const run_rescue $ t_apps_arg $ proto_arg $ ladder_arg
-            $ crashes_arg $ smoke_arg $ rescue_seed_arg $ sweep_opts_term))
+    Term.(const run_rescue $ t_apps_arg $ proto_arg $ ladder_arg
+          $ crashes_arg $ smoke_arg $ rescue_seed_arg $ sweep_opts_term)
 
 let ablation_cmd =
   Cmd.v (Cmd.info "ablation" ~doc:"Run the DESIGN.md ablations (2.6).")
-    Term.(ret (const run_ablation $ sweep_opts_term))
+    Term.(const run_ablation $ sweep_opts_term)
 
 let mc_cmd =
   let procs_arg =
@@ -811,9 +812,8 @@ let mc_cmd =
   Cmd.v
     (Cmd.info "mc"
        ~doc:"Model-check every schedule and crash point of a small program.")
-    Term.(ret
-            (const run_mc $ procs_arg $ depth_arg $ proto_arg $ mutants_arg
-            $ no_prune_arg $ xcheck_arg $ sweep_opts_term))
+    Term.(const run_mc $ procs_arg $ depth_arg $ proto_arg $ mutants_arg
+          $ no_prune_arg $ xcheck_arg $ sweep_opts_term)
 
 let run_cmd =
   (* without [~all] every value parses to exactly one protocol *)
@@ -851,15 +851,15 @@ let disasm_cmd =
 
 let all_cmd =
   Cmd.v (Cmd.info "all" ~doc:"Regenerate every table and figure.")
-    Term.(ret
-            (const run_all $ scale_arg $ crashes_arg $ seed_arg
-            $ sweep_opts_term))
+    Term.(const run_all $ scale_arg $ crashes_arg $ seed_arg
+          $ sweep_opts_term)
 
 (* One exit-code contract for every subcommand: a usage problem (unknown
    flag, unknown subcommand, bad argument value — cmdliner prints the
    subcommand's usage to stderr) exits 2; a command that ran and found
-   violations prints the reason to stderr via [fail_run] and exits 1;
-   clean runs, --help and --version exit 0.  Each term evaluates to its
+   violations prints the reason to stderr via [fail_run] and exits 1, as
+   does one whose sweep lost a job (see [sweep]); clean runs, --help and
+   --version exit 0.  Each term evaluates to its
    exit code, so violations are not routed through cmdliner's error
    machinery (which cannot be told apart from a parse error). *)
 let () =

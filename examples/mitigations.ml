@@ -67,6 +67,12 @@ let scene1 () =
 
 (* --- scene 2: commit less state ------------------------------------------- *)
 
+(* The ablation studies are experiment jobs; run them serially in
+   memory. *)
+let in_memory jobs =
+  Ft_exp.Exp.lookup
+    (Ft_exp.Exp.run_sweep ~workers:1 ~quiet:true ~name:"mitigations" jobs)
+
 let scene2 () =
   print_endline "--- scene 2: exclude recomputable state from commits (2.6) ---";
   List.iter
@@ -74,7 +80,8 @@ let scene2 () =
       Printf.printf "  %-22s DC-disk overhead %s\n"
         r.Ft_harness.Ablation.label
         (Ft_harness.Report.pct1 r.Ft_harness.Ablation.overhead_pct))
-    (Ft_harness.Ablation.exclusion ~commands:30 ());
+    (Ft_harness.Ablation.exclusion_of_records ~commands:30
+       (in_memory (Ft_harness.Ablation.exclusion_jobs ~commands:30 ())));
   print_newline ()
 
 (* --- scene 3: crash early -------------------------------------------------- *)
@@ -89,8 +96,11 @@ let scene3 () =
            Printf.sprintf "every %d keystrokes"
              r.Ft_harness.Ablation.check_every)
         (Ft_harness.Report.pct r.Ft_harness.Ablation.violation_pct))
-    (Ft_harness.Ablation.crash_early ~cadences:[ 1; 1_000_000 ]
-       ~target_crashes:15 ())
+    (let cadences = [ 1; 1_000_000 ] in
+     Ft_harness.Ablation.crash_early_of_records ~cadences ~target_crashes:15
+       (in_memory
+          (Ft_harness.Ablation.crash_early_jobs ~cadences ~target_crashes:15
+             ())))
 
 let () =
   print_endline "== mitigations: living with the Lose-work invariant ==\n";

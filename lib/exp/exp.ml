@@ -2,8 +2,8 @@
     sweeps.
 
     A sweep is a named list of jobs.  [run_sweep] skips every job whose
-    key+seed is already in the sweep's results store, runs the rest on
-    the pool, appends their rows, and returns one record per job in
+    key+seed already completed in the sweep's results store, runs the
+    rest on the pool, appends their rows, and returns one record per job in
     job-list order — so the harness render functions see the same rows
     whether the results were computed serially, in parallel, in an
     earlier process entirely, or in memory with no store at all. *)
@@ -11,7 +11,7 @@
 type sweep_result = {
   records : Store.record list;  (** one per job, in job order *)
   ran : int;
-  skipped : int;  (** already present in the warm store *)
+  skipped : int;  (** already completed in the warm store *)
   failed : int;
 }
 
@@ -66,9 +66,13 @@ let run_sweep ?workers ?timeout_s ?retries ?(fresh = false) ?out_dir
     | None -> (run jobs, List.length jobs)
     | Some dir ->
         let store = Store.load ~fresh ~dir ~sweep:name () in
+        (* a failed row is no verdict: rerun it *)
         let todo =
           List.filter
-            (fun j -> not (Store.mem store ~key:j.Job.key ~seed:j.Job.seed))
+            (fun j ->
+              match Store.find store ~key:j.Job.key ~seed:j.Job.seed with
+              | Some { Store.status = Store.Completed; _ } -> false
+              | _ -> true)
             jobs
         in
         let total = List.length jobs in
@@ -101,6 +105,14 @@ let run_sweep ?workers ?timeout_s ?retries ?(fresh = false) ?out_dir
       0 records
   in
   { records; ran; skipped = List.length jobs - ran; failed }
+
+let failures sr =
+  List.filter_map
+    (fun (r : Store.record) ->
+      match r.Store.status with
+      | Store.Failed e -> Some (r.Store.key, e)
+      | Store.Completed -> None)
+    sr.records
 
 let lookup sr =
   let tbl = Hashtbl.create 64 in

@@ -4,7 +4,7 @@
 type sweep_result = {
   records : Store.record list;  (** one per job, in job order *)
   ran : int;  (** executed this invocation *)
-  skipped : int;  (** already present in the warm store *)
+  skipped : int;  (** already completed in the warm store *)
   failed : int;  (** [Failed] rows among [records] *)
 }
 
@@ -22,8 +22,9 @@ val run_sweep :
   Job.t list ->
   sweep_result
 (** Runs [jobs] on the pool and returns one record per job in job
-    order.  With [out_dir], the sweep is stored: jobs already present in
-    [out_dir/name.jsonl] are skipped, the rest are appended to it, and
+    order.  With [out_dir], the sweep is stored: jobs already completed
+    in [out_dir/name.jsonl] are skipped, the rest (failed rows included)
+    are run again and appended to it, and
     [fresh] ignores and truncates the warm store.  Without [out_dir],
     every job runs in memory and no file is touched.  Progress lines and
     the skipped-job count go to stderr unless [quiet], keeping stdout
@@ -32,3 +33,7 @@ val run_sweep :
 val lookup : sweep_result -> string -> Jstore.value option
 (** Key-indexed view of a sweep's completed values (failed rows are
     absent). *)
+
+val failures : sweep_result -> (string * string) list
+(** The jobs that died without a verdict: each [Failed] record's key and
+    error, in job order. *)

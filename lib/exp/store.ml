@@ -1,10 +1,12 @@
 (** Append-only results store: one JSONL file per sweep.
 
-    Completed job rows are appended (and flushed) as they finish, so a
-    crashed or interrupted sweep resumes where it left off: on re-run,
-    any job whose key+seed is already present is skipped — the same
-    recover-don't-redo discipline the engine applies to its processes.
-    A torn final line (crash mid-append) is ignored on load. *)
+    Every job row, completed or failed, is appended (and flushed) as it
+    finishes, so a crashed or interrupted sweep resumes where it left
+    off: on re-run, {!Exp.run_sweep} skips any job whose key+seed has a
+    completed row — the same recover-don't-redo discipline the engine
+    applies to its processes — and reruns failed ones, whose newer row
+    then wins on load.  A torn final line (crash mid-append) is ignored
+    on load. *)
 
 type status = Completed | Failed of string
 
@@ -88,7 +90,6 @@ let load ?(fresh = false) ~dir ~sweep () =
   end;
   { path; tbl; oc = None; fresh; mutex = Mutex.create () }
 
-let mem t ~key ~seed = Hashtbl.mem t.tbl (key, seed)
 let find t ~key ~seed = Hashtbl.find_opt t.tbl (key, seed)
 let size t = Hashtbl.length t.tbl
 

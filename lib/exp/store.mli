@@ -1,6 +1,7 @@
 (** Append-only results store: one JSONL file per sweep, flushed row by
     row, reloaded on startup so interrupted sweeps resume instead of
-    redoing completed work. *)
+    redoing completed work.  Failed rows are stored too, and a later row
+    for the same key+seed replaces them. *)
 
 type status = Completed | Failed of string
 
@@ -16,11 +17,11 @@ type t
 
 val load : ?fresh:bool -> dir:string -> sweep:string -> unit -> t
 (** Opens (creating [dir] if needed) [dir/sweep.jsonl] and indexes its
-    rows by key+seed.  [fresh] ignores existing contents and truncates
-    the file on first append.  Torn or malformed lines are skipped. *)
+    rows by key+seed, the last row winning.  [fresh] ignores existing
+    contents and truncates the file on first append.  Torn or malformed
+    lines are skipped. *)
 
 val path : t -> string
-val mem : t -> key:string -> seed:int -> bool
 val find : t -> key:string -> seed:int -> record option
 val size : t -> int
 val records : t -> record list

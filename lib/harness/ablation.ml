@@ -15,11 +15,6 @@
     job values, so the ablations run on the same parallel, resumable
     sweep machinery as the paper's tables. *)
 
-(* The one-off studies below run their jobs serially, in memory. *)
-let sweep js =
-  Ft_exp.Exp.lookup
-    (Ft_exp.Exp.run_sweep ~workers:1 ~quiet:true ~name:"ablation" js)
-
 (* --- crash early ---------------------------------------------------------- *)
 
 type crash_early_row = {
@@ -87,11 +82,6 @@ let crash_early_of_records ?(cadences = [ 1; 16; 1_000_000 ])
            else 100. *. float_of_int violations /. float_of_int crashes);
       })
     (crash_early_cells ~cadences ~target_crashes ~max_attempts)
-
-let crash_early ?(cadences = [ 1; 16; 1_000_000 ]) ?(target_crashes = 25)
-    ?(max_attempts = 700) () =
-  crash_early_of_records ~cadences ~target_crashes ~max_attempts
-    (sweep (crash_early_jobs ~cadences ~target_crashes ~max_attempts ()))
 
 let render_crash_early rows =
   Report.section
@@ -182,10 +172,6 @@ let exclusion_of_records ?(commands = 40) lookup =
           overhead_pct = pct slim };
       ]
 
-let exclusion ?(commands = 40) () =
-  exclusion_of_records ~commands
-    (sweep (exclusion_jobs ~commands ()))
-
 let render_exclusion rows =
   Report.section "Ablation: excluding recomputable state from commits (2.6)"
   ^ Report.table
@@ -239,10 +225,6 @@ let page_size_of_records ?(sizes = [ 16; 64; 256 ]) lookup =
           { page_size = size; sim_time_ns = Ft_exp.Jstore.get_int "sim_ns" v }
       | None -> { page_size = size; sim_time_ns = 0 })
     sizes
-
-let page_size ?(sizes = [ 16; 64; 256 ]) () =
-  page_size_of_records ~sizes
-    (sweep (page_size_jobs ~sizes ()))
 
 let render_page_size rows =
   Report.section "Ablation: COW page size (checkpoint payload vs traps)"
@@ -302,9 +284,6 @@ let disk_model_of_records lookup =
       | None -> (label, 0))
     disk_model_media
 
-let disk_model () =
-  disk_model_of_records (sweep (disk_model_jobs ()))
-
 let render_disk_model rows =
   Report.section "Ablation: commit medium (why Rio matters)"
   ^ Report.table
@@ -325,6 +304,3 @@ let render_records lookup =
   ^ render_exclusion (exclusion_of_records lookup)
   ^ render_page_size (page_size_of_records lookup)
   ^ render_disk_model (disk_model_of_records lookup)
-
-let run_all () =
-  render_records (sweep (jobs ()))

@@ -8,12 +8,16 @@ type crash_early_row = {
   violation_pct : float;
 }
 
-val crash_early :
+val crash_early_jobs :
   ?cadences:int list -> ?target_crashes:int -> ?max_attempts:int -> unit ->
-  crash_early_row list
+  Ft_exp.Job.t list
 (** Lose-work violation rate of nvi heap bit flips as a function of the
     consistency-check cadence: checking more often crashes sooner and
-    leaves fewer commits on the dangerous path. *)
+    leaves fewer commits on the dangerous path.  One job per cadence. *)
+
+val crash_early_of_records :
+  ?cadences:int list -> ?target_crashes:int -> ?max_attempts:int ->
+  (string -> Ft_exp.Jstore.value option) -> crash_early_row list
 
 val render_crash_early : crash_early_row list -> string
 
@@ -23,25 +27,17 @@ type exclusion_row = {
   overhead_pct : float;
 }
 
-val exclusion : ?commands:int -> unit -> exclusion_row list
+val exclusion_jobs : ?commands:int -> unit -> Ft_exp.Job.t list
 (** DC-disk overhead of magic with and without its recomputable
     framebuffer excluded from checkpoints. *)
 
-val render_exclusion : exclusion_row list -> string
-
-type page_row = { page_size : int; sim_time_ns : int }
-
-val page_size : ?sizes:int list -> unit -> page_row list
-val render_page_size : page_row list -> string
-
-val disk_model : unit -> (string * int) list
-val render_disk_model : (string * int) list -> string
+val exclusion_of_records :
+  ?commands:int -> (string -> Ft_exp.Jstore.value option) ->
+  exclusion_row list
 
 val jobs : unit -> Ft_exp.Job.t list
-(** Every ablation study's jobs (default parameters), for sweeping. *)
+(** Every ablation study's jobs (default parameters), for sweeping: the
+    two above plus COW page size and commit medium. *)
 
 val render_records : (string -> Ft_exp.Jstore.value option) -> string
 (** All four studies rendered from stored job values. *)
-
-val run_all : unit -> string
-(** [jobs] evaluated inline and rendered. *)

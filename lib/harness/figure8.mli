@@ -40,10 +40,8 @@ val of_records :
   app ->
   (string -> Ft_exp.Jstore.value option) ->
   app_result
-(** Assembles the figure from stored job values (missing or failed jobs
-    render as zero cells). *)
-
-val measure : ?classic:bool -> ?scale:float -> ?seed:int -> app -> app_result
-(** [jobs] evaluated inline (serially, no store) and assembled. *)
+(** Assembles the figure from stored job values (a job that died
+    renders as a zero cell, which the CLI never prints without also
+    failing the command). *)
 
 val render : app_result -> string

@@ -29,7 +29,7 @@
 
     The sweep fans out over {!Ft_exp.Exp} jobs — parallel under [-j],
     resumable from a warm store — and the CLI exits non-zero on any
-    violation, wedged run or missing job, like [ft torture]. *)
+    violation or wedged run, like [ft torture]. *)
 
 module Engine = Ft_runtime.Engine
 module Consistency = Ft_core.Consistency
@@ -239,21 +239,14 @@ type cell = {
   c_slowdown : float;      (* stressed sim time / reference sim time *)
 }
 
-type report = {
-  cells : cell list;
-  missing : string list;   (* job keys that died without a verdict *)
-}
-
-let violations r =
+let violations cells =
   List.filter
     (fun c -> c.c_wedged || not c.c_consistent || c.c_save_work_broken)
-    r.cells
-
-let clean r = violations r = [] && r.missing = []
+    cells
 
 let of_records ?(scale = 0.25) ?(seed = 42) ?(points = default_points)
     ?(apps = default_apps) lookup =
-  let cells = ref [] and missing = ref [] in
+  let cells = ref [] in
   List.iter
     (fun app ->
       List.iter
@@ -263,7 +256,7 @@ let of_records ?(scale = 0.25) ?(seed = 42) ?(points = default_points)
             (fun point ->
               let key = job_key ~scale ~seed ~app ~label point in
               match lookup key with
-              | None -> missing := key :: !missing
+              | None -> ()
               | Some v ->
                   let get_bool k =
                     match Ft_exp.Jstore.member k v with
@@ -309,22 +302,13 @@ let of_records ?(scale = 0.25) ?(seed = 42) ?(points = default_points)
             points)
         (Figure8.protocols_for app))
     apps;
-  { cells = List.rev !cells; missing = List.rev !missing }
-
-let run ?workers ?out_dir ?(fresh = false) ?(quiet = false) ?(scale = 0.25)
-    ?(seed = 42) ?(points = default_points) ?(apps = default_apps) () =
-  let js = jobs ~scale ~seed ~points ~apps () in
-  let lookup =
-    Ft_exp.Exp.lookup
-      (Ft_exp.Exp.run_sweep ?workers ?out_dir ~fresh ~quiet ~name:"netstorm" js)
-  in
-  of_records ~scale ~seed ~points ~apps lookup
+  List.rev !cells
 
 (* One table per application: a row per storm point, protocols
    aggregated — the campaign is a pass/fail gate, so the interesting
    number is how many protocol cells survived, and the wire-level cost
    of surviving. *)
-let render ?(points = default_points) ?(apps = default_apps) r =
+let render ?(points = default_points) ?(apps = default_apps) cells =
   let b = Buffer.create 1024 in
   Buffer.add_string b (Report.section "Netstorm: protocols on a lossy wire");
   List.iter
@@ -335,7 +319,7 @@ let render ?(points = default_points) ?(apps = default_apps) r =
             let cs =
               List.filter
                 (fun c -> c.c_app = app && c.c_point.label = point.label)
-                r.cells
+                cells
             in
             let n = List.length cs in
             let ok =
@@ -380,31 +364,23 @@ let render ?(points = default_points) ?(apps = default_apps) r =
                "slowdown"; "2pc-aborts" ]
            ~rows))
     apps;
-  let bad = violations r in
-  if bad = [] && r.missing = [] then
+  let bad = violations cells in
+  if bad = [] then
     Buffer.add_string b
       "\nEvery cell completed with consistent output; no run wedged, no \
        Save-work regressions.\n"
   else begin
-    if bad <> [] then begin
-      Buffer.add_string b "\nViolations:\n";
-      List.iter
-        (fun c ->
-          Buffer.add_string b
-            (Printf.sprintf "  %s/%s @ %s: %s%s%s%s\n" (Figure8.app_name c.c_app)
-               c.c_protocol c.c_point.label c.c_outcome
-               (if c.c_wedged then " WEDGED" else "")
-               (if not c.c_consistent then
-                  " INCONSISTENT(" ^ c.c_cons_msg ^ ")"
-                else "")
-               (if c.c_save_work_broken then " SAVE-WORK-BROKEN" else "")))
-        bad
-    end;
-    if r.missing <> [] then begin
-      Buffer.add_string b "\nJobs without a verdict:\n";
-      List.iter
-        (fun k -> Buffer.add_string b (Printf.sprintf "  %s\n" k))
-        r.missing
-    end
+    Buffer.add_string b "\nViolations:\n";
+    List.iter
+      (fun c ->
+        Buffer.add_string b
+          (Printf.sprintf "  %s/%s @ %s: %s%s%s%s\n" (Figure8.app_name c.c_app)
+             c.c_protocol c.c_point.label c.c_outcome
+             (if c.c_wedged then " WEDGED" else "")
+             (if not c.c_consistent then
+                " INCONSISTENT(" ^ c.c_cons_msg ^ ")"
+              else "")
+             (if c.c_save_work_broken then " SAVE-WORK-BROKEN" else "")))
+      bad
   end;
   Buffer.contents b

@@ -51,16 +51,8 @@ type cell = {
   c_slowdown : float;  (** stressed sim time / reference sim time *)
 }
 
-type report = {
-  cells : cell list;
-  missing : string list;  (** job keys that died without a verdict *)
-}
-
-val violations : report -> cell list
+val violations : cell list -> cell list
 (** Cells that wedged, diverged, or broke Save-work. *)
-
-val clean : report -> bool
-(** No violations and no missing jobs. *)
 
 val jobs :
   ?scale:float -> ?seed:int -> ?points:point list -> ?apps:Figure8.app list ->
@@ -70,13 +62,8 @@ val jobs :
 
 val of_records :
   ?scale:float -> ?seed:int -> ?points:point list -> ?apps:Figure8.app list ->
-  (string -> Ft_exp.Jstore.value option) -> report
+  (string -> Ft_exp.Jstore.value option) -> cell list
+(** The cells of the jobs that completed, in job order. *)
 
-val run :
-  ?workers:int -> ?out_dir:string -> ?fresh:bool -> ?quiet:bool ->
-  ?scale:float -> ?seed:int -> ?points:point list -> ?apps:Figure8.app list ->
-  unit -> report
-(** The full campaign.  With [out_dir], runs as a named resumable store
-    sweep ([netstorm.jsonl]); without, evaluates in memory. *)
-
-val render : ?points:point list -> ?apps:Figure8.app list -> report -> string
+val render :
+  ?points:point list -> ?apps:Figure8.app list -> cell list -> string

@@ -395,32 +395,21 @@ let jobs spec =
                ~ladder_name ft)))
     (cells spec)
 
-type report = { spec : spec; rows : row list; missing : string list }
+type report = { spec : spec; rows : row list }
 
 let of_records spec lookup =
-  let rows, missing =
-    List.partition_map
+  let rows =
+    List.filter_map
       (fun ((app, protocol, ladder, fault_type), _, key) ->
-        match lookup key with
-        | Some v ->
-            Left
-              (row_of_json ~app ~fault_type
-                 ~protocol_name:protocol.Ft_core.Protocol.spec_name ~ladder v)
-        | None -> Right key)
+        Option.map
+          (row_of_json ~app ~fault_type
+             ~protocol_name:protocol.Ft_core.Protocol.spec_name ~ladder)
+          (lookup key))
       (cells spec)
   in
-  { spec; rows; missing }
+  { spec; rows }
 
-let run ?workers ?out_dir ?(fresh = false) ?(quiet = false) spec =
-  let js = jobs spec in
-  let lookup =
-    Ft_exp.Exp.lookup
-      (Ft_exp.Exp.run_sweep ?workers ?out_dir ~fresh ~quiet ~name:"rescue" js)
-  in
-  of_records spec lookup
-
-let clean r =
-  r.missing = [] && List.for_all (fun row -> row.violations = 0) r.rows
+let clean r = List.for_all (fun row -> row.violations = 0) r.rows
 
 (* --- report ---------------------------------------------------------------- *)
 
@@ -529,10 +518,4 @@ let render r =
         replay traded work, never correctness.\n"
    else
      Buffer.add_string b "\nCONSISTENCY VIOLATIONS — see the table above.\n");
-  if r.missing <> [] then begin
-    Buffer.add_string b "\nCells without a verdict:\n";
-    List.iter
-      (fun k -> Buffer.add_string b (Printf.sprintf "  %s\n" k))
-      r.missing
-  end;
   Buffer.contents b

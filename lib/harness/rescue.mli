@@ -78,18 +78,12 @@ val jobs : spec -> Ft_exp.Job.t list
 (** One resumable job per cell; trial seeds derive from cell identity,
     so sharded and serial sweeps agree byte for byte. *)
 
-type report = { spec : spec; rows : row list; missing : string list }
+type report = { spec : spec; rows : row list }
 
 val of_records : spec -> (string -> Ft_exp.Jstore.value option) -> report
-val run :
-  ?workers:int ->
-  ?out_dir:string ->
-  ?fresh:bool ->
-  ?quiet:bool ->
-  spec ->
-  report
+(** The rows of the cells that completed, in job order. *)
 
 val clean : report -> bool
-(** No missing cells and zero Consistency violations at every rung. *)
+(** Zero Consistency violations at every rung. *)
 
 val render : report -> string

@@ -456,14 +456,9 @@ type proto_summary = {
   s_bad : string list;
 }
 
-type report = {
-  params : params;
-  summaries : proto_summary list;
-  missing : string list;
-}
+type report = { params : params; summaries : proto_summary list }
 
-let clean r =
-  r.missing = [] && List.for_all (fun s -> s.s_bad = []) r.summaries
+let clean r = List.for_all (fun s -> s.s_bad = []) r.summaries
 
 let summarize ~label shard_values =
   let sum f = List.fold_left (fun a v -> a + f v) 0 shard_values in
@@ -559,35 +554,17 @@ let summarize ~label shard_values =
   }
 
 let of_records ?(protocols = [ Ft_core.Protocols.cpvs ]) p lookup =
-  let missing = ref [] in
   let summaries =
     List.map
       (fun protocol ->
         let label = protocol.Ft_core.Protocol.spec_name in
-        let values =
-          List.filter_map
-            (fun shard ->
-              let key = job_key p ~label ~shard in
-              match lookup key with
-              | Some v -> Some v
-              | None ->
-                  missing := key :: !missing;
-                  None)
-            (List.init (nshards p) Fun.id)
-        in
-        summarize ~label values)
+        summarize ~label
+          (List.filter_map
+             (fun shard -> lookup (job_key p ~label ~shard))
+             (List.init (nshards p) Fun.id)))
       protocols
   in
-  { params = p; summaries; missing = List.rev !missing }
-
-let run ?workers ?out_dir ?(fresh = false) ?(quiet = false)
-    ?(protocols = [ Ft_core.Protocols.cpvs ]) p =
-  let js = jobs ~protocols p in
-  let lookup =
-    Ft_exp.Exp.lookup
-      (Ft_exp.Exp.run_sweep ?workers ?out_dir ~fresh ~quiet ~name:"serve" js)
-  in
-  of_records ~protocols p lookup
+  { params = p; summaries }
 
 let ms ns = Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
 
@@ -641,27 +618,18 @@ let render r =
               ])
             r.summaries));
   let bad = List.concat_map (fun s -> s.s_bad) r.summaries in
-  if bad = [] && r.missing = [] then
+  if bad = [] then
     Buffer.add_string b
       "\nNo oracle violations: every ack consistent with the fault-free \
        reference, Save-work intact.\n"
   else begin
-    if bad <> [] then begin
-      Buffer.add_string b "\nViolations:\n";
-      List.iter
-        (fun s ->
-          List.iter
-            (fun m ->
-              Buffer.add_string b
-                (Printf.sprintf "  [%s] %s\n" s.s_protocol m))
-            s.s_bad)
-        r.summaries
-    end;
-    if r.missing <> [] then begin
-      Buffer.add_string b "\nShards without a verdict:\n";
-      List.iter
-        (fun k -> Buffer.add_string b (Printf.sprintf "  %s\n" k))
-        r.missing
-    end
+    Buffer.add_string b "\nViolations:\n";
+    List.iter
+      (fun s ->
+        List.iter
+          (fun m ->
+            Buffer.add_string b (Printf.sprintf "  [%s] %s\n" s.s_protocol m))
+          s.s_bad)
+      r.summaries
   end;
   Buffer.contents b

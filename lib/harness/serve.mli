@@ -84,30 +84,16 @@ type proto_summary = {
   s_bad : string list;  (** oracle violations *)
 }
 
-type report = {
-  params : params;
-  summaries : proto_summary list;
-  missing : string list;
-}
+type report = { params : params; summaries : proto_summary list }
 
 val clean : report -> bool
-(** No oracle violations and no missing shards. *)
+(** No oracle violations. *)
 
 val of_records :
   ?protocols:Ft_core.Protocol.spec list ->
   params ->
   (string -> Ft_exp.Jstore.value option) ->
   report
-
-val run :
-  ?workers:int ->
-  ?out_dir:string ->
-  ?fresh:bool ->
-  ?quiet:bool ->
-  ?protocols:Ft_core.Protocol.spec list ->
-  params ->
-  report
-(** The campaign.  With [out_dir], runs as a named resumable store
-    sweep ([serve.jsonl]); without, evaluates in memory. *)
+(** Per-protocol summaries over the shards that completed. *)
 
 val render : report -> string

@@ -195,12 +195,6 @@ let of_records ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 1000)
         (Option.value (lookup key) ~default:(Ft_exp.Jstore.Obj [])))
     (cells ~target_crashes ~max_attempts ~seed0 ~app)
 
-let run ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 1000) ~app () =
-  of_records ~target_crashes ~max_attempts ~seed0 ~app
-    (Ft_exp.Exp.lookup
-       (Ft_exp.Exp.run_sweep ~workers:1 ~quiet:true ~name:"table1"
-          (jobs ~target_crashes ~max_attempts ~seed0 ~app ())))
-
 let violation_pct row =
   if row.crashes = 0 then 0.
   else 100. *. float_of_int row.violations /. float_of_int row.crashes

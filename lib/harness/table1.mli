@@ -72,13 +72,8 @@ val of_records :
   ?target_crashes:int -> ?max_attempts:int -> ?seed0:int -> app:app ->
   (string -> Ft_exp.Jstore.value option) -> row list
 (** Rows assembled from stored job values, in {!Ft_faults.Fault_type.all}
-    order (missing jobs render as zero rows). *)
-
-val run :
-  ?target_crashes:int -> ?max_attempts:int -> ?seed0:int -> app:app ->
-  unit -> row list
-(** One campaign per fault type: [jobs] evaluated inline and
-    assembled. *)
+    order (a job that died renders as a zero row, which the CLI never
+    prints without also failing the command). *)
 
 val violation_pct : row -> float
 val average : row list -> float

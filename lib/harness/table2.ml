@@ -143,13 +143,6 @@ let of_records ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 5000)
         (Option.value (lookup key) ~default:(Ft_exp.Jstore.Obj [])))
     (cells ~target_crashes ~max_attempts ~seed0 ~app)
 
-let run ?(target_crashes = 50) ?(max_attempts = 900) ?(seed0 = 5000)
-    ~(app : Table1.app) () =
-  of_records ~target_crashes ~max_attempts ~seed0 ~app
-    (Ft_exp.Exp.lookup
-       (Ft_exp.Exp.run_sweep ~workers:1 ~quiet:true ~name:"table2"
-          (jobs ~target_crashes ~max_attempts ~seed0 ~app ())))
-
 let failure_pct row =
   if row.crashes = 0 then 0.
   else 100. *. float_of_int row.failed_recoveries /. float_of_int row.crashes

@@ -31,14 +31,6 @@ val of_records :
   ?target_crashes:int -> ?max_attempts:int -> ?seed0:int -> app:Table1.app ->
   (string -> Ft_exp.Jstore.value option) -> row list
 
-val run :
-  ?target_crashes:int ->
-  ?max_attempts:int ->
-  ?seed0:int ->
-  app:Table1.app ->
-  unit ->
-  row list
-
 val failure_pct : row -> float
 val average : row list -> float
 

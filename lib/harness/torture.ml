@@ -205,13 +205,18 @@ let job_key sc ~defective ~total_writes ~idx =
     (if defective then "/defect" else "")
     total_writes idx
 
-let jobs ?defect sc ~total_writes ~post pts =
+(* Every chunk of the swept crash points with its job key: [jobs] and
+   [of_records] both walk it. *)
+let chunk_keys ?defect ~points ~total_writes sc =
   List.mapi
     (fun idx chunk ->
-      Ft_exp.Job.make
-        ~key:(job_key sc ~defective:(defect <> None) ~total_writes ~idx)
-        ~seed:sc.seed
-        (fun () ->
+      (job_key sc ~defective:(defect <> None) ~total_writes ~idx, chunk))
+    (chunks chunk_size (points_list ~total_writes ~points ~seed:sc.seed))
+
+let jobs ?defect ~points ~total_writes ~post sc =
+  List.map
+    (fun (key, chunk) ->
+      Ft_exp.Job.make ~key ~seed:sc.seed (fun () ->
           let rolled = ref 0 and committed = ref 0 and bad = ref [] in
           List.iter
             (fun point ->
@@ -236,35 +241,25 @@ let jobs ?defect sc ~total_writes ~post pts =
                          ])
                      !bad) );
             ]))
-    (chunks chunk_size pts)
+    (chunk_keys ?defect ~points ~total_writes sc)
 
 type report = {
   scenario : scenario;
   total_writes : int;  (* word writes in the instrumented commit *)
-  requested : int;     (* crash points asked for; explored < requested
-                          means some sweep jobs failed outright *)
   explored : int;
   rolled_back : int;
   committed : int;
   violations : (int * string) list;  (* crash point, diagnosis *)
 }
 
-let run ?defect ?workers ?out_dir ?(fresh = false) ?(quiet = false)
-    ~points sc =
-  let total_writes, post = measure ?defect sc in
-  let pts = points_list ~total_writes ~points ~seed:sc.seed in
-  let js = jobs ?defect sc ~total_writes ~post pts in
-  let lookup =
-    Ft_exp.Exp.lookup
-      (Ft_exp.Exp.run_sweep ?workers ?out_dir ~fresh ~quiet ~name:"torture" js)
-  in
+let of_records ?defect ~points ~total_writes sc lookup =
   let explored = ref 0
   and rolled = ref 0
   and committed = ref 0
   and bad = ref [] in
   List.iter
-    (fun (j : Ft_exp.Job.t) ->
-      match lookup j.Ft_exp.Job.key with
+    (fun (key, _) ->
+      match lookup key with
       | None -> ()
       | Some v ->
           explored := !explored + Ft_exp.Jstore.get_int "explored" v;
@@ -278,11 +273,10 @@ let run ?defect ?workers ?out_dir ?(fresh = false) ?(quiet = false)
                    :: !bad))
             (Option.bind (Ft_exp.Jstore.member "violations" v)
                Ft_exp.Jstore.to_list))
-    js;
+    (chunk_keys ?defect ~points ~total_writes sc);
   {
     scenario = sc;
     total_writes;
-    requested = List.length pts;
     explored = !explored;
     rolled_back = !rolled;
     committed = !committed;

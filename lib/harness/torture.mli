@@ -2,8 +2,8 @@
     injected crash after the [k]-th persisted word write, for every
     [k] in [0 .. W] (or a seeded sample), recover from the region words
     alone, and demand the recovered image equal the pre-commit or
-    post-commit checkpoint — never a hybrid.  Sweeps fan out over
-    {!Ft_exp.Exp} jobs (parallel, resumable). *)
+    post-commit checkpoint — never a hybrid.  The points fan out over
+    {!Ft_exp.Job}s (parallel, resumable). *)
 
 type scenario = {
   heap_words : int;
@@ -42,28 +42,33 @@ val torture_point :
     arms a deliberate write-ordering bug ({!Ft_stablemem.Vista.defect})
     so tests can prove the checker has teeth. *)
 
+val jobs :
+  ?defect:Ft_stablemem.Vista.defect ->
+  points:points ->
+  total_writes:int ->
+  post:int array * int ->
+  scenario ->
+  Ft_exp.Job.t list
+(** The sweep over crash points [0..total_writes] (or a seeded sample),
+    in chunks of 64 points per job; [total_writes] and [post] come from
+    {!measure}. *)
+
 type report = {
   scenario : scenario;
   total_writes : int;
-  requested : int;
-      (** crash points asked for; [explored < requested] means some
-          sweep jobs failed outright *)
   explored : int;
   rolled_back : int;
   committed : int;
   violations : (int * string) list;  (** crash point, diagnosis *)
 }
 
-val run :
+val of_records :
   ?defect:Ft_stablemem.Vista.defect ->
-  ?workers:int ->
-  ?out_dir:string ->
-  ?fresh:bool ->
-  ?quiet:bool ->
   points:points ->
+  total_writes:int ->
   scenario ->
+  (string -> Ft_exp.Jstore.value option) ->
   report
-(** The full sweep.  With [out_dir], runs as a named resumable store
-    sweep ([torture.jsonl]); without, evaluates in memory. *)
+(** Folds the stored chunk values of {!jobs} into one report. *)
 
 val render : report -> string

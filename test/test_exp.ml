@@ -354,6 +354,53 @@ let test_sweep_failed_rows_recorded () =
       Alcotest.(check bool) "healthy job visible" true
         (lookup "job/1" = Some (Ft_exp.Jstore.Int 1)))
 
+(* A failed row is no verdict: a warm rerun retries it, and only it. *)
+let test_sweep_warm_retries_failed_rows () =
+  let dir = mk_temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let calls = Atomic.make 0 in
+      let jobs () =
+        List.init 5 (fun i ->
+            Ft_exp.Job.make ~key:(Printf.sprintf "job/%d" i) ~seed:i
+              (fun () ->
+                (* job 2 fails on its first call and succeeds after *)
+                if i = 2 && Atomic.fetch_and_add calls 1 = 0 then
+                  failwith "transient";
+                Ft_exp.Jstore.Int i))
+      in
+      let sweep () =
+        Ft_exp.Exp.run_sweep ~workers:2 ~retries:0 ~out_dir:dir ~quiet:true
+          ~name:"r" (jobs ())
+      in
+      let cold = sweep () in
+      Alcotest.(check int) "cold: one failed" 1 cold.Ft_exp.Exp.failed;
+      let warm = sweep () in
+      Alcotest.(check int) "warm: the failed job ran again" 1
+        warm.Ft_exp.Exp.ran;
+      Alcotest.(check int) "warm: the completed jobs skipped" 4
+        warm.Ft_exp.Exp.skipped;
+      Alcotest.(check int) "warm: none failed" 0 warm.Ft_exp.Exp.failed;
+      Alcotest.(check bool) "warm: the retried value is visible" true
+        (Ft_exp.Exp.lookup warm "job/2" = Some (Ft_exp.Jstore.Int 2)))
+
+(* The dead-job verdict: exactly the failed jobs' keys and errors. *)
+let test_sweep_failures_lists_dead_jobs () =
+  let jobs =
+    List.init 6 (fun i ->
+        Ft_exp.Job.make ~key:(Printf.sprintf "job/%d" i) ~seed:i (fun () ->
+            if i = 4 then failwith "injected";
+            Ft_exp.Jstore.Int i))
+  in
+  let sr =
+    Ft_exp.Exp.run_sweep ~workers:2 ~retries:0 ~quiet:true ~name:"d" jobs
+  in
+  Alcotest.(check (list (pair string string)))
+    "one dead job, with its error"
+    [ ("job/4", "Failure(\"injected\") (after 1 attempts)") ]
+    (Ft_exp.Exp.failures sr)
+
 (* With no [out_dir] a sweep runs every job in memory and touches no
    file, yet its lookup agrees with a stored sweep's, failed job
    included. *)
@@ -447,20 +494,6 @@ let test_figure8_parallel_equals_serial () =
   Alcotest.(check string)
     "figure8 -j1 == -j4" (figure8_rendered 1) (figure8_rendered 4)
 
-(* measure (the inline path used by tests and `ft run`) agrees with the
-   job/records path used by sweeps *)
-let test_measure_matches_records_path () =
-  let app = Ft_harness.Figure8.Nvi in
-  let via_measure = Ft_harness.Figure8.measure ~scale:0.05 app in
-  let via_records =
-    Ft_harness.Figure8.of_records ~scale:0.05 app
-      (in_memory ~workers:2 (Ft_harness.Figure8.jobs ~scale:0.05 app))
-  in
-  Alcotest.(check string)
-    "same rendering"
-    (Ft_harness.Figure8.render via_measure)
-    (Ft_harness.Figure8.render via_records)
-
 (* --- exact nearest-rank percentiles -------------------------------------- *)
 
 let test_percentile_tiny_samples () =
@@ -544,6 +577,10 @@ let tests =
       test_sweep_resume_skips_completed;
     Alcotest.test_case "sweep records failures" `Quick
       test_sweep_failed_rows_recorded;
+    Alcotest.test_case "sweep warm retries failed rows" `Quick
+      test_sweep_warm_retries_failed_rows;
+    Alcotest.test_case "sweep failures lists dead jobs" `Quick
+      test_sweep_failures_lists_dead_jobs;
     Alcotest.test_case "sweep in memory matches stored" `Quick
       test_sweep_in_memory_matches_stored;
     Alcotest.test_case "table1 parallel == serial" `Slow
@@ -552,8 +589,6 @@ let tests =
       test_table2_parallel_equals_serial;
     Alcotest.test_case "figure8 parallel == serial" `Slow
       test_figure8_parallel_equals_serial;
-    Alcotest.test_case "measure matches records path" `Slow
-      test_measure_matches_records_path;
   ]
 
 let () = Alcotest.run "ft_exp" [ ("exp", tests) ]

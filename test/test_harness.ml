@@ -6,8 +6,28 @@
 let find name cells =
   List.find (fun c -> c.Ft_harness.Figure8.protocol = name) cells
 
+(* Campaigns are jobs plus [of_records]; the tests sweep them serially
+   in memory, and a job that dies fails the test as it fails the CLI. *)
+let in_memory jobs =
+  let sr = Ft_exp.Exp.run_sweep ~workers:1 ~quiet:true ~name:"test" jobs in
+  Alcotest.(check (list (pair string string)))
+    "no sweep job died" [] (Ft_exp.Exp.failures sr);
+  Ft_exp.Exp.lookup sr
+
+let figure8 ?classic ?seed ~scale app =
+  Ft_harness.Figure8.of_records ?classic ~scale ?seed app
+    (in_memory (Ft_harness.Figure8.jobs ?classic ~scale ?seed app))
+
+let table1 ~target_crashes ~app =
+  Ft_harness.Table1.of_records ~target_crashes ~app
+    (in_memory (Ft_harness.Table1.jobs ~target_crashes ~app ()))
+
+let table2 ?max_attempts ~target_crashes ~app () =
+  Ft_harness.Table2.of_records ?max_attempts ~target_crashes ~app
+    (in_memory (Ft_harness.Table2.jobs ?max_attempts ~target_crashes ~app ()))
+
 let test_figure8_nvi_shape () =
-  let r = Ft_harness.Figure8.measure ~scale:0.15 Ft_harness.Figure8.Nvi in
+  let r = figure8 ~scale:0.15 Ft_harness.Figure8.Nvi in
   let cells = r.Ft_harness.Figure8.cells in
   let cand = find "CAND" cells
   and cand_log = find "CAND-LOG" cells
@@ -29,9 +49,7 @@ let test_figure8_nvi_shape () =
     > cand.Ft_harness.Figure8.dc_overhead)
 
 let test_figure8_treadmarks_shape () =
-  let r =
-    Ft_harness.Figure8.measure ~scale:0.2 Ft_harness.Figure8.Treadmarks
-  in
+  let r = figure8 ~scale:0.2 Ft_harness.Figure8.Treadmarks in
   let cells = r.Ft_harness.Figure8.cells in
   let cand = find "CAND" cells
   and cpvs = find "CPVS" cells
@@ -46,7 +64,7 @@ let test_figure8_treadmarks_shape () =
     <= cpvs.Ft_harness.Figure8.dc_overhead)
 
 let test_figure8_xpilot_full_speed () =
-  let r = Ft_harness.Figure8.measure ~scale:0.1 Ft_harness.Figure8.Xpilot in
+  let r = figure8 ~scale:0.1 Ft_harness.Figure8.Xpilot in
   List.iter
     (fun c ->
       Alcotest.(check bool)
@@ -69,8 +87,8 @@ let test_table1_mini_campaign () =
 
 let test_table2_mini_campaign () =
   let rows =
-    Ft_harness.Table2.run ~target_crashes:3 ~max_attempts:30
-      ~app:Ft_harness.Table1.Postgres ()
+    table2 ~target_crashes:3 ~max_attempts:30 ~app:Ft_harness.Table1.Postgres
+      ()
   in
   Alcotest.(check int) "one row per fault type"
     (List.length Ft_faults.Fault_type.all)
@@ -143,15 +161,18 @@ let small_scenario =
     dirty_pages = 2;
     stack_depth = 8 }
 
+let torture ?defect ~points sc =
+  let total_writes, post = Ft_harness.Torture.measure ?defect sc in
+  Ft_harness.Torture.of_records ?defect ~points ~total_writes sc
+    (in_memory (Ft_harness.Torture.jobs ?defect ~points ~total_writes ~post sc))
+
 let test_torture_all_points_clean () =
-  let rep =
-    Ft_harness.Torture.run ~quiet:true ~points:Ft_harness.Torture.All
-      small_scenario
-  in
+  let rep = torture ~points:Ft_harness.Torture.All small_scenario in
   Alcotest.(check bool) "commit has crash points" true
     (rep.Ft_harness.Torture.total_writes > 0);
   Alcotest.(check int) "every point explored"
-    rep.Ft_harness.Torture.requested rep.Ft_harness.Torture.explored;
+    (rep.Ft_harness.Torture.total_writes + 1)
+    rep.Ft_harness.Torture.explored;
   Alcotest.(check int) "no violations" 0
     (List.length rep.Ft_harness.Torture.violations);
   (* only the no-crash endpoint commits; every interception rolls back *)
@@ -165,8 +186,7 @@ let test_torture_catches_defect () =
   (* Publishing the record header before its body makes a mid-record
      crash replay garbage before-images: the checker must see hybrids. *)
   let rep =
-    Ft_harness.Torture.run ~quiet:true
-      ~defect:Ft_stablemem.Vista.Publish_header_first
+    torture ~defect:Ft_stablemem.Vista.Publish_header_first
       ~points:Ft_harness.Torture.All small_scenario
   in
   Alcotest.(check bool) "defect caught" true
@@ -174,14 +194,13 @@ let test_torture_catches_defect () =
 
 let test_torture_sample_reproducible () =
   let run () =
-    Ft_harness.Torture.run ~quiet:true
-      ~points:(Ft_harness.Torture.Sample 12) small_scenario
+    torture ~points:(Ft_harness.Torture.Sample 12) small_scenario
   in
   let a = run () and b = run () in
   Alcotest.(check int) "same explored" a.Ft_harness.Torture.explored
     b.Ft_harness.Torture.explored;
   Alcotest.(check int) "sample of the requested size" 12
-    a.Ft_harness.Torture.requested;
+    a.Ft_harness.Torture.explored;
   Alcotest.(check int) "clean sample" 0
     (List.length a.Ft_harness.Torture.violations)
 
@@ -196,8 +215,12 @@ let tiny_serve_params =
     shard_size = 2;
     seed = 3 }
 
+let serve ?protocols p =
+  Ft_harness.Serve.of_records ?protocols p
+    (in_memory (Ft_harness.Serve.jobs ?protocols p))
+
 let test_serve_tiny_fleet_clean () =
-  let report = Ft_harness.Serve.run ~quiet:true tiny_serve_params in
+  let report = serve tiny_serve_params in
   Alcotest.(check bool) "oracles clean" true (Ft_harness.Serve.clean report);
   List.iter
     (fun s ->
@@ -252,8 +275,7 @@ let test_figure8_golden () =
     String.concat ""
       (List.map
          (fun app ->
-           Ft_harness.Figure8.render
-             (Ft_harness.Figure8.measure ~scale:0.25 ~seed:42 app))
+           Ft_harness.Figure8.render (figure8 ~scale:0.25 ~seed:42 app))
          Ft_harness.Figure8.all_apps)
   in
   Alcotest.(check string)
@@ -270,8 +292,7 @@ let test_figure8_classic_golden () =
       (List.map
          (fun app ->
            Ft_harness.Figure8.render
-             (Ft_harness.Figure8.measure ~classic:true ~scale:0.25 ~seed:42
-                app))
+             (figure8 ~classic:true ~scale:0.25 ~seed:42 app))
          Ft_harness.Figure8.all_apps)
   in
   Alcotest.(check string)
@@ -287,8 +308,7 @@ let test_table1_golden () =
         (Printf.sprintf
            "table 1 rendering is byte-identical (%s, 3 crashes per fault)" name)
         (read_golden (Printf.sprintf "table1_%s_crashes3.golden" name))
-        (Ft_harness.Table1.render ~app
-           (Ft_harness.Table1.run ~target_crashes:3 ~app ())))
+        (Ft_harness.Table1.render ~app (table1 ~target_crashes:3 ~app)))
     [ Ft_harness.Table1.Nvi; Ft_harness.Table1.Postgres ]
 
 let test_table2_golden () =
@@ -299,22 +319,28 @@ let test_table2_golden () =
         (Printf.sprintf
            "table 2 rendering is byte-identical (%s, 3 crashes per fault)" name)
         (read_golden (Printf.sprintf "table2_%s_crashes3.golden" name))
-        (Ft_harness.Table2.render ~app
-           (Ft_harness.Table2.run ~target_crashes:3 ~app ())))
+        (Ft_harness.Table2.render ~app (table2 ~target_crashes:3 ~app ())))
     [ Ft_harness.Table1.Nvi; Ft_harness.Table1.Postgres ]
 
 (* 3 crashes in at most 200 attempts: the frequent cadences stop at the
    crash target, "never" runs out of attempts first. *)
 let test_ablation_crash_early_golden () =
+  let cadences = [ 1; 16; 1_000_000 ] in
   let actual =
     Ft_harness.Ablation.render_crash_early
-      (Ft_harness.Ablation.crash_early ~cadences:[ 1; 16; 1_000_000 ]
-         ~target_crashes:3 ~max_attempts:200 ())
+      (Ft_harness.Ablation.crash_early_of_records ~cadences ~target_crashes:3
+         ~max_attempts:200
+         (in_memory
+            (Ft_harness.Ablation.crash_early_jobs ~cadences ~target_crashes:3
+               ~max_attempts:200 ())))
   in
   Alcotest.(check string)
     "crash-early rendering is byte-identical (3 crashes, 200 attempts)"
     (read_golden "ablation_crash_early_small.golden")
     actual
+
+let rescue spec =
+  Ft_harness.Rescue.of_records spec (in_memory (Ft_harness.Rescue.jobs spec))
 
 let test_rescue_golden () =
   let spec =
@@ -332,7 +358,7 @@ let test_rescue_golden () =
   Alcotest.(check string)
     "rescue rendering is byte-identical (nvi, CPVS, generic vs full)"
     (read_golden "rescue_mini.golden")
-    (Ft_harness.Rescue.render (Ft_harness.Rescue.run ~quiet:true spec))
+    (Ft_harness.Rescue.render (rescue spec))
 
 (* The serve campaign's simulated units, at full precision: the smoke
    fleet at seed 11 plain, with one poisoned tenant, and with nested
@@ -366,7 +392,7 @@ let test_serve_golden () =
     String.concat ""
       (List.map
          (fun (name, protocols, p) ->
-           let r = Ft_harness.Serve.run ~quiet:true ?protocols p in
+           let r = serve ?protocols p in
            Printf.sprintf "## %s\n" name
            ^ Ft_harness.Serve.render r
            ^ String.concat ""
@@ -409,7 +435,7 @@ let test_serve_quarantines_poisoned_tenant () =
       seed = 5;
       poison = 1 }
   in
-  let report = Ft_harness.Serve.run ~quiet:true params in
+  let report = serve params in
   Alcotest.(check bool) "oracles clean" true (Ft_harness.Serve.clean report);
   List.iter
     (fun s ->
@@ -442,7 +468,7 @@ let test_rescue_tiny_campaign () =
       seed0 = 7000;
     }
   in
-  let report = Ft_harness.Rescue.run ~quiet:true spec in
+  let report = rescue spec in
   Alcotest.(check bool) "campaign clean" true (Ft_harness.Rescue.clean report);
   Alcotest.(check int) "all cells ran" 4
     (List.length report.Ft_harness.Rescue.rows);
