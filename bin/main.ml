@@ -192,12 +192,38 @@ let run_netstorm loss dup reorder partition apps scale seed opts =
       if Ft_harness.Netstorm.violations cells = [] then 0
       else fail_run "netstorm found violations")
 
+(* [--smoke] runs a fixed campaign: the flags it would ignore, when
+   given, are a usage error instead. *)
+let smoke_conflict smoke flags =
+  match List.filter_map (fun (f, g) -> if g then Some f else None) flags with
+  | _ :: _ as given when smoke ->
+      Some
+        (Printf.sprintf "%s cannot be combined with --smoke"
+           (String.concat ", " given))
+  | _ -> None
+
 (* Serve: the fleet-scale campaign — many postgres tenants per
    multi-tenant scheduler, open-loop load, Poisson kills, SLO-grade
    reporting.  Exits non-zero on any oracle violation or zero goodput,
    so CI can gate on it. *)
 let run_serve procs requests protocols crash_rate recovery_crash_rate det_cap
     storm shard_size interval_ns poison smoke seed opts =
+  let d = Ft_harness.Serve.default_params in
+  let given o = Option.is_some o and v o default = Option.value o ~default in
+  match
+    smoke_conflict smoke
+      [
+        ("--procs", given procs);
+        ("--requests", given requests);
+        ("--crash-rate", given crash_rate);
+        ("--det-cap", given det_cap);
+        ("--shard-size", given shard_size);
+        ("--interval-ns", given interval_ns);
+      ]
+  with
+  | Some msg -> `Error (true, msg)
+  | None ->
+  let procs = v procs d.procs and requests = v requests d.requests in
   if (not smoke) && requests < procs then
     `Error
       (true,
@@ -216,16 +242,16 @@ let run_serve procs requests protocols crash_rate recovery_crash_rate det_cap
       }
     else
       {
-        Ft_harness.Serve.default_params with
+        d with
         procs;
         requests;
-        crash_rate;
+        crash_rate = v crash_rate d.crash_rate;
         recovery_crash_rate;
-        det_cap;
+        det_cap = v det_cap d.det_cap;
         storm;
         seed;
-        shard_size;
-        interval_ns;
+        shard_size = v shard_size d.shard_size;
+        interval_ns = v interval_ns d.interval_ns;
         poison;
       }
   in
@@ -248,26 +274,37 @@ let run_serve procs requests protocols crash_rate recovery_crash_rate det_cap
    non-zero on any Consistency violation at any rung, so CI can gate on
    it. *)
 let run_rescue apps protocols ladder_names crashes smoke seed opts =
+  match
+    smoke_conflict smoke
+      [
+        ("--app", apps <> []);
+        ("--protocol", protocols <> []);
+        ("--ladder", ladder_names <> []);
+        ("--crashes", Option.is_some crashes);
+      ]
+  with
+  | Some msg -> `Error (true, msg)
+  | None ->
+  let d = Ft_harness.Rescue.default_spec in
+  let or_default l default = if l = [] then default else l in
   let spec =
-    if smoke then
-      { Ft_harness.Rescue.smoke_spec with Ft_harness.Rescue.seed0 = seed }
+    if smoke then { Ft_harness.Rescue.smoke_spec with seed0 = seed }
     else
       {
-        Ft_harness.Rescue.default_spec with
-        Ft_harness.Rescue.apps;
-        protocols;
-        ladder_names =
-          (if ladder_names = [] then Ft_harness.Rescue.ladders
-           else ladder_names);
-        target_crashes = crashes;
+        d with
+        apps = or_default apps d.apps;
+        protocols = or_default (List.concat protocols) d.protocols;
+        ladder_names = or_default ladder_names d.ladder_names;
+        target_crashes = Option.value crashes ~default:d.target_crashes;
         seed0 = seed;
       }
   in
-  sweep opts ~name:"rescue" (Ft_harness.Rescue.jobs spec) (fun lookup ->
-      let report = Ft_harness.Rescue.of_records spec lookup in
-      print_string (Ft_harness.Rescue.render report);
-      if Ft_harness.Rescue.clean report then 0
-      else fail_run "rescue found consistency violations")
+  `Ok
+    (sweep opts ~name:"rescue" (Ft_harness.Rescue.jobs spec) (fun lookup ->
+         let report = Ft_harness.Rescue.of_records spec lookup in
+         print_string (Ft_harness.Rescue.render report);
+         if Ft_harness.Rescue.clean report then 0
+         else fail_run "rescue found consistency violations"))
 
 let run_ablation opts =
   sweep opts ~name:"ablation" (Ft_harness.Ablation.jobs ()) (fun lookup ->
@@ -540,6 +577,11 @@ let bounded base ok what =
 let pos_int = bounded Arg.int (fun n -> n > 0) "a positive integer"
 let nonneg_int = bounded Arg.int (fun n -> n >= 0) "a non-negative integer"
 
+(* A flag [--smoke] rejects: [None] when absent; [show] is the default
+   the help prints. *)
+let smoke_opt parse ~show ?docv name ~doc =
+  Arg.(value & opt (some ~none:show parse) None & info [ name ] ?docv ~doc)
+
 let nonneg_float =
   bounded Arg.float
     (fun x -> x >= 0. && Float.is_finite x)
@@ -557,7 +599,7 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Kernel RNG seed.")
 
 let crashes_arg =
-  Arg.(value & opt nonneg_int 50 & info [ "crashes" ]
+  Arg.(value & opt pos_int 50 & info [ "crashes" ]
          ~doc:"Target crash count per fault type.")
 
 let jobs_arg =
@@ -658,13 +700,14 @@ let netstorm_cmd =
           $ scale_arg $ seed_arg $ sweep_opts_term)
 
 let serve_cmd =
+  let d = Ft_harness.Serve.default_params in
   let procs_arg =
-    Arg.(value & opt pos_int 100
-         & info [ "procs" ] ~doc:"Tenant instances in the fleet.")
+    smoke_opt pos_int ~show:(string_of_int d.procs) "procs"
+      ~doc:"Tenant instances in the fleet."
   in
   let requests_arg =
-    Arg.(value & opt nonneg_int 100_000
-         & info [ "requests" ] ~doc:"Total queries, fleet-wide.")
+    smoke_opt nonneg_int ~show:(string_of_int d.requests) "requests"
+      ~doc:"Total queries, fleet-wide."
   in
   let proto_arg =
     protocols_arg ~all:true ~default:[ Ft_core.Protocols.cpvs ]
@@ -674,9 +717,8 @@ let serve_cmd =
       ()
   in
   let crash_arg =
-    Arg.(value & opt nonneg_float 0.5
-         & info [ "crash-rate" ] ~docv:"R"
-             ~doc:"Expected kills per tenant per simulated second.")
+    smoke_opt nonneg_float ~show:(string_of_float d.crash_rate) ~docv:"R"
+      "crash-rate" ~doc:"Expected kills per tenant per simulated second."
   in
   let recovery_crash_arg =
     Arg.(value & opt nonneg_float 0.
@@ -686,11 +728,9 @@ let serve_cmd =
                    (mid-restore, mid-cascade, mid-commit-round).")
   in
   let det_cap_arg =
-    Arg.(value & opt nonneg_int 256
-         & info [ "det-cap" ] ~docv:"N"
-             ~doc:"Hard cap on live determinants per tenant (0 = \
-                   uncapped): past it the kernel forces a flush instead \
-                   of growing the log.  Ignored under $(b,--smoke).")
+    smoke_opt nonneg_int ~show:(string_of_int d.det_cap) ~docv:"N" "det-cap"
+      ~doc:"Hard cap on live determinants per tenant (0 = uncapped): past \
+            it the kernel forces a flush instead of growing the log."
   in
   let storm_arg =
     let tier =
@@ -705,13 +745,12 @@ let serve_cmd =
                    $(b,calm), $(b,breeze), $(b,gale) or $(b,storm).")
   in
   let shard_arg =
-    Arg.(value & opt pos_int 64
-         & info [ "shard-size" ] ~doc:"Tenants per scheduler/job.")
+    smoke_opt pos_int ~show:(string_of_int d.shard_size) "shard-size"
+      ~doc:"Tenants per scheduler/job."
   in
   let interval_arg =
-    Arg.(value & opt nonneg_int 1_000_000
-         & info [ "interval-ns" ]
-             ~doc:"Open-loop arrival interval per tenant, ns.")
+    smoke_opt nonneg_int ~show:(string_of_int d.interval_ns) "interval-ns"
+      ~doc:"Open-loop arrival interval per tenant, ns."
   in
   let poison_arg =
     Arg.(value & opt nonneg_int 0
@@ -725,7 +764,10 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "smoke" ]
              ~doc:"Small fixed fleet for CI: asserts non-zero goodput and \
-                   clean oracles.")
+                   clean oracles.  Honours $(b,--protocol), $(b,--seed), \
+                   $(b,--storm), $(b,--poison) and \
+                   $(b,--recovery-crash-rate); the other fleet flags are \
+                   usage errors with it.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -739,10 +781,15 @@ let serve_cmd =
             $ sweep_opts_term))
 
 let rescue_cmd =
+  let apps_arg =
+    Arg.(value & opt_all table1_app []
+         & info [ "app" ]
+             ~doc:"Application: nvi or postgres (repeatable; default both).")
+  in
   let proto_arg =
-    protocols_arg
-      ~default:Ft_harness.Rescue.default_spec.Ft_harness.Rescue.protocols
-      ~doc:"Protocol (repeatable; default CPVS and CBNDVS)." ()
+    Arg.(value & opt_all (protocols ()) []
+         & info [ "protocol" ]
+             ~doc:"Protocol (repeatable; default CPVS and CBNDVS).")
   in
   let ladder_arg =
     let ladder =
@@ -754,16 +801,19 @@ let rescue_cmd =
                    (repeatable; default all three).")
   in
   let crashes_arg =
-    Arg.(value & opt nonneg_int 40
-         & info [ "crashes" ]
-             ~doc:"Target crashed runs per (app, fault, protocol, ladder) \
-                   cell.")
+    smoke_opt pos_int
+      ~show:(string_of_int Ft_harness.Rescue.default_spec.target_crashes)
+      "crashes"
+      ~doc:"Target crashed runs per (app, fault, protocol, ladder) cell."
   in
   let smoke_arg =
     Arg.(value & flag
          & info [ "smoke" ]
              ~doc:"Small fixed campaign for CI: nvi, generic vs full, \
-                   asserts zero Consistency violations at every rung.")
+                   asserts zero Consistency violations at every rung.  \
+                   Honours $(b,--seed); $(b,--app), $(b,--protocol), \
+                   $(b,--ladder) and $(b,--crashes) are usage errors with \
+                   it.")
   in
   let rescue_seed_arg =
     Arg.(value & opt int 7_000
@@ -773,8 +823,9 @@ let rescue_cmd =
     (Cmd.info "rescue"
        ~doc:"Measure how much of the unrecoverable app-fault mass each \
              escalation rung (deep rollback, perturbed replay) rescues.")
-    Term.(const run_rescue $ t_apps_arg $ proto_arg $ ladder_arg
-          $ crashes_arg $ smoke_arg $ rescue_seed_arg $ sweep_opts_term)
+    Term.(ret
+            (const run_rescue $ apps_arg $ proto_arg $ ladder_arg
+            $ crashes_arg $ smoke_arg $ rescue_seed_arg $ sweep_opts_term))
 
 let ablation_cmd =
   Cmd.v (Cmd.info "ablation" ~doc:"Run the DESIGN.md ablations (2.6).")
@@ -786,7 +837,7 @@ let mc_cmd =
          & info [ "procs" ] ~doc:"Number of model processes.")
   in
   let depth_arg =
-    Arg.(value & opt nonneg_int 6
+    Arg.(value & opt pos_int 6
          & info [ "depth" ] ~doc:"Events per process.")
   in
   let proto_arg =

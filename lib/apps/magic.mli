@@ -14,19 +14,11 @@ val default_params : params
 val small_params : params
 
 val heap_words : int
-val grid_w : int
-val grid_h : int
 
 val fb_base : int
 (** Start of the re-rendered layout view: fully rebuilt every command,
     so it can be excluded from checkpoints (§2.6). *)
 
-val fb_words : int
-
 val program : Ft_vm.Asm.program
-
-val input_script : params -> int list
-(** Command tokens: [op * 100_000 + x * 100 + y]; op 1 PLACE, 2 ROUTE,
-    3 ERASE, 4 QUERY, 5 DRC. *)
 
 val workload : ?params:params -> unit -> Workload.t

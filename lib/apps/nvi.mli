@@ -24,5 +24,4 @@ val heap_words : int
 val wal_file : int  (** file name id used by [:w] *)
 
 val program : ?check_every:int -> unit -> Ft_vm.Asm.program
-val input_script : params -> int list
 val workload : ?params:params -> unit -> Workload.t

@@ -15,7 +15,6 @@ val small_params : params
 
 val heap_words : int
 val wal_file : int
-val nbuckets : int
 
 val ack_base : int
 (** Driver-mode ack outputs are [ack_base + n] for the 1-based query
@@ -25,10 +24,6 @@ val program : ?check_every:int -> ?ack:bool -> unit -> Ft_vm.Asm.program
 (** [ack] turns on driver mode: every query additionally outputs its
     sequence-numbered acknowledgement — the per-request response the
     serve harness timestamps for latency. *)
-
-val input_script : params -> int list
-(** Query tokens: [op * 1_000_000 + key * 1_000 + value]; op 1 INSERT,
-    2 SELECT, 3 UPDATE, 4 DELETE, 5 SCAN. *)
 
 val workload :
   ?params:params -> ?ack:bool -> ?open_loop:bool -> unit -> Workload.t

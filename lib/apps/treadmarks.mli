@@ -27,7 +27,6 @@ val tree_params : params
 
 val nprocs : int
 val heap_words : int
-val dsm_page : int
 
 val program : params:params -> pid:int -> Ft_vm.Asm.program
 

@@ -10,10 +10,6 @@ val small_params : params
 
 val nprocs : int
 val heap_words : int
-val frame_us : int
-
-val server_program : params -> Ft_vm.Asm.program
-val client_program : params -> Ft_vm.Asm.program
 
 val workload : ?params:params -> unit -> Workload.t
 

@@ -63,7 +63,6 @@ let atomic_with a b =
   match (commit_round a, commit_round b) with
   | Some ra, Some rb -> ra = rb
   | _ -> false
-let is_send e = match e.kind with Send _ -> true | _ -> false
 let is_receive e = match e.kind with Receive _ -> true | _ -> false
 let is_crash e = match e.kind with Crash -> true | _ -> false
 

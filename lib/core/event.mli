@@ -60,7 +60,6 @@ val atomic_with : t -> t -> bool
 (** Two commits of the same coordinated round are atomic with each
     other — the Save-work Theorem's "(or atomic with)" case. *)
 
-val is_send : t -> bool
 val is_receive : t -> bool
 val is_crash : t -> bool
 

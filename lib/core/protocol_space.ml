@@ -62,27 +62,9 @@ let all = executed @ literature
    a dangerous path, violating Lose-work. *)
 let prevents_propagation_recovery p = p.visible_effort = 0.0
 
-(* Design-variable trends of Figure 4, as orderings on points. *)
-let expected_commit_frequency_rank p =
-  (* farther from the origin -> fewer commits *)
-  -.sqrt ((p.nd_effort ** 2.) +. (p.visible_effort ** 2.))
-
-let simplicity_rank p =
-  (* closer to the origin -> simpler, more likely implemented correctly *)
-  sqrt ((p.nd_effort ** 2.) +. (p.visible_effort ** 2.))
-
-let constrained_reexecution p =
-  (* protocols off the vertical axis log/convert ND events, so recovery
-     must constrain reexecution to the pre-failure path for a time *)
-  p.nd_effort > 0.0
-
-let nd_left_in_application p =
-  (* farther from the horizontal axis -> more ND left uncommitted ->
-     better chance of surviving propagation failures *)
-  p.visible_effort
-
 (* ASCII rendering of Figure 3. *)
-let render ?(width = 64) ?(height = 18) points =
+let render points =
+  let width = 64 and height = 18 in
   let buf = Buffer.create 2048 in
   let grid = Array.make_matrix height width ' ' in
   (* A literature point realized by an executable spec sits at exactly

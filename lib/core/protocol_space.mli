@@ -10,8 +10,6 @@ type point = {
           {!Protocols} (Manetho, Optimistic logging): its name *)
 }
 
-val of_spec : Protocol.spec -> point
-
 val literature : point list
 (** Placements of SBL, FBL, Targon/32, Hypervisor, Optimistic logging,
     Manetho and Coordinated checkpointing. *)
@@ -26,20 +24,5 @@ val prevents_propagation_recovery : point -> bool
 (** §2.6: protocols on the horizontal axis commit or convert every ND
     event, guaranteeing a commit lands on any dangerous path. *)
 
-val expected_commit_frequency_rank : point -> float
-(** Figure 4: farther from the origin, fewer commits (more negative is
-    fewer). *)
-
-val simplicity_rank : point -> float
-(** Figure 4: closer to the origin, simpler implementation. *)
-
-val constrained_reexecution : point -> bool
-(** Figure 4: protocols off the vertical axis must constrain recovery
-    re-execution to the pre-failure path. *)
-
-val nd_left_in_application : point -> float
-(** Figure 4: distance from the horizontal axis, the non-determinism
-    left uncommitted — the chance of surviving propagation failures. *)
-
-val render : ?width:int -> ?height:int -> point list -> string
+val render : point list -> string
 (** ASCII rendering of Figure 3. *)

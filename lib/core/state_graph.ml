@@ -18,11 +18,10 @@ type t = {
   nstates : int;
   edges : edge array;
   crash_states : bool array;  (* states "filled black" in Figure 6 *)
-  initial : int;
   out : int list array;       (* out-edge ids per state *)
 }
 
-let make ~nstates ~edges ~crash_states ?(initial = 0) () =
+let make ~nstates ~edges ~crash_states =
   if nstates <= 0 then invalid_arg "State_graph.make: nstates";
   let arr =
     Array.of_list
@@ -43,7 +42,7 @@ let make ~nstates ~edges ~crash_states ?(initial = 0) () =
   let out = Array.make nstates [] in
   Array.iter (fun e -> out.(e.src) <- e.id :: out.(e.src)) arr;
   Array.iteri (fun i l -> out.(i) <- List.rev l) out;
-  { nstates; edges = arr; crash_states = crash; initial; out }
+  { nstates; edges = arr; crash_states = crash; out }
 
 let nedges t = Array.length t.edges
 let edge t id = t.edges.(id)
@@ -84,19 +83,3 @@ let to_dot ?(dangerous = [||]) t =
     t.edges;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-(* Enumerate all paths (edge-id lists) from [src] of length at most
-   [max_len]; used by tests to cross-check the coloring algorithm against
-   a brute-force definition of dangerousness. *)
-let paths_from t ~src ~max_len =
-  let rec go s len =
-    if len = 0 then [ [] ]
-    else
-      let tails =
-        List.concat_map
-          (fun e -> List.map (fun p -> e.id :: p) (go e.dst (len - 1)))
-          (out_edges t s)
-      in
-      [] :: tails
-  in
-  go src max_len

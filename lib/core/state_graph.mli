@@ -16,7 +16,6 @@ type t = private {
   nstates : int;
   edges : edge array;
   crash_states : bool array;  (** the states "filled black" in Figure 6 *)
-  initial : int;
   out : int list array;
 }
 
@@ -24,8 +23,6 @@ val make :
   nstates:int ->
   edges:(int * int * edge_kind) list ->
   crash_states:int list ->
-  ?initial:int ->
-  unit ->
   t
 (** Build a graph; raises [Invalid_argument] on out-of-range endpoints. *)
 
@@ -41,6 +38,3 @@ val to_dot : ?dangerous:bool array -> t -> string
 (** Graphviz rendering: crash states filled black, dangerous edges (as
     computed by {!Dangerous_paths.dangerous_edges}) drawn red — the
     visual language of the paper's Figures 6 and 7. *)
-
-val paths_from : t -> src:int -> max_len:int -> int list list
-(** All edge-id paths of bounded length, for brute-force cross-checks. *)

@@ -143,11 +143,6 @@ let commits_of t pid =
      iter_of t pid (fun e -> if Event.is_commit e then acc := e :: !acc);
      !acc)
 
-let visible_values t =
-  List.rev
-    (fold t ~init:[] (fun acc e ->
-         match e.Event.kind with Event.Visible v -> v :: acc | _ -> acc))
-
 let crashes t = filter t Event.is_crash
 
 (* The matching send of a receive event, if it was recorded: the

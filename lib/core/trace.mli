@@ -36,8 +36,6 @@ val iter : t -> (Event.t -> unit) -> unit
 val iter_of : t -> int -> (Event.t -> unit) -> unit
 (** Apply to one process's events in execution order, no allocation. *)
 
-val fold : t -> init:'a -> ('a -> Event.t -> 'a) -> 'a
-
 val filter : t -> (Event.t -> bool) -> Event.t list
 (** Matching events in global recording order, in one pass (no
     intermediate full-history list). *)
@@ -51,9 +49,6 @@ val causally_precedes : Event.t -> Event.t -> bool
 
 val find : t -> pid:int -> index:int -> Event.t option
 val commits_of : t -> int -> Event.t list
-
-val visible_values : t -> int list
-(** The values of all visible events, in order. *)
 
 val crashes : t -> Event.t list
 

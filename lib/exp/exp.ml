@@ -52,11 +52,11 @@ let record_of_pool_result (j : Job.t) outcome dur =
         duration_s = dur;
       }
 
-let run_sweep ?workers ?timeout_s ?retries ?(fresh = false) ?out_dir
+let run_sweep ?workers ?(fresh = false) ?out_dir
     ?(quiet = false) ~name jobs =
   let on_progress = if quiet then None else Some (progress_printer ~name) in
   let run todo =
-    let results = Pool.run ?workers ?timeout_s ?retries ?on_progress todo in
+    let results = Pool.run ?workers ?on_progress todo in
     if (not quiet) && todo <> [] then prerr_newline ();
     List.map (fun (j, outcome, dur) -> record_of_pool_result j outcome dur)
       results

@@ -13,8 +13,6 @@ val default_out_dir : string
 
 val run_sweep :
   ?workers:int ->
-  ?timeout_s:float ->
-  ?retries:int ->
   ?fresh:bool ->
   ?out_dir:string ->
   ?quiet:bool ->

@@ -21,7 +21,6 @@ val of_string : string -> (value, string) result
 
 val member : string -> value -> value option
 val to_int : value -> int option
-val to_float : value -> float option
 
 val to_str : value -> string option
 val to_list : value -> value list option

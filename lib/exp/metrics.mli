@@ -17,8 +17,6 @@ val of_result : Ft_runtime.Engine.result -> t
 val add : t -> t -> t
 (** Componentwise totals ([max_commits] takes the max). *)
 
-val sim_seconds : t -> float
-
 val commit_rate : t -> float
 (** Largest per-process commits per simulated second. *)
 

@@ -31,6 +31,3 @@ val add : t -> record -> unit
 (** Indexes the record and appends-and-flushes its row.  Thread-safe. *)
 
 val close : t -> unit
-
-val record_to_json : record -> Jstore.value
-val record_of_json : Jstore.value -> record option

@@ -19,9 +19,7 @@ val profile : Fault_type.t -> profile
 
 type subsystem = Input | Network | Clock | Filesystem
 
-val subsystems : subsystem array
 val touches : subsystem -> Ft_vm.Syscall.t -> bool
-val member_syscalls : subsystem -> Ft_vm.Syscall.t list
 
 val usage_weights : Ft_os.Kernel.t -> (subsystem * int) array
 (** Subsystem weights from a profiled kernel (e.g. the reference run):

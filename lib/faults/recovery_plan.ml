@@ -25,10 +25,10 @@ let poisson_count ~rate rng =
     go 0. 0
   end
 
-let tenant ?(max_occurrence = 4) ~rate ~seed tid =
+let tenant ~rate ~seed tid =
   let rng = Random.State.make [| seed; tid; 0x7ec2 |] in
   let n = poisson_count ~rate rng in
   List.init n (fun _ ->
       let stage = stages.(Random.State.int rng (Array.length stages)) in
-      let occ = 1 + Random.State.int rng max_occurrence in
+      let occ = 1 + Random.State.int rng 4 in
       (stage, occ))

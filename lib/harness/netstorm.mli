@@ -26,11 +26,6 @@ val default_points : point list
 val default_apps : Figure8.app list
 (** nvi (no-traffic path), xpilot and TreadMarks. *)
 
-val partition_window : baseline_ns:int -> int * int
-(** Where the storm points place the healed partition: starting at 40%
-    of the reference run's simulated time, lasting a fifth of the run
-    but capped under the retransmission budget. *)
-
 type cell = {
   c_app : Figure8.app;
   c_protocol : string;

@@ -1,8 +1,5 @@
 (** ASCII table/figure rendering for experiment output. *)
 
-val pad : int -> string -> string
-val pad_left : int -> string -> string
-
 val table : headers:string list -> rows:string list list -> string
 (** First column left-aligned, the rest right-aligned. *)
 

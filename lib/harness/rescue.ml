@@ -200,14 +200,10 @@ let rescued_frac row =
   if row.crashes = 0 then 0.
   else float_of_int (rescued row) /. float_of_int row.crashes
 
-(* Useful work per million instructions, and the fault-free baseline. *)
+(* Useful work per million instructions. *)
 let work_per_minstr row =
   if row.instr = 0 then 0.
   else float_of_int row.work *. 1e6 /. float_of_int row.instr
-
-let ref_work_per_minstr row =
-  if row.ref_instr = 0 then 0.
-  else float_of_int row.ref_work *. 1e6 /. float_of_int row.ref_instr
 
 let campaign ~target_crashes ~max_attempts ~seed ~app ~protocol ~ladder_name
     fault_type =

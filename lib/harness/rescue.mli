@@ -47,15 +47,10 @@ type row = {
   ref_instr : int;
 }
 
-val rescued : row -> int
-val rescued_frac : row -> float
-
 val work_per_minstr : row -> float
 (** Acked visible outputs per million instructions over crashed runs —
     the Dwork–Halpern–Waarts work-per-unit-cost with replay counted as
     pure cost. *)
-
-val ref_work_per_minstr : row -> float
 
 type spec = {
   apps : Table1.app list;

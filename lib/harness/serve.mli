@@ -41,8 +41,6 @@ val default_params : params
 val smoke_params : params
 (** Small, fast, still multi-shard: the CI gate. *)
 
-val queries_per_tenant : params -> int
-
 val jobs :
   ?protocols:Ft_core.Protocol.spec list -> params -> Ft_exp.Job.t list
 (** One job per (protocol, shard); each steps its tenants in one

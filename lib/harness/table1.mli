@@ -60,9 +60,6 @@ val campaign_seed : seed0:int -> app:app -> Ft_faults.Fault_type.t -> int
     enumeration order and worker scheduling cannot change any trial's
     RNG. *)
 
-val row_to_json : row -> Ft_exp.Jstore.value
-val row_of_json : Ft_faults.Fault_type.t -> Ft_exp.Jstore.value -> row
-
 val jobs :
   ?target_crashes:int -> ?max_attempts:int -> ?seed0:int -> app:app ->
   unit -> Ft_exp.Job.t list
@@ -75,6 +72,5 @@ val of_records :
     order (a job that died renders as a zero row, which the CLI never
     prints without also failing the command). *)
 
-val violation_pct : row -> float
 val average : row list -> float
 val render : app:app -> row list -> string

@@ -154,14 +154,6 @@ let average rows =
     List.fold_left (fun a r -> a +. failure_pct r) 0. crashed
     /. float_of_int (List.length crashed)
 
-(* Inferred fraction of OS failures that manifested as propagation
-   failures (§4.2's closing inference). *)
-let propagation_fraction rows =
-  let crashes = List.fold_left (fun a r -> a + r.crashes) 0 rows in
-  let prop = List.fold_left (fun a r -> a + r.propagated) 0 rows in
-  if crashes = 0 then 0.
-  else 100. *. float_of_int prop /. float_of_int crashes
-
 let render ~app rows =
   Report.section
     (Printf.sprintf "Table 2 (%s): OS faults with failed recovery"

@@ -32,16 +32,6 @@ val measure :
     writes [W] it performs (crash points are [0..W]) and the committed
     (data image, commits counter) capture. *)
 
-val torture_point :
-  ?defect:Ft_stablemem.Vista.defect ->
-  scenario ->
-  post:int array * int ->
-  point:int ->
-  verdict
-(** One crash point, end to end, on an entirely fresh rig.  [defect]
-    arms a deliberate write-ordering bug ({!Ft_stablemem.Vista.defect})
-    so tests can prove the checker has teeth. *)
-
 val jobs :
   ?defect:Ft_stablemem.Vista.defect ->
   points:points ->

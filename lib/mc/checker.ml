@@ -170,7 +170,7 @@ let victim_graph ~program ~logged_pcs ~bindings ~victim ~crash_pc ~crash_kind =
     List.init depth (fun i -> (i, i + 1, kind_of i))
     @ [ (depth, depth + 2, State_graph.Det); (crash_pc, depth + 1, crash_kind) ]
   in
-  State_graph.make ~nstates:(depth + 3) ~edges ~crash_states:[ depth + 1 ] ()
+  State_graph.make ~nstates:(depth + 3) ~edges ~crash_states:[ depth + 1 ]
 
 (* Map a receive edge back to its trace event: the victim's bound
    receives in pc order line up with its non-ack receive events in

@@ -22,14 +22,6 @@ type op =
 
 type program = op array array
 
-let op_to_string = function
-  | Internal -> "internal"
-  | Nd (Event.Transient, l) -> if l then "nd-t-log" else "nd-t"
-  | Nd (Event.Fixed, l) -> if l then "nd-f-log" else "nd-f"
-  | Visible -> "visible"
-  | Send d -> Printf.sprintf "send->%d" d
-  | Receive -> "recv"
-
 (* Menus chosen so that ND events sit just ahead of visibles and sends
    (the Save-work danger patterns), with traffic in both directions.
    Deliberate patterns: an unlogged transient ND directly before a

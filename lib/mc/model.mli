@@ -30,7 +30,6 @@ val default_program : nprocs:int -> depth:int -> program
     traffic in both directions and ND events ahead of visibles and
     sends (the Save-work danger patterns). *)
 
-val op_to_string : op -> string
 val program_digest : program -> string
 
 (** Defects of the {e runtime} layers (commit machinery, logger,

@@ -1,23 +1,21 @@
 (** Per-link fault policy for the unreliable channel: loss, duplication,
-    reordering, extra delay, and (possibly asymmetric, possibly healing)
-    partitions.  Pure data — the transport draws all randomness from its
-    own seeded stream, so a sweep point reproduces from (policy, seed). *)
+    reordering, and (possibly healing) partitions.  Pure data — the
+    transport draws all randomness from its own seeded stream, so a
+    sweep point reproduces from (policy, seed). *)
 
 type partition = {
   part_from : int;  (** ns, inclusive *)
   part_until : int;  (** ns, exclusive; [max_int] never heals *)
   part_src : int;  (** -1 matches any source *)
   part_dst : int;  (** -1 matches any destination *)
-  part_sym : bool;  (** also cuts the reverse direction *)
 }
+(** A partition cuts both directions between its endpoints. *)
 
 type t = {
   drop : float;  (** P(frame lost), per transmission attempt *)
   duplicate : float;  (** P(frame delivered twice) *)
   reorder : float;  (** P(frame delayed past its successors) *)
   reorder_ns : int;  (** extra delay a reordered frame suffers *)
-  delay_ns : int;  (** fixed extra one-way delay *)
-  jitter_ns : int;  (** max random extra delay *)
   partitions : partition list;
 }
 
@@ -30,8 +28,6 @@ val make :
   ?duplicate:float ->
   ?reorder:float ->
   ?reorder_ns:int ->
-  ?delay_ns:int ->
-  ?jitter_ns:int ->
   ?partitions:partition list ->
   unit ->
   t
@@ -39,7 +35,6 @@ val make :
 val partition :
   ?src:int ->
   ?dst:int ->
-  ?symmetric:bool ->
   from_ns:int ->
   until_ns:int ->
   unit ->
@@ -48,6 +43,3 @@ val partition :
 
 val partitioned : t -> src:int -> dst:int -> now:int -> bool
 (** Is the [src]->[dst] direction cut at time [now]? *)
-
-val faulty : t -> bool
-(** Does the policy ever deviate from the reliable channel? *)

@@ -25,7 +25,9 @@ type costs = {
   network_jitter_ns : int;   (* max extra random delay (message order ND) *)
 }
 
-let default_costs =
+(* Approximately the paper's testbed: 400 MHz Pentium II on 100 Mb/s
+   switched Ethernet. *)
+let testbed_costs =
   {
     instr_ns = 2;               (* ~400 MIPS, the paper's Pentium II *)
     syscall_ns = 2_000;
@@ -116,7 +118,6 @@ type os_fault = {
 
 type t = {
   nprocs : int;
-  costs : costs;
   seed : int;  (* base seed, kept so {!perturb} can derive fresh streams *)
   mutable rng : Random.State.t;
   inputs : (int * int) array array;        (* per pid: (ready_ns, token) *)
@@ -182,11 +183,10 @@ type t = {
   mutable det_forced_flushes : int;  (* cap hits that forced a commit *)
 }
 
-let create ?(costs = default_costs) ?(seed = 42) ?(fs_capacity = 1 lsl 20)
+let create ?(seed = 42) ?(fs_capacity = 1 lsl 20)
     ?(max_open_files = 16) ~nprocs () =
   {
     nprocs;
-    costs;
     seed;
     rng = Random.State.make [| seed |];
     inputs = Array.make nprocs [||];
@@ -227,7 +227,7 @@ let create ?(costs = default_costs) ?(seed = 42) ?(fs_capacity = 1 lsl 20)
     det_forced_flushes = 0;
   }
 
-let costs t = t.costs
+let costs _ = testbed_costs
 let nprocs t = t.nprocs
 
 (* --- the unreliable transport ------------------------------------------- *)
@@ -242,18 +242,14 @@ let net t = t.net
    reliable path.  Frames complete delivery during {!Ft_net.Transport.pump}
    (driven by the engine), landing in the destination mailbox with
    [msg_deliver_at] set to the arrival time. *)
-let attach_net ?(policy = Ft_net.Policy.reliable) ?link_policy ?rto_ns
-    ?rto_max_ns ?backoff ?max_retries ~seed t =
+let attach_net ?(policy = Ft_net.Policy.reliable) ~seed t =
   let deliver ~at ~src:_ ~dst (m : message) =
     Queue.add { m with msg_deliver_at = at } t.mailboxes.(dst)
   in
-  let policy =
-    match link_policy with Some f -> f | None -> fun _ _ -> policy
-  in
   let tr =
-    Ft_net.Transport.create ~policy ?rto_ns ?rto_max_ns ?backoff ?max_retries
-      ~seed ~nprocs:t.nprocs ~latency_ns:t.costs.network_latency_ns
-      ~jitter_ns:t.costs.network_jitter_ns ~deliver ()
+    Ft_net.Transport.create ~policy:(fun _ _ -> policy) ~seed
+      ~nprocs:t.nprocs ~latency_ns:testbed_costs.network_latency_ns
+      ~jitter_ns:testbed_costs.network_jitter_ns ~deliver ()
   in
   t.net <- Some tr;
   tr
@@ -423,7 +419,6 @@ let dependency_tracking t = t.dv_enabled
 let dv t pid = t.dvs.(pid)
 let dv_tick t pid = Ft_core.Vclock.tick t.dvs.(pid) pid
 let restore_dv t pid c = t.dvs.(pid) <- Ft_core.Vclock.copy c
-let incarnation t pid = t.incarnations.(pid)
 
 (* A message is stale iff some rollback of its sender undid the send. *)
 let message_dead t (m : message) =
@@ -602,7 +597,7 @@ let service t ~pid ~now ~a0 ~a1 s =
   let k = t.kstates.(pid) in
   Hashtbl.replace t.syscall_tally s
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.syscall_tally s));
-  let base = t.costs.syscall_ns in
+  let base = testbed_costs.syscall_ns in
   let done_ ?r0 ?r1 ?(cost = base) ?new_time ev =
     let served = { r0; r1; cost_ns = cost; new_time; ev; poke = None } in
     let served = apply_os_fault t ~now s served in
@@ -657,8 +652,8 @@ let service t ~pid ~now ~a0 ~a1 s =
       match t.net with
       | None ->
           let jitter =
-            if t.costs.network_jitter_ns = 0 then 0
-            else Random.State.int t.rng t.costs.network_jitter_ns
+            if testbed_costs.network_jitter_ns = 0 then 0
+            else Random.State.int t.rng testbed_costs.network_jitter_ns
           in
           let m =
             {
@@ -667,7 +662,7 @@ let service t ~pid ~now ~a0 ~a1 s =
               msg_payload = a1;
               msg_seq = seq;
               msg_tag = tag ~src:pid ~seq;
-              msg_deliver_at = now + t.costs.network_latency_ns + jitter;
+              msg_deliver_at = now + testbed_costs.network_latency_ns + jitter;
               msg_dv;
               msg_inc;
             }

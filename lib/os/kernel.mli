@@ -11,10 +11,6 @@ type costs = {
   network_jitter_ns : int;  (** max extra random delay (message-order ND) *)
 }
 
-val default_costs : costs
-(** Approximately the paper's testbed: 400 MHz Pentium II on 100 Mb/s
-    switched Ethernet. *)
-
 (** Event classification of a serviced syscall. *)
 type ev =
   | Ev_none  (** deterministic *)
@@ -75,7 +71,6 @@ type t
 type kstate_snapshot
 
 val create :
-  ?costs:costs ->
   ?seed:int ->
   ?fs_capacity:int ->
   ?max_open_files:int ->
@@ -84,6 +79,9 @@ val create :
   t
 
 val costs : t -> costs
+(** Approximately the paper's testbed: 400 MHz Pentium II on 100 Mb/s
+    switched Ethernet. *)
+
 val nprocs : t -> int
 
 val set_input : t -> int -> (int * int) array -> unit
@@ -168,18 +166,12 @@ val dv_tick : t -> int -> unit
 val restore_dv : t -> int -> Ft_core.Vclock.t -> unit
 (** Roll the vector back to a committed snapshot (copied in). *)
 
-val incarnation : t -> int -> int
-
 val note_sender_rollback : t -> int -> unit
 (** The engine rolled [pid] back past some of its sends.  Call {e after}
     [restore_kstate]: bumps the incarnation and installs a barrier at the
     restored send sequence, so in-flight messages from the previous
     incarnation at or above it are dead — their redone replacements
     (possibly carrying different redrawn payloads) are the live ones. *)
-
-val message_dead : t -> message -> bool
-(** Did a sender rollback kill this message?  The receive path drops
-    dead messages without advancing the duplicate filter. *)
 
 (** {2 Bounded determinant log}
 
@@ -231,11 +223,6 @@ val perturb : t -> salt:int -> unit
 
 val attach_net :
   ?policy:Ft_net.Policy.t ->
-  ?link_policy:(int -> int -> Ft_net.Policy.t) ->
-  ?rto_ns:int ->
-  ?rto_max_ns:int ->
-  ?backoff:float ->
-  ?max_retries:int ->
   seed:int ->
   t ->
   message Ft_net.Transport.t
@@ -243,10 +230,9 @@ val attach_net :
     travel a seeded, policy-driven unreliable channel (loss, duplication,
     reordering, delay, partitions) with retransmission, acks and
     in-order reassembly underneath the kernel's own [msg_seq] duplicate
-    filter.  [policy] applies to every link; [link_policy src dst]
-    overrides per direction.  Frames land in mailboxes when the engine
-    pumps the transport.  Without this call the kernel's reliable path
-    is untouched, byte for byte. *)
+    filter.  [policy] applies to every link.  Frames land in mailboxes
+    when the engine pumps the transport.  Without this call the kernel's
+    reliable path is untouched, byte for byte. *)
 
 val net : t -> message Ft_net.Transport.t option
 (** The attached transport, if any — the engine pumps it and consults

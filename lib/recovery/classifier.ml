@@ -1,20 +1,5 @@
 type verdict = Benign | Transient | Heisenbug | Bohrbug | Sticky
 
-let verdict_to_string = function
-  | Benign -> "benign"
-  | Transient -> "transient"
-  | Heisenbug -> "heisenbug"
-  | Bohrbug -> "bohrbug"
-  | Sticky -> "sticky"
-
-let verdict_of_string = function
-  | "benign" -> Some Benign
-  | "transient" -> Some Transient
-  | "heisenbug" -> Some Heisenbug
-  | "bohrbug" -> Some Bohrbug
-  | "sticky" -> Some Sticky
-  | _ -> None
-
 type t = {
   mutable crashes : int;
   mutable last : (int * int) option;  (* salt, icount of previous crash *)
@@ -44,7 +29,6 @@ let note_progress t ~rung =
   end
 
 let crashes t = t.crashes
-let rescued t = t.rescued
 let same_icount_pair t = t.pair
 
 let classify t =

@@ -20,9 +20,6 @@
 
 type verdict = Benign | Transient | Heisenbug | Bohrbug | Sticky
 
-val verdict_to_string : verdict -> string
-val verdict_of_string : string -> verdict option
-
 type t
 (** Mutable per-process observation accumulator. *)
 
@@ -39,7 +36,6 @@ val note_progress : t -> rung:int -> unit
     replay). *)
 
 val crashes : t -> int
-val rescued : t -> bool
 
 val same_icount_pair : t -> bool
 (** Two consecutive crashes under the same salt at the same icount were

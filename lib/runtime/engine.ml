@@ -5,9 +5,8 @@
     monolithic engine did; the golden tests pin that.
 
     Fault injectors ({!Ft_faults}) plug in through the [on_execute]
-    machine hook, the activation/crash bookkeeping, and the
-    [on_recover] callback (used to suppress a fault during recovery,
-    mirroring the paper's end-to-end check in §4.1). *)
+    machine hook, the activation/crash bookkeeping, and the [on_replay]
+    callback (recurring faults re-arm after every restore). *)
 
 include Run_types
 
@@ -21,7 +20,6 @@ let create ?(cfg = default_config) ~kernel ~programs () =
 let machine t pid = Scheduler.machine t ~tid:0 ~pid
 let kernel t = Scheduler.kernel t ~tid:0
 let checkpointer t = Scheduler.checkpointer t ~tid:0
-let set_on_recover t f = Scheduler.set_on_recover t ~tid:0 f
 let set_on_replay t f = Scheduler.set_on_replay t ~tid:0 f
 let record_activation t pid = Scheduler.record_activation t ~tid:0 pid
 let activation_recorded t = Scheduler.activation_recorded t ~tid:0

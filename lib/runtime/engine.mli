@@ -30,10 +30,6 @@ val checkpointer : t -> Checkpointer.t
 (** The engine's checkpointer — fault injectors reach the per-process
     Rio regions through it ({!Checkpointer.vista}). *)
 
-val set_on_recover : t -> (int -> unit) -> unit
-(** Called on each recovery when fault suppression is on; injectors use
-    it to stand down. *)
-
 val set_on_replay : t -> (int -> salt:int -> unit) -> unit
 (** Called with [(pid, ~salt)] after every successful restore;
     recurring-fault injectors re-arm here, keyed by the environment

@@ -16,21 +16,14 @@ type recovery_stage =
 type config = {
   protocol : Ft_core.Protocol.spec;
   medium : Checkpointer.medium;
-  cost : Checkpointer.cost_model;
-  batch : int;  (** max instructions per scheduling slice *)
   deadline_ns : int option;  (** stop the run at this simulated time *)
   max_instructions : int;  (** safety net against runaway executions *)
-  auto_recover : bool;
   suppress_faults_on_recovery : bool;
       (** the paper's end-to-end check (§4.1): restore pristine code and
           silence the injector when recovering *)
   max_recovery_attempts : int;
       (** the legacy path's replay budget (the L0 rung when [policy] is
           [None]) and the cap on restore retries at every rung *)
-  reboot_delay_ns : int;  (** after a kernel panic *)
-  recovery_retry_delay_ns : int;
-      (** pacing between attempts when recovery itself crashes: a
-          process restart, not a machine reboot *)
   kills : (int * int) list;  (** (time_ns, pid) stop failures to inject *)
   kill_at_decision : (int * int) list;
       (** (decision_index, pid) stop failures, applied just before the
@@ -40,14 +33,6 @@ type config = {
       (** schedule replay hook: given the runnable pids (ascending),
           choose who runs next; [None] (the value or the result) falls
           back to the smallest-local-clock default *)
-  twopc_timeout_ns : int;
-      (** 2PC prepare/commit timeout: with an unreliable transport
-          attached, an unreachable participant makes the coordinator
-          presume abort and retry the round after the timeout (doubling
-          per retry) *)
-  twopc_max_retries : int;
-      (** aborted-round retries before the coordinator gives up and the
-          run degrades to [Net_unreachable] *)
   heap_words : int;
   stack_words : int;
   page_size : int;
@@ -114,8 +99,8 @@ type result = {
   crashes : int;
   recovery_crashes : int;
       (** crashes during restore itself; each costs a process-restart
-          pause ([recovery_retry_delay_ns] times the attempt number) and
-          a retry from the same checkpoint *)
+          pause (10 ms times the attempt number) and a retry from the
+          same checkpoint *)
   activation : (int * int) option;  (** pid, trace index at activation *)
   first_crash : (int * int) option;  (** pid, trace index of crash event *)
   commit_after_activation : bool;

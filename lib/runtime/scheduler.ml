@@ -75,20 +75,13 @@ let default_config =
   {
     protocol = Ft_core.Protocols.cpvs;
     medium = Checkpointer.Reliable_memory;
-    cost = Checkpointer.default_cost;
-    batch = 256;
     deadline_ns = None;
     max_instructions = 2_000_000_000;
-    auto_recover = true;
     suppress_faults_on_recovery = false;
     max_recovery_attempts = 3;
-    reboot_delay_ns = 30_000_000_000;
-    recovery_retry_delay_ns = 10_000_000;
     kills = [];
     kill_at_decision = [];
     pick_override = None;
-    twopc_timeout_ns = 2_000_000;
-    twopc_max_retries = 8;
     heap_words = 65_536;
     stack_words = 4_096;
     page_size = 64;
@@ -99,6 +92,23 @@ let default_config =
     recovery_kills = [];
     det_cap = 0;
   }
+
+(* Max instructions per scheduling slice. *)
+let batch = 256
+
+(* Simulated pause after a kernel panic: a machine reboot. *)
+let reboot_delay_ns = 30_000_000_000
+
+(* Pacing between attempts when recovery itself crashes, times the
+   attempt number: a process restart, not a machine reboot. *)
+let recovery_retry_delay_ns = 10_000_000
+
+(* 2PC prepare/commit timeout: with an unreliable transport attached, an
+   unreachable participant makes the coordinator presume abort and retry
+   the round after the timeout, doubling per retry, until
+   [twopc_max_retries] retries end the run as [Net_unreachable]. *)
+let twopc_timeout_ns = 2_000_000
+let twopc_max_retries = 8
 
 (* One application instance: the state the legacy engine called [t]. *)
 type tenant = {
@@ -121,7 +131,6 @@ type tenant = {
   mutable activation : (int * int) option;
   mutable first_crash : (int * int) option;
   mutable commit_after_activation : bool;
-  mutable on_recover : (int -> unit) option;
   mutable on_replay : (int -> salt:int -> unit) option;
       (* called after every restore with the environment salt in
          effect; recurring-fault injectors re-arm here *)
@@ -221,7 +230,7 @@ let make_tenant tid (cfg, kernel, programs) =
     | _ -> 0
   in
   let ckpt =
-    Checkpointer.create ~cost:cfg.cost ~excluded:cfg.excluded_pages
+    Checkpointer.create ~excluded:cfg.excluded_pages
       ~page_size:cfg.page_size ~history ~medium:cfg.medium ~nprocs
       ~heap_words:cfg.heap_words ~stack_words:cfg.stack_words ()
   in
@@ -246,7 +255,6 @@ let make_tenant tid (cfg, kernel, programs) =
       activation = None;
       first_crash = None;
       commit_after_activation = false;
-      on_recover = None;
       on_replay = None;
       deep_rollbacks = 0;
       perturbed_replays = 0;
@@ -291,12 +299,10 @@ let create ~tenants () =
   let tenants = Array.mapi make_tenant tenants in
   { tenants; live = Array.length tenants; steps = 0 }
 
-let tenant_count t = Array.length t.tenants
 let steps t = t.steps
 let machine t ~tid ~pid = t.tenants.(tid).procs.(pid).machine
 let kernel t ~tid = t.tenants.(tid).kernel
 let checkpointer t ~tid = t.tenants.(tid).ckpt
-let set_on_recover t ~tid f = t.tenants.(tid).on_recover <- Some f
 let set_on_replay t ~tid f = t.tenants.(tid).on_replay <- Some f
 
 (* Fault injectors mark the moment the injected bug first executes. *)
@@ -348,11 +354,12 @@ let recovery_crash_due tn stage =
 (* A crash that lands during recovery itself is still a crash: count it,
    feed the crash-loop breaker's sliding window (recovery-time crashes
    trip the quarantine just like primary-execution ones), and pace the
-   retry like a reboot.  [`Abandon] means the breaker latched. *)
+   retry with a process-restart pause.  [`Abandon] means the breaker
+   latched. *)
 let note_recovery_crash tn (p : proc) ~injected ~attempt =
   tn.recovery_crashes <- tn.recovery_crashes + 1;
   if injected then tn.nested_crashes <- tn.nested_crashes + 1;
-  p.time <- p.time + (attempt * tn.cfg.recovery_retry_delay_ns);
+  p.time <- p.time + (attempt * recovery_retry_delay_ns);
   match tn.breaker with
   | None -> `Retry
   | Some b -> (
@@ -376,15 +383,14 @@ let pre_replay tn (p : proc) =
        injector to stand down. *)
     Array.blit p.pristine_code 0 p.machine.Ft_vm.Machine.code 0
       (Array.length p.pristine_code);
-    p.machine.Ft_vm.Machine.on_execute <- None;
-    match tn.on_recover with Some f -> f p.pid | None -> ()
+    p.machine.Ft_vm.Machine.on_execute <- None
   end;
   if tn.cfg.expand_resources_on_recovery then
     Ft_os.Kernel.expand_resources tn.kernel
 
 (* The restore itself runs on the same fallible machine and can be
    crashed by an injector mid-replay.  Vista recovery is idempotent,
-   so retry from the same checkpoint — with a growing reboot delay —
+   so retry from the same checkpoint — with a growing restart pause —
    up to the attempt cap, then degrade to [Recovery_failed] instead
    of looping forever. *)
 let restore_with_retry tn (p : proc) =
@@ -589,24 +595,19 @@ and crash_proc tn (p : proc) =
       give_up tn p
   | `Park_until until_ns ->
       tn.quarantine_trips <- tn.quarantine_trips + 1;
-      if tn.cfg.auto_recover then begin
-        (* The breaker took over pacing: restart the ladder so the
-           half-open probe gets a fresh budget, recover, then park the
-           whole tenant until the probe deadline — it stops burning
-           scheduler steps and co-tenants' tail latency survives. *)
-        p.recoveries <- 0;
-        recover_and_cascade tn p;
-        if not p.failed then
-          Array.iter
-            (fun q ->
-              if (not q.halted) && not q.failed then
-                q.time <- max q.time until_ns)
-            tn.procs
-      end
-      else p.failed <- true
-  | `Ok ->
-      if tn.cfg.auto_recover then recover_and_cascade tn p
-      else p.failed <- true
+      (* The breaker took over pacing: restart the ladder so the
+         half-open probe gets a fresh budget, recover, then park the
+         whole tenant until the probe deadline — it stops burning
+         scheduler steps and co-tenants' tail latency survives. *)
+      p.recoveries <- 0;
+      recover_and_cascade tn p;
+      if not p.failed then
+        Array.iter
+          (fun q ->
+            if (not q.halted) && not q.failed then
+              q.time <- max q.time until_ns)
+          tn.procs
+  | `Ok -> recover_and_cascade tn p
 
 (* --- commits ------------------------------------------------------------ *)
 
@@ -769,7 +770,7 @@ let commit_round tn (coordinator : proc) ~participants ~on_participant =
       (* presumed abort: no participant prepared, so nothing to undo —
          the round simply never happened *)
       tn.aborted_rounds <- tn.aborted_rounds + 1;
-      if retries >= tn.cfg.twopc_max_retries then begin
+      if retries >= twopc_max_retries then begin
         (* the partition outlived the retry budget: end the run honestly
            instead of wedging or outputting without the commit *)
         coordinator.failed <- true;
@@ -778,7 +779,7 @@ let commit_round tn (coordinator : proc) ~participants ~on_participant =
       end
       else begin
         coordinator.time <-
-          coordinator.time + (tn.cfg.twopc_timeout_ns * (1 lsl retries));
+          coordinator.time + (twopc_timeout_ns * (1 lsl retries));
         attempt (retries + 1)
       end
     end
@@ -898,7 +899,7 @@ let kernel_panic tn =
   Ft_os.Kernel.clear_os_fault tn.kernel;
   let reboot_done =
     Array.fold_left (fun acc p -> max acc p.time) 0 tn.procs
-    + tn.cfg.reboot_delay_ns
+    + reboot_delay_ns
   in
   Array.iter
     (fun p ->
@@ -906,7 +907,7 @@ let kernel_panic tn =
         Ft_vm.Machine.kill p.machine;
         record_crash tn p;
         p.time <- reboot_done;
-        if tn.cfg.auto_recover then recover tn p else p.failed <- true
+        recover tn p
       end)
     tn.procs
 
@@ -1209,7 +1210,7 @@ let past_deadline tn (p : proc) =
 let slice tn (p : proc) =
   maybe_deliver_signal tn p;
   let m = p.machine in
-  let executed = Ft_vm.Machine.step_n m tn.cfg.batch in
+  let executed = Ft_vm.Machine.step_n m batch in
   tn.instructions <- tn.instructions + executed;
   p.time <- p.time + (executed * instr_ns tn);
   match Ft_vm.Machine.status m with

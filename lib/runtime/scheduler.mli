@@ -40,8 +40,6 @@ val create :
     sharing a transport between kernels is the caller's wiring
     ({!Ft_os.Kernel.set_net}). *)
 
-val tenant_count : t -> int
-
 val steps : t -> int
 (** Scheduling steps taken so far, across all tenants — one step is one
     iteration of the legacy engine loop (the bench hot-loop metric). *)
@@ -52,10 +50,6 @@ val kernel : t -> tid:int -> Ft_os.Kernel.t
 val checkpointer : t -> tid:int -> Checkpointer.t
 (** A tenant's checkpointer — fault injectors reach the per-process Rio
     regions through it ({!Checkpointer.vista}). *)
-
-val set_on_recover : t -> tid:int -> (int -> unit) -> unit
-(** Called on each of the tenant's recoveries when fault suppression is
-    on; injectors use it to stand down. *)
 
 val set_on_replay : t -> tid:int -> (int -> salt:int -> unit) -> unit
 (** Called with [(pid, ~salt)] after every successful restore, whatever

@@ -58,11 +58,6 @@ val write_sub :
 (** {!write_range} over [src.(spos .. spos+len-1)] without materializing
     the sub-array (the checkpointer's allocation-free commit path). *)
 
-val diff_gap : int
-(** Maximum run of unchanged words coalesced into a diff run: merging
-    across a gap of [g <= diff_gap] words trades [g] extra
-    logged-and-rewritten words against a saved 2-word record header. *)
-
 val write_word : t -> off:int -> int -> unit
 
 val commit : t -> unit

@@ -78,9 +78,9 @@ type func = {
 let func ?(is_handler = false) name params body =
   { name; params; body; is_handler }
 
-type program = { funcs : func list; main : string }
+type program = { funcs : func list }
 
-let program ?(main = "main") funcs = { funcs; main }
+let program funcs = { funcs }
 
 (* ---- compilation ------------------------------------------------------ *)
 
@@ -299,8 +299,7 @@ let compile (p : program) =
   let compiled =
     List.map (fun f -> (f.name, compile_func ~fresh_label f)) p.funcs
   in
-  if not (List.mem_assoc p.main compiled) then
-    err "no function named %s" p.main;
+  if not (List.mem_assoc "main" compiled) then err "no function named main";
   (* First pass: lay out addresses. *)
   let func_addr = Hashtbl.create 16 in
   let label_addr = Hashtbl.create 64 in
@@ -328,7 +327,7 @@ let compile (p : program) =
     | Some a -> a
     | None -> err "internal: unresolved label %d" l
   in
-  code.(0) <- Instr.Call (faddr p.main);
+  code.(0) <- Instr.Call (faddr "main");
   code.(1) <- Instr.Halt;
   let pos = ref 2 in
   List.iter

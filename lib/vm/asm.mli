@@ -68,9 +68,10 @@ type func = {
 
 val func : ?is_handler:bool -> string -> string list -> stmt list -> func
 
-type program = { funcs : func list; main : string }
+type program = { funcs : func list }
 
-val program : ?main:string -> func list -> program
+val program : func list -> program
+(** Execution starts at the function named ["main"]. *)
 
 val compile : program -> Instr.t array
 (** Link all functions behind a two-instruction start stub.  Raises

@@ -39,8 +39,6 @@ type t =
   | Check of reg  (** consistency check: crash if the register is 0 *)
   | Sigret  (** return from a signal handler, restoring all registers *)
 
-val cmp_to_string : cmp -> string
-val binop_to_string : binop -> string
 val to_string : t -> string
 
 val dest_reg : t -> reg option

@@ -18,16 +18,6 @@ type crash_reason =
   | Check_failed of int        (* pc of the failed consistency check *)
   | Killed                     (* external stop failure *)
 
-let crash_reason_to_string = function
-  | Heap_out_of_bounds a -> Printf.sprintf "heap access out of bounds (%d)" a
-  | Stack_overflow -> "stack overflow"
-  | Stack_underflow -> "stack underflow"
-  | Division_by_zero -> "division by zero"
-  | Bad_jump a -> Printf.sprintf "jump out of code (%d)" a
-  | Bad_register r -> Printf.sprintf "bad register %d" r
-  | Check_failed pc -> Printf.sprintf "consistency check failed at %d" pc
-  | Killed -> "killed (stop failure)"
-
 type status =
   | Running
   | Need_syscall of Syscall.t  (* stopped just before servicing [Sys] *)

@@ -16,8 +16,6 @@ type crash_reason =
   | Check_failed of int  (** pc of the failed consistency check *)
   | Killed  (** external stop failure *)
 
-val crash_reason_to_string : crash_reason -> string
-
 type status =
   | Running
   | Need_syscall of Syscall.t  (** paused just past a [Sys] instruction *)
@@ -66,9 +64,6 @@ val step_n : t -> int -> int
     early at the first status change; returns the number executed.
     Equivalent to calling {!step} in a loop, minus the per-instruction
     call overhead. *)
-
-val is_running : t -> bool
-(** [status t = Running], without the polymorphic compare. *)
 
 val resume : t -> unit
 (** Clear a [Need_syscall] status. *)

@@ -120,7 +120,7 @@ let test_figure6_case_a () =
     State_graph.make ~nstates:4
       ~edges:[ (0, 1, State_graph.Det); (1, 2, State_graph.Det);
                (2, 3, State_graph.Det) ]
-      ~crash_states:[ 3 ] ()
+      ~crash_states:[ 3 ]
   in
   let d = Dangerous_paths.dangerous_edges g in
   Alcotest.(check (list bool)) "all colored" [ true; true; true ]
@@ -138,7 +138,7 @@ let test_figure6_case_b () =
           (1, 2, State_graph.Transient_nd); (* edge 1: crash branch *)
           (1, 3, State_graph.Transient_nd); (* edge 2: safe branch *)
           (2, 4, State_graph.Det) ]         (* edge 3: crash event *)
-      ~crash_states:[ 4 ] ()
+      ~crash_states:[ 4 ]
   in
   let d = Dangerous_paths.dangerous_edges g in
   Alcotest.(check bool) "crash edge colored" true d.(3);
@@ -159,7 +159,7 @@ let test_figure6_case_c () =
           (1, 2, State_graph.Fixed_nd);
           (1, 3, State_graph.Fixed_nd);
           (2, 4, State_graph.Det) ]
-      ~crash_states:[ 4 ] ()
+      ~crash_states:[ 4 ]
   in
   let d = Dangerous_paths.dangerous_edges g in
   Alcotest.(check bool) "crash-bound fixed ND colored" true d.(1);
@@ -182,7 +182,7 @@ let test_dangerous_nontrivial_graph () =
           (2, 4, State_graph.Det);        (* 3: crash *)
           (3, 5, State_graph.Det);        (* 4: success *)
           (3, 6, State_graph.Fixed_nd) ]  (* 5: crash via fixed nd *)
-      ~crash_states:[ 4; 6 ] ()
+      ~crash_states:[ 4; 6 ]
   in
   let d = Dangerous_paths.dangerous_edges g in
   Alcotest.(check bool) "edge to state 2 colored" true d.(1);
@@ -230,7 +230,7 @@ let test_multi_process_dangerous_paths () =
           (1, 2, State_graph.Receive_nd 0); (* edge 1: crash branch *)
           (1, 3, State_graph.Receive_nd 0); (* edge 2: safe branch *)
           (2, 4, State_graph.Det) ]         (* edge 3: crash event *)
-      ~crash_states:[ 4 ] ()
+      ~crash_states:[ 4 ]
   in
   let make_trace ~sender_committed_before_send =
     let t = Trace.create ~nprocs:2 in
@@ -270,7 +270,7 @@ let test_safe_to_commit_api () =
   let g =
     State_graph.make ~nstates:3
       ~edges:[ (0, 1, State_graph.Transient_nd); (1, 2, State_graph.Det) ]
-      ~crash_states:[ 2 ] ()
+      ~crash_states:[ 2 ]
   in
   (* state 0: its only exit is a transient ND... whose every outcome
      crashes, so it is doomed; build a safe variant with an escape *)
@@ -281,7 +281,7 @@ let test_safe_to_commit_api () =
       ~edges:
         [ (0, 1, State_graph.Transient_nd); (0, 3, State_graph.Transient_nd);
           (1, 2, State_graph.Det) ]
-      ~crash_states:[ 2 ] ()
+      ~crash_states:[ 2 ]
   in
   Alcotest.(check bool) "transient escape exists: safe" true
     (Lose_work.safe_to_commit g2 ~state:0)
@@ -470,7 +470,7 @@ let test_state_graph_dot () =
   let g =
     State_graph.make ~nstates:3
       ~edges:[ (0, 1, State_graph.Transient_nd); (1, 2, State_graph.Det) ]
-      ~crash_states:[ 2 ] ()
+      ~crash_states:[ 2 ]
   in
   let dot = State_graph.to_dot ~dangerous:(Dangerous_paths.dangerous_edges g) g in
   let contains needle =
@@ -600,7 +600,7 @@ let prop_dangerous_reaches_crash =
               | _ -> State_graph.Fixed_nd ))
           raw
       in
-      return (State_graph.make ~nstates ~edges ~crash_states:[ crash ] ()))
+      return (State_graph.make ~nstates ~edges ~crash_states:[ crash ]))
   in
   QCheck.Test.make ~name:"colored edges reach a crash through colored edges"
     ~count:200
@@ -674,7 +674,7 @@ let input_machine inner =
         (5, 7, State_graph.Det);
         (* e7 *)
       ]
-    ~crash_states:[ 6 ] ()
+    ~crash_states:[ 6 ]
 
 let check_coloring g ~edges ~states =
   let colored = Dangerous_paths.dangerous_edges g in

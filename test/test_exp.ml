@@ -344,7 +344,7 @@ let test_sweep_failed_rows_recorded () =
                 Ft_exp.Jstore.Int i))
       in
       let sr =
-        Ft_exp.Exp.run_sweep ~workers:2 ~retries:0 ~out_dir:dir ~quiet:true
+        Ft_exp.Exp.run_sweep ~workers:2 ~out_dir:dir ~quiet:true
           ~name:"f" jobs
       in
       Alcotest.(check int) "one failed row" 1 sr.Ft_exp.Exp.failed;
@@ -365,13 +365,14 @@ let test_sweep_warm_retries_failed_rows () =
         List.init 5 (fun i ->
             Ft_exp.Job.make ~key:(Printf.sprintf "job/%d" i) ~seed:i
               (fun () ->
-                (* job 2 fails on its first call and succeeds after *)
-                if i = 2 && Atomic.fetch_and_add calls 1 = 0 then
+                (* job 2 fails both attempts of the cold sweep (the
+                   first call and the pool's one retry), then succeeds *)
+                if i = 2 && Atomic.fetch_and_add calls 1 < 2 then
                   failwith "transient";
                 Ft_exp.Jstore.Int i))
       in
       let sweep () =
-        Ft_exp.Exp.run_sweep ~workers:2 ~retries:0 ~out_dir:dir ~quiet:true
+        Ft_exp.Exp.run_sweep ~workers:2 ~out_dir:dir ~quiet:true
           ~name:"r" (jobs ())
       in
       let cold = sweep () in
@@ -394,11 +395,11 @@ let test_sweep_failures_lists_dead_jobs () =
             Ft_exp.Jstore.Int i))
   in
   let sr =
-    Ft_exp.Exp.run_sweep ~workers:2 ~retries:0 ~quiet:true ~name:"d" jobs
+    Ft_exp.Exp.run_sweep ~workers:2 ~quiet:true ~name:"d" jobs
   in
   Alcotest.(check (list (pair string string)))
     "one dead job, with its error"
-    [ ("job/4", "Failure(\"injected\") (after 1 attempts)") ]
+    [ ("job/4", "Failure(\"injected\") (after 2 attempts)") ]
     (Ft_exp.Exp.failures sr)
 
 (* With no [out_dir] a sweep runs every job in memory and touches no
@@ -419,7 +420,7 @@ let test_sweep_in_memory_matches_stored () =
     (fun () ->
       Sys.chdir dir;
       let mem =
-        Ft_exp.Exp.run_sweep ~workers:2 ~retries:0 ~quiet:true ~name:"m"
+        Ft_exp.Exp.run_sweep ~workers:2 ~quiet:true ~name:"m"
           (jobs ())
       in
       Alcotest.(check int) "in memory: all ran" 6 mem.Ft_exp.Exp.ran;
@@ -428,7 +429,7 @@ let test_sweep_in_memory_matches_stored () =
       Alcotest.(check (array string)) "in memory: no file" [||]
         (Sys.readdir dir);
       let stored =
-        Ft_exp.Exp.run_sweep ~workers:2 ~retries:0 ~out_dir:"store"
+        Ft_exp.Exp.run_sweep ~workers:2 ~out_dir:"store"
           ~quiet:true ~name:"m" (jobs ())
       in
       let in_mem = Ft_exp.Exp.lookup mem

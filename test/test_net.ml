@@ -420,9 +420,14 @@ let test_2pc_permanent_partition_gives_up () =
   let r = run_threeproc ~cfg ~policy ~rounds:3 () in
   Alcotest.(check bool) "degraded to Net_unreachable" true
     (r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Net_unreachable);
-  Alcotest.(check bool) "rounds were aborted before giving up" true
-    (r.Ft_runtime.Engine.aborted_rounds
-    > Ft_runtime.Engine.default_config.Ft_runtime.Engine.twopc_max_retries)
+  Alcotest.(check int) "the first round and 8 retries aborted" 9
+    r.Ft_runtime.Engine.aborted_rounds;
+  (* The coordinator reaches its first round at 281_088 ns, then waits
+     out a 2 ms presumed-abort timeout doubling over the 8 retries
+     (2 + 4 + ... + 256 ms) before it gives up. *)
+  Alcotest.(check int) "doubling 2 ms timeouts charged"
+    (281_088 + (2_000_000 * 255))
+    r.Ft_runtime.Engine.sim_time_ns
 
 (* --- the duplicate-filter audit (satellite regression) ------------------- *)
 

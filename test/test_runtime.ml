@@ -371,10 +371,10 @@ let test_kernel_panic_recovers_all () =
   Alcotest.(check bool) "consistent output" true
     (Ft_core.Consistency.is_consistent ~reference:expected_output
        ~observed:r.Ft_runtime.Engine.visible);
-  (* the reboot pause is charged to simulated time *)
-  Alcotest.(check bool) "reboot delay charged" true
-    (r.Ft_runtime.Engine.sim_time_ns
-    > Ft_runtime.Engine.default_config.Ft_runtime.Engine.reboot_delay_ns)
+  (* the 30 s reboot pause is charged to simulated time, on top of the
+     run's own 7.42 ms of execution, restore and replay *)
+  Alcotest.(check int) "30 s reboot charged" (30_000_000_000 + 7_419_270)
+    r.Ft_runtime.Engine.sim_time_ns
 
 let test_recovery_cap_gives_up () =
   (* a program that deterministically crashes right after committing:
@@ -412,10 +412,6 @@ let test_recoveries_reset_on_progress () =
   let cfg =
     { Ft_runtime.Engine.default_config with
       max_recovery_attempts = 2;
-      (* a short reboot, so each kill lands during live execution with
-         committed progress in between rather than piling up while the
-         clock sits inside the first 30 s reboot *)
-      reboot_delay_ns = 1_000;
       (* spaced wider than one replay cycle (1 ms think-time per input),
          so a fresh commit lands between consecutive kills *)
       kills = [ (2_100_000, 0); (4_600_000, 0); (7_100_000, 0) ] }
@@ -623,27 +619,29 @@ let test_commit_crash_recovers () =
 let test_restore_crash_retries_then_succeeds () =
   (* Crash near the end of the first commit (undo records published),
      then the first word of the rollback replay too: the engine must
-     charge a reboot, retry the restore from the same checkpoint, and
-     finish the run. *)
+     charge a restart pause, retry the restore from the same checkpoint,
+     and finish the run. *)
   let crash_at = Lazy.force first_commit_end_index - 1 in
-  let code = Ft_vm.Asm.compile echo_program in
-  let kernel = make_kernel () in
-  let eng = Ft_runtime.Engine.create ~kernel ~programs:[| code |] () in
-  let region = engine_region eng in
-  let n = ref 0 and phase = ref 0 in
-  Ft_stablemem.Rio.set_on_write region
-    (Some
-       (fun _ _ ->
-         incr n;
-         if !phase = 0 && !n = crash_at then begin
-           phase := 1;
-           raise (Ft_stablemem.Rio.Crash_point !n)
-         end
-         else if !phase = 1 then begin
-           phase := 2;
-           raise (Ft_stablemem.Rio.Crash_point !n)
-         end));
-  let r = Ft_runtime.Engine.run eng in
+  let run ~restore_crash =
+    let code = Ft_vm.Asm.compile echo_program in
+    let kernel = make_kernel () in
+    let eng = Ft_runtime.Engine.create ~kernel ~programs:[| code |] () in
+    let n = ref 0 and phase = ref 0 in
+    Ft_stablemem.Rio.set_on_write (engine_region eng)
+      (Some
+         (fun _ _ ->
+           incr n;
+           if !phase = 0 && !n = crash_at then begin
+             phase := 1;
+             raise (Ft_stablemem.Rio.Crash_point !n)
+           end
+           else if !phase = 1 && restore_crash then begin
+             phase := 2;
+             raise (Ft_stablemem.Rio.Crash_point !n)
+           end));
+    Ft_runtime.Engine.run eng
+  in
+  let r = run ~restore_crash:true in
   Alcotest.(check int) "one process crash" 1 r.Ft_runtime.Engine.crashes;
   Alcotest.(check int) "one restore crash" 1
     r.Ft_runtime.Engine.recovery_crashes;
@@ -651,7 +649,15 @@ let test_restore_crash_retries_then_succeeds () =
     (r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Completed);
   Alcotest.(check bool) "consistent" true
     (Ft_core.Consistency.is_consistent ~reference:expected_output
-       ~observed:r.Ft_runtime.Engine.visible)
+       ~observed:r.Ft_runtime.Engine.visible);
+  (* The same crash with a clean restore: the failed first attempt costs
+     exactly one 10 ms restart pause (attempt 1 x 10 ms) and nothing
+     else, so the whole run shifts by it. *)
+  let clean = run ~restore_crash:false in
+  Alcotest.(check int) "clean restore never crashed" 0
+    clean.Ft_runtime.Engine.recovery_crashes;
+  Alcotest.(check int) "10 ms restart pause charged" 10_000_000
+    (r.Ft_runtime.Engine.sim_time_ns - clean.Ft_runtime.Engine.sim_time_ns)
 
 let test_restore_crash_sticky_gives_up () =
   (* A sticky injector keeps crashing every restore attempt: the engine
