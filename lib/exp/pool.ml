@@ -9,12 +9,10 @@
 
     Failure containment mirrors the engine's own
     [max_recovery_attempts]: a raising job is retried a bounded number
-    of times and then recorded as [Failed] instead of killing the sweep;
-    a job that overruns the wall-clock timeout is recorded as [Failed]
-    too.  (Domains cannot be cancelled, so the timeout is enforced when
-    the job returns: an overrunning job wastes its worker but cannot
-    corrupt the sweep.  Engine runs are bounded by [max_instructions],
-    so true hangs do not arise from the harness workloads.) *)
+    of times and then recorded as [Failed] instead of killing the sweep.
+    Nothing times a job out: domains cannot be cancelled, and engine
+    runs are bounded by [max_instructions], so the harness workloads do
+    not hang. *)
 
 type outcome =
   | Done of Jstore.value
@@ -32,6 +30,9 @@ type progress = {
 
 let default_workers () = Domain.recommended_domain_count ()
 
+(* A raising job gets this many more attempts before it is [Failed]. *)
+let retries = 1
+
 type 'a shared = {
   mutex : Mutex.t;
   done_cond : Condition.t;
@@ -45,8 +46,7 @@ type 'a shared = {
           were all killed by asynchronous exceptions would hang *)
 }
 
-let run ?workers ?(timeout_s = Float.infinity) ?(retries = 1) ?on_progress
-    (jobs : Job.t list) =
+let run ?workers ?on_progress (jobs : Job.t list) =
   let arr = Array.of_list jobs in
   let n = Array.length arr in
   let workers =
@@ -85,35 +85,19 @@ let run ?workers ?(timeout_s = Float.infinity) ?(retries = 1) ?on_progress
          else sh.busy_s /. (float_of_int workers *. elapsed));
     }
   in
-  (* One job, with bounded retry and post-hoc timeout check.  The
-     timeout bounds each attempt on its own — a retry starts a fresh
-     clock, so a slow-but-within-limit attempt after a failed one is
-     not misreported as a timeout.  The returned duration still covers
-     all attempts (it feeds the utilization accounting). *)
+  (* One job, with bounded retry.  The returned duration covers all
+     attempts (it feeds the utilization accounting). *)
   let attempt_job (j : Job.t) =
-    let t_first = Unix.gettimeofday () in
+    let started = Unix.gettimeofday () in
     let rec go attempts =
-      let started = Unix.gettimeofday () in
       match j.Job.run () with
-      | v ->
-          let dur = Unix.gettimeofday () -. started in
-          if dur > timeout_s then
-            ( Failed
-                {
-                  error =
-                    Printf.sprintf "timeout: ran %.1f s (limit %.1f s)" dur
-                      timeout_s;
-                  attempts;
-                },
-              Unix.gettimeofday () -. t_first )
-          else (Done v, Unix.gettimeofday () -. t_first)
+      | v -> Done v
       | exception e ->
           if attempts <= retries then go (attempts + 1)
-          else
-            (Failed { error = Printexc.to_string e; attempts },
-             Unix.gettimeofday () -. t_first)
+          else Failed { error = Printexc.to_string e; attempts }
     in
-    go 1
+    let outcome = go 1 in
+    (outcome, Unix.gettimeofday () -. started)
   in
   let worker () =
     let rec loop () =

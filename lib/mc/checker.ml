@@ -248,6 +248,22 @@ let check_lose_work ~program ~(run : Model.run) ~victim ~crash_pc =
     run.Model.commit_pcs;
   !errors
 
+(* ---- judging one execution ---------------------------------------------- *)
+
+(* Output consistency against [reference] and, when [lose_work], the
+   dangerous-path oracle on a crashed execution (a [No_crash] or [Lose]
+   run names no crash pc).  [report oracle detail] files each finding. *)
+let judge ~lose_work ~program ~reference (r : Model.run) report =
+  (match Consistency.check ~reference ~observed:r.Model.observed with
+  | Consistency.Consistent -> ()
+  | v -> report Consistency (Format.asprintf "%a" Consistency.pp_verdict v));
+  if lose_work then
+    match r.Model.crash_pc with
+    | None -> ()
+    | Some (victim, crash_pc) ->
+        List.iter (report Lose_work)
+          (check_lose_work ~program ~run:r ~victim ~crash_pc)
+
 (* ---- single-execution checking (shrinker entry point) ------------------- *)
 
 let check_one ?(lose_work = true) ~spec ~defect ~program ~prefix ~crash () =
@@ -275,16 +291,7 @@ let check_one ?(lose_work = true) ~spec ~defect ~program ~prefix ~crash () =
           .Model.observed
     | _ -> r.Model.reference
   in
-  (match Consistency.check ~reference ~observed:r.Model.observed with
-  | Consistency.Consistent -> ()
-  | v -> report Consistency (Format.asprintf "%a" Consistency.pp_verdict v));
-  (if lose_work then
-     match r.Model.crash_pc with
-     | None -> ()
-     | Some (victim, crash_pc) ->
-         List.iter
-           (fun d -> report Lose_work d)
-           (check_lose_work ~program ~run:r ~victim ~crash_pc));
+  judge ~lose_work ~program ~reference r report;
   List.rev !vs
 
 (* ---- the DFS ------------------------------------------------------------ *)
@@ -298,7 +305,7 @@ let check ?(no_prune = false) ?(lose_work = true) ?(root = []) ?stop_depth
   and memo = ref 0
   and steps = ref 0
   and violations = ref [] in
-  let report v_oracle v_prefix v_crash v_detail =
+  let report v_prefix v_crash v_oracle v_detail =
     violations := { v_oracle; v_prefix; v_crash; v_detail } :: !violations
   in
   let exec prefix crash =
@@ -307,41 +314,21 @@ let check ?(no_prune = false) ?(lose_work = true) ?(root = []) ?stop_depth
     steps := !steps + r.Model.steps;
     r
   in
-  let check_consistency prefix crash (r : Model.run) =
-    match
-      Consistency.check ~reference:r.Model.reference ~observed:r.Model.observed
-    with
-    | Consistency.Consistent -> ()
-    | v ->
-        report Consistency prefix crash
-          (Format.asprintf "%a" Consistency.pp_verdict v)
-  in
   let crash_variant prefix crash =
     let r = exec prefix crash in
-    check_consistency prefix crash r;
-    if lose_work then
-      match r.Model.crash_pc with
-      | None -> ()
-      | Some (victim, crash_pc) ->
-          List.iter
-            (fun d -> report Lose_work prefix crash d)
-            (check_lose_work ~program ~run:r ~victim ~crash_pc)
+    judge ~lose_work ~program ~reference:r.Model.reference r
+      (report prefix crash)
   in
   (* Loss transparency: retransmission must make a single dropped frame
      unobservable, so the completed run reproduces the no-loss execution
-     of the same schedule.  The surviving-lineage reference is useless
-     here — a silently skipped receive drops out of it too. *)
+     of the same schedule — the node's own run [nc], not a second one.
+     The surviving-lineage reference is useless here — a silently
+     skipped receive drops out of it too. *)
   let lose_variant prefix (nc : Model.run) (src, dst, seq) =
     let crash = Model.Lose { src; dst; seq } in
     let r = exec prefix crash in
-    match
-      Consistency.check ~reference:nc.Model.observed
-        ~observed:r.Model.observed
-    with
-    | Consistency.Consistent -> ()
-    | v ->
-        report Consistency prefix crash
-          (Format.asprintf "%a" Consistency.pp_verdict v)
+    judge ~lose_work ~program ~reference:nc.Model.observed r
+      (report prefix crash)
   in
   let rec dfs prefix =
     incr nodes;
@@ -354,7 +341,7 @@ let check ?(no_prune = false) ?(lose_work = true) ?(root = []) ?stop_depth
       (match Save_work.violations nc.Model.prefix_trace with
       | [] -> ()
       | v :: _ ->
-          report Invariant prefix Model.No_crash
+          report prefix Model.No_crash Invariant
             (Format.asprintf "%a" Save_work.pp_violation v));
       if prefix <> [] then begin
         for v = 0 to nprocs - 1 do
@@ -380,7 +367,8 @@ let check ?(no_prune = false) ?(lose_work = true) ?(root = []) ?stop_depth
       | [] ->
           (* leaf sanity: a complete failure-free run must reproduce its
              own reference exactly *)
-          check_consistency prefix Model.No_crash nc
+          judge ~lose_work ~program ~reference:nc.Model.reference nc
+            (report prefix Model.No_crash)
       | next ->
           let expand =
             match stop_depth with

@@ -40,25 +40,7 @@ type stats = {
   cut : int;            (* frames swallowed by a partition *)
   acks : int;           (* acks sent (some of which the wire loses) *)
   gave_up : int;        (* frames abandoned after the retry budget *)
-  payload_bytes : int;  (* measured size of distinct payloads accepted *)
-  wire_bytes : int;     (* measured size crossing the wire, retransmits
-                           included — the piggyback-overhead numerator *)
 }
-
-let zero_stats =
-  {
-    sends = 0;
-    transmissions = 0;
-    retransmits = 0;
-    deliveries = 0;
-    dup_frames = 0;
-    dropped = 0;
-    cut = 0;
-    acks = 0;
-    gave_up = 0;
-    payload_bytes = 0;
-    wire_bytes = 0;
-  }
 
 type 'a frame = { payload : 'a; mutable attempts : int }
 
@@ -99,7 +81,6 @@ type 'a t = {
   rto_max_ns : int;
   max_retries : int;
   deliver : at:int -> src:int -> dst:int -> 'a -> unit;
-  measure : 'a -> int;  (* payload size in bytes, for overhead stats *)
   links : (int * int, 'a link) Hashtbl.t;
   mutable queue : 'a event Q.t;
   mutable next_id : int;
@@ -113,13 +94,10 @@ type 'a t = {
   mutable s_cut : int;
   mutable s_acks : int;
   mutable s_gave_up : int;
-  mutable s_payload_bytes : int;
-  mutable s_wire_bytes : int;
 }
 
 let create ?(policy = fun _ _ -> Policy.reliable) ?(rto_max_ns = 50_000_000)
-    ?(max_retries = 16) ?(measure = fun _ -> 0) ~seed ~nprocs ~latency_ns
-    ~jitter_ns ~deliver () =
+    ?(max_retries = 16) ~seed ~nprocs ~latency_ns ~jitter_ns ~deliver () =
   let rto_ns = max 1_000 (4 * (latency_ns + jitter_ns)) in
   {
     nprocs;
@@ -131,7 +109,6 @@ let create ?(policy = fun _ _ -> Policy.reliable) ?(rto_max_ns = 50_000_000)
     rto_max_ns = max rto_ns rto_max_ns;
     max_retries = max 0 max_retries;
     deliver;
-    measure;
     links = Hashtbl.create 16;
     queue = Q.empty;
     next_id = 0;
@@ -145,8 +122,6 @@ let create ?(policy = fun _ _ -> Policy.reliable) ?(rto_max_ns = 50_000_000)
     s_cut = 0;
     s_acks = 0;
     s_gave_up = 0;
-    s_payload_bytes = 0;
-    s_wire_bytes = 0;
   }
 
 let stats t =
@@ -160,8 +135,6 @@ let stats t =
     cut = t.s_cut;
     acks = t.s_acks;
     gave_up = t.s_gave_up;
-    payload_bytes = t.s_payload_bytes;
-    wire_bytes = t.s_wire_bytes;
   }
 
 let link t ~src ~dst =
@@ -206,7 +179,6 @@ let rto_after t attempts =
    duplicate it; survivors become [Data] arrival events. *)
 let transmit t ~now ~(l : _ link) ~seq payload =
   t.s_transmissions <- t.s_transmissions + 1;
-  t.s_wire_bytes <- t.s_wire_bytes + t.measure payload;
   let pol = t.policy l.l_src l.l_dst in
   if Policy.partitioned pol ~src:l.l_src ~dst:l.l_dst ~now then
     t.s_cut <- t.s_cut + 1
@@ -235,7 +207,6 @@ let send t ~now ~src ~dst payload =
   let seq = l.next_seq in
   l.next_seq <- seq + 1;
   t.s_sends <- t.s_sends + 1;
-  t.s_payload_bytes <- t.s_payload_bytes + t.measure payload;
   Hashtbl.replace l.outstanding seq { payload; attempts = 0 };
   transmit t ~now ~l ~seq payload;
   schedule t ~at:(now + rto_after t 0) (Retry { e_src = src; e_dst = dst; seq })
@@ -318,13 +289,6 @@ let pump t ~now =
     | _ -> continue := false
   done
 
-let next_event t =
-  match Q.min_binding_opt t.queue with
-  | Some ((at, _), _) -> Some at
-  | None -> None
-
-let pending t = not (Q.is_empty t.queue)
-
 (* Range-restricted views for a multi-tenant scheduler sharing one
    transport: a tenant owning global pids [lo, hi) must judge deadlock
    and degradation from its own links only, not from frames another
@@ -360,9 +324,6 @@ let link_failed t ~src ~dst =
   match Hashtbl.find_opt t.links (src, dst) with
   | Some l -> l.l_failed
   | None -> false
-
-let any_failed t =
-  Hashtbl.fold (fun _ l acc -> acc || l.l_failed) t.links false
 
 (* Frames accepted but neither delivered nor abandoned yet — in flight,
    buffered out of order, or awaiting (re)transmission. *)

@@ -22,14 +22,7 @@ type stats = {
   cut : int;  (** frames swallowed by a partition *)
   acks : int;  (** acks sent (some of which the wire loses) *)
   gave_up : int;  (** frames abandoned after the retry budget *)
-  payload_bytes : int;
-      (** measured size of distinct payloads accepted (see [measure]) *)
-  wire_bytes : int;
-      (** measured size crossing the wire, retransmits included — the
-          numerator for piggyback-overhead accounting *)
 }
-
-val zero_stats : stats
 
 type 'a t
 
@@ -37,7 +30,6 @@ val create :
   ?policy:(int -> int -> Policy.t) ->
   ?rto_max_ns:int ->
   ?max_retries:int ->
-  ?measure:('a -> int) ->
   seed:int ->
   nprocs:int ->
   latency_ns:int ->
@@ -50,10 +42,7 @@ val create :
     is [4 * (latency_ns + jitter_ns)], floor 1µs; successive retries
     double it up to [rto_max_ns] (default 50ms), with 25% jitter.  After
     [max_retries] (default 16) attempts a frame is abandoned and its
-    link latched failed.  [measure] sizes a payload in bytes for the
-    [payload_bytes]/[wire_bytes] stats (default: everything is 0 bytes),
-    letting callers quantify what dependency-vector piggybacking adds to
-    each frame. *)
+    link latched failed. *)
 
 val send : 'a t -> now:int -> src:int -> dst:int -> 'a -> unit
 (** Accept a payload for transmission at simulated time [now]. *)
@@ -64,31 +53,27 @@ val pump : 'a t -> now:int -> unit
     [deliver] for payloads that complete in-order.  Monotone: pumping
     never rewinds the watermark. *)
 
-val next_event : 'a t -> int option
-(** Timestamp of the earliest queued event — how far the engine must
-    advance simulated time for the network to make progress when every
-    process is blocked. *)
-
-val pending : 'a t -> bool
-
 val pending_in : 'a t -> lo:int -> hi:int -> bool
-(** Like {!pending}, restricted to events whose sending endpoint lies in
-    [lo, hi) — one tenant's slice of a shared transport.  Links never
-    cross tenants, so this is exactly the tenant's own traffic. *)
+(** Some queued event (arrival, ack or retry) has its sending endpoint
+    in [lo, hi) — one tenant's slice of a shared transport.  Links never
+    cross tenants, so this is exactly the tenant's own traffic;
+    [~lo:0 ~hi:nprocs] asks about the whole transport. *)
 
 val next_event_in : 'a t -> lo:int -> hi:int -> int option
-(** Like {!next_event}, restricted to the [lo, hi) pid range. *)
+(** Timestamp of the earliest queued event whose sending endpoint lies
+    in [lo, hi): how far the engine must advance simulated time for the
+    network to make progress when every process of that range is
+    blocked. *)
 
 val any_failed_in : 'a t -> lo:int -> hi:int -> bool
-(** Like {!any_failed}, restricted to links whose source lies in
-    [lo, hi). *)
+(** Some link whose source lies in [lo, hi) has exhausted a retry
+    budget. *)
 
 val reachable : 'a t -> src:int -> dst:int -> now:int -> bool
 (** No active partition cuts [src]->[dst] at [now] and the link has not
     exhausted a retry budget.  The 2PC coordinator's prepare check. *)
 
 val link_failed : 'a t -> src:int -> dst:int -> bool
-val any_failed : 'a t -> bool
 
 val in_flight : 'a t -> int
 (** Frames accepted but neither delivered nor abandoned yet. *)

@@ -106,7 +106,6 @@ type result = {
   commit_after_activation : bool;
       (** a commit landed between fault activation and the first crash:
           the Table-1 Lose-work violation criterion *)
-  memory_pokes : int;  (** kernel-fault memory corruptions applied *)
   aborted_rounds : int;
       (** 2PC (and dependent-commit) rounds presumed aborted on a
           prepare/commit timeout *)

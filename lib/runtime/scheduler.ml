@@ -143,7 +143,6 @@ type tenant = {
   breaker : Ft_recovery.Quarantine.t option;
   mutable quarantine_trips : int;
   mutable outcome : outcome option;
-  mutable memory_pokes : int;
   mutable ack_tag : int;  (* synthetic (negative) tags for 2PC acks *)
   mutable round : int;    (* coordinated-commit round counter *)
   mutable aborted_rounds : int;
@@ -262,7 +261,6 @@ let make_tenant tid (cfg, kernel, programs) =
       breaker = Option.map Ft_recovery.Quarantine.create cfg.quarantine;
       quarantine_trips = 0;
       outcome = None;
-      memory_pokes = 0;
       ack_tag = -1;
       round = 0;
       aborted_rounds = 0;
@@ -1061,8 +1059,7 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
               let a = hunt 64 (Random.State.int rng region) in
               let bit = Random.State.int rng 24 in
               Ft_vm.Memory.write heap a
-                (Ft_vm.Memory.read heap a lxor (1 lsl bit));
-              tn.memory_pokes <- tn.memory_pokes + 1
+                (Ft_vm.Memory.read heap a lxor (1 lsl bit))
           | None -> ());
           (* Logged user input must be stable before its effects propagate
              (a synchronous write on DC-disk); logged receives live in the
@@ -1254,7 +1251,6 @@ let result_of tn outcome =
     activation = tn.activation;
     first_crash = tn.first_crash;
     commit_after_activation = tn.commit_after_activation;
-    memory_pokes = tn.memory_pokes;
     aborted_rounds = tn.aborted_rounds;
     orphan_rollbacks = tn.orphan_rollbacks;
     visible_times;
@@ -1338,13 +1334,11 @@ let step t tn =
                     tn.procs ->
             finish t tn Net_unreachable
         | _ ->
-            (* A 2PC round that exhausted its presumed-abort retries
-               marked the outcome before the rest of the system drained;
-               that verdict, not Deadlocked, is the honest one. *)
-            finish t tn
-              (match tn.outcome with
-              | Some Net_unreachable -> Net_unreachable
-              | _ -> Deadlocked))
+            (* A verdict stored before the rest of the system drained — a
+               2PC round that exhausted its presumed-abort retries, or a
+               recovery ladder that gave up — is the honest one, not
+               Deadlocked. *)
+            finish t tn (Option.value tn.outcome ~default:Deadlocked))
     | Some p ->
         if past_deadline tn p then finish t tn Deadline
         else slice tn p

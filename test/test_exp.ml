@@ -54,7 +54,7 @@ let test_pool_contains_failures () =
             if i = 3 then failwith "injected job failure";
             Ft_exp.Jstore.Int i))
   in
-  let results = Ft_exp.Pool.run ~workers:4 ~retries:1 jobs in
+  let results = Ft_exp.Pool.run ~workers:4 jobs in
   List.iteri
     (fun i (_, outcome, _) ->
       match (i, outcome) with
@@ -83,7 +83,7 @@ let test_pool_survives_raising_progress_callback () =
     Atomic.incr calls;
     failwith "progress callback bug"
   in
-  let results = Ft_exp.Pool.run ~workers:4 ~retries:0 ~on_progress jobs in
+  let results = Ft_exp.Pool.run ~workers:4 ~on_progress jobs in
   Alcotest.(check int) "all slots filled" 12 (List.length results);
   Alcotest.(check bool) "callback was exercised" true (Atomic.get calls > 0);
   List.iteri
@@ -110,7 +110,7 @@ let test_pool_surfaces_failed_count () =
     if p.Ft_exp.Pool.finished = p.Ft_exp.Pool.total then
       Atomic.set last p.Ft_exp.Pool.failed
   in
-  let results = Ft_exp.Pool.run ~workers:3 ~retries:0 ~on_progress jobs in
+  let results = Ft_exp.Pool.run ~workers:3 ~on_progress jobs in
   let failed =
     List.length
       (List.filter
@@ -131,48 +131,9 @@ let test_pool_retry_recovers () =
           Ft_exp.Jstore.Bool true);
     ]
   in
-  match Ft_exp.Pool.run ~workers:1 ~retries:1 jobs with
+  match Ft_exp.Pool.run ~workers:1 jobs with
   | [ (_, Ft_exp.Pool.Done (Ft_exp.Jstore.Bool true), _) ] -> ()
   | _ -> Alcotest.fail "retry did not recover the job"
-
-let test_pool_timeout () =
-  let jobs =
-    [
-      Ft_exp.Job.make ~key:"slow" ~seed:0 (fun () ->
-          Unix.sleepf 0.08;
-          Ft_exp.Jstore.Int 1);
-      Ft_exp.Job.make ~key:"fast" ~seed:1 (fun () -> Ft_exp.Jstore.Int 2);
-    ]
-  in
-  match Ft_exp.Pool.run ~workers:1 ~timeout_s:0.02 ~retries:0 jobs with
-  | [ (_, Ft_exp.Pool.Failed { error; _ }, _); (_, Ft_exp.Pool.Done _, _) ]
-    ->
-      Alcotest.(check bool) "timeout named in error" true
-        (String.length error >= 7 && String.sub error 0 7 = "timeout")
-  | _ -> Alcotest.fail "slow job not timed out / fast job affected"
-
-let test_pool_timeout_per_attempt () =
-  (* The first attempt fails fast; the retry succeeds but takes most of
-     the limit.  Measured cumulatively the two attempts overrun the
-     timeout — the clock must restart for each attempt, so the job is
-     [Done], not a spurious timeout failure. *)
-  let tries = Atomic.make 0 in
-  let jobs =
-    [
-      Ft_exp.Job.make ~key:"flaky-slow" ~seed:0 (fun () ->
-          if Atomic.fetch_and_add tries 1 = 0 then begin
-            Unix.sleepf 0.06;
-            failwith "first attempt"
-          end;
-          Unix.sleepf 0.06;
-          Ft_exp.Jstore.Bool true);
-    ]
-  in
-  match Ft_exp.Pool.run ~workers:1 ~timeout_s:0.1 ~retries:1 jobs with
-  | [ (_, Ft_exp.Pool.Done (Ft_exp.Jstore.Bool true), _) ] -> ()
-  | [ (_, Ft_exp.Pool.Failed { error; _ }, _) ] ->
-      Alcotest.failf "within-limit retry misreported: %s" error
-  | _ -> Alcotest.fail "unexpected pool result shape"
 
 (* --- jstore --------------------------------------------------------------- *)
 
@@ -565,9 +526,6 @@ let tests =
     Alcotest.test_case "pool surfaces failed count" `Quick
       test_pool_surfaces_failed_count;
     Alcotest.test_case "pool retry recovers" `Quick test_pool_retry_recovers;
-    Alcotest.test_case "pool timeout" `Quick test_pool_timeout;
-    Alcotest.test_case "pool timeout is per attempt" `Quick
-      test_pool_timeout_per_attempt;
     QCheck_alcotest.to_alcotest prop_jstore_roundtrip;
     Alcotest.test_case "jstore rejects garbage" `Quick
       test_jstore_rejects_garbage;

@@ -424,6 +424,45 @@ let test_recoveries_reset_on_progress () =
     (Ft_core.Consistency.is_consistent ~reference:expected_output
        ~observed:r.Ft_runtime.Engine.visible)
 
+let test_ladder_give_up_is_recovery_failed () =
+  (* The generic ladder gives up on TreadMarks under CPV-2PC with 10
+     kills/s a process and a lossy network.  The give-up is stored as the
+     tenant's outcome while the survivors drain; when they then block on
+     a quiet network, the stored verdict must win over [Deadlocked]. *)
+  let w =
+    Ft_harness.Figure8.workload ~scale:0.25 Ft_harness.Figure8.Treadmarks
+  in
+  let kills =
+    List.concat_map
+      (fun pid ->
+        Ft_faults.Kill_plan.tenant ~pid ~crash_rate:10.
+          ~horizon_ns:2_000_000_000 ~seed:4 pid)
+      (List.init w.Ft_apps.Workload.nprocs Fun.id)
+    |> List.sort compare
+  in
+  Alcotest.(check int) "kills" 77 (List.length kills);
+  let kernel = Ft_apps.Workload.kernel ~seed:4 w in
+  ignore
+    (Ft_os.Kernel.attach_net
+       ~policy:(Ft_net.Policy.make ~drop:0.10 ~duplicate:0.02 ~reorder:0.05 ())
+       ~seed:4 kernel);
+  let cfg =
+    Ft_apps.Workload.engine_config w
+      { Ft_runtime.Engine.default_config with
+        protocol = Ft_core.Protocols.cpv_2pc;
+        kills;
+        max_recovery_attempts = 10;
+        policy = Some Ft_recovery.Policy.generic }
+  in
+  let _, r =
+    Ft_runtime.Engine.execute ~cfg ~kernel
+      ~programs:w.Ft_apps.Workload.programs ()
+  in
+  Alcotest.(check string) "outcome" "recovery-failed"
+    (Ft_runtime.Engine.outcome_name r.Ft_runtime.Engine.outcome);
+  Alcotest.(check int) "crashes" 3 r.Ft_runtime.Engine.crashes;
+  Alcotest.(check int) "recoveries" 2 r.Ft_runtime.Engine.recoveries
+
 (* --- nested failures: crashing the recovery path itself ------------------ *)
 
 let test_nested_restore_kill_completes () =
@@ -1029,6 +1068,8 @@ let tests =
     Alcotest.test_case "pingpong 2pc with kill" `Quick
       test_pingpong_2pc_with_kill;
     Alcotest.test_case "signal delivery" `Quick test_signal_delivery;
+    Alcotest.test_case "ladder give-up is recovery-failed" `Quick
+      test_ladder_give_up_is_recovery_failed;
   ]
 
 let () = Alcotest.run "ft_runtime" [ ("engine", tests) ]
