@@ -58,15 +58,12 @@ let workload ?(scale = 1.0) app =
 (* The protocols each application's protocol space shows in Figure 8:
    2PC variants only make sense for the distributed applications, and
    the message-logging pair (CAUSAL-LOG, OPTIMISTIC) joins them there
-   too.  [classic:true] restores the paper's original seven-protocol
-   panel — the goldens pin both renderings. *)
-let protocols_for ?(classic = false) = function
+   too. *)
+let protocols_for = function
   | Nvi | Magic ->
       Ft_core.Protocols.
         [ cand; cand_log; cpvs; cbndvs; cbndvs_log ]
-  | Xpilot | Treadmarks ->
-      if classic then Ft_core.Protocols.figure8
-      else Ft_core.Protocols.figure8_extended
+  | Xpilot | Treadmarks -> Ft_core.Protocols.figure8_extended
 
 type cell = {
   protocol : string;
@@ -135,7 +132,7 @@ let job ~scale ~seed ~app ~label ~protocol ~medium =
       let w = workload ~scale app in
       probe_value ~app (run_once ~w ~protocol ~medium ~seed))
 
-let jobs ?(classic = false) ?(scale = 1.0) ?(seed = 42) app =
+let jobs ?(scale = 1.0) ?(seed = 42) app =
   let mem = Ft_runtime.Checkpointer.Reliable_memory in
   let disk = Ft_runtime.Checkpointer.Disk Ft_stablemem.Disk.default in
   job ~scale ~seed ~app ~label:"baseline"
@@ -147,9 +144,9 @@ let jobs ?(classic = false) ?(scale = 1.0) ?(seed = 42) app =
            job ~scale ~seed ~app ~label ~protocol:proto ~medium:mem;
            job ~scale ~seed ~app ~label ~protocol:proto ~medium:disk;
          ])
-       (protocols_for ~classic app)
+       (protocols_for app)
 
-let of_records ?(classic = false) ?(scale = 1.0) ?(seed = 42) app lookup =
+let of_records ?(scale = 1.0) ?(seed = 42) app lookup =
   let probe label medium =
     match lookup (job_key ~scale ~seed ~app ~label ~medium) with
     | Some v ->
@@ -182,7 +179,7 @@ let of_records ?(classic = false) ?(scale = 1.0) ?(seed = 42) app lookup =
           nd_events = dc.Ft_exp.Metrics.nd_events;
           logged_events = dc.Ft_exp.Metrics.logged_events;
         })
-      (protocols_for ~classic app)
+      (protocols_for app)
   in
   { app; baseline_ns; cells }
 

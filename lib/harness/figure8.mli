@@ -10,10 +10,9 @@ val all_apps : app list
 val workload : ?scale:float -> app -> Ft_apps.Workload.t
 (** [scale] in (0, 1] shrinks the workload for quick runs. *)
 
-val protocols_for : ?classic:bool -> app -> Ft_core.Protocol.spec list
+val protocols_for : app -> Ft_core.Protocol.spec list
 (** The 2PC variants only appear for the distributed applications,
-    joined there by the message-logging pair (CAUSAL-LOG, OPTIMISTIC).
-    [classic:true] restores the paper's original seven-protocol panel. *)
+    joined there by the message-logging pair (CAUSAL-LOG, OPTIMISTIC). *)
 
 type cell = {
   protocol : string;
@@ -29,12 +28,11 @@ type cell = {
 
 type app_result = { app : app; baseline_ns : int; cells : cell list }
 
-val jobs : ?classic:bool -> ?scale:float -> ?seed:int -> app -> Ft_exp.Job.t list
+val jobs : ?scale:float -> ?seed:int -> app -> Ft_exp.Job.t list
 (** One job per engine run: the NO-COMMIT baseline plus (protocol x
     medium) for the app's protocol space. *)
 
 val of_records :
-  ?classic:bool ->
   ?scale:float ->
   ?seed:int ->
   app ->

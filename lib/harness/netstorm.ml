@@ -23,9 +23,8 @@
       CPV-2PC: the server's message-order ND outruns the global rounds).
       The storm oracle is therefore relative — where the reference run
       upholds the visible constraint, the stressed run must too — and
-      checks the visible half only: orphan violations are inert without
-      a crash, and their commit-event targets make the full check
-      quadratic in the trace.
+      checks the visible half only: netstorm injects no crashes, and
+      orphan violations are inert without one.
 
     The sweep fans out over {!Ft_exp.Exp} jobs — parallel under [-j],
     resumable from a warm store — and the CLI exits non-zero on any
@@ -181,9 +180,7 @@ let job ~scale ~seed ~app ~protocol point =
         | Error msg -> (false, msg)
       in
       (* The visible half of Save-work only: orphan violations need a
-         crash to matter (netstorm injects none), and their commit
-         targets make the full check quadratic in the trace — tens of
-         seconds per treadmarks cell against a 0.1 s engine run. *)
+         crash to matter, and netstorm injects none. *)
       let save_work_broken =
         Save_work.visible_violations reference.Engine.trace = []
         && Save_work.visible_violations r.Engine.trace <> []

@@ -79,7 +79,6 @@ type 'a t = {
   jitter_ns : int;
   rto_ns : int;
   rto_max_ns : int;
-  max_retries : int;
   deliver : at:int -> src:int -> dst:int -> 'a -> unit;
   links : (int * int, 'a link) Hashtbl.t;
   mutable queue : 'a event Q.t;
@@ -96,8 +95,14 @@ type 'a t = {
   mutable s_gave_up : int;
 }
 
-let create ?(policy = fun _ _ -> Policy.reliable) ?(rto_max_ns = 50_000_000)
-    ?(max_retries = 16) ~seed ~nprocs ~latency_ns ~jitter_ns ~deliver () =
+(* Backoff cap and retry budget: each frame is retried at most
+   [max_retries] times, at most [rto_max_ns] apart (unless the initial
+   timeout is larger). *)
+let rto_max_ns = 50_000_000
+let max_retries = 16
+
+let create ?(policy = fun _ _ -> Policy.reliable) ~seed ~nprocs ~latency_ns
+    ~jitter_ns ~deliver () =
   let rto_ns = max 1_000 (4 * (latency_ns + jitter_ns)) in
   {
     nprocs;
@@ -107,7 +112,6 @@ let create ?(policy = fun _ _ -> Policy.reliable) ?(rto_max_ns = 50_000_000)
     jitter_ns;
     rto_ns;
     rto_max_ns = max rto_ns rto_max_ns;
-    max_retries = max 0 max_retries;
     deliver;
     links = Hashtbl.create 16;
     queue = Q.empty;
@@ -262,7 +266,7 @@ let handle t ~at = function
       match Hashtbl.find_opt l.outstanding seq with
       | None -> () (* acked in the meantime; the timer is a no-op *)
       | Some fr ->
-          if fr.attempts >= t.max_retries then begin
+          if fr.attempts >= max_retries then begin
             (* budget exhausted: abandon the frame and latch the link
                failed — graceful degradation, not an infinite retry *)
             Hashtbl.remove l.outstanding seq;

@@ -28,8 +28,6 @@ type 'a t
 
 val create :
   ?policy:(int -> int -> Policy.t) ->
-  ?rto_max_ns:int ->
-  ?max_retries:int ->
   seed:int ->
   nprocs:int ->
   latency_ns:int ->
@@ -40,9 +38,9 @@ val create :
 (** [policy src dst] is the fault policy of the [src]->[dst] direction
     (default: every link reliable).  The initial retransmission timeout
     is [4 * (latency_ns + jitter_ns)], floor 1µs; successive retries
-    double it up to [rto_max_ns] (default 50ms), with 25% jitter.  After
-    [max_retries] (default 16) attempts a frame is abandoned and its
-    link latched failed. *)
+    double it up to 50ms (or the initial timeout, if larger), with 25%
+    jitter.  After 16 retries a frame is abandoned and its link latched
+    failed. *)
 
 val send : 'a t -> now:int -> src:int -> dst:int -> 'a -> unit
 (** Accept a payload for transmission at simulated time [now]. *)

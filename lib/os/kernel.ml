@@ -146,12 +146,26 @@ type t = {
       (* per pid: input script entries are absolute arrival times
          (open-loop load) rather than think-time gaps (closed loop) *)
   (* --- dependency tracking (message-logging protocols) ---------------
-     None of this belongs to [proc_kstate]: vectors are restored by the
-     engine from its committed snapshots, and incarnations/barriers must
-     SURVIVE restores — they describe which in-flight messages are stale,
-     which is precisely the knowledge a rollback must not lose. *)
+     None of this belongs to [proc_kstate]: {!commit} snapshots the
+     vectors and stable marks and {!rollback} restores them, while
+     incarnations/barriers must SURVIVE restores — they describe which
+     in-flight messages are stale, which is precisely the knowledge a
+     rollback must not lose. *)
   mutable dv_enabled : bool;
   dvs : Ft_core.Vclock.t array;            (* per pid, live vector *)
+  committed_dvs : Ft_core.Vclock.t array;
+      (* per pid, the live vector as of its newest commit: the rollback
+         target, and the baseline of the self-taint test and the GC *)
+  stable_marks : int array array;
+      (* stable_marks.(p).(q): how much of q's own non-determinism p has
+         CONFIRMED durable through an acknowledged dependent-commit
+         round.  Local knowledge only — never an omniscient read of q's
+         commit state: an already-committed dependency is still
+         contacted once, and that ack is the happens-before edge that
+         puts its covering commit in the output's causal past. *)
+  committed_stables : int array array;
+      (* stable_marks as of each process's newest commit; restored with
+         the process (the confirming ack may be un-received) *)
   incarnations : int array;                (* per pid, bumped on rollback *)
   mutable barriers : (int * int) list array;
       (* per src: (incarnation after a rollback, restored send_seq).
@@ -216,6 +230,9 @@ let create ?(seed = 42) ?(fs_capacity = 1 lsl 20)
     input_abs = Array.make nprocs false;
     dv_enabled = false;
     dvs = Array.init nprocs (fun _ -> Ft_core.Vclock.create nprocs);
+    committed_dvs = Array.init nprocs (fun _ -> Ft_core.Vclock.create nprocs);
+    stable_marks = Array.make_matrix nprocs nprocs 0;
+    committed_stables = Array.make_matrix nprocs nprocs 0;
     incarnations = Array.make nprocs 0;
     barriers = Array.make nprocs [];
     det_hi = Array.make nprocs 0;
@@ -333,18 +350,6 @@ let snapshot_kstate t pid =
   let k = t.kstates.(pid) in
   { k with input_pos = k.input_pos }  (* all-immutable-field copy *)
 
-let restore_kstate t pid (s : kstate_snapshot) =
-  let k = t.kstates.(pid) in
-  k.input_pos <- s.input_pos;
-  k.last_input_at <- s.last_input_at;
-  k.send_seq <- s.send_seq;
-  k.last_seen <- s.last_seen;
-  k.open_files <- s.open_files;
-  k.next_fd <- s.next_fd;
-  k.fs_used <- s.fs_used;
-  k.sig_period <- s.sig_period;
-  k.next_signal <- s.next_signal
-
 (* Word layout of a kstate snapshot, so Discount Checking can persist
    the saved kernel state inside the checkpoint region itself and
    recovery can rebuild it from region words alone:
@@ -406,19 +411,29 @@ let kstate_of_words w =
    workloads treat file writes as redo-logged output; our applications
    only append).  Offsets and the open-file table are rolled back. *)
 
-(* The receiver committed: its consumed messages need never be redelivered. *)
-let note_commit t pid = t.uncommitted_recv.(pid) := []
-
 (* --- dependency tracking (message-logging protocols) -------------------- *)
 
 let enable_dependency_tracking t = t.dv_enabled <- true
 let dependency_tracking t = t.dv_enabled
 
-(* The live vector: callers may read it and [Vclock.copy] it into
-   snapshots, but must mutate it only through {!dv_tick}/{!restore_dv}. *)
-let dv t pid = t.dvs.(pid)
-let dv_tick t pid = Ft_core.Vclock.tick t.dvs.(pid) pid
-let restore_dv t pid c = t.dvs.(pid) <- Ft_core.Vclock.copy c
+let own t pid = Ft_core.Vclock.get t.dvs.(pid) pid
+
+(* [by]'s state depends on more of [q]'s non-determinism than [by] has
+   confirmed durable: [q] must co-commit before [by]'s output. *)
+let unconfirmed t ~by q =
+  Ft_core.Vclock.get t.dvs.(by) q > t.stable_marks.(by).(q)
+
+(* An acknowledged round confirmed everything of [q]'s own ND to date;
+   [by]'s next commit snapshots this knowledge. *)
+let confirm t ~by q = t.stable_marks.(by).(q) <- own t q
+
+(* [pid] executed tainting ND since its newest commit. *)
+let self_tainted t pid =
+  own t pid > Ft_core.Vclock.get t.committed_dvs.(pid) pid
+
+(* [s]'s state depends on more of [victim]'s ND than [victim]'s restored
+   state retains: the rollback lost ND that [s] has seen. *)
+let orphaned t ~victim s = Ft_core.Vclock.get t.dvs.(s) victim > own t victim
 
 (* A message is stale iff some rollback of its sender undid the send. *)
 let message_dead t (m : message) =
@@ -429,28 +444,6 @@ let message_dead t (m : message) =
         (fun (b_inc, b_seq) -> m.msg_inc < b_inc && m.msg_seq >= b_seq)
         bs
 
-(* The engine rolled [pid] back past some of its sends (logging styles
-   only).  Called after [restore_kstate], so [send_seq] is the restored
-   value: in-flight messages from the previous incarnation at or above
-   it will be redone — possibly with different redrawn payloads — and
-   the originals must never be consumed. *)
-let note_sender_rollback t pid =
-  t.incarnations.(pid) <- t.incarnations.(pid) + 1;
-  t.barriers.(pid) <-
-    (t.incarnations.(pid), t.kstates.(pid).send_seq) :: t.barriers.(pid)
-
-(* The receiver rolled back: requeue the messages it consumed since its
-   last commit, in original order, ahead of anything else pending —
-   minus any that a sender rollback killed in the meantime. *)
-let requeue_uncommitted t pid =
-  let pending = Queue.create () in
-  Queue.transfer t.mailboxes.(pid) pending;
-  List.iter
-    (fun m -> if not (message_dead t m) then Queue.add m t.mailboxes.(pid))
-    !(t.uncommitted_recv.(pid));
-  Queue.transfer pending t.mailboxes.(pid);
-  t.uncommitted_recv.(pid) := []
-
 let mailbox_nonempty t pid = not (Queue.is_empty t.mailboxes.(pid))
 
 (* --- bounded determinant log -------------------------------------------- *)
@@ -458,46 +451,106 @@ let mailbox_nonempty t pid = not (Queue.is_empty t.mailboxes.(pid))
 let set_det_cap t cap = t.det_cap <- cap
 let det_cap t = t.det_cap
 let det_live t = t.det_live
-let det_live_of t pid = t.det_hi.(pid) - t.det_mark.(pid)
 let det_high_water t = t.det_high_water
 let det_forced_flushes t = t.det_forced_flushes
 let note_forced_flush t = t.det_forced_flushes <- t.det_forced_flushes + 1
 
-(* A determinant was recorded for [pid]'s latest nondeterministic event.
-   Returns [true] when the store is over its hard cap — the caller must
-   degrade gracefully (force a flush-to-checkpoint of some process)
-   rather than let the log grow without bound. *)
-let det_append t pid =
-  t.det_hi.(pid) <- t.det_hi.(pid) + 1;
-  t.det_live <- t.det_live + 1;
-  if t.det_live > t.det_high_water then t.det_high_water <- t.det_live;
-  t.det_cap > 0 && t.det_live > t.det_cap
+(* --- lineage: ND events, commits and rollbacks -------------------------- *)
 
-(* [pid] committed: its checkpoint now covers the replay of every
-   determinant recorded so far, making them retirable (once no live
-   process still depends on them — the scheduler's GC decides that). *)
-let det_note_commit t pid = t.det_committed.(pid) <- t.det_hi.(pid)
-
-(* [pid] rolled back: determinants recorded since its last commit
-   belonged to the dead lineage (the optimistic volatile log dies with
-   the process) and replay will record fresh ones. *)
-let det_drop_uncommitted t pid =
-  let dropped = t.det_hi.(pid) - t.det_committed.(pid) in
-  if dropped > 0 then begin
-    t.det_live <- t.det_live - dropped;
-    t.det_hi.(pid) <- t.det_committed.(pid)
+(* [pid] executed an ND event.  Under tracking it records a determinant
+   (bounded store, GC'd at commits) and, if the event [taints], advances
+   the process's own vector component.  Returns [true] when the store is
+   over its hard cap — the caller must degrade gracefully (force a
+   flush-to-checkpoint of some process) rather than let the log grow
+   without bound. *)
+let note_nd t pid ~taints =
+  if not t.dv_enabled then false
+  else begin
+    t.det_hi.(pid) <- t.det_hi.(pid) + 1;
+    t.det_live <- t.det_live + 1;
+    if t.det_live > t.det_high_water then t.det_high_water <- t.det_live;
+    if taints then Ft_core.Vclock.tick t.dvs.(pid) pid;
+    t.det_cap > 0 && t.det_live > t.det_cap
   end
 
-(* Retire [pid]'s committed determinants.  The watermark only ever
-   advances ([det_mark] is monotone and survives restores): that is the
-   crash-safety invariant — a GC pass re-entered after a nested crash
-   re-derives the same or a later watermark, never an earlier one. *)
-let det_retire t pid =
-  let w = t.det_committed.(pid) in
-  if w > t.det_mark.(pid) then begin
-    t.det_live <- t.det_live - (w - t.det_mark.(pid));
-    t.det_mark.(pid) <- w
+(* [pid] committed: consumed messages need never be redelivered.  Under
+   tracking the commit flushes the volatile determinant log and
+   stabilizes the process's non-determinism up to here — the live vector
+   and stable marks become the new rollback baseline, and its checkpoint
+   covers the replay of every determinant recorded so far.
+
+   Then the determinant-log GC: a process's committed determinants
+   retire once every [live] process's dependence on it is itself
+   committed, read off the commit watermarks ([committed_dvs]).  Halted
+   and failed processes are past publishing uncommitted state and do not
+   pin logs.  The inputs are committed state only and the watermark
+   [det_mark] only ever advances (it survives restores), so a pass
+   re-run after any nested crash re-derives the same or a later
+   watermark, never an earlier one: crash-safe by construction. *)
+let commit t pid ~live =
+  t.uncommitted_recv.(pid) := [];
+  if t.dv_enabled then begin
+    t.committed_dvs.(pid) <- Ft_core.Vclock.copy t.dvs.(pid);
+    Array.blit t.stable_marks.(pid) 0 t.committed_stables.(pid) 0 t.nprocs;
+    t.det_committed.(pid) <- t.det_hi.(pid);
+    for q = 0 to t.nprocs - 1 do
+      let blocked = ref false in
+      for i = 0 to t.nprocs - 1 do
+        if
+          i <> q && live i
+          && Ft_core.Vclock.get t.dvs.(i) q
+             > Ft_core.Vclock.get t.committed_dvs.(i) q
+        then blocked := true
+      done;
+      let w = t.det_committed.(q) in
+      if (not !blocked) && w > t.det_mark.(q) then begin
+        t.det_live <- t.det_live - (w - t.det_mark.(q));
+        t.det_mark.(q) <- w
+      end
+    done
   end
+
+(* [pid] was restored to the commit that saved [s].  In this order:
+   restore the kernel state; under tracking, roll the vector and stable
+   marks back to that commit, fence off in-flight messages the rollback
+   un-sent (the barrier reads the just-restored [send_seq]: in-flight
+   messages of the previous incarnation at or above it will be redone,
+   possibly with different redrawn payloads, and the originals must
+   never be consumed) and drop the determinants of the dead lineage (the
+   optimistic volatile log dies with the process; replay records fresh
+   ones); finally requeue the messages consumed since the commit, in
+   original order, ahead of anything else pending — minus any the
+   barriers just killed (the §2.1 recovery buffer). *)
+let rollback t pid (s : kstate_snapshot) =
+  let k = t.kstates.(pid) in
+  k.input_pos <- s.input_pos;
+  k.last_input_at <- s.last_input_at;
+  k.send_seq <- s.send_seq;
+  k.last_seen <- s.last_seen;
+  k.open_files <- s.open_files;
+  k.next_fd <- s.next_fd;
+  k.fs_used <- s.fs_used;
+  k.sig_period <- s.sig_period;
+  k.next_signal <- s.next_signal;
+  if t.dv_enabled then begin
+    t.dvs.(pid) <- Ft_core.Vclock.copy t.committed_dvs.(pid);
+    Array.blit t.committed_stables.(pid) 0 t.stable_marks.(pid) 0 t.nprocs;
+    t.incarnations.(pid) <- t.incarnations.(pid) + 1;
+    t.barriers.(pid) <-
+      (t.incarnations.(pid), s.send_seq) :: t.barriers.(pid);
+    let dropped = t.det_hi.(pid) - t.det_committed.(pid) in
+    if dropped > 0 then begin
+      t.det_live <- t.det_live - dropped;
+      t.det_hi.(pid) <- t.det_committed.(pid)
+    end
+  end;
+  let pending = Queue.create () in
+  Queue.transfer t.mailboxes.(pid) pending;
+  List.iter
+    (fun m -> if not (message_dead t m) then Queue.add m t.mailboxes.(pid))
+    !(t.uncommitted_recv.(pid));
+  Queue.transfer pending t.mailboxes.(pid);
+  t.uncommitted_recv.(pid) := []
 
 (* --- environment perturbation (escalation rung L2) ---------------------- *)
 

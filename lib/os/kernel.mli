@@ -124,8 +124,6 @@ val snapshot_kstate : t -> int -> kstate_snapshot
     duplicate filter, signal timers): Discount Checking preserves it at
     commit time and reconstructs it during recovery (§3). *)
 
-val restore_kstate : t -> int -> kstate_snapshot -> unit
-
 val kstate_to_words : kstate_snapshot -> int array
 (** Serialize a snapshot to words so the checkpointer can persist it in
     reliable memory alongside the process image. *)
@@ -134,79 +132,81 @@ val kstate_of_words : int array -> kstate_snapshot
 (** Inverse of {!kstate_to_words}.  Raises [Invalid_argument] on a
     truncated snapshot. *)
 
-val note_commit : t -> int -> unit
-(** The process committed: consumed messages need never be redelivered. *)
-
-val requeue_uncommitted : t -> int -> unit
-(** The process rolled back: redeliver the messages it consumed since
-    its last commit, in order (the §2.1 recovery buffer). *)
-
 val mailbox_nonempty : t -> int -> bool
+
+(** {2 Lineage: one call per ND event, commit and rollback}
+
+    Each process's lineage is the state that is restored with it but is
+    not kstate: the receive recovery buffer and, under dependency
+    tracking, its dependency vector, its confirmed-stable marks and its
+    determinant log, together with the incarnations and rollback
+    barriers that must {e survive} restores to keep filtering stale
+    messages.  The kernel snapshots the lineage at {!commit} and rolls it
+    back at {!rollback}; callers only report the events. *)
+
+val note_nd : t -> int -> taints:bool -> bool
+(** [pid] executed an ND event.  Under tracking it records a determinant
+    and, when the event [taints], advances the process's own vector
+    component.  Returns [true] when the determinant store exceeds its
+    hard cap — the caller must force a flush-to-checkpoint rather than
+    let the log grow unbounded.  Without tracking: nothing, [false]. *)
+
+val commit : t -> int -> live:(int -> bool) -> unit
+(** [pid] committed: consumed messages need never be redelivered.  Under
+    tracking, also snapshot its vector and stable marks as the new
+    rollback baseline, make its determinants so far retirable, and
+    retire every process's committed determinants that no [live]
+    process still depends on.  The retirement watermark only advances,
+    so re-running a commit after a nested crash never un-retires. *)
+
+val rollback : t -> int -> kstate_snapshot -> unit
+(** [pid] was restored to the commit that saved this kstate: restore
+    it, and under tracking roll the vector and stable marks back to that
+    commit, bump the incarnation and bar in-flight messages the rollback
+    un-sent, and drop the dead lineage's determinants.  Then redeliver
+    the messages consumed since the commit, in order, minus the barred
+    ones (the §2.1 recovery buffer). *)
 
 (** {2 Dependency tracking (message-logging protocols)}
 
     Enabled by the engine when the protocol's style is [Causal_log] or
     [Optimistic_log]: sends piggyback the sender's dependency vector,
-    receives merge it into the receiver's.  Vectors, incarnations and
-    rollback barriers live {e outside} the snapshottable kernel state —
-    the engine restores vectors from its own committed snapshots, and
-    barriers must survive restores to keep filtering stale messages. *)
+    receives merge it into the receiver's, and the predicates below read
+    the vectors so callers never see them. *)
 
 val enable_dependency_tracking : t -> unit
 val dependency_tracking : t -> bool
 
-val dv : t -> int -> Ft_core.Vclock.t
-(** [dv t pid] — the live dependency vector.  Read and [Vclock.copy]
-    freely; mutate only through {!dv_tick} and {!restore_dv}. *)
+val unconfirmed : t -> by:int -> int -> bool
+(** [unconfirmed t ~by q]: [by]'s state depends on more of [q]'s
+    non-determinism than [by] has confirmed durable through an
+    acknowledged dependent-commit round — [q] must co-commit before
+    [by]'s output. *)
 
-val dv_tick : t -> int -> unit
-(** The process executed a tainting ND event: advance its own
-    component. *)
+val confirm : t -> by:int -> int -> unit
+(** [q] acknowledged [by]'s round: everything of [q]'s own ND to date is
+    durable.  [by]'s next {!commit} snapshots the mark. *)
 
-val restore_dv : t -> int -> Ft_core.Vclock.t -> unit
-(** Roll the vector back to a committed snapshot (copied in). *)
+val self_tainted : t -> int -> bool
+(** The process executed tainting ND since its newest commit. *)
 
-val note_sender_rollback : t -> int -> unit
-(** The engine rolled [pid] back past some of its sends.  Call {e after}
-    [restore_kstate]: bumps the incarnation and installs a barrier at the
-    restored send sequence, so in-flight messages from the previous
-    incarnation at or above it are dead — their redone replacements
-    (possibly carrying different redrawn payloads) are the live ones. *)
+val orphaned : t -> victim:int -> int -> bool
+(** [orphaned t ~victim s]: after [victim]'s rollback, [s]'s state
+    depends on more of [victim]'s ND than [victim]'s restored state
+    retains. *)
 
 (** {2 Bounded determinant log}
 
     Accounting for the logging protocols' determinant store, kept as
     per-owner counters [det_mark <= det_committed <= det_hi]
     (determinants retire in stamp order, so each live log is an
-    interval).  Like incarnations, the counters live outside
-    snapshottable kstate; the retirement watermark is derived from
-    committed state only and survives restores — its monotonicity is
-    the GC's crash-safety (re-entrancy) invariant. *)
-
-val det_append : t -> int -> bool
-(** A determinant was recorded for [pid]'s latest ND event.  Returns
-    [true] when the store exceeds its hard cap — the caller must force
-    a flush-to-checkpoint rather than let the log grow unbounded. *)
-
-val det_note_commit : t -> int -> unit
-(** [pid] committed: its determinants so far become retirable (pending
-    the scheduler's dependents-committed check). *)
-
-val det_drop_uncommitted : t -> int -> unit
-(** [pid] rolled back: determinants since its last commit belonged to
-    the dead lineage and are discarded (replay records fresh ones). *)
-
-val det_retire : t -> int -> unit
-(** Retire [pid]'s committed determinants, advancing the (monotone)
-    watermark.  Call only once every live process's dependence on [pid]
-    is itself committed. *)
+    interval), moved only by {!note_nd}, {!commit} and {!rollback}. *)
 
 val set_det_cap : t -> int -> unit
 (** Hard cap on the total live determinant count; [0] disables. *)
 
 val det_cap : t -> int
 val det_live : t -> int
-val det_live_of : t -> int -> int
 val det_high_water : t -> int
 val det_forced_flushes : t -> int
 

@@ -146,20 +146,6 @@ type tenant = {
   mutable ack_tag : int;  (* synthetic (negative) tags for 2PC acks *)
   mutable round : int;    (* coordinated-commit round counter *)
   mutable aborted_rounds : int;
-  committed_dvs : Ft_core.Vclock.t array;
-      (* logging styles: per process, the dependency vector as of its
-         newest commit — what {!finish_restore} rolls the live vector
-         back to, and the baseline orphan detection compares against *)
-  stable_marks : int array array;
-      (* stable_marks.(p).(q): how much of q's own non-determinism p has
-         CONFIRMED durable through an acknowledged dependent-commit
-         round.  Local knowledge only — never an omniscient read of q's
-         commit state: an already-committed dependency is still
-         contacted once, and that ack is the happens-before edge that
-         puts its covering commit in the output's causal past. *)
-  committed_stables : int array array;
-      (* stable_marks as of each process's newest commit; restored with
-         the process (the confirming ack may be un-received) *)
   mutable orphan_rollbacks : int;
       (* logging styles: survivors rolled back because their state
          causally depended on a crashed process's lost non-determinism *)
@@ -264,10 +250,6 @@ let make_tenant tid (cfg, kernel, programs) =
       ack_tag = -1;
       round = 0;
       aborted_rounds = 0;
-      committed_dvs =
-        Array.init nprocs (fun _ -> Ft_core.Vclock.create nprocs);
-      stable_marks = Array.make_matrix nprocs nprocs 0;
-      committed_stables = Array.make_matrix nprocs nprocs 0;
       orphan_rollbacks = 0;
       recovery_kills_pending = cfg.recovery_kills;
       stage_counts = Array.make 3 0;
@@ -349,6 +331,20 @@ let recovery_crash_due tn stage =
       tn.recovery_kills_pending <- keep;
       true
 
+(* Feed one crash of [p], at its clock, to the crash-loop breaker (if
+   any); a verdict other than [`Ok] counts a quarantine trip. *)
+let quarantine_crash tn (p : proc) =
+  match tn.breaker with
+  | None -> `Ok
+  | Some b ->
+      ignore (Ft_recovery.Quarantine.probe b ~now_ns:p.time : bool);
+      let verdict = Ft_recovery.Quarantine.note_crash b ~now_ns:p.time in
+      (match verdict with
+      | `Ok -> ()
+      | `Latched | `Park_until _ ->
+          tn.quarantine_trips <- tn.quarantine_trips + 1);
+      verdict
+
 (* A crash that lands during recovery itself is still a crash: count it,
    feed the crash-loop breaker's sliding window (recovery-time crashes
    trip the quarantine just like primary-execution ones), and pace the
@@ -358,19 +354,12 @@ let note_recovery_crash tn (p : proc) ~injected ~attempt =
   tn.recovery_crashes <- tn.recovery_crashes + 1;
   if injected then tn.nested_crashes <- tn.nested_crashes + 1;
   p.time <- p.time + (attempt * recovery_retry_delay_ns);
-  match tn.breaker with
-  | None -> `Retry
-  | Some b -> (
-      ignore (Ft_recovery.Quarantine.probe b ~now_ns:p.time : bool);
-      match Ft_recovery.Quarantine.note_crash b ~now_ns:p.time with
-      | `Latched ->
-          tn.quarantine_trips <- tn.quarantine_trips + 1;
-          `Abandon
-      | `Park_until until_ns ->
-          tn.quarantine_trips <- tn.quarantine_trips + 1;
-          p.time <- max p.time until_ns;
-          `Retry
-      | `Ok -> `Retry)
+  match quarantine_crash tn p with
+  | `Latched -> `Abandon
+  | `Park_until until_ns ->
+      p.time <- max p.time until_ns;
+      `Retry
+  | `Ok -> `Retry
 
 (* Prepare the process for a replay attempt: the paper's fault
    suppression and §2.6 resource expansion, shared by every rung. *)
@@ -412,21 +401,7 @@ let restore_with_retry tn (p : proc) =
   go 1
 
 let finish_restore tn (p : proc) (kstate, cost) =
-  Ft_os.Kernel.restore_kstate tn.kernel p.pid kstate;
-  (* Logging styles: roll the dependency vector back to the restored
-     commit and fence off in-flight messages the rollback un-sent (the
-     barrier reads the just-restored send_seq, so order matters: after
-     [restore_kstate], before the requeue's dead-message filter). *)
-  if Ft_os.Kernel.dependency_tracking tn.kernel then begin
-    Ft_os.Kernel.restore_dv tn.kernel p.pid tn.committed_dvs.(p.pid);
-    Array.blit tn.committed_stables.(p.pid) 0 tn.stable_marks.(p.pid) 0
-      (Array.length tn.stable_marks.(p.pid));
-    Ft_os.Kernel.note_sender_rollback tn.kernel p.pid;
-    (* Determinants recorded since the last commit belonged to the dead
-       lineage (the optimistic volatile log dies with the process). *)
-    Ft_os.Kernel.det_drop_uncommitted tn.kernel p.pid
-  end;
-  Ft_os.Kernel.requeue_uncommitted tn.kernel p.pid;
+  Ft_os.Kernel.rollback tn.kernel p.pid kstate;
   (* [+ 1]: a commit-before checkpoint counts its (rewound, not yet
      serviced) Sys instruction in icount, so the replay re-reaches
      that same commit at exactly icount + 1.  Progress means
@@ -503,8 +478,8 @@ let recover tn (p : proc) =
 (* Orphan detection and re-rollback (message-logging protocols).  After
    a victim is restored to its last commit, a survivor [s] is an orphan
    iff its dependency vector records more of the victim's
-   non-determinism than the restored state retains —
-   [dv_s(v) > dv_v(v)]: [s]'s state depends on ND the rollback lost
+   non-determinism than the restored state retains
+   ({!Ft_os.Kernel.orphaned}): [s]'s state depends on ND the rollback lost
    (and, under optimistic logging, on determinants that died with the
    volatile log).  Orphans are rolled back to their own last commits,
    and the check cascades from each newly rolled-back process.  It
@@ -534,18 +509,18 @@ let rec orphan_cascade tn (victim : proc) =
   let superseded = ref false in
   while (not !superseded) && not (Queue.is_empty worklist) do
     let v = tn.procs.(Queue.peek worklist) in
-    let v_own = Ft_core.Vclock.get (Ft_os.Kernel.dv tn.kernel v.pid) v.pid in
     Array.iter
       (fun s ->
-        if s.pid <> v.pid && not s.failed then
-          let s_dv = Ft_os.Kernel.dv tn.kernel s.pid in
-          if Ft_core.Vclock.get s_dv v.pid > v_own then begin
-            tn.orphan_rollbacks <- tn.orphan_rollbacks + 1;
-            (match restore_with_retry tn s with
-            | None -> give_up tn s
-            | Some restored -> finish_restore tn s restored);
-            if not s.failed then Queue.add s.pid worklist
-          end)
+        if
+          s.pid <> v.pid && (not s.failed)
+          && Ft_os.Kernel.orphaned tn.kernel ~victim:v.pid s.pid
+        then begin
+          tn.orphan_rollbacks <- tn.orphan_rollbacks + 1;
+          (match restore_with_retry tn s with
+          | None -> give_up tn s
+          | Some restored -> finish_restore tn s restored);
+          if not s.failed then Queue.add s.pid worklist
+        end)
       tn.procs;
     ignore (Queue.pop worklist : int);
     persist ();
@@ -580,19 +555,9 @@ and crash_proc tn (p : proc) =
      simulation, so the legacy path stays byte-identical. *)
   Ft_recovery.Classifier.note_crash p.classifier ~salt:p.salt
     ~icount:(Ft_vm.Machine.icount p.machine - p.restore_base_icount);
-  let verdict =
-    match tn.breaker with
-    | None -> `Ok
-    | Some b ->
-        ignore (Ft_recovery.Quarantine.probe b ~now_ns:p.time : bool);
-        Ft_recovery.Quarantine.note_crash b ~now_ns:p.time
-  in
-  match verdict with
-  | `Latched ->
-      tn.quarantine_trips <- tn.quarantine_trips + 1;
-      give_up tn p
+  match quarantine_crash tn p with
+  | `Latched -> give_up tn p
   | `Park_until until_ns ->
-      tn.quarantine_trips <- tn.quarantine_trips + 1;
       (* The breaker took over pacing: restart the ladder so the
          half-open probe gets a fresh budget, recover, then park the
          whole tenant until the probe deadline — it stops burning
@@ -608,32 +573,6 @@ and crash_proc tn (p : proc) =
   | `Ok -> recover_and_cascade tn p
 
 (* --- commits ------------------------------------------------------------ *)
-
-(* Determinant-log GC (logging styles): retire a process's committed
-   determinants once every live process's dependence on it is itself
-   committed, read off the piggybacked commit watermarks
-   ([committed_dvs] — each process's vector as of its newest commit).
-   The inputs are committed state only and the kernel watermark is
-   monotone, so a pass re-run after any nested crash re-derives the same
-   or a later watermark, never an earlier one: crash-safe by
-   construction.  Halted and failed processes are past publishing
-   uncommitted state and do not pin logs. *)
-let det_gc tn =
-  let nprocs = Array.length tn.procs in
-  for q = 0 to nprocs - 1 do
-    let blocked = ref false in
-    for i = 0 to nprocs - 1 do
-      let s = tn.procs.(i) in
-      if
-        i <> q
-        && (not s.failed)
-        && (not s.halted)
-        && Ft_core.Vclock.get (Ft_os.Kernel.dv tn.kernel i) q
-           > Ft_core.Vclock.get tn.committed_dvs.(i) q
-      then blocked := true
-    done;
-    if not !blocked then Ft_os.Kernel.det_retire tn.kernel q
-  done
 
 (* Returns [false] when the process crashed partway through the commit
    (and was restored to its last checkpoint): the caller must abandon
@@ -654,17 +593,9 @@ let do_local_commit ?round tn (p : proc) =
       p.time <- p.time + cost;
       p.commit_count <- p.commit_count + 1;
       p.committed_out_seq <- p.out_seq;
-      (* Logging styles: the commit flushes the volatile determinant log
-         and stabilizes the process's non-determinism up to here — the
-         live vector becomes the new rollback/orphan baseline. *)
-      if Ft_os.Kernel.dependency_tracking tn.kernel then begin
-        tn.committed_dvs.(p.pid) <-
-          Ft_core.Vclock.copy (Ft_os.Kernel.dv tn.kernel p.pid);
-        Array.blit tn.stable_marks.(p.pid) 0 tn.committed_stables.(p.pid) 0
-          (Array.length tn.stable_marks.(p.pid));
-        Ft_os.Kernel.det_note_commit tn.kernel p.pid;
-        det_gc tn
-      end;
+      Ft_os.Kernel.commit tn.kernel p.pid ~live:(fun q ->
+          let s = tn.procs.(q) in
+          (not s.failed) && not s.halted);
       (* A commit strictly past the last restore point is real progress:
          the failure was transient, so the next crash starts a fresh
          recovery budget.  (A commit AT the restore point is just the
@@ -692,7 +623,6 @@ let do_local_commit ?round tn (p : proc) =
         | None -> Ft_core.Event.Commit
       in
       ignore (Ft_core.Trace.record tn.trace ~pid:p.pid kind);
-      Ft_os.Kernel.note_commit tn.kernel p.pid;
       tn.protocol.Ft_core.Protocol.note_commit ~pid:p.pid;
       (match tn.activation with
       | Some (apid, _) when apid = p.pid && tn.first_crash = None ->
@@ -799,7 +729,7 @@ let do_global_commit tn (coordinator : proc) =
    2PC at output commit.  The coordinator is about to execute a visible
    event; instead of committing everybody, it commits exactly the
    processes the output causally depends on, read off the piggybacked
-   dependency vectors:
+   dependency vectors ({!Ft_os.Kernel.unconfirmed}):
 
      S0 = { q <> p | dv_p(q) > stable_p(q) }
 
@@ -831,14 +761,13 @@ let do_dependent_commit tn (coordinator : proc) =
   let nprocs = Array.length tn.procs in
   let in_set = Array.make nprocs false in
   let rec close pid =
-    let dv = Ft_os.Kernel.dv tn.kernel pid in
     for q = 0 to nprocs - 1 do
       if
         q <> coordinator.pid
         && (not in_set.(q))
         && (not tn.procs.(q).halted)
         && (not tn.procs.(q).failed)
-        && Ft_core.Vclock.get dv q > tn.stable_marks.(pid).(q)
+        && Ft_os.Kernel.unconfirmed tn.kernel ~by:pid q
       then begin
         in_set.(q) <- true;
         close q
@@ -850,20 +779,15 @@ let do_dependent_commit tn (coordinator : proc) =
   | [] ->
       (* No remote dependencies: a tainted coordinator makes a plain
          local commit; an untainted one owes nothing before output. *)
-      let own = coordinator.pid in
-      if
-        Ft_core.Vclock.get (Ft_os.Kernel.dv tn.kernel own) own
-        > Ft_core.Vclock.get tn.committed_dvs.(own) own
-      then do_local_commit tn coordinator
+      if Ft_os.Kernel.self_tainted tn.kernel coordinator.pid then
+        do_local_commit tn coordinator
       else true
   | participants -> (
       let on_participant (q : proc) ~acked =
         (* the ack confirms everything of q's own ND to date is now
            durable; the coordinator's next commit snapshots this
            knowledge, so q is not re-contacted for old taint *)
-        if acked then
-          tn.stable_marks.(coordinator.pid).(q.pid) <-
-            Ft_core.Vclock.get (Ft_os.Kernel.dv tn.kernel q.pid) q.pid;
+        if acked then Ft_os.Kernel.confirm tn.kernel ~by:coordinator.pid q.pid;
         (* Injected nested failure: the coordinator dies between
            participants, mid-round. *)
         if recovery_crash_due tn Mid_round then raise Round_superseded
@@ -962,10 +886,7 @@ let maybe_deliver_signal tn (p : proc) =
       p.nd_count <- p.nd_count + 1;
       (* An unlogged transient ND event: taints under both logging
          styles, and records a determinant. *)
-      if Ft_os.Kernel.dependency_tracking tn.kernel then begin
-        ignore (Ft_os.Kernel.det_append tn.kernel p.pid : bool);
-        Ft_os.Kernel.dv_tick tn.kernel p.pid
-      end;
+      ignore (Ft_os.Kernel.note_nd tn.kernel p.pid ~taints:true : bool);
       ignore
         (Ft_core.Trace.record tn.trace ~pid:p.pid
            (Ft_core.Event.Nd Ft_core.Event.Transient));
@@ -1084,14 +1005,13 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
                      logged determinants — they are causally replicated;
                      optimistic logging taints regardless — the volatile
                      log dies with the process). *)
-                  if Ft_os.Kernel.dependency_tracking tn.kernel then begin
-                    if Ft_os.Kernel.det_append tn.kernel p.pid then
-                      force_flush := true;
-                    if
-                      Ft_core.Protocol.taints
-                        tn.cfg.protocol.Ft_core.Protocol.style ~logged kind
-                    then Ft_os.Kernel.dv_tick tn.kernel p.pid
-                  end
+                  if
+                    Ft_os.Kernel.note_nd tn.kernel p.pid
+                      ~taints:
+                        (Ft_core.Protocol.taints
+                           tn.cfg.protocol.Ft_core.Protocol.style ~logged
+                           kind)
+                  then force_flush := true
               | Ft_core.Event.Visible v ->
                   (* Sequenced egress (policy runs): a replayed output
                      below the released cursor is absorbed by the

@@ -123,8 +123,8 @@ let cmp op a b =
 
 (* Execute exactly one instruction.  On [Sys s], sets status to
    [Need_syscall s] and leaves pc pointing *past* the Sys instruction:
-   the engine services the call, writes result registers, and calls
-   [resume]. *)
+   the engine rewinds to it ([rewind_syscall]), services the call,
+   writes result registers, and steps over it ([advance_past_syscall]). *)
 let step t =
   match t.status with
   | Halted | Crashed _ | Need_syscall _ -> ()
@@ -243,12 +243,6 @@ let step_n t budget =
     step t
   done;
   t.icount - start
-
-(* Resume after the engine serviced a pending syscall. *)
-let resume t =
-  match t.status with
-  | Need_syscall _ -> t.status <- Running
-  | _ -> invalid_arg "Machine.resume: no pending syscall"
 
 (* Rewind to the [Sys] instruction itself.  The engine does this as soon
    as it sees [Need_syscall]: the machine is then at a clean boundary, so

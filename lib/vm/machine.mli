@@ -65,9 +65,6 @@ val step_n : t -> int -> int
     Equivalent to calling {!step} in a loop, minus the per-instruction
     call overhead. *)
 
-val resume : t -> unit
-(** Clear a [Need_syscall] status. *)
-
 val rewind_syscall : t -> unit
 (** Point the machine back at the pending [Sys] instruction so a
     checkpoint taken now replays the event (commit-before semantics). *)

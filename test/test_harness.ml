@@ -14,9 +14,9 @@ let in_memory jobs =
     "no sweep job died" [] (Ft_exp.Exp.failures sr);
   Ft_exp.Exp.lookup sr
 
-let figure8 ?classic ?seed ~scale app =
-  Ft_harness.Figure8.of_records ?classic ~scale ?seed app
-    (in_memory (Ft_harness.Figure8.jobs ?classic ~scale ?seed app))
+let figure8 ?seed ~scale app =
+  Ft_harness.Figure8.of_records ~scale ?seed app
+    (in_memory (Ft_harness.Figure8.jobs ~scale ?seed app))
 
 let table1 ~target_crashes ~app =
   Ft_harness.Table1.of_records ~target_crashes ~app
@@ -283,23 +283,6 @@ let test_figure8_golden () =
     (read_golden "figure8_scale025.golden")
     actual
 
-let test_figure8_classic_golden () =
-  (* The original 7-protocol panels must stay byte-identical even though
-     the default protocol space now includes the message-logging pair:
-     [~classic:true] reproduces exactly the pre-extension bytes. *)
-  let actual =
-    String.concat ""
-      (List.map
-         (fun app ->
-           Ft_harness.Figure8.render
-             (figure8 ~classic:true ~scale:0.25 ~seed:42 app))
-         Ft_harness.Figure8.all_apps)
-  in
-  Alcotest.(check string)
-    "classic 7-protocol rendering is byte-identical (scale 0.25, seed 42)"
-    (read_golden "figure8_scale025_classic.golden")
-    actual
-
 let test_table1_golden () =
   List.iter
     (fun app ->
@@ -522,8 +505,6 @@ let tests =
     Alcotest.test_case "serve parallel == serial" `Slow
       test_serve_parallel_equals_serial;
     Alcotest.test_case "figure8 golden rendering" `Quick test_figure8_golden;
-    Alcotest.test_case "figure8 classic golden rendering" `Quick
-      test_figure8_classic_golden;
     Alcotest.test_case "table1 golden rendering" `Quick test_table1_golden;
     Alcotest.test_case "table2 golden rendering" `Quick test_table2_golden;
     Alcotest.test_case "ablation crash-early golden rendering" `Quick

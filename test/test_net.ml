@@ -14,11 +14,11 @@ let latency = 120_000
 let jitter = 60_000
 
 (* A transport delivering into a per-destination list, newest last. *)
-let make_transport ?policy ?max_retries ?rto_max_ns ~nprocs ~seed () =
+let make_transport ?policy ~nprocs ~seed () =
   let log = Array.make nprocs [] in
   let deliver ~at:_ ~src:_ ~dst v = log.(dst) <- v :: log.(dst) in
   let t =
-    Transport.create ?policy ?max_retries ?rto_max_ns ~seed ~nprocs
+    Transport.create ?policy ~seed ~nprocs
       ~latency_ns:latency ~jitter_ns:jitter ~deliver ()
   in
   (t, fun dst -> List.rev log.(dst))
@@ -108,7 +108,7 @@ let test_permanent_partition_exhausts_budget () =
       ~partitions:[ Policy.partition ~from_ns:0 ~until_ns:max_int () ]
       ()
   in
-  let t, got = make_transport ~policy ~max_retries:6 ~nprocs:2 ~seed:13 () in
+  let t, got = make_transport ~policy ~nprocs:2 ~seed:13 () in
   Transport.send t ~now:0 ~src:0 ~dst:1 7;
   drain ~nprocs:2 t;
   Alcotest.(check (list int)) "nothing delivered" [] (got 1);
@@ -125,7 +125,7 @@ let test_asymmetric_ack_loss () =
   let policy src _dst =
     if src = 1 then Policy.make ~drop:1.0 () else Policy.reliable
   in
-  let t, got = make_transport ~policy ~max_retries:5 ~nprocs:2 ~seed:21 () in
+  let t, got = make_transport ~policy ~nprocs:2 ~seed:21 () in
   Transport.send t ~now:0 ~src:0 ~dst:1 99;
   drain ~nprocs:2 t;
   Alcotest.(check (list int)) "delivered exactly once" [ 99 ] (got 1);
@@ -463,11 +463,10 @@ let test_retransmit_plus_redelivery_consumed_once () =
     ((Transport.stats tr).Transport.dup_frames > 0);
   Alcotest.(check int) "first consume" 77 (recv ~now:1_000_000);
   (* receiver rolls back: the consumed message is requeued *)
-  Ft_os.Kernel.restore_kstate kernel 1 receiver_pre;
-  Ft_os.Kernel.requeue_uncommitted kernel 1;
+  Ft_os.Kernel.rollback kernel 1 receiver_pre;
   (* sender rolls back too and replays its send: same msg_seq, fresh
      wire sequence — a retransmission-shaped duplicate *)
-  Ft_os.Kernel.restore_kstate kernel 0 sender_pre;
+  Ft_os.Kernel.rollback kernel 0 sender_pre;
   send ~now:2_000_000;
   drain ~nprocs:2 tr;
   Alcotest.(check int) "redelivered original consumed once" 77

@@ -3,6 +3,7 @@
    buffer), files, signals, and OS fault mechanics. *)
 
 let mk ?(nprocs = 2) () = Ft_os.Kernel.create ~nprocs ()
+let all_live _ = true
 
 let serve ?(now = 0) ?(a0 = 0) ?(a1 = 0) k pid sys =
   match Ft_os.Kernel.service k ~pid ~now ~a0 ~a1 sys with
@@ -84,9 +85,9 @@ let test_duplicate_filtering () =
   let snap = Ft_os.Kernel.snapshot_kstate k 0 in
   ignore (serve ~a0:1 ~a1:5 k 0 Ft_vm.Syscall.Send);
   ignore (serve k 1 Ft_vm.Syscall.Recv);
-  Ft_os.Kernel.note_commit k 1;
+  Ft_os.Kernel.commit k 1 ~live:all_live;
   (* sender rolls back before the send and re-executes it *)
-  Ft_os.Kernel.restore_kstate k 0 snap;
+  Ft_os.Kernel.rollback k 0 snap;
   ignore (serve ~a0:1 ~a1:5 k 0 Ft_vm.Syscall.Send);
   match Ft_os.Kernel.service k ~pid:1 ~now:0 ~a0:0 ~a1:0 Ft_vm.Syscall.Recv with
   | Ft_os.Kernel.Block_recv -> () (* duplicate silently dropped *)
@@ -104,8 +105,7 @@ let test_recovery_buffer_redelivery () =
   ignore (serve k 1 Ft_vm.Syscall.Recv);
   ignore (serve k 1 Ft_vm.Syscall.Recv);
   (* receiver crashes and rolls back without having committed *)
-  Ft_os.Kernel.restore_kstate k 1 receiver_snap;
-  Ft_os.Kernel.requeue_uncommitted k 1;
+  Ft_os.Kernel.rollback k 1 receiver_snap;
   let a = serve k 1 Ft_vm.Syscall.Recv in
   let b = serve k 1 Ft_vm.Syscall.Recv in
   Alcotest.(check (option int)) "first redelivered" (Some 100)
@@ -182,21 +182,27 @@ let test_kstate_snapshot_roundtrip () =
   let snap = Ft_os.Kernel.snapshot_kstate k 0 in
   ignore (serve k 0 Ft_vm.Syscall.Read_input);
   ignore (serve k 0 Ft_vm.Syscall.Read_input);
-  Ft_os.Kernel.restore_kstate k 0 snap;
+  Ft_os.Kernel.rollback k 0 snap;
   let s = serve k 0 Ft_vm.Syscall.Read_input in
   Alcotest.(check (option int)) "input position rolled back" (Some 1)
     s.Ft_os.Kernel.r0
 
 let test_det_log_cap_and_flush () =
   let k = mk () in
+  Alcotest.(check bool) "no log without tracking" false
+    (Ft_os.Kernel.note_nd k 0 ~taints:true);
+  Alcotest.(check int) "nothing recorded without tracking" 0
+    (Ft_os.Kernel.det_live k);
+  Ft_os.Kernel.enable_dependency_tracking k;
   Alcotest.(check int) "uncapped by default" 0 (Ft_os.Kernel.det_cap k);
   Ft_os.Kernel.set_det_cap k 3;
   Alcotest.(check int) "cap readable" 3 (Ft_os.Kernel.det_cap k);
   for _ = 1 to 3 do
-    Alcotest.(check bool) "under cap" false (Ft_os.Kernel.det_append k 0)
+    Alcotest.(check bool) "under cap" false
+      (Ft_os.Kernel.note_nd k 0 ~taints:false)
   done;
   Alcotest.(check bool) "over cap signals flush" true
-    (Ft_os.Kernel.det_append k 1);
+    (Ft_os.Kernel.note_nd k 1 ~taints:false);
   Alcotest.(check int) "live counts both owners" 4 (Ft_os.Kernel.det_live k);
   Alcotest.(check int) "high water tracks peak" 4
     (Ft_os.Kernel.det_high_water k);
@@ -206,36 +212,91 @@ let test_det_log_cap_and_flush () =
   Alcotest.(check int) "flush counted" 1 (Ft_os.Kernel.det_forced_flushes k);
   Ft_os.Kernel.set_det_cap k 0;
   Alcotest.(check bool) "cap 0 disables the signal" false
-    (Ft_os.Kernel.det_append k 0)
+    (Ft_os.Kernel.note_nd k 0 ~taints:false)
 
 let test_det_log_commit_retire_drop () =
   let k = mk () in
+  Ft_os.Kernel.enable_dependency_tracking k;
   for _ = 1 to 3 do
-    ignore (Ft_os.Kernel.det_append k 0)
+    ignore (Ft_os.Kernel.note_nd k 0 ~taints:true)
   done;
-  Alcotest.(check int) "three live for owner" 3 (Ft_os.Kernel.det_live_of k 0);
-  (* Retiring before any commit is a no-op: the watermark is derived
-     from committed state only. *)
-  Ft_os.Kernel.det_retire k 0;
+  Alcotest.(check int) "three live for owner" 3 (Ft_os.Kernel.det_live k);
+  (* Another process's commit runs the GC, which retires nothing of
+     p0's: the watermark is derived from committed state only. *)
+  Ft_os.Kernel.commit k 1 ~live:all_live;
   Alcotest.(check int) "nothing retirable uncommitted" 3
-    (Ft_os.Kernel.det_live_of k 0);
-  Ft_os.Kernel.det_note_commit k 0;
-  ignore (Ft_os.Kernel.det_append k 0);
-  ignore (Ft_os.Kernel.det_append k 0);
+    (Ft_os.Kernel.det_live k);
+  (* p1 comes to depend on p0's ND, then p0 commits: p1's uncommitted
+     dependence pins p0's committed determinants. *)
+  ignore (serve ~a0:1 ~a1:5 k 0 Ft_vm.Syscall.Send);
+  ignore (serve k 1 Ft_vm.Syscall.Recv);
+  let snap = Ft_os.Kernel.snapshot_kstate k 0 in
+  Ft_os.Kernel.commit k 0 ~live:all_live;
+  Alcotest.(check int) "a live dependent pins the log" 3
+    (Ft_os.Kernel.det_live k);
+  ignore (Ft_os.Kernel.note_nd k 0 ~taints:true);
+  ignore (Ft_os.Kernel.note_nd k 0 ~taints:true);
   (* Rollback discards only the dead (post-commit) lineage. *)
-  Ft_os.Kernel.det_drop_uncommitted k 0;
-  Alcotest.(check int) "uncommitted tail dropped" 3
-    (Ft_os.Kernel.det_live_of k 0);
+  Ft_os.Kernel.rollback k 0 snap;
+  Alcotest.(check int) "uncommitted tail dropped" 3 (Ft_os.Kernel.det_live k);
   Alcotest.(check int) "peak included the dead tail" 5
     (Ft_os.Kernel.det_high_water k);
-  Ft_os.Kernel.det_retire k 0;
-  Alcotest.(check int) "committed prefix retired" 0
-    (Ft_os.Kernel.det_live_of k 0);
-  Alcotest.(check int) "fleet live drained" 0 (Ft_os.Kernel.det_live k);
-  (* Re-entrancy: a second retirement pass must not move the watermark
-     or drive the live count negative. *)
-  Ft_os.Kernel.det_retire k 0;
-  Alcotest.(check int) "watermark monotone" 0 (Ft_os.Kernel.det_live k)
+  (* p1's commit makes its dependence committed: p0's prefix retires. *)
+  Ft_os.Kernel.commit k 1 ~live:all_live;
+  Alcotest.(check int) "committed prefix retired" 0 (Ft_os.Kernel.det_live k);
+  (* Re-entrancy: a second commit pass must not move the watermark or
+     drive the live count negative. *)
+  Ft_os.Kernel.commit k 1 ~live:all_live;
+  Alcotest.(check int) "watermark monotone" 0 (Ft_os.Kernel.det_live k);
+  (* Only live processes pin: a halted dependent publishes nothing. *)
+  ignore (Ft_os.Kernel.note_nd k 0 ~taints:true);
+  ignore (serve ~a0:1 ~a1:6 k 0 Ft_vm.Syscall.Send);
+  ignore (serve k 1 Ft_vm.Syscall.Recv);
+  Ft_os.Kernel.commit k 0 ~live:all_live;
+  Alcotest.(check int) "pinned by live p1" 1 (Ft_os.Kernel.det_live k);
+  Ft_os.Kernel.commit k 0 ~live:(fun q -> q <> 1);
+  Alcotest.(check int) "halted p1 pins nothing" 0 (Ft_os.Kernel.det_live k)
+
+(* The lineage the kernel restores with a process: its dependency vector
+   and its confirmed-stable marks roll back to the newest commit. *)
+let test_lineage_rollback () =
+  let k = mk () in
+  Ft_os.Kernel.enable_dependency_tracking k;
+  (* p1 executes tainting ND and tells p0, which then commits *)
+  ignore (Ft_os.Kernel.note_nd k 1 ~taints:true);
+  ignore (serve ~a0:0 ~a1:7 k 1 Ft_vm.Syscall.Send);
+  ignore (serve k 0 Ft_vm.Syscall.Recv);
+  let snap = Ft_os.Kernel.snapshot_kstate k 0 in
+  Ft_os.Kernel.commit k 0 ~live:all_live;
+  Alcotest.(check bool) "p0 depends on p1's unconfirmed ND" true
+    (Ft_os.Kernel.unconfirmed k ~by:0 1);
+  Alcotest.(check bool) "a commit alone leaves p0 untainted" false
+    (Ft_os.Kernel.self_tainted k 0);
+  Ft_os.Kernel.confirm k ~by:0 1;
+  Alcotest.(check bool) "the ack confirms it" false
+    (Ft_os.Kernel.unconfirmed k ~by:0 1);
+  (* p0 taints itself after the commit and tells p1 *)
+  ignore (Ft_os.Kernel.note_nd k 0 ~taints:true);
+  ignore (serve ~a0:1 ~a1:8 k 0 Ft_vm.Syscall.Send);
+  ignore (serve k 1 Ft_vm.Syscall.Recv);
+  Alcotest.(check bool) "p0 tainted since its commit" true
+    (Ft_os.Kernel.self_tainted k 0);
+  Alcotest.(check bool) "p1 not orphaned while p0 stands" false
+    (Ft_os.Kernel.orphaned k ~victim:0 1);
+  Ft_os.Kernel.rollback k 0 snap;
+  Alcotest.(check bool) "the confirmation rolled back" true
+    (Ft_os.Kernel.unconfirmed k ~by:0 1);
+  Alcotest.(check bool) "vector back at the committed one" false
+    (Ft_os.Kernel.self_tainted k 0);
+  Alcotest.(check bool) "p1 saw ND the rollback lost" true
+    (Ft_os.Kernel.orphaned k ~victim:0 1);
+  (* a confirmation the next commit snapshots survives a rollback *)
+  Ft_os.Kernel.confirm k ~by:0 1;
+  let snap = Ft_os.Kernel.snapshot_kstate k 0 in
+  Ft_os.Kernel.commit k 0 ~live:all_live;
+  Ft_os.Kernel.rollback k 0 snap;
+  Alcotest.(check bool) "a committed confirmation stands" false
+    (Ft_os.Kernel.unconfirmed k ~by:0 1)
 
 let tests =
   [
@@ -260,6 +321,7 @@ let tests =
       test_det_log_cap_and_flush;
     Alcotest.test_case "det log commit/retire/drop" `Quick
       test_det_log_commit_retire_drop;
+    Alcotest.test_case "lineage rollback" `Quick test_lineage_rollback;
   ]
 
 let () = Alcotest.run "ft_os" [ ("kernel", tests) ]
