@@ -121,14 +121,6 @@ let events_of t pid =
      iter_of t pid (fun e -> acc := e :: !acc);
      !acc)
 
-(* e1 happens-before e2.  With per-event clock snapshots taken just after
-   the tick, strict pointwise comparison is exactly Lamport's relation. *)
-let happens_before (e1 : Event.t) (e2 : Event.t) = Vclock.lt e1.vc e2.vc
-
-(* The paper uses happens-before as an approximation of causality; we keep
-   a distinct name for readability at call sites. *)
-let causally_precedes = happens_before
-
 (* A process's events are indexed consecutively from 0, so lookup is one
    array read. *)
 let find t ~pid ~index =

@@ -40,13 +40,6 @@ val filter : t -> (Event.t -> bool) -> Event.t list
 (** Matching events in global recording order, in one pass (no
     intermediate full-history list). *)
 
-val happens_before : Event.t -> Event.t -> bool
-(** Lamport's happens-before over recorded events. *)
-
-val causally_precedes : Event.t -> Event.t -> bool
-(** The paper uses happens-before as an approximation of causality; this
-    is the same relation under the name used at theory call sites. *)
-
 val find : t -> pid:int -> index:int -> Event.t option
 val commits_of : t -> int -> Event.t list
 

@@ -68,7 +68,9 @@ type 'a event =
 module Q = Map.Make (struct
   type t = int * int (* time, insertion id: deterministic tie-break *)
 
-  let compare = compare
+  let compare ((a, i) : t) ((b, j) : t) =
+    let c = Int.compare a b in
+    if c <> 0 then c else Int.compare i j
 end)
 
 type 'a t = {
@@ -80,8 +82,9 @@ type 'a t = {
   rto_ns : int;
   rto_max_ns : int;
   deliver : at:int -> src:int -> dst:int -> 'a -> unit;
-  links : (int * int, 'a link) Hashtbl.t;
+  links : (int, 'a link) Hashtbl.t;  (* keyed by [src * nprocs + dst] *)
   mutable queue : 'a event Q.t;
+  mutable earliest : int;  (* time of the queue's minimum; [max_int] if empty *)
   mutable next_id : int;
   mutable watermark : int;  (* pump has processed everything <= this *)
   mutable s_sends : int;
@@ -115,6 +118,7 @@ let create ?(policy = fun _ _ -> Policy.reliable) ~seed ~nprocs ~latency_ns
     deliver;
     links = Hashtbl.create 16;
     queue = Q.empty;
+    earliest = max_int;
     next_id = 0;
     watermark = 0;
     s_sends = 0;
@@ -141,8 +145,11 @@ let stats t =
     gave_up = t.s_gave_up;
   }
 
+let link_key t ~src ~dst = (src * t.nprocs) + dst
+
 let link t ~src ~dst =
-  match Hashtbl.find_opt t.links (src, dst) with
+  let key = link_key t ~src ~dst in
+  match Hashtbl.find_opt t.links key with
   | Some l -> l
   | None ->
       let l =
@@ -157,13 +164,14 @@ let link t ~src ~dst =
           l_failed = false;
         }
       in
-      Hashtbl.add t.links (src, dst) l;
+      Hashtbl.add t.links key l;
       l
 
 let schedule t ~at ev =
   let id = t.next_id in
   t.next_id <- id + 1;
-  t.queue <- Q.add (at, id) ev t.queue
+  t.queue <- Q.add (at, id) ev t.queue;
+  if at < t.earliest then t.earliest <- at
 
 let flip t p = p > 0. && Random.State.float t.rng 1.0 < p
 let jitter_draw t j = if j <= 0 then 0 else Random.State.int t.rng j
@@ -282,15 +290,18 @@ let handle t ~at = function
               (Retry { e_src; e_dst; seq })
           end)
 
+(* [earliest] makes an idle pump one integer compare: the queue is
+   touched only when its minimum is due. *)
 let pump t ~now =
   if now > t.watermark then t.watermark <- now;
-  let continue = ref true in
-  while !continue do
-    match Q.min_binding_opt t.queue with
-    | Some ((at, _id), ev) when at <= t.watermark ->
-        t.queue <- Q.remove (at, _id) t.queue;
-        handle t ~at ev
-    | _ -> continue := false
+  while t.earliest <= t.watermark && not (Q.is_empty t.queue) do
+    let ((at, _) as key), ev = Q.min_binding t.queue in
+    t.queue <- Q.remove key t.queue;
+    t.earliest <-
+      (match Q.min_binding_opt t.queue with
+      | Some ((next, _), _) -> next
+      | None -> max_int);
+    handle t ~at ev
   done
 
 (* Range-restricted views for a multi-tenant scheduler sharing one
@@ -301,9 +312,6 @@ let pump t ~now =
 let event_src = function
   | Data { e_src; _ } | Ack { e_src; _ } | Retry { e_src; _ } -> e_src
 
-let pending_in t ~lo ~hi =
-  Q.exists (fun _ ev -> let s = event_src ev in lo <= s && s < hi) t.queue
-
 let next_event_in t ~lo ~hi =
   Seq.find_map
     (fun ((at, _), ev) ->
@@ -313,19 +321,19 @@ let next_event_in t ~lo ~hi =
 
 let any_failed_in t ~lo ~hi =
   Hashtbl.fold
-    (fun (src, _) l acc -> acc || (l.l_failed && lo <= src && src < hi))
+    (fun _ l acc -> acc || (l.l_failed && lo <= l.l_src && l.l_src < hi))
     t.links false
 
 let reachable t ~src ~dst ~now =
   let pol = t.policy src dst in
   (not (Policy.partitioned pol ~src ~dst ~now))
   &&
-  match Hashtbl.find_opt t.links (src, dst) with
+  match Hashtbl.find_opt t.links (link_key t ~src ~dst) with
   | Some l -> not l.l_failed
   | None -> true
 
 let link_failed t ~src ~dst =
-  match Hashtbl.find_opt t.links (src, dst) with
+  match Hashtbl.find_opt t.links (link_key t ~src ~dst) with
   | Some l -> l.l_failed
   | None -> false
 

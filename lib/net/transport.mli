@@ -51,17 +51,14 @@ val pump : 'a t -> now:int -> unit
     [deliver] for payloads that complete in-order.  Monotone: pumping
     never rewinds the watermark. *)
 
-val pending_in : 'a t -> lo:int -> hi:int -> bool
-(** Some queued event (arrival, ack or retry) has its sending endpoint
-    in [lo, hi) — one tenant's slice of a shared transport.  Links never
-    cross tenants, so this is exactly the tenant's own traffic;
-    [~lo:0 ~hi:nprocs] asks about the whole transport. *)
-
 val next_event_in : 'a t -> lo:int -> hi:int -> int option
-(** Timestamp of the earliest queued event whose sending endpoint lies
-    in [lo, hi): how far the engine must advance simulated time for the
-    network to make progress when every process of that range is
-    blocked. *)
+(** Timestamp of the earliest queued event (arrival, ack or retry) whose
+    sending endpoint lies in [lo, hi) — one tenant's slice of a shared
+    transport — or [None] if that slice has nothing queued.  Links never
+    cross tenants, so this is exactly the tenant's own traffic;
+    [~lo:0 ~hi:nprocs] asks about the whole transport.  It tells the
+    engine how far to advance simulated time for the network to make
+    progress when every process of that range is blocked. *)
 
 val any_failed_in : 'a t -> lo:int -> hi:int -> bool
 (** Some link whose source lies in [lo, hi) has exhausted a retry

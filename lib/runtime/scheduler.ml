@@ -125,7 +125,8 @@ type tenant = {
   mutable total_recoveries : int;
   mutable total_crashes : int;
   mutable recovery_crashes : int;
-  mutable kills_pending : (int * int) list;
+  kills_pending : int list array;
+      (* per pid, the stop-failure times not yet fired, ascending *)
   mutable decision_kills : (int * int) list;
   mutable decisions : int;  (* scheduling decisions taken so far *)
   mutable activation : (int * int) option;
@@ -219,6 +220,16 @@ let make_tenant tid (cfg, kernel, programs) =
       ~page_size:cfg.page_size ~history ~medium:cfg.medium ~nprocs
       ~heap_words:cfg.heap_words ~stack_words:cfg.stack_words ()
   in
+  let kills_pending = Array.make nprocs [] in
+  List.iter
+    (fun (at, pid) ->
+      if pid < 0 || pid >= nprocs then
+        invalid_arg "Scheduler.create: kill for a pid out of range";
+      kills_pending.(pid) <- at :: kills_pending.(pid))
+    cfg.kills;
+  Array.iteri
+    (fun pid ats -> kills_pending.(pid) <- List.sort Int.compare ats)
+    kills_pending;
   let tn =
     {
       tid;
@@ -234,7 +245,7 @@ let make_tenant tid (cfg, kernel, programs) =
       total_recoveries = 0;
       total_crashes = 0;
       recovery_crashes = 0;
-      kills_pending = List.sort compare cfg.kills;
+      kills_pending;
       decision_kills = List.sort compare cfg.kill_at_decision;
       decisions = 0;
       activation = None;
@@ -1109,16 +1120,32 @@ let pick tn =
           | Some pid when List.mem pid candidates -> Some tn.procs.(pid)
           | _ -> default))
 
+(* Move the prefix of [ats] (one process's ascending kill times) that
+   is due at [now] onto [acc] as [(time, pid)] entries. *)
+let rec take_due pid now acc = function
+  | at :: later when at <= now -> take_due pid now ((at, pid) :: acc) later
+  | later -> (acc, later)
+
+(* Fire the stop failures that came due at the processes' own clocks.
+   The whole due set is decided before any of it fires (a kill can move
+   other clocks: a quarantine park, an orphan cascade), then fired in
+   [(time, pid)] order.  A halted process keeps its kills, since a
+   restore can clear [halted]; a failed one's due kills are dropped by
+   [kill_due].  A step with nothing due only reads each list's head. *)
 let apply_due_kills tn =
-  let due, later =
-    List.partition
-      (fun (at, pid) ->
-        let p = tn.procs.(pid) in
-        p.time >= at && not p.halted)
-      tn.kills_pending
-  in
-  tn.kills_pending <- later;
-  List.iter (fun (_, pid) -> kill_due tn pid) due
+  let due = ref [] in
+  for pid = 0 to Array.length tn.procs - 1 do
+    let p = tn.procs.(pid) in
+    match tn.kills_pending.(pid) with
+    | at :: _ as ats when at <= p.time && not p.halted ->
+        let acc, later = take_due pid p.time !due ats in
+        due := acc;
+        tn.kills_pending.(pid) <- later
+    | _ -> ()
+  done;
+  match !due with
+  | [] -> ()
+  | due -> List.iter (fun (_, pid) -> kill_due tn pid) (List.sort compare due)
 
 let past_deadline tn (p : proc) =
   match tn.cfg.deadline_ns with Some d -> p.time >= d | None -> false
@@ -1237,17 +1264,17 @@ let step t tn =
            (graceful degradation, §2.6 spirit); otherwise the processes
            deadlocked all by themselves. *)
         let lo, hi = net_range tn in
-        match Ft_os.Kernel.net tn.kernel with
-        | Some net when Ft_net.Transport.pending_in net ~lo ~hi -> (
-            match Ft_net.Transport.next_event_in net ~lo ~hi with
-            | Some at
-              when (match tn.cfg.deadline_ns with
-                   | Some d -> at >= d
-                   | None -> false) ->
-                finish t tn Deadline
-            | Some at -> Ft_net.Transport.pump net ~now:at
-            | None -> finish t tn Deadlocked)
-        | Some net
+        let net = Ft_os.Kernel.net tn.kernel in
+        match
+          (net, Option.bind net (Ft_net.Transport.next_event_in ~lo ~hi))
+        with
+        | Some _, Some at
+          when (match tn.cfg.deadline_ns with
+               | Some d -> at >= d
+               | None -> false) ->
+            finish t tn Deadline
+        | Some net, Some at -> Ft_net.Transport.pump net ~now:at
+        | Some net, None
           when Ft_net.Transport.any_failed_in net ~lo ~hi
                && Array.exists
                     (fun p -> p.blocked && (not p.halted) && not p.failed)

@@ -5,6 +5,16 @@
 
 open Ft_core
 
+(* e1 happens-before e2.  With per-event clock snapshots taken just after
+   the tick, strict pointwise comparison is exactly Lamport's relation.
+   [Save_work] reads the relation off one clock component instead; the
+   tests and the reference oracle below keep this all-pairs form. *)
+let happens_before (e1 : Event.t) (e2 : Event.t) = Vclock.lt e1.vc e2.vc
+
+(* The paper uses happens-before as an approximation of causality; the
+   theory call sites keep its name. *)
+let causally_precedes = happens_before
+
 (* --- vector clocks ------------------------------------------------------ *)
 
 let test_vclock_basics () =
@@ -39,18 +49,18 @@ let test_happens_before_chain () =
   let s = Trace.record t ~pid:0 (Event.Send { dest = 1; tag = 1 }) in
   let r = Trace.record t ~pid:1 (Event.Receive { src = 0; tag = 1 }) in
   let v = Trace.record t ~pid:1 (Event.Visible 7) in
-  Alcotest.(check bool) "e1 hb s" true (Trace.happens_before e1 s);
-  Alcotest.(check bool) "s hb r" true (Trace.happens_before s r);
+  Alcotest.(check bool) "e1 hb s" true (happens_before e1 s);
+  Alcotest.(check bool) "s hb r" true (happens_before s r);
   Alcotest.(check bool) "e1 hb v (transitively, across the message)" true
-    (Trace.happens_before e1 v);
-  Alcotest.(check bool) "v not hb e1" false (Trace.happens_before v e1)
+    (happens_before e1 v);
+  Alcotest.(check bool) "v not hb e1" false (happens_before v e1)
 
 let test_concurrent_events () =
   let t = Trace.create ~nprocs:2 in
   let a = Trace.record t ~pid:0 (Event.Nd Event.Transient) in
   let b = Trace.record t ~pid:1 (Event.Nd Event.Transient) in
   Alcotest.(check bool) "independent procs concurrent" false
-    (Trace.happens_before a b || Trace.happens_before b a)
+    (happens_before a b || happens_before b a)
 
 (* --- Save-work ----------------------------------------------------------- *)
 
@@ -549,12 +559,12 @@ let prop_hb_irreflexive_transitive =
       let n = Array.length evs in
       let ok = ref true in
       for i = 0 to n - 1 do
-        if Trace.happens_before evs.(i) evs.(i) then ok := false
+        if happens_before evs.(i) evs.(i) then ok := false
       done;
       (* same-process events are totally ordered by index *)
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do
-          if not (Trace.happens_before evs.(i) evs.(j)) then ok := false
+          if not (happens_before evs.(i) evs.(j)) then ok := false
         done
       done;
       !ok)
@@ -800,7 +810,7 @@ module Save_work_reference = struct
     let reaches (c : Event.t) (target : Event.t) =
       Event.equal c target
       || Event.atomic_with c target
-      || Trace.happens_before c target
+      || happens_before c target
       ||
       match Event.commit_round c with
       | None -> false
@@ -808,7 +818,7 @@ module Save_work_reference = struct
           List.exists
             (fun (c' : Event.t) ->
               Event.atomic_with c c'
-              && (Event.equal c' target || Trace.happens_before c' target))
+              && (Event.equal c' target || happens_before c' target))
             all_commits
     in
     (* largest commit index per process reaching [target]; -1 if none *)
@@ -833,7 +843,7 @@ module Save_work_reference = struct
         List.filter_map
           (fun target ->
             let precedes =
-              Trace.causally_precedes nd target && not (Event.equal nd target)
+              causally_precedes nd target && not (Event.equal nd target)
             in
             if precedes && (max_reach target).(nd.Event.pid) <= nd.Event.index
             then Some { nd; target }
@@ -884,7 +894,7 @@ module Save_work_reference = struct
            if
              List.exists
                (fun nd ->
-                 nd.Event.pid <> c.pid && Trace.causally_precedes nd c)
+                 nd.Event.pid <> c.pid && causally_precedes nd c)
                lost_nd
            then Some c.pid
            else None)
@@ -974,7 +984,7 @@ let prop_hb_one_component =
           List.for_all
             (fun (b : Event.t) ->
               Event.equal a b
-              || Trace.happens_before a b = (a.index < Vclock.get b.vc a.pid))
+              || happens_before a b = (a.index < Vclock.get b.vc a.pid))
             evs)
         evs)
 

@@ -155,13 +155,15 @@ let net_burst ~loss ~n =
     Transport.send t ~now:(i * gap) ~src:0 ~dst:1 ();
     Transport.pump t ~now:(i * gap)
   done;
-  let now = ref (n * gap) in
-  while Transport.pending_in t ~lo:0 ~hi:2 do
-    (match Transport.next_event_in t ~lo:0 ~hi:2 with
-    | Some ts -> now := max (!now + 1) ts
-    | None -> incr now);
-    Transport.pump t ~now:!now
-  done;
+  let rec drain_from now =
+    match Transport.next_event_in t ~lo:0 ~hi:2 with
+    | Some ts ->
+        let now = max (now + 1) ts in
+        Transport.pump t ~now;
+        drain_from now
+    | None -> ()
+  in
+  drain_from (n * gap);
   (!delivered, !last_ns, Transport.stats t)
 
 (* Delivered, transmissions, retransmits and last-delivery ns per
@@ -232,6 +234,72 @@ let dv_piggyback_roundtrip_prop =
            (fun (i, dv) -> Ft_core.Vclock.get dv src = i + 1)
            got
       && Ft_core.Vclock.get receiver src = n)
+
+(* --- the pump's earliest-time cache -------------------------------------- *)
+
+(* The transport remembers its queue's earliest time so an idle pump is
+   one compare.  Random sends and pumps at a nondecreasing clock over a
+   lossy, duplicating, reordering 3-process wire: after every pump
+   nothing queued may be due any more, and once drained every link has
+   delivered its payloads exactly once and in order (a prefix of them
+   if the link exhausted a retry budget). *)
+let pump_leaves_nothing_due_prop =
+  QCheck.Test.make ~name:"pump leaves nothing due; delivery unchanged"
+    ~count:200
+    QCheck.(pair (0 -- 1000) (list (triple (0 -- 2) (0 -- 2) (0 -- 300_000))))
+    (fun (seed, ops) ->
+      let nprocs = 3 in
+      let policy _ _ =
+        Policy.make ~drop:0.2 ~duplicate:0.1 ~reorder:0.3 ~reorder_ns:400_000
+          ()
+      in
+      let link src dst = (src * nprocs) + dst in
+      let got = Array.make (nprocs * nprocs) [] in
+      let deliver ~at:_ ~src ~dst i =
+        got.(link src dst) <- i :: got.(link src dst)
+      in
+      let t =
+        Transport.create ~policy ~seed ~nprocs ~latency_ns:latency
+          ~jitter_ns:jitter ~deliver ()
+      in
+      let pump now =
+        Transport.pump t ~now;
+        match Transport.next_event_in t ~lo:0 ~hi:nprocs with
+        | Some at when at <= now ->
+            QCheck.Test.fail_reportf "event at %d still queued after pump ~now:%d"
+              at now
+        | next -> next
+      in
+      let sent = Array.make (nprocs * nprocs) 0 in
+      (* [(p, p, dt)] advances the clock by [dt] and pumps; any other
+         triple is a send at the current clock. *)
+      let now =
+        List.fold_left
+          (fun now (src, dst, dt) ->
+            if src = dst then begin
+              ignore (pump (now + dt) : int option);
+              now + dt
+            end
+            else begin
+              Transport.send t ~now ~src ~dst sent.(link src dst);
+              sent.(link src dst) <- sent.(link src dst) + 1;
+              now
+            end)
+          0 ops
+      in
+      let rec drain now =
+        match pump now with Some at -> drain at | None -> ()
+      in
+      drain now;
+      List.for_all
+        (fun l ->
+          let d = List.rev got.(l) and n = sent.(l) in
+          d = List.init (List.length d) Fun.id
+          && (List.length d = n
+             || List.length d < n
+                && Transport.link_failed t ~src:(l / nprocs)
+                     ~dst:(l mod nprocs)))
+        (List.init (nprocs * nprocs) Fun.id))
 
 (* --- engine integration -------------------------------------------------- *)
 
@@ -515,4 +583,5 @@ let () =
           Alcotest.test_case "retransmit + redelivery consumed once" `Quick
             test_retransmit_plus_redelivery_consumed_once;
         ] );
+      ("pump", [ QCheck_alcotest.to_alcotest pump_leaves_nothing_due_prop ]);
     ]

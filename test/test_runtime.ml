@@ -916,6 +916,82 @@ let test_scheduler_shared_transport () =
   Alcotest.(check int) "tenant 1 untouched by the kill" 0
     rs.(1).Ft_runtime.Engine.crashes
 
+(* --- the kill plan --------------------------------------------------------- *)
+
+(* Everything a run reports about its schedule, one field per line. *)
+let render_run (r : Ft_runtime.Engine.result) =
+  let pairs l =
+    String.concat " " (List.map (fun (a, b) -> Printf.sprintf "%d@%d" a b) l)
+  in
+  String.concat "\n"
+    [
+      Ft_runtime.Scheduler.outcome_name r.outcome;
+      Printf.sprintf "sim_time_ns=%d crashes=%d recoveries=%d" r.sim_time_ns
+        r.crashes r.recoveries;
+      "crashes " ^ pairs r.crash_times;
+      "visible "
+      ^ String.concat " "
+          (List.map
+             (fun (pid, v, at) -> Printf.sprintf "%d:%d@%d" pid v at)
+             r.visible_times);
+      "commits "
+      ^ String.concat " "
+          (Array.to_list (Array.map string_of_int r.commit_counts));
+    ]
+
+let test_kills_fire_in_time_pid_order () =
+  (* Every clock starts at 0, so all three kills are due at the first
+     step.  They fire in (time, pid) order — pid 1 twice, then pid 0 —
+     not in pid order, and a second kill due for the same process in
+     the same step crashes it again after its restore. *)
+  let cfg =
+    { Ft_runtime.Engine.default_config with
+      kills = [ (0, 0); (-1, 1); (-2, 1) ] }
+  in
+  let r = run_pingpong ~cfg ~rounds:4 () in
+  Alcotest.(check bool) "completed" true
+    (r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Completed);
+  Alcotest.(check (list int)) "crash order" [ 1; 1; 0 ]
+    (List.map fst r.Ft_runtime.Engine.crash_times);
+  Alcotest.(check (list int)) "echoed" (pingpong_reference 4)
+    r.Ft_runtime.Engine.visible
+
+let test_unsorted_kill_plan () =
+  let sorted =
+    [ (0, 1); (150_000, 0); (150_000, 1); (400_000, 1); (400_000, 1);
+      (650_000, 0); (900_000, 0) ]
+  in
+  let run kills =
+    run_pingpong ~cfg:{ Ft_runtime.Engine.default_config with kills }
+      ~rounds:6 ()
+  in
+  let r = run sorted in
+  Alcotest.(check int) "every kill fires" (List.length sorted)
+    r.Ft_runtime.Engine.crashes;
+  let expected = render_run r in
+  let run kills = render_run (run kills) in
+  Alcotest.(check string) "reversed" expected (run (List.rev sorted));
+  let interleaved =
+    List.filteri (fun i _ -> i mod 2 = 1) sorted
+    @ List.rev (List.filteri (fun i _ -> i mod 2 = 0) sorted)
+  in
+  Alcotest.(check string) "interleaved" expected (run interleaved)
+
+let test_kill_after_halt () =
+  (* A halted process's clock stops: a kill timed at or after its halt
+     finds it halted and never fires. *)
+  let halt = (run_echo ()).Ft_runtime.Engine.sim_time_ns in
+  let cfg =
+    { Ft_runtime.Engine.default_config with
+      kills = [ (halt, 0); (halt + 1_000_000, 0) ] }
+  in
+  let r = run_echo ~cfg () in
+  Alcotest.(check bool) "completed" true
+    (r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Completed);
+  Alcotest.(check int) "no crash" 0 r.Ft_runtime.Engine.crashes;
+  Alcotest.(check (list int)) "output" expected_output
+    r.Ft_runtime.Engine.visible
+
 (* Resolves from the dune test sandbox (cwd = test/) and from the repo
    root alike. *)
 let read_golden name =
@@ -1070,6 +1146,11 @@ let tests =
     Alcotest.test_case "signal delivery" `Quick test_signal_delivery;
     Alcotest.test_case "ladder give-up is recovery-failed" `Quick
       test_ladder_give_up_is_recovery_failed;
+    Alcotest.test_case "kills fire in (time, pid) order" `Quick
+      test_kills_fire_in_time_pid_order;
+    Alcotest.test_case "unsorted kill plan" `Quick test_unsorted_kill_plan;
+    Alcotest.test_case "kill after halt never fires" `Quick
+      test_kill_after_halt;
   ]
 
 let () = Alcotest.run "ft_runtime" [ ("engine", tests) ]
