@@ -411,7 +411,8 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
               (Ft_mc.Checker.oracle_to_string v.Ft_mc.Checker.v_oracle)
               (List.length s.Ft_mc.Checker.violations);
             String.split_on_char '\n'
-              (Ft_mc.Shrink.to_script ~spec:m.Ft_mc.Mutants.spec r)
+              (Ft_mc.Shrink.to_script ~spec:m.Ft_mc.Mutants.spec
+                 ~defect:m.Ft_mc.Mutants.defect r)
             |> List.iter (fun l -> Printf.printf "    | %s\n" l))
       mutant_jobs
   end;

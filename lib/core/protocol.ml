@@ -57,7 +57,6 @@ type spec = {
   spec_name : string;
   nd_effort : float;       (* protocol-space x coordinate, 0..1 (Fig. 3) *)
   visible_effort : float;  (* protocol-space y coordinate, 0..1 (Fig. 3) *)
-  uses_2pc : bool;
   style : style;
   instantiate : nprocs:int -> t;
 }

@@ -47,7 +47,6 @@ type spec = {
   spec_name : string;
   nd_effort : float;  (** Figure-3 x coordinate, 0..1 *)
   visible_effort : float;  (** Figure-3 y coordinate, 0..1 *)
-  uses_2pc : bool;
   style : style;
   instantiate : nprocs:int -> t;
 }

@@ -26,7 +26,6 @@ let commit_all =
     spec_name = "COMMIT-ALL";
     nd_effort = 0.0;
     visible_effort = 0.0;
-    uses_2pc = false;
     style = Coordinated;
     instantiate =
       (fun ~nprocs:_ ->
@@ -47,7 +46,6 @@ let no_commit =
     spec_name = "NO-COMMIT";
     nd_effort = 0.0;
     visible_effort = 0.0;
-    uses_2pc = false;
     style = Coordinated;
     instantiate =
       (fun ~nprocs:_ ->
@@ -64,7 +62,6 @@ let cand =
     spec_name = "CAND";
     nd_effort = 0.35;
     visible_effort = 0.0;
-    uses_2pc = false;
     style = Coordinated;
     instantiate =
       (fun ~nprocs:_ ->
@@ -84,7 +81,6 @@ let cand_log =
     spec_name = "CAND-LOG";
     nd_effort = 0.6;
     visible_effort = 0.0;
-    uses_2pc = false;
     style = Coordinated;
     instantiate =
       (fun ~nprocs:_ ->
@@ -108,7 +104,6 @@ let cpvs =
     spec_name = "CPVS";
     nd_effort = 0.0;
     visible_effort = 0.5;
-    uses_2pc = false;
     style = Coordinated;
     instantiate =
       (fun ~nprocs:_ ->
@@ -130,7 +125,6 @@ let make_cbndvs ~name ~nd_effort ~log_loggable =
     spec_name = name;
     nd_effort;
     visible_effort = 0.5;
-    uses_2pc = false;
     style = Coordinated;
     instantiate =
       (fun ~nprocs ->
@@ -166,7 +160,6 @@ let cpv_2pc =
     spec_name = "CPV-2PC";
     nd_effort = 0.0;
     visible_effort = 0.85;
-    uses_2pc = true;
     style = Coordinated;
     instantiate =
       (fun ~nprocs:_ ->
@@ -188,7 +181,6 @@ let cbndv_2pc =
     spec_name = "CBNDV-2PC";
     nd_effort = 0.35;
     visible_effort = 0.85;
-    uses_2pc = true;
     style = Coordinated;
     instantiate =
       (fun ~nprocs ->
@@ -225,7 +217,6 @@ let sender_based_logging =
     spec_name = "SBL";
     nd_effort = 0.55;
     visible_effort = 0.0;
-    uses_2pc = false;
     style = Coordinated;
     instantiate =
       (fun ~nprocs:_ ->
@@ -250,7 +241,6 @@ let manetho =
     spec_name = "MANETHO";
     nd_effort = 0.75;
     visible_effort = 0.95;
-    uses_2pc = true;
     style = Coordinated;
     instantiate =
       (fun ~nprocs ->
@@ -284,7 +274,6 @@ let make_logging ~name ~nd_effort ~visible_effort ~style =
     spec_name = name;
     nd_effort;
     visible_effort;
-    uses_2pc = false;
     style;
     instantiate =
       (fun ~nprocs:_ ->

@@ -61,6 +61,9 @@ val check :
     — turn off for mutants), the dangerous-path oracle on every crashed
     execution.  [no_prune] disables the state-hash memo. *)
 
+val defect_to_string : Model.defect -> string
+(** The defect's name in job keys and repro headers, e.g. ["skip-orphan"]. *)
+
 val crash_to_string : Model.crash -> string
 val crash_of_string : string -> (Model.crash, string) result
 val prefix_to_string : int list -> string

@@ -226,13 +226,13 @@ let dependent_noop st ~pid =
   (not (Array.exists (fun b -> b) (dependent_set st ~pid)))
   && st.dvs.(pid).(pid) <= committed_own st pid
 
-(* Two-phase commit, mirroring Conformance: participants commit and
-   acknowledge first, the coordinator commits last, all commits of the
-   round atomic with each other.  [Skip_orphan] drops the participant
-   side entirely — only the coordinator's commit happens.  [Dependent]
-   is the logging protocols' demand-driven variant: only the dependency
-   closure commits (one shared round), or just the coordinator when the
-   taint is purely local. *)
+(* Two-phase commit: participants commit and acknowledge first, the
+   coordinator commits last, all commits of the round atomic with each
+   other.  [Skip_orphan] drops the participant side entirely — only the
+   coordinator's commit happens.  [Dependent] is the logging protocols'
+   demand-driven variant: only the dependency closure commits (one
+   shared round), or just the coordinator when the taint is purely
+   local. *)
 (* [Gc_live_determinant]: the broken determinant GC treats "executed"
    as "retired" — any commit anywhere drops every log entry below its
    owner's *current* pc, including entries the owner's committed
@@ -930,30 +930,3 @@ let run ~spec ~defect ~program ~prefix ~crash =
     steps = st.steps;
     state_key;
   }
-
-let prefix_to_steps program prefix =
-  let nprocs = Array.length program in
-  let pcs = Array.make nprocs 0 in
-  List.filter_map
-    (fun pid ->
-      if pid < 0 || pid >= nprocs then None
-      else
-        let pc = pcs.(pid) in
-        if pc >= Array.length program.(pid) then None
-        else begin
-          pcs.(pid) <- pc + 1;
-          let info =
-            match program.(pid).(pc) with
-            | Internal -> { Protocol.kind = Event.Internal; loggable = false }
-            | Nd (c, l) -> { Protocol.kind = Event.Nd c; loggable = l }
-            | Visible -> { Protocol.kind = Event.Visible 0; loggable = false }
-            | Send d ->
-                { Protocol.kind = Event.Send { dest = d; tag = -1 };
-                  loggable = false }
-            | Receive ->
-                { Protocol.kind = Event.Receive { src = -1; tag = -1 };
-                  loggable = true }
-          in
-          Some (Conformance.step ~pid info)
-        end)
-    prefix

@@ -1,7 +1,8 @@
 (** The model checker's small-scope execution model.
 
-    A {e program} is a per-process array of abstract operations (the
-    same event alphabet as {!Ft_core.Conformance}).  The executor runs
+    A {e program} is a per-process array of abstract operations over
+    the event alphabet of {!Ft_core.Event}; {!Script} gives a program
+    and a schedule a replayable text form.  The executor runs
     one interleaving (a {e schedule prefix}) under a protocol, optionally
     injects a single stop failure — between steps or in the middle of a
     commit, with Vista's all-or-nothing semantics — performs recovery
@@ -142,7 +143,3 @@ val run :
 
 val runnable : program -> pcs:int array -> int list
 (** Processes with script left, ascending. *)
-
-val prefix_to_steps : program -> int list -> Ft_core.Conformance.step list
-(** The prefix as a replayable {!Ft_core.Conformance} script (resolving
-    each scheduled pid to the op at its pc). *)

@@ -132,11 +132,11 @@ let minimize ?(lose_work = true) ~spec ~defect ~program
     }
   end
 
-let to_script ~spec (r : result) =
+let to_script ~spec ~defect (r : result) =
   (* In a locally-minimal prefix every step makes progress (a blocked
      no-op step would have been dropped by pass 3), so the unconditional
-     pc advance of [prefix_to_steps] matches the executor's. *)
-  let steps = Model.prefix_to_steps r.s_program r.s_prefix in
+     pc advance of [Script.of_prefix] matches the executor's. *)
+  let steps = Script.of_prefix r.s_program r.s_prefix in
   let crash_line =
     match r.s_crash with
     | Model.No_crash -> "# crash: none (violation on the crash-free prefix)"
@@ -155,11 +155,16 @@ let to_script ~spec (r : result) =
           | Model.NRestore -> "mid-restore"
           | Model.NCascade -> "mid-cascade")
   in
+  let defect_line =
+    match defect with
+    | Model.Honest -> []
+    | d -> [ Printf.sprintf "# defect: %s" (Checker.defect_to_string d) ]
+  in
   String.concat "\n"
-    [
-      Printf.sprintf "# protocol: %s" spec.Protocol.spec_name;
-      Printf.sprintf "# oracle: %s" (Checker.oracle_to_string r.s_oracle);
-      crash_line;
-      Printf.sprintf "# detail: %s" r.s_detail;
-      Conformance.steps_to_string steps;
-    ]
+    ((Printf.sprintf "# protocol: %s" spec.Protocol.spec_name :: defect_line)
+    @ [
+        Printf.sprintf "# oracle: %s" (Checker.oracle_to_string r.s_oracle);
+        crash_line;
+        Printf.sprintf "# detail: %s" r.s_detail;
+        Script.steps_to_string steps;
+      ])

@@ -5,8 +5,8 @@
     repro: no single step can be dropped from the schedule, the crash
     cannot be simplified further, and no remaining program operation can
     be weakened to [Internal] — all while a violation of the {e same
-    oracle} persists.  The result pretty-prints as a replayable
-    {!Ft_core.Conformance} script. *)
+    oracle} persists.  The result pretty-prints as a {!Script} that
+    replays through {!Model.run} under the same protocol and defect. *)
 
 type result = {
   s_prefix : int list;  (** minimized schedule *)
@@ -29,8 +29,9 @@ val minimize :
     reported by {!Checker.check} does); otherwise the original is
     returned unshrunk. *)
 
-val to_script : spec:Ft_core.Protocol.spec -> result -> string
-(** The minimized counterexample as a replayable conformance script:
-    comment lines identifying protocol, oracle, crash and detail,
-    followed by one {!Ft_core.Conformance.step} per line (parseable by
-    [Conformance.steps_of_string]). *)
+val to_script :
+  spec:Ft_core.Protocol.spec -> defect:Model.defect -> result -> string
+(** The minimized counterexample as a replayable script: comment lines
+    identifying protocol, defect (omitted when [Honest]), oracle, crash
+    and detail, followed by one {!Script.step} per line (parseable by
+    {!Script.steps_of_string}). *)

@@ -57,16 +57,15 @@ type proc = {
          would hold the ladder at rung L0 forever. *)
   mutable out_seq : int;
       (* policy runs: this lineage's visible-output cursor.  Rewinds
-         with every restore/rollback; outputs below [emitted_n] are
-         replays the sequenced egress channel absorbs. *)
+         with every restore/rollback; outputs below [visible_count]
+         are replays the sequenced egress channel absorbs. *)
   mutable committed_out_seq : int;  (* out_seq as of the newest commit *)
   mutable emitted_rev : int list;   (* released values, newest first *)
-  mutable emitted_n : int;          (* = length emitted_rev *)
   classifier : Ft_recovery.Classifier.t;
   mutable commit_count : int;    (* protocol-triggered commits *)
   mutable nd_count : int;
   mutable logged_count : int;
-  mutable visible_count : int;
+  mutable visible_count : int;      (* = length emitted_rev *)
 }
 
 include Run_types
@@ -123,7 +122,6 @@ type tenant = {
   mutable crash_rev : (int * int) list;
   mutable instructions : int;
   mutable total_recoveries : int;
-  mutable total_crashes : int;
   mutable recovery_crashes : int;
   kills_pending : int list array;
       (* per pid, the stop-failure times not yet fired, ascending *)
@@ -196,7 +194,6 @@ let make_tenant tid (cfg, kernel, programs) =
           out_seq = 0;
           committed_out_seq = 0;
           emitted_rev = [];
-          emitted_n = 0;
           classifier = Ft_recovery.Classifier.create ();
           commit_count = 0;
           nd_count = 0;
@@ -243,7 +240,6 @@ let make_tenant tid (cfg, kernel, programs) =
       crash_rev = [];
       instructions = 0;
       total_recoveries = 0;
-      total_crashes = 0;
       recovery_crashes = 0;
       kills_pending;
       decision_kills = List.sort compare cfg.kill_at_decision;
@@ -314,7 +310,6 @@ let net_range tn =
 (* --- crash and recovery -------------------------------------------------- *)
 
 let record_crash tn (p : proc) =
-  tn.total_crashes <- tn.total_crashes + 1;
   tn.crash_rev <- (p.pid, p.time) :: tn.crash_rev;
   let e = Ft_core.Trace.record tn.trace ~pid:p.pid Ft_core.Event.Crash in
   if tn.first_crash = None then
@@ -1033,10 +1028,10 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
                     match tn.cfg.policy with
                     | None -> true
                     | Some _ ->
-                        if p.out_seq < p.emitted_n then begin
+                        if p.out_seq < p.visible_count then begin
                           let prior =
                             List.nth p.emitted_rev
-                              (p.emitted_n - 1 - p.out_seq)
+                              (p.visible_count - 1 - p.out_seq)
                           in
                           if prior <> v then
                             tn.replay_mismatches <-
@@ -1049,8 +1044,7 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
                   if release then begin
                     p.visible_count <- p.visible_count + 1;
                     tn.visible_rev <- (p.pid, v, p.time) :: tn.visible_rev;
-                    p.emitted_rev <- v :: p.emitted_rev;
-                    p.emitted_n <- p.emitted_n + 1
+                    p.emitted_rev <- v :: p.emitted_rev
                   end
               | _ -> ())
           | None -> ());
@@ -1193,7 +1187,7 @@ let result_of tn outcome =
     logged_counts = arr (fun p -> p.logged_count);
     visible_counts = arr (fun p -> p.visible_count);
     recoveries = tn.total_recoveries;
-    crashes = tn.total_crashes;
+    crashes = List.length tn.crash_rev;
     recovery_crashes = tn.recovery_crashes;
     activation = tn.activation;
     first_crash = tn.first_crash;

@@ -191,30 +191,54 @@ let test_mutant_suite_shape () =
   Alcotest.(check bool) "gc mutant brings its own program" true
     (m.Ft_mc.Mutants.program <> None)
 
+(* Replay a script crash-free through the model, under the protocol and
+   runtime defect it was found with; the trace is what Save-work judges. *)
+let replay ~spec ~defect ~nprocs steps =
+  let program, prefix = Ft_mc.Script.to_program ~nprocs steps in
+  (Ft_mc.Model.run ~spec ~defect ~program ~prefix
+     ~crash:Ft_mc.Model.No_crash).Ft_mc.Model.trace
+
+(* Every mutant whose shrunk repro is a crash-free Save-work violation:
+   the printed script parses and, replayed under the mutant's spec and
+   defect, reproduces the violation. *)
 let test_shrunk_script_replayable () =
-  let program = program ~depth:6 in
-  let m = Option.get (Ft_mc.Mutants.by_name "commit-after-visible") in
-  let s =
-    Ft_mc.Checker.check ~lose_work:false ~spec:m.Ft_mc.Mutants.spec
-      ~defect:m.Ft_mc.Mutants.defect ~program ()
-  in
-  let v = List.hd s.Ft_mc.Checker.violations in
-  let r =
-    Ft_mc.Shrink.minimize ~lose_work:false ~spec:m.Ft_mc.Mutants.spec
-      ~defect:m.Ft_mc.Mutants.defect ~program v
-  in
-  let script = Ft_mc.Shrink.to_script ~spec:m.Ft_mc.Mutants.spec r in
-  match Conformance.steps_of_string script with
-  | Error e -> Alcotest.failf "script does not parse: %s" e
-  | Ok steps ->
-      Alcotest.(check int) "one step per schedule slot"
-        (List.length r.Ft_mc.Shrink.s_prefix)
-        (List.length steps);
-      (* this mutant dies on the crash-free prefix: replaying the script
-         through the conformance harness must reproduce the Save-work
-         violation *)
-      Alcotest.(check bool) "replay reproduces the violation" false
-        (Conformance.upholds_save_work m.Ft_mc.Mutants.spec ~nprocs:2 steps)
+  let default = program ~depth:6 in
+  let replayed = ref 0 in
+  List.iter
+    (fun m ->
+      let name = m.Ft_mc.Mutants.mutant_name in
+      let spec = m.Ft_mc.Mutants.spec and defect = m.Ft_mc.Mutants.defect in
+      let program = Option.value m.Ft_mc.Mutants.program ~default in
+      let s = Ft_mc.Checker.check ~lose_work:false ~spec ~defect ~program () in
+      let r =
+        Ft_mc.Shrink.minimize ~lose_work:false ~spec ~defect ~program
+          (List.hd s.Ft_mc.Checker.violations)
+      in
+      if
+        r.Ft_mc.Shrink.s_oracle = Ft_mc.Checker.Invariant
+        && r.Ft_mc.Shrink.s_crash = Ft_mc.Model.No_crash
+      then begin
+        incr replayed;
+        match
+          Ft_mc.Script.steps_of_string (Ft_mc.Shrink.to_script ~spec ~defect r)
+        with
+        | Error e -> Alcotest.failf "%s: script does not parse: %s" name e
+        | Ok steps ->
+            Alcotest.(check int)
+              (name ^ ": one step per schedule slot")
+              (List.length r.Ft_mc.Shrink.s_prefix)
+              (List.length steps);
+            (* this mutant dies on the crash-free prefix: replaying the
+               script must reproduce the Save-work violation *)
+            Alcotest.(check bool)
+              (name ^ ": replay reproduces the violation")
+              false
+              (Save_work.holds
+                 (replay ~spec ~defect ~nprocs:(Array.length program) steps))
+      end)
+    Ft_mc.Mutants.all;
+  Alcotest.(check bool) "at least five crash-free Save-work repros" true
+    (!replayed >= 5)
 
 (* --- the drop-one-message fault -------------------------------------------- *)
 
@@ -371,20 +395,33 @@ let test_crash_roundtrip () =
 let test_script_roundtrip () =
   let program = program ~depth:6 in
   let prefix = [ 0; 0; 0; 1; 1; 1; 0; 1 ] in
-  let steps = Ft_mc.Model.prefix_to_steps program prefix in
-  match Conformance.steps_of_string (Conformance.steps_to_string steps) with
+  let steps = Ft_mc.Script.of_prefix program prefix in
+  (match
+     Ft_mc.Script.steps_of_string (Ft_mc.Script.steps_to_string steps)
+   with
   | Error e -> Alcotest.failf "reparse failed: %s" e
   | Ok steps' ->
       Alcotest.(check int) "same length" (List.length steps)
         (List.length steps');
       List.iter2
-        (fun (a : Conformance.step) (b : Conformance.step) ->
-          Alcotest.(check bool)
-            (Conformance.step_to_string a)
-            true
-            (a.Conformance.pid = b.Conformance.pid
-            && a.Conformance.info = b.Conformance.info))
-        steps steps'
+        (fun (a : Ft_mc.Script.step) (b : Ft_mc.Script.step) ->
+          Alcotest.(check bool) (Ft_mc.Script.step_to_string a) true (a = b))
+        steps steps');
+  (* [to_program] inverts [of_prefix]: the script's ops and schedule
+     rebuild the same script *)
+  let program', prefix' = Ft_mc.Script.to_program ~nprocs:2 steps in
+  Alcotest.(check (list int)) "schedule" prefix prefix';
+  Alcotest.(check bool) "same script" true
+    (Ft_mc.Script.of_prefix program' prefix' = steps);
+  let rejected steps =
+    match Ft_mc.Script.to_program ~nprocs:2 steps with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "out-of-range pid rejected" true
+    (rejected [ { Ft_mc.Script.pid = 2; op = Ft_mc.Model.Internal } ]);
+  Alcotest.(check bool) "out-of-range destination rejected" true
+    (rejected [ { Ft_mc.Script.pid = 0; op = Ft_mc.Model.Send 2 } ])
 
 (* --- Exp fan-out and resumability ----------------------------------------- *)
 

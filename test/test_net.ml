@@ -23,15 +23,25 @@ let make_transport ?policy ~nprocs ~seed () =
   in
   (t, fun dst -> List.rev log.(dst))
 
+(* Pump at [now] and return the next queued event time.  An event at or
+   before [now] that survives the pump fails the test: a drain loop
+   would otherwise pump the same instant forever. *)
+let pump_next ~nprocs t ~now =
+  Transport.pump t ~now;
+  match Transport.next_event_in t ~lo:0 ~hi:nprocs with
+  | Some at when at <= now ->
+      Alcotest.failf "event at %d still queued after pump ~now:%d" at now
+  | next -> next
+
 (* Advance simulated time event by event until the queue of an
    [nprocs]-process transport drains.  The retry budget bounds the
    queue, so this always terminates. *)
-let rec drain ~nprocs t =
-  match Transport.next_event_in t ~lo:0 ~hi:nprocs with
-  | Some at ->
-      Transport.pump t ~now:at;
-      drain ~nprocs t
-  | None -> ()
+let drain ~nprocs t =
+  let rec go = function
+    | Some now -> go (pump_next ~nprocs t ~now)
+    | None -> ()
+  in
+  go (Transport.next_event_in t ~lo:0 ~hi:nprocs)
 
 let test_reliable_in_order () =
   let t, got = make_transport ~nprocs:2 ~seed:7 () in
@@ -155,15 +165,13 @@ let net_burst ~loss ~n =
     Transport.send t ~now:(i * gap) ~src:0 ~dst:1 ();
     Transport.pump t ~now:(i * gap)
   done;
-  let rec drain_from now =
-    match Transport.next_event_in t ~lo:0 ~hi:2 with
+  let rec drain_from now = function
     | Some ts ->
         let now = max (now + 1) ts in
-        Transport.pump t ~now;
-        drain_from now
+        drain_from now (pump_next ~nprocs:2 t ~now)
     | None -> ()
   in
-  drain_from (n * gap);
+  drain_from (n * gap) (Transport.next_event_in t ~lo:0 ~hi:2);
   (!delivered, !last_ns, Transport.stats t)
 
 (* Delivered, transmissions, retransmits and last-delivery ns per

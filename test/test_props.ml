@@ -1,49 +1,52 @@
 (* Property and feature tests that cut across libraries:
 
    - protocol conformance: every executable protocol upholds Save-work
-     on random abstract multi-process event streams (Ft_core.Conformance);
+     on random abstract multi-process event streams, replayed through
+     the model checker's executor (Ft_mc.Script, Ft_mc.Model);
    - end-to-end: random stop-failure schedules x protocols keep recovery
      consistent on a real workload;
    - the §2.6 mitigations: resource expansion turning fixed ND transient,
      and checkpoint exclusion of recomputable state. *)
 
 open Ft_core
+module Model = Ft_mc.Model
+module Script = Ft_mc.Script
 
 (* --- conformance over random scripts ------------------------------------- *)
+
+(* Replay a script crash-free on an honest runtime; the trace is what
+   the Save-work oracle judges. *)
+let replay spec ~nprocs steps =
+  let program, prefix = Script.to_program ~nprocs steps in
+  (Model.run ~spec ~defect:Model.Honest ~program ~prefix
+     ~crash:Model.No_crash).Model.trace
 
 let gen_step nprocs =
   QCheck.Gen.(
     int_bound (nprocs - 1) >>= fun pid ->
     frequency
       [
-        (3, return (Event.Internal, false));
-        (2, return (Event.Nd Event.Transient, false));
-        (2, return (Event.Nd Event.Fixed, true));   (* user input *)
-        (1, return (Event.Nd Event.Fixed, false));  (* disk full *)
-        (3, map (fun v -> (Event.Visible v, false)) (int_bound 50));
-        (2, map (fun d -> (Event.Send { dest = d; tag = -1 }, false))
-              (int_bound (nprocs - 1)));
-        (2, return (Event.Receive { src = -1; tag = -1 }, true));
+        (3, return Model.Internal);
+        (2, return (Model.Nd (Event.Transient, false)));
+        (2, return (Model.Nd (Event.Fixed, true)));   (* user input *)
+        (1, return (Model.Nd (Event.Fixed, false)));  (* disk full *)
+        (3, return Model.Visible);
+        (2, map (fun d -> Model.Send d) (int_bound (nprocs - 1)));
+        (2, return Model.Receive);
       ]
-    >>= fun (kind, loggable) ->
-    return (Conformance.step ~pid { Protocol.kind; loggable }))
+    >>= fun op -> return { Script.pid; op })
 
 let arb_script nprocs =
   QCheck.make
     QCheck.Gen.(list_size (int_bound 60) (gen_step nprocs))
     ~print:(fun steps ->
-      String.concat ";"
-        (List.map
-           (fun s ->
-             Printf.sprintf "p%d:%s" s.Conformance.pid
-               (Event.kind_to_string s.Conformance.info.Protocol.kind))
-           steps))
+      String.concat ";" (List.map Script.step_to_string steps))
 
 let conformance_prop spec =
   QCheck.Test.make
     ~name:(spec.Protocol.spec_name ^ " upholds save-work on random streams")
     ~count:150 (arb_script 3)
-    (fun script -> Conformance.upholds_save_work spec ~nprocs:3 script)
+    (fun script -> Save_work.holds (replay spec ~nprocs:3 script))
 
 let conformance_tests =
   List.map conformance_prop
@@ -59,13 +62,11 @@ let no_commit_violates =
     (fun () ->
       let script =
         [
-          Conformance.step ~pid:0
-            { Protocol.kind = Event.Nd Event.Transient; loggable = false };
-          Conformance.step ~pid:0
-            { Protocol.kind = Event.Visible 1; loggable = false };
+          { Script.pid = 0; op = Model.Nd (Event.Transient, false) };
+          { Script.pid = 0; op = Model.Visible };
         ]
       in
-      not (Conformance.upholds_save_work Protocols.no_commit ~nprocs:1 script))
+      not (Save_work.holds (replay Protocols.no_commit ~nprocs:1 script)))
 
 (* --- end-to-end: random kill schedules ----------------------------------- *)
 
@@ -534,7 +535,7 @@ let no_orphan_survives_prop =
 (* --- scripted conformance replays (mc interchange format) ----------------- *)
 
 (* The same taint chain the model checker's counterexamples print,
-   replayed through Conformance: an unlogged draw crossing a message
+   replayed through the model: an unlogged draw crossing a message
    must pull the sender into a shared dependent round before the
    receiver's visible; a logged draw must not. *)
 let logging_script_text =
@@ -549,7 +550,7 @@ let logging_script_text =
    p1 visible 9\n"
 
 let test_logging_conformance_scripts () =
-  match Conformance.steps_of_string logging_script_text with
+  match Script.steps_of_string logging_script_text with
   | Error e -> Alcotest.fail e
   | Ok script ->
       List.iter
@@ -557,9 +558,9 @@ let test_logging_conformance_scripts () =
           Alcotest.(check bool)
             (spec.Protocol.spec_name ^ " upholds on the scripted taint chain")
             true
-            (Conformance.upholds_save_work spec ~nprocs:2 script))
+            (Save_work.holds (replay spec ~nprocs:2 script)))
         Protocols.message_logging;
-      let t = Conformance.run Protocols.causal_log ~nprocs:2 script in
+      let t = replay Protocols.causal_log ~nprocs:2 script in
       Alcotest.(check bool) "a dependent round was committed" true
         (List.exists
            (fun e ->
@@ -570,20 +571,17 @@ let test_logging_conformance_scripts () =
 
 (* --- conformance harness regressions ------------------------------------- *)
 
-(* A Receive with nothing pending must be skipped outright: no event
-   recorded, no protocol reaction — the rest of the script replays as if
-   the receive were never written. *)
+(* A Receive with nothing pending waits; once nothing can ever arrive
+   it resolves to a skip: no event recorded, no protocol reaction — the
+   rest of the script replays as if the receive were never written. *)
 let test_receive_nothing_pending_skipped () =
   let script =
     [
-      Conformance.step ~pid:0
-        { Protocol.kind = Event.Receive { src = -1; tag = -1 };
-          loggable = true };
-      Conformance.step ~pid:0
-        { Protocol.kind = Event.Visible 5; loggable = false };
+      { Script.pid = 0; op = Model.Receive };
+      { Script.pid = 0; op = Model.Visible };
     ]
   in
-  let t = Conformance.run Protocols.cpvs ~nprocs:2 script in
+  let t = replay Protocols.cpvs ~nprocs:2 script in
   let events = Trace.events t in
   Alcotest.(check bool) "no receive recorded" false
     (List.exists
@@ -595,18 +593,17 @@ let test_receive_nothing_pending_skipped () =
        (fun e ->
          match e.Event.kind with Event.Visible _ -> true | _ -> false)
        events);
-  Alcotest.(check bool) "save-work upheld" true
-    (Conformance.upholds_save_work Protocols.cpvs ~nprocs:2 script)
+  Alcotest.(check bool) "save-work upheld" true (Save_work.holds t)
 
-(* upholds_save_work is exactly "violations is empty" — exercised on a
+(* Save_work.holds is exactly "violations is empty" — exercised on a
    protocol that does convict (NO-COMMIT), so agreement is nontrivial. *)
 let violations_agree_prop spec =
   QCheck.Test.make
     ~name:(spec.Protocol.spec_name ^ ": upholds iff violations empty")
     ~count:150 (arb_script 3)
     (fun script ->
-      Conformance.upholds_save_work spec ~nprocs:3 script
-      = (Conformance.violations spec ~nprocs:3 script = []))
+      let t = replay spec ~nprocs:3 script in
+      Save_work.holds t = (Save_work.violations t = []))
 
 let tests =
   List.map QCheck_alcotest.to_alcotest
