@@ -6,7 +6,7 @@
      dune exec examples/distributed_game.exe
 *)
 
-let params = { Ft_apps.Xpilot.small_params with Ft_apps.Xpilot.frames = 60 }
+let params = { Ft_apps.Xpilot.frames = 60 }
 
 let run ?(protocol = Ft_core.Protocols.cpvs) ?(kills = [])
     ?(medium = Ft_runtime.Checkpointer.Reliable_memory) () =

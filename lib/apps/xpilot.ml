@@ -25,10 +25,10 @@ let ent_base = 16    (* per entity: x, y, vx, vy *)
 let heap_words = 8_192
 let frame_us = 66_667
 
-type params = { frames : int; seed : int }
+type params = { frames : int }
 
-let default_params = { frames = 300; seed = 31 }
-let small_params = { frames = 40; seed = 31 }
+let default_params = { frames = 300 }
+let small_params = { frames = 40 }
 
 let ent_field e f = Int ent_base +: ((e *: Int 4) +: Int f)
 

@@ -3,7 +3,7 @@
     frame rate is the reported metric — commit latency eats the frame
     budget, which is how DC-disk drops below 15 fps. *)
 
-type params = { frames : int; seed : int }
+type params = { frames : int }
 
 val default_params : params
 val small_params : params

@@ -33,7 +33,3 @@ let to_string = function
   | Delete_branch -> "delete branch"
   | Delete_instruction -> "delete instruction"
   | Off_by_one -> "off by one"
-
-let of_string s =
-  let s = String.lowercase_ascii (String.trim s) in
-  List.find_opt (fun t -> to_string t = s) all

@@ -15,4 +15,3 @@ val index : t -> int
 (** Position in {!all}. *)
 
 val to_string : t -> string
-val of_string : string -> t option

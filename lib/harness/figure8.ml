@@ -44,8 +44,7 @@ let workload ?(scale = 1.0) app =
   | Xpilot ->
       Ft_apps.Xpilot.workload
         ~params:
-          { Ft_apps.Xpilot.default_params with
-            Ft_apps.Xpilot.frames = s Ft_apps.Xpilot.default_params.frames }
+          { Ft_apps.Xpilot.frames = s Ft_apps.Xpilot.default_params.frames }
         ()
   | Treadmarks ->
       Ft_apps.Treadmarks.workload

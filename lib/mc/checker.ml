@@ -250,10 +250,31 @@ let check_lose_work ~program ~(run : Model.run) ~victim ~crash_pc =
 
 (* ---- judging one execution ---------------------------------------------- *)
 
-(* Output consistency against [reference] and, when [lose_work], the
-   dangerous-path oracle on a crashed execution (a [No_crash] or [Lose]
-   run names no crash pc).  [report oracle detail] files each finding. *)
-let judge ~lose_work ~program ~reference (r : Model.run) report =
+(* Every oracle on run [r] of fault [crash] at a node whose crash-free
+   run is [node]: Save-work on the crash-free prefix trace (the state of
+   the world at any crash instant must satisfy the invariant), output
+   consistency, and, when [lose_work], the dangerous-path oracle on a
+   crashed execution (a [No_crash] or [Lose] run names no crash pc).
+   [report oracle detail] files each finding. *)
+let judge ~lose_work ~program ~(node : Model.run) crash (r : Model.run) report
+    =
+  (match crash with
+  | Model.No_crash -> (
+      match Save_work.violations r.Model.prefix_trace with
+      | [] -> ()
+      | v :: _ ->
+          report Invariant (Format.asprintf "%a" Save_work.pp_violation v))
+  | _ -> ());
+  (* Loss transparency: retransmission must make a single dropped frame
+     unobservable, so the completed run reproduces the no-loss execution
+     of the same schedule.  The surviving-lineage reference is the wrong
+     yardstick here: a silently skipped receive drops out of it too,
+     absolving the very divergence we are after. *)
+  let reference =
+    match crash with
+    | Model.Lose _ -> node.Model.observed
+    | _ -> r.Model.reference
+  in
   (match Consistency.check ~reference ~observed:r.Model.observed with
   | Consistency.Consistent -> ()
   | v -> report Consistency (Format.asprintf "%a" Consistency.pp_verdict v));
@@ -264,34 +285,38 @@ let judge ~lose_work ~program ~reference (r : Model.run) report =
         List.iter (report Lose_work)
           (check_lose_work ~program ~run:r ~victim ~crash_pc)
 
+(* Every fault injected at a node with crash-free run [node]: a stop
+   crash of each victim; nested failures, where the recovery path itself
+   crashes (the victim dies again mid-restore or mid-cascade; the third
+   stage, a crash while coordinating the commit round, is [Mid_commit]:
+   the round is Vista-atomic); both mid-commit outcomes when the last
+   step committed; and the loss of each in-flight message. *)
+let faults ~nprocs (node : Model.run) =
+  List.init nprocs (fun v -> Model.Stop v)
+  @ List.init (2 * nprocs) (fun i ->
+        Model.Nested
+          {
+            victim = i / 2;
+            stage = (if i mod 2 = 0 then Model.NRestore else Model.NCascade);
+          })
+  @ (if node.Model.last_step_committed then
+       [
+         Model.Mid_commit { landed = true }; Model.Mid_commit { landed = false };
+       ]
+     else [])
+  @ List.map
+      (fun (src, dst, seq) -> Model.Lose { src; dst; seq })
+      node.Model.pending
+
 (* ---- single-execution checking (shrinker entry point) ------------------- *)
 
 let check_one ?(lose_work = true) ~spec ~defect ~program ~prefix ~crash () =
-  let r = Model.run ~spec ~defect ~program ~prefix ~crash in
+  let run crash = Model.run ~spec ~defect ~program ~prefix ~crash in
+  let node = run Model.No_crash in
+  let r = match crash with Model.No_crash -> node | _ -> run crash in
   let vs = ref [] in
-  let report v_oracle v_detail =
-    vs := { v_oracle; v_prefix = prefix; v_crash = crash; v_detail } :: !vs
-  in
-  (match crash with
-  | Model.No_crash -> (
-      match Save_work.violations r.Model.prefix_trace with
-      | [] -> ()
-      | v :: _ ->
-          report Invariant (Format.asprintf "%a" Save_work.pp_violation v))
-  | _ -> ());
-  (* For a lost message the surviving-lineage reference is the wrong
-     yardstick: a silently skipped receive drops out of the reference
-     too, absolving the very divergence we are after.  Loss must be
-     *transparent* — the completed run must reproduce the no-loss
-     execution of the same schedule. *)
-  let reference =
-    match crash with
-    | Model.Lose _ ->
-        (Model.run ~spec ~defect ~program ~prefix ~crash:Model.No_crash)
-          .Model.observed
-    | _ -> r.Model.reference
-  in
-  judge ~lose_work ~program ~reference r report;
+  judge ~lose_work ~program ~node crash r (fun v_oracle v_detail ->
+      vs := { v_oracle; v_prefix = prefix; v_crash = crash; v_detail } :: !vs);
   List.rev !vs
 
 (* ---- the DFS ------------------------------------------------------------ *)
@@ -305,70 +330,31 @@ let check ?(no_prune = false) ?(lose_work = true) ?(root = []) ?stop_depth
   and memo = ref 0
   and steps = ref 0
   and violations = ref [] in
-  let report v_prefix v_crash v_oracle v_detail =
-    violations := { v_oracle; v_prefix; v_crash; v_detail } :: !violations
-  in
   let exec prefix crash =
     incr runs;
     let r = Model.run ~spec ~defect ~program ~prefix ~crash in
     steps := !steps + r.Model.steps;
     r
   in
-  let crash_variant prefix crash =
-    let r = exec prefix crash in
-    judge ~lose_work ~program ~reference:r.Model.reference r
-      (report prefix crash)
-  in
-  (* Loss transparency: retransmission must make a single dropped frame
-     unobservable, so the completed run reproduces the no-loss execution
-     of the same schedule — the node's own run [nc], not a second one.
-     The surviving-lineage reference is useless here — a silently
-     skipped receive drops out of it too. *)
-  let lose_variant prefix (nc : Model.run) (src, dst, seq) =
-    let crash = Model.Lose { src; dst; seq } in
-    let r = exec prefix crash in
-    judge ~lose_work ~program ~reference:nc.Model.observed r
-      (report prefix crash)
-  in
   let rec dfs prefix =
     incr nodes;
-    let nc = exec prefix Model.No_crash in
-    if (not no_prune) && Hashtbl.mem seen nc.Model.state_key then incr memo
+    let node = exec prefix Model.No_crash in
+    if (not no_prune) && Hashtbl.mem seen node.Model.state_key then incr memo
     else begin
-      Hashtbl.add seen nc.Model.state_key ();
-      (* oracle: Save-work on the crash-free prefix — the state of the
-         world at any crash instant must satisfy the invariant *)
-      (match Save_work.violations nc.Model.prefix_trace with
+      Hashtbl.add seen node.Model.state_key ();
+      let judge_run crash r =
+        judge ~lose_work ~program ~node crash r (fun v_oracle v_detail ->
+            violations :=
+              { v_oracle; v_prefix = prefix; v_crash = crash; v_detail }
+              :: !violations)
+      in
+      judge_run Model.No_crash node;
+      if prefix <> [] then
+        List.iter
+          (fun crash -> judge_run crash (exec prefix crash))
+          (faults ~nprocs node);
+      match node.Model.next_pids with
       | [] -> ()
-      | v :: _ ->
-          report prefix Model.No_crash Invariant
-            (Format.asprintf "%a" Save_work.pp_violation v));
-      if prefix <> [] then begin
-        for v = 0 to nprocs - 1 do
-          crash_variant prefix (Model.Stop v)
-        done;
-        (* nested failures: the recovery path itself crashes — the
-           victim dies again mid-restore or mid-cascade.  (The third
-           stage, a crash while coordinating the commit round, is the
-           [Mid_commit] enumeration below: the round is Vista-atomic.) *)
-        for v = 0 to nprocs - 1 do
-          crash_variant prefix
-            (Model.Nested { victim = v; stage = Model.NRestore });
-          crash_variant prefix
-            (Model.Nested { victim = v; stage = Model.NCascade })
-        done;
-        if nc.Model.last_step_committed then begin
-          crash_variant prefix (Model.Mid_commit { landed = true });
-          crash_variant prefix (Model.Mid_commit { landed = false })
-        end;
-        List.iter (lose_variant prefix nc) nc.Model.pending
-      end;
-      match nc.Model.next_pids with
-      | [] ->
-          (* leaf sanity: a complete failure-free run must reproduce its
-             own reference exactly *)
-          judge ~lose_work ~program ~reference:nc.Model.reference nc
-            (report prefix Model.No_crash)
       | next ->
           let expand =
             match stop_depth with

@@ -34,8 +34,9 @@ val check_one :
   crash:Model.crash ->
   unit ->
   violation list
-(** Run one (schedule, crash) execution and evaluate every oracle on it:
-    Save-work on the crash-free prefix (for [No_crash]), output
+(** Run the schedule's crash-free execution and, for a fault, the
+    faulted one, and judge the latter with every oracle the DFS applies
+    to it: Save-work on the crash-free prefix (for [No_crash]), output
     consistency, and — when [lose_work] — the dangerous-path oracle.
     The shrinker's fitness function. *)
 
@@ -52,14 +53,15 @@ val check :
 (** Explores every schedule prefix extending [root] (default: the empty
     prefix).  [stop_depth] checks only prefixes strictly shorter than it
     (used for the shallow shard).  At each node: the Save-work invariant
-    on the crash-free prefix trace; for each victim a stop crash, plus
-    both mid-commit crash outcomes when the last step committed, each
-    checked for output consistency against the surviving lineage's
-    reference; for each in-flight message a {!Model.Lose} fault, checked
-    for loss transparency (the completed run must reproduce the no-loss
-    execution of the same schedule); and, when [lose_work] (default true
-    — turn off for mutants), the dangerous-path oracle on every crashed
-    execution.  [no_prune] disables the state-hash memo. *)
+    on the crash-free prefix trace and the crash-free run's output
+    consistency; for each victim a stop crash and the two nested
+    failures, plus both mid-commit crash outcomes when the last step
+    committed, each checked for output consistency against the surviving
+    lineage's reference; for each in-flight message a {!Model.Lose}
+    fault, checked for loss transparency (the completed run must
+    reproduce the no-loss execution of the same schedule); and, when
+    [lose_work] (default true — turn off for mutants), the dangerous-path
+    oracle on every crashed execution.  [no_prune] disables the state-hash memo. *)
 
 val defect_to_string : Model.defect -> string
 (** The defect's name in job keys and repro headers, e.g. ["skip-orphan"]. *)

@@ -82,7 +82,6 @@ type run = {
   commit_pcs : (int * int) list;
   crash_pc : (int * int) option;
   last_step_committed : bool;
-  bindings : ((int * int) * (int * int) option) list;
   prefix_bindings : ((int * int) * (int * int) option) list;
   pending : (int * int * int) list;
   logged_pcs : (int * int) list;
@@ -845,14 +844,13 @@ let run ~spec ~defect ~program ~prefix ~crash =
     match st.mirror with Some m -> m | None -> st.trace
   in
   st.mirror <- None;
-  let bindings_now () =
+  let prefix_bindings =
     Hashtbl.fold
       (fun k b acc ->
         (k, Option.map (fun (src, seq, _) -> (src, seq)) b) :: acc)
       st.recv_bind []
     |> List.sort compare
   in
-  let prefix_bindings = bindings_now () in
   let pending =
     let acc = ref [] in
     for src = nprocs - 1 downto 0 do
@@ -921,7 +919,6 @@ let run ~spec ~defect ~program ~prefix ~crash =
     commit_pcs = List.rev st.commit_pcs_rev;
     crash_pc;
     last_step_committed;
-    bindings = bindings_now ();
     prefix_bindings;
     pending;
     next_pids;

@@ -107,13 +107,11 @@ type run = {
   last_step_committed : bool;
       (** the final prefix step performed at least one commit: tells the
           checker whether [Mid_commit] variants exist at this node *)
-  bindings : ((int * int) * (int * int) option) list;
-      (** surviving receive bindings: (pid, pc) -> (src, seq), [None]
-          for a receive that found nothing pending *)
   prefix_bindings : ((int * int) * (int * int) option) list;
-      (** the bindings as of the crash instant, aligned with
-          [prefix_trace] — what the dangerous-path classification of the
-          pre-crash world must be computed from *)
+      (** receive bindings as of the crash instant: (pid, pc) ->
+          (src, seq), [None] for a receive that found nothing pending;
+          aligned with [prefix_trace] — what the dangerous-path
+          classification of the pre-crash world must be computed from *)
   pending : (int * int * int) list;
       (** in-flight messages at the end of the prefix — (src, dst, seq)
           sent but not yet consumed: the {!Lose} candidates the checker

@@ -28,7 +28,6 @@ let note_progress t ~rung =
     if rung > t.rescue_rung then t.rescue_rung <- rung
   end
 
-let crashes t = t.crashes
 let same_icount_pair t = t.pair
 
 let classify t =

@@ -35,8 +35,6 @@ val note_progress : t -> rung:int -> unit
     taken (0 = generic replay, 1 = deep rollback, 2 = perturbed
     replay). *)
 
-val crashes : t -> int
-
 val same_icount_pair : t -> bool
 (** Two consecutive crashes under the same salt at the same icount were
     observed (the Bohrbug signature). *)

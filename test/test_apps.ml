@@ -220,6 +220,63 @@ let test_treadmarks_stop_failure () =
     (Ft_core.Consistency.is_consistent ~reference
        ~observed:r.Ft_runtime.Engine.visible)
 
+(* --- compiled code ------------------------------------------------------- *)
+
+(* One MD5 per pid of each workload's disassembled code: at every app's
+   default and small parameters and at the Figure 8 scale the goldens use.
+   A source edit that means to keep the measured workloads as they are
+   must keep every line of test/golden/workload_code.golden. *)
+let workload_code () =
+  let module A = Ft_apps in
+  let line name (w : A.Workload.t) =
+    String.concat ""
+      (Array.to_list
+         (Array.mapi
+            (fun pid code ->
+              Printf.sprintf "%s pid %d %s\n" name pid
+                (Digest.to_hex
+                   (Digest.string (Ft_vm.Asm.disassemble code))))
+            w.A.Workload.programs))
+  in
+  let at label d s w =
+    [ line (label ^ " default") (w d); line (label ^ " small") (w s) ]
+  in
+  String.concat ""
+    (List.concat
+       [
+         at "nvi" A.Nvi.default_params A.Nvi.small_params (fun params ->
+             A.Nvi.workload ~params ());
+         at "postgres" A.Postgres.default_params A.Postgres.small_params
+           (fun params -> A.Postgres.workload ~params ());
+         at "magic" A.Magic.default_params A.Magic.small_params (fun params ->
+             A.Magic.workload ~params ());
+         at "xpilot" A.Xpilot.default_params A.Xpilot.small_params
+           (fun params -> A.Xpilot.workload ~params ());
+         at "treadmarks" A.Treadmarks.default_params A.Treadmarks.small_params
+           (fun params -> A.Treadmarks.workload ~params ());
+         List.map
+           (fun app ->
+             line
+               ("figure8 " ^ Ft_harness.Figure8.app_name app ^ " scale 0.25")
+               (Ft_harness.Figure8.workload ~scale:0.25 app))
+           Ft_harness.Figure8.all_apps;
+       ])
+
+(* Resolves from the dune test sandbox (cwd = test/) and from a repo-root
+   `dune exec test/test_apps.exe` alike. *)
+let read_golden name =
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+let test_workload_code_golden () =
+  Alcotest.(check string)
+    "compiled code of every workload is byte-identical"
+    (read_golden "workload_code.golden")
+    (workload_code ())
+
 let tests =
   [
     Alcotest.test_case "nvi runs" `Quick test_nvi_runs;
@@ -251,58 +308,7 @@ let tests =
       test_treadmarks_nd_profile;
     Alcotest.test_case "treadmarks stop failure" `Quick
       test_treadmarks_stop_failure;
+    Alcotest.test_case "workload code golden" `Quick test_workload_code_golden;
   ]
 
-(* the runner is invoked once, at the end of the file, with all suites *)
-
-(* --- treadmarks tree mode (real Barnes-Hut) ------------------------------ *)
-
-let treadmarks_tree () =
-  Ft_apps.Treadmarks.workload
-    ~params:
-      { Ft_apps.Treadmarks.tree_params with
-        Ft_apps.Treadmarks.bodies = 16; iters = 3 }
-    ()
-
-let test_treadmarks_tree_runs () =
-  let r = run (treadmarks_tree ()) in
-  check_completed "treadmarks tree" r;
-  Alcotest.(check int) "progress per iteration plus checksum" 4
-    (List.length r.Ft_runtime.Engine.visible)
-
-let test_treadmarks_tree_deterministic () =
-  let a = run ~seed:3 (treadmarks_tree ())
-  and b = run ~seed:77 (treadmarks_tree ()) in
-  Alcotest.(check (list int)) "timing-independent results"
-    a.Ft_runtime.Engine.visible b.Ft_runtime.Engine.visible
-
-let test_treadmarks_tree_stop_failure () =
-  let reference = (run (treadmarks_tree ())).Ft_runtime.Engine.visible in
-  let r = run ~kills:[ (8_000_000, 3) ] (treadmarks_tree ()) in
-  check_completed "treadmarks tree with worker kill" r;
-  Alcotest.(check bool) "consistent recovery" true
-    (Ft_core.Consistency.is_consistent ~reference
-       ~observed:r.Ft_runtime.Engine.visible)
-
-let test_treadmarks_tree_moves_bodies () =
-  (* the checksum changes across iterations: gravity is doing something *)
-  let r = run (treadmarks_tree ()) in
-  let progress =
-    List.filteri (fun i _ -> i < 3) r.Ft_runtime.Engine.visible
-  in
-  Alcotest.(check bool) "per-iteration checksums differ" true
-    (List.length (List.sort_uniq compare progress) > 1)
-
-let tree_tests =
-  [
-    Alcotest.test_case "treadmarks tree runs" `Quick test_treadmarks_tree_runs;
-    Alcotest.test_case "treadmarks tree deterministic" `Quick
-      test_treadmarks_tree_deterministic;
-    Alcotest.test_case "treadmarks tree stop failure" `Quick
-      test_treadmarks_tree_stop_failure;
-    Alcotest.test_case "treadmarks tree moves bodies" `Quick
-      test_treadmarks_tree_moves_bodies;
-  ]
-
-let () =
-  Alcotest.run "ft_apps" [ ("apps", tests); ("barnes-hut", tree_tests) ]
+let () = Alcotest.run "ft_apps" [ ("apps", tests) ]
