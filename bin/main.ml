@@ -352,12 +352,21 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
     @ List.concat_map snd mutant_jobs
     @ xcheck_jobs)
   @@ fun lookup ->
+  (* a stored row that does not decode is a job without a verdict, never
+     a clean one; a job that died has no row, and the sweep reports it *)
+  let undecoded = ref [] in
+  let decode of_value j =
+    match lookup j.Ft_exp.Job.key with
+    | None -> None
+    | Some v ->
+        let s = of_value v in
+        if Option.is_none s then undecoded := j.Ft_exp.Job.key :: !undecoded;
+        s
+  in
   let stats_of jobs =
     List.fold_left
       (fun acc j ->
-        match Option.bind (lookup j.Ft_exp.Job.key)
-                Ft_mc.Checker.stats_of_value
-        with
+        match decode Ft_mc.Checker.stats_of_value j with
         | Some s -> Ft_mc.Checker.add_stats acc s
         | None -> acc)
       Ft_mc.Checker.zero_stats jobs
@@ -433,17 +442,26 @@ let run_mc nprocs depth specs mutants no_prune engine_xcheck opts =
             List.iteri
               (fun i f -> if i < 3 then Printf.printf "    %s\n" f)
               s.Ft_mc.Engine_xcheck.x_failures)
-          (Option.bind (lookup j.Ft_exp.Job.key)
-             Ft_mc.Engine_xcheck.stats_of_value))
+          (decode Ft_mc.Engine_xcheck.stats_of_value j))
       xcheck_jobs
   end;
-  if !honest_viol > 0 then
-    fail_run "model checker found protocol violations"
-  else if !surviving <> [] then
-    fail_run ("surviving mutants: " ^ String.concat ", " !surviving)
-  else if !xcheck_failures > 0 then
-    fail_run "engine cross-check failures"
-  else 0
+  let code =
+    if !honest_viol > 0 then
+      fail_run "model checker found protocol violations"
+    else if !surviving <> [] then
+      fail_run ("surviving mutants: " ^ String.concat ", " !surviving)
+    else if !xcheck_failures > 0 then
+      fail_run "engine cross-check failures"
+    else 0
+  in
+  match List.rev !undecoded with
+  | [] -> code
+  | keys ->
+      Printf.eprintf
+        "ft: %d mc jobs without a verdict (stored row does not decode)\n"
+        (List.length keys);
+      List.iter (Printf.eprintf "  %s\n%!") keys;
+      max code 1
 
 (* Run one application under one protocol and print the run's vitals. *)
 let run_single app protocol medium seed scale kills_ms =

@@ -35,6 +35,19 @@ let create ~nprocs =
     first_sends = Hashtbl.create 64;
   }
 
+(* Recorded events and the clocks they captured are never mutated, so a
+   copy shares them; only the containers and the live clocks are new. *)
+let copy t =
+  {
+    t with
+    arr = Array.copy t.arr;
+    by_pid = Array.map Array.copy t.by_pid;
+    by_pid_count = Array.copy t.by_pid_count;
+    clocks = Array.map Vclock.copy t.clocks;
+    send_clocks = Hashtbl.copy t.send_clocks;
+    first_sends = Hashtbl.copy t.first_sends;
+  }
+
 let nprocs t = t.nprocs
 let length t = t.count
 

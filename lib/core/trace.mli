@@ -8,6 +8,10 @@ type t
 
 val create : nprocs:int -> t
 
+val copy : t -> t
+(** An independent trace with the same history: recording into either
+    leaves the other unchanged. *)
+
 val nprocs : t -> int
 
 val length : t -> int

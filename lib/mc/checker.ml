@@ -273,7 +273,7 @@ let judge ~lose_work ~program ~(node : Model.run) crash (r : Model.run) report
   let reference =
     match crash with
     | Model.Lose _ -> node.Model.observed
-    | _ -> r.Model.reference
+    | _ -> Lazy.force r.Model.reference
   in
   (match Consistency.check ~reference ~observed:r.Model.observed with
   | Consistency.Consistent -> ()
@@ -321,27 +321,50 @@ let check_one ?(lose_work = true) ~spec ~defect ~program ~prefix ~crash () =
 
 (* ---- the DFS ------------------------------------------------------------ *)
 
+(* The state a fault's execution starts from, given the node's
+   post-prefix state [st], the state [parent] one step earlier and the
+   process [last] that step scheduled: a mid-commit crash lands inside
+   the node's last step, so it retakes that step from the parent's state
+   with the commit trapped; every other fault comes after the prefix. *)
+let fault_state ~parent ~last st = function
+  | Model.Mid_commit { landed } ->
+      let s = Model.fork parent in
+      Model.advance s ~trap:landed last;
+      s
+  | _ -> Model.fork st
+
 let check ?(no_prune = false) ?(lose_work = true) ?(root = []) ?stop_depth
     ~spec ~defect ~program () =
   let nprocs = Array.length program in
-  let seen = Hashtbl.create 1024 in
+  let seen = Hashtbl.create 64 in
   let nodes = ref 0
   and runs = ref 0
   and memo = ref 0
   and steps = ref 0
   and violations = ref [] in
-  let exec prefix crash =
+  let exec st crash =
     incr runs;
-    let r = Model.run ~spec ~defect ~program ~prefix ~crash in
+    let r = Model.finish st crash in
     steps := !steps + r.Model.steps;
     r
   in
-  let rec dfs prefix =
+  (* [st] is the state after [prefix], executed once; every execution at
+     this node and every child forks it.  [parent] is the state one step
+     earlier and the process that step scheduled, [None] at the empty
+     prefix. *)
+  let rec dfs ~parent prefix st =
     incr nodes;
-    let node = exec prefix Model.No_crash in
-    if (not no_prune) && Hashtbl.mem seen node.Model.state_key then incr memo
+    let node = exec (Model.fork st) Model.No_crash in
+    let pruned =
+      (not no_prune)
+      &&
+      let key = Model.state_key st in
+      let hit = Hashtbl.mem seen key in
+      if not hit then Hashtbl.add seen key ();
+      hit
+    in
+    if pruned then incr memo
     else begin
-      Hashtbl.add seen node.Model.state_key ();
       let judge_run crash r =
         judge ~lose_work ~program ~node crash r (fun v_oracle v_detail ->
             violations :=
@@ -349,24 +372,38 @@ let check ?(no_prune = false) ?(lose_work = true) ?(root = []) ?stop_depth
               :: !violations)
       in
       judge_run Model.No_crash node;
-      if prefix <> [] then
+      (match parent with
+      | None -> ()
+      | Some (parent, last) ->
+          List.iter
+            (fun crash ->
+              judge_run crash (exec (fault_state ~parent ~last st crash) crash))
+            (faults ~nprocs node));
+      let expand =
+        match stop_depth with
+        | Some d -> List.length prefix + 1 < d
+        | None -> true
+      in
+      if expand then
         List.iter
-          (fun crash -> judge_run crash (exec prefix crash))
-          (faults ~nprocs node);
-      match node.Model.next_pids with
-      | [] -> ()
-      | next ->
-          let expand =
-            match stop_depth with
-            | Some d -> List.length prefix + 1 < d
-            | None -> true
-          in
-          if expand then List.iter (fun p -> dfs (prefix @ [ p ])) next
+          (fun p ->
+            let child = Model.fork st in
+            Model.advance child p;
+            dfs ~parent:(Some (st, p)) (prefix @ [ p ]) child)
+          node.Model.next_pids
     end
   in
   (match stop_depth with
   | Some d when List.length root >= d -> ()
-  | _ -> dfs root);
+  | _ -> (
+      let st = Model.start ~spec ~defect ~program in
+      match List.rev root with
+      | [] -> dfs ~parent:None [] st
+      | last :: earlier ->
+          List.iter (Model.advance st) (List.rev earlier);
+          let child = Model.fork st in
+          Model.advance child last;
+          dfs ~parent:(Some (st, last)) root child));
   {
     nodes = !nodes;
     runs = !runs;
@@ -397,25 +434,24 @@ let violation_to_value v =
       ("detail", Jstore.String v.v_detail);
     ]
 
+let oracle_of_string = function
+  | "save-work" -> Some Invariant
+  | "consistency" -> Some Consistency
+  | "lose-work" -> Some Lose_work
+  | _ -> None
+
+(* Every field must decode: a row read back as clean or smaller than it
+   was stored would pass for a verdict it never gave. *)
 let violation_of_value v =
-  let oracle =
-    match Jstore.get_str "oracle" v with
-    | "save-work" -> Invariant
-    | "lose-work" -> Lose_work
-    | _ -> Consistency
-  in
+  let str k = Option.bind (Jstore.member k v) Jstore.to_str in
   match
-    ( prefix_of_string (Jstore.get_str "prefix" v),
-      crash_of_string (Jstore.get_str ~default:"none" "crash" v) )
+    ( Option.bind (str "oracle") oracle_of_string,
+      Option.map prefix_of_string (str "prefix"),
+      Option.map crash_of_string (str "crash"),
+      str "detail" )
   with
-  | Ok p, Ok c ->
-      Some
-        {
-          v_oracle = oracle;
-          v_prefix = p;
-          v_crash = c;
-          v_detail = Jstore.get_str "detail" v;
-        }
+  | Some v_oracle, Some (Ok v_prefix), Some (Ok v_crash), Some v_detail ->
+      Some { v_oracle; v_prefix; v_crash; v_detail }
   | _ -> None
 
 let stats_to_value s =
@@ -429,22 +465,18 @@ let stats_to_value s =
     ]
 
 let stats_of_value v =
-  match Jstore.member "nodes" v with
-  | None -> None
-  | Some _ ->
-      let vs =
-        match Jstore.member "violations" v with
-        | Some (Jstore.List l) -> List.filter_map violation_of_value l
-        | _ -> []
-      in
-      Some
-        {
-          nodes = Jstore.get_int "nodes" v;
-          runs = Jstore.get_int "runs" v;
-          memo_hits = Jstore.get_int "memo_hits" v;
-          steps = Jstore.get_int "steps" v;
-          violations = vs;
-        }
+  let int k = Option.bind (Jstore.member k v) Jstore.to_int in
+  let violations =
+    Option.bind
+      (Option.bind (Jstore.member "violations" v) Jstore.to_list)
+      (fun l ->
+        let vs = List.filter_map violation_of_value l in
+        if List.compare_lengths vs l = 0 then Some vs else None)
+  in
+  match (int "nodes", int "runs", int "memo_hits", int "steps", violations) with
+  | Some nodes, Some runs, Some memo_hits, Some steps, Some violations ->
+      Some { nodes; runs; memo_hits; steps; violations }
+  | _ -> None
 
 let defect_to_string = function
   | Model.Honest -> "honest"

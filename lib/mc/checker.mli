@@ -40,6 +40,20 @@ val check_one :
     consistency, and — when [lose_work] — the dangerous-path oracle.
     The shrinker's fitness function. *)
 
+val faults : nprocs:int -> Model.run -> Model.crash list
+(** Every fault the DFS injects at a node, given the node's crash-free
+    run: a stop crash and both nested failures of each victim, both
+    mid-commit outcomes when the last step committed, and the loss of
+    each in-flight message. *)
+
+val fault_state :
+  parent:Model.state -> last:int -> Model.state -> Model.crash -> Model.state
+(** [fault_state ~parent ~last st crash] is the state the DFS finishes
+    [crash] from at the node whose post-prefix state is [st], reached
+    from [parent] by one step of process [last]: a fork of [st], or for
+    a [Mid_commit], a fork of [parent] with that step retaken under the
+    trap. *)
+
 val check :
   ?no_prune:bool ->
   ?lose_work:bool ->
@@ -90,4 +104,6 @@ val jobs :
     interrupted sweep without re-exploring completed shards. *)
 
 val stats_of_value : Ft_exp.Jstore.value -> stats option
-(** Decode one job's result row back into {!stats}. *)
+(** Decode one job's result row back into {!stats}; [None] when any
+    field or any violation fails to decode (an unknown oracle name
+    included). *)

@@ -178,23 +178,18 @@ let stats_to_value s =
     ]
 
 let stats_of_value v =
-  match Jstore.member "runs" v with
-  | None -> None
-  | Some _ ->
-      let failures =
-        match Jstore.member "failures" v with
-        | Some (Jstore.List l) ->
-            List.filter_map
-              (function Jstore.String s -> Some s | _ -> None)
-              l
-        | _ -> []
-      in
-      Some
-        {
-          x_runs = Jstore.get_int "runs" v;
-          x_kills = Jstore.get_int "kills" v;
-          x_failures = failures;
-        }
+  let int k = Option.bind (Jstore.member k v) Jstore.to_int in
+  let failures =
+    Option.bind
+      (Option.bind (Jstore.member "failures" v) Jstore.to_list)
+      (fun l ->
+        let fs = List.filter_map Jstore.to_str l in
+        if List.compare_lengths fs l = 0 then Some fs else None)
+  in
+  match (int "runs", int "kills", failures) with
+  | Some x_runs, Some x_kills, Some x_failures ->
+      Some { x_runs; x_kills; x_failures }
+  | _ -> None
 
 let jobs ?(rounds = 2) ?(sched_depth = 4) ?(kill_decisions = 10) ~specs () =
   List.map

@@ -50,3 +50,4 @@ val jobs :
 (** One resumable job per protocol. *)
 
 val stats_of_value : Ft_exp.Jstore.value -> stats option
+(** Decode one job's result row; [None] when any field fails to. *)

@@ -78,7 +78,7 @@ type run = {
   trace : Trace.t;
   prefix_trace : Trace.t;
   observed : int list;
-  reference : int list;
+  reference : int list Lazy.t;
   commit_pcs : (int * int) list;
   crash_pc : (int * int) option;
   last_step_committed : bool;
@@ -87,7 +87,6 @@ type run = {
   logged_pcs : (int * int) list;
   next_pids : int list;
   steps : int;
-  state_key : string;
 }
 
 (* ---- deterministic value model ----------------------------------------- *)
@@ -119,10 +118,18 @@ type snapshot = {
   s_stable : int array;  (* confirmed-stable marks at the commit *)
 }
 
-type st = {
+(* A protocol call, recorded so that {!fork} can rebuild the protocol
+   instance's hidden state (see there). *)
+type proto_call = React of int * Protocol.event_info | Note_commit of int
+
+type state = {
   prog : program;
   nprocs : int;
-  mutable style : Protocol.style;
+  spec : Protocol.spec;
+  defect : defect;
+  style : Protocol.style;
+  proto : Protocol.t;
+  mutable calls : proto_call list;  (* every protocol call, newest first *)
   pcs : int array;
   accs : int array;
   gens : int array array;  (* executions of (pid, pc), for redraws *)
@@ -151,16 +158,21 @@ type st = {
   mutable commit_pcs_rev : (int * int) list;
   mutable steps : int;
   mutable committed_this_step : bool;
+  mutable last_pid : int option;  (* scheduled by the last prefix step *)
+  mutable mid_victim : int option;  (* crashed inside that step's commit *)
   trace : Trace.t;
-  mutable mirror : Trace.t option;  (* prefix trace, dropped at the crash *)
 }
 
+let react st ~pid info =
+  st.calls <- React (pid, info) :: st.calls;
+  st.proto.Protocol.react ~pid info
+
+let note_commit st ~pid =
+  st.calls <- Note_commit pid :: st.calls;
+  st.proto.Protocol.note_commit ~pid
+
 let record st ~pid ?(logged = false) kind =
-  let e = Trace.record st.trace ~pid ~logged kind in
-  (match st.mirror with
-  | Some m -> ignore (Trace.record m ~pid ~logged kind)
-  | None -> ());
-  e
+  Trace.record st.trace ~pid ~logged kind
 
 let snapshot st pid =
   st.snaps.(pid) <-
@@ -187,11 +199,11 @@ exception Crashed_mid_commit
 
 type commit_trap = { landed : bool; mutable fired : bool }
 
-let commit_one st proto ~pid kind =
+let commit_one st ~pid kind =
   ignore (record st ~pid kind);
   st.commit_pcs_rev <- (pid, st.pcs.(pid)) :: st.commit_pcs_rev;
   snapshot st pid;
-  proto.Protocol.note_commit ~pid
+  note_commit st ~pid
 
 (* The processes a dependent commit at [pid] must pull in: everyone
    whose non-determinism the coordinator's state (or a participant's)
@@ -246,15 +258,15 @@ let gc_live st =
   in
   List.iter (Hashtbl.remove st.log) doomed
 
-let commit_scope st proto ~defect ~pid scope =
+let commit_scope st ~pid scope =
   (match scope with
-  | Protocol.Local -> commit_one st proto ~pid Event.Commit
+  | Protocol.Local -> commit_one st ~pid Event.Commit
   | Protocol.Global ->
       let r = st.round in
       st.round <- r + 1;
       for q = 0 to st.nprocs - 1 do
-        if q <> pid && defect <> Skip_orphan then begin
-          commit_one st proto ~pid:q (Event.Commit_round r);
+        if q <> pid && st.defect <> Skip_orphan then begin
+          commit_one st ~pid:q (Event.Commit_round r);
           let tag = st.ack_tag in
           st.ack_tag <- tag - 1;
           ignore (record st ~pid:q (Event.Send { dest = pid; tag }));
@@ -262,7 +274,7 @@ let commit_scope st proto ~defect ~pid scope =
             (record st ~pid ~logged:true (Event.Receive { src = q; tag }))
         end
       done;
-      commit_one st proto ~pid (Event.Commit_round r)
+      commit_one st ~pid (Event.Commit_round r)
   | Protocol.Dependent ->
       let in_set = dependent_set st ~pid in
       if Array.exists (fun b -> b) in_set then begin
@@ -270,7 +282,7 @@ let commit_scope st proto ~defect ~pid scope =
         st.round <- r + 1;
         for q = 0 to st.nprocs - 1 do
           if in_set.(q) then begin
-            commit_one st proto ~pid:q (Event.Commit_round r);
+            commit_one st ~pid:q (Event.Commit_round r);
             let tag = st.ack_tag in
             st.ack_tag <- tag - 1;
             ignore (record st ~pid:q (Event.Send { dest = pid; tag }));
@@ -284,13 +296,13 @@ let commit_scope st proto ~defect ~pid scope =
         done;
         (* the coordinator always closes the round, tainted or not: its
            commit is what makes the round reach the output *)
-        commit_one st proto ~pid (Event.Commit_round r)
+        commit_one st ~pid (Event.Commit_round r)
       end
       else if st.dvs.(pid).(pid) > committed_own st pid then
-        commit_one st proto ~pid Event.Commit);
-  if defect = Gc_live_determinant then gc_live st
+        commit_one st ~pid Event.Commit);
+  if st.defect = Gc_live_determinant then gc_live st
 
-let do_commit st proto ~defect ~trap ~pid = function
+let do_commit st ~trap ~pid = function
   | None -> ()
   | Some Protocol.Dependent when dependent_noop st ~pid ->
       (* nothing would land: no commit happened this step, and there is
@@ -304,9 +316,9 @@ let do_commit st proto ~defect ~trap ~pid = function
           (* Vista atomicity: the whole commit (the whole coordinated
              round) lands, or none of it does; either way the process
              crashes before anything else in this step. *)
-          if t.landed then commit_scope st proto ~defect ~pid scope;
+          if t.landed then commit_scope st ~pid scope;
           raise Crashed_mid_commit
-      | _ -> commit_scope st proto ~defect ~pid scope)
+      | _ -> commit_scope st ~pid scope)
 
 (* ---- one step ----------------------------------------------------------- *)
 
@@ -350,7 +362,7 @@ let blocked st pid =
 (* Returns [true] when the process made progress.  [force_skip] resolves
    a blocked receive as "nothing will ever arrive": pc advances with no
    message consumed. *)
-let exec_step st proto ~defect ~trap ?(force_skip = false) pid =
+let exec_step st ~trap ?(force_skip = false) pid =
   let pc = st.pcs.(pid) in
   if pc >= Array.length st.prog.(pid) then false
   else begin
@@ -369,8 +381,8 @@ let exec_step st proto ~defect ~trap ?(force_skip = false) pid =
             let info =
               { Protocol.kind = Event.Receive { src; tag }; loggable = true }
             in
-            let reaction = proto.Protocol.react ~pid info in
-            do_commit st proto ~defect ~trap ~pid
+            let reaction = react st ~pid info in
+            do_commit st ~trap ~pid
               reaction.Protocol.commit_before;
             stamp st pid pc;
             let logged = reaction.Protocol.log in
@@ -380,7 +392,7 @@ let exec_step st proto ~defect ~trap ?(force_skip = false) pid =
             (* piggybacked dependency vector: the receiver's state now
                depends on everything the sender's did at send time *)
             (match Hashtbl.find_opt st.mail (src, pid, seq) with
-            | Some (_, _, _, dv) when defect <> Drop_dv ->
+            | Some (_, _, _, dv) when st.defect <> Drop_dv ->
                 List.iteri
                   (fun q x ->
                     if x > st.dvs.(pid).(q) then st.dvs.(pid).(q) <- x)
@@ -389,12 +401,12 @@ let exec_step st proto ~defect ~trap ?(force_skip = false) pid =
             if Protocol.taints st.style ~logged (Event.Receive { src; tag })
             then st.dvs.(pid).(pid) <- st.dvs.(pid).(pid) + 1;
             Hashtbl.replace st.recv_bind (pid, pc) (Some (src, seq, payload));
-            if logged && defect <> Drop_log
+            if logged && st.defect <> Drop_log
                && not (Hashtbl.mem st.log (pid, pc))
             then Hashtbl.replace st.log (pid, pc) (Lrecv { src; seq; payload; tag });
             desc_since st pid (Printf.sprintf "r%d<%d.%d:%b" pc src seq logged);
             st.pcs.(pid) <- pc + 1;
-            do_commit st proto ~defect ~trap ~pid reaction.Protocol.commit_after;
+            do_commit st ~trap ~pid reaction.Protocol.commit_after;
             true)
     | op ->
         let info, value =
@@ -422,7 +434,7 @@ let exec_step st proto ~defect ~trap ?(force_skip = false) pid =
           | Receive -> assert false
         in
         st.steps <- st.steps + 1;
-        let reaction = proto.Protocol.react ~pid info in
+        let reaction = react st ~pid info in
         let do_event () =
           stamp st pid pc;
           match op with
@@ -435,7 +447,7 @@ let exec_step st proto ~defect ~trap ?(force_skip = false) pid =
               if Protocol.taints st.style ~logged (Event.Nd c) then
                 st.dvs.(pid).(pid) <- st.dvs.(pid).(pid) + 1;
               ignore (record st ~pid ~logged (Event.Nd c));
-              if logged && defect <> Drop_log
+              if logged && st.defect <> Drop_log
                  && not (Hashtbl.mem st.log (pid, pc))
               then Hashtbl.replace st.log (pid, pc) (Lnd value);
               desc_since st pid (Printf.sprintf "n%d:%b" pc logged)
@@ -456,28 +468,28 @@ let exec_step st proto ~defect ~trap ?(force_skip = false) pid =
           | Receive -> ()
         in
         let publish_early =
-          match op with Visible -> defect = Publish_first | _ -> false
+          match op with Visible -> st.defect = Publish_first | _ -> false
         in
         if publish_early then begin
           (* the broken runtime hands the value to the user before the
              protocol's pre-visible commit has landed *)
           do_event ();
           st.pcs.(pid) <- pc + 1;
-          do_commit st proto ~defect ~trap ~pid reaction.Protocol.commit_before;
-          do_commit st proto ~defect ~trap ~pid reaction.Protocol.commit_after
+          do_commit st ~trap ~pid reaction.Protocol.commit_before;
+          do_commit st ~trap ~pid reaction.Protocol.commit_after
         end
         else begin
-          do_commit st proto ~defect ~trap ~pid reaction.Protocol.commit_before;
+          do_commit st ~trap ~pid reaction.Protocol.commit_before;
           do_event ();
           st.pcs.(pid) <- pc + 1;
-          do_commit st proto ~defect ~trap ~pid reaction.Protocol.commit_after
+          do_commit st ~trap ~pid reaction.Protocol.commit_after
         end;
         true
   end
 
 (* ---- recovery ----------------------------------------------------------- *)
 
-let restore st proto pid =
+let restore st pid =
   let s = st.snaps.(pid) in
   st.pcs.(pid) <- s.s_pc;
   st.accs.(pid) <- s.s_acc;
@@ -492,7 +504,7 @@ let restore st proto pid =
      nd-since-commit bookkeeping, which is exactly what note_commit
      clears — so the state right after the snapshot's commit is
      recoverable through the public interface. *)
-  proto.Protocol.note_commit ~pid
+  note_commit st ~pid
 
 (* Roll the victim back to its last commit, then cascade.
 
@@ -518,7 +530,7 @@ let restore st proto pid =
    may carry a redrawn payload, and replaying the stale binding would
    smuggle the dead lineage back in — so those entries are purged after
    the cascade settles. *)
-let rollback ?nested st proto ~defect victim =
+let rollback ?nested st victim =
   let wipe_volatile_log p =
     if st.style = Protocol.Optimistic_log then begin
       let s_pc = st.snaps.(p).s_pc in
@@ -531,10 +543,10 @@ let rollback ?nested st proto ~defect victim =
     end
   in
   let rerestore p =
-    restore st proto p;
+    restore st p;
     wipe_volatile_log p
   in
-  restore st proto victim;
+  restore st victim;
   wipe_volatile_log victim;
   (match nested with
   | Some NRestore ->
@@ -566,7 +578,7 @@ let rollback ?nested st proto ~defect victim =
         decr until_recrash;
         if !until_recrash = 0 then begin
           rerestore victim;
-          if defect = Resume_from_scratch then begin
+          if st.defect = Resume_from_scratch then begin
             Queue.clear work;
             Queue.add victim work;
             Array.fill rolled 0 st.nprocs false;
@@ -584,7 +596,7 @@ let rollback ?nested st proto ~defect victim =
              for q = 0 to st.nprocs - 1 do
                if (not rolled.(q)) && st.cursor.(q).(p) > st.sent.(p).(q)
                then begin
-                 restore st proto q;
+                 restore st q;
                  rolled.(q) <- true;
                  Queue.add q work
                end
@@ -592,12 +604,12 @@ let rollback ?nested st proto ~defect victim =
           : bool array)
   | Protocol.Causal_log | Protocol.Optimistic_log ->
       let rolled =
-        if defect <> No_orphan_kill then
+        if st.defect <> No_orphan_kill then
           cascade (fun rolled work v ->
               let v_own = st.dvs.(v).(v) in
               for q = 0 to st.nprocs - 1 do
                 if (not rolled.(q)) && st.dvs.(q).(v) > v_own then begin
-                  restore st proto q;
+                  restore st q;
                   wipe_volatile_log q;
                   rolled.(q) <- true;
                   Queue.add q work
@@ -693,7 +705,7 @@ let state_key st =
       st.round,
       List.rev st.observed_rev )
   in
-  Digest.to_hex (Digest.string (Marshal.to_string repr []))
+  Digest.string (Marshal.to_string repr [])
 
 (* ---- reference construction --------------------------------------------- *)
 
@@ -751,86 +763,118 @@ let runnable prog ~pcs =
   done;
   !r
 
-let init ~program =
+let start ~spec ~defect ~program =
   let nprocs = Array.length program in
-  {
-    prog = program;
-    nprocs;
-    style = Protocol.Coordinated;
-    pcs = Array.make nprocs 0;
-    accs = Array.init nprocs acc0;
-    gens = Array.init nprocs (fun p -> Array.make (Array.length program.(p)) 0);
-    cursor = Array.make_matrix nprocs nprocs 0;
-    sent = Array.make_matrix nprocs nprocs 0;
-    dvs = Array.make_matrix nprocs nprocs 0;
-    stable = Array.make_matrix nprocs nprocs 0;
-    mail = Hashtbl.create 64;
-    snaps =
-      Array.make nprocs
-        {
-          s_pc = 0;
-          s_acc = 0;
-          s_cursor = [||];
-          s_sent = [||];
-          s_dv = [||];
-          s_stable = [||];
-        };
-    since = Array.make nprocs [];
-    draws = Hashtbl.create 64;
-    log = Hashtbl.create 64;
-    recv_bind = Hashtbl.create 64;
-    first_stamp = Hashtbl.create 64;
-    now = 0;
-    next_tag = 0;
-    ack_tag = -1;
-    round = 0;
-    observed_rev = [];
-    commit_pcs_rev = [];
-    steps = 0;
-    committed_this_step = false;
-    trace = Trace.create ~nprocs;
-    mirror = Some (Trace.create ~nprocs);
-  }
-
-let run ~spec ~defect ~program ~prefix ~crash =
-  let nprocs = Array.length program in
-  let proto = Protocol.instantiate spec ~nprocs in
-  let st = init ~program in
-  st.style <- spec.Protocol.style;
+  let st =
+    {
+      prog = program;
+      nprocs;
+      spec;
+      defect;
+      style = spec.Protocol.style;
+      proto = Protocol.instantiate spec ~nprocs;
+      calls = [];
+      pcs = Array.make nprocs 0;
+      accs = Array.init nprocs acc0;
+      gens =
+        Array.init nprocs (fun p -> Array.make (Array.length program.(p)) 0);
+      cursor = Array.make_matrix nprocs nprocs 0;
+      sent = Array.make_matrix nprocs nprocs 0;
+      dvs = Array.make_matrix nprocs nprocs 0;
+      stable = Array.make_matrix nprocs nprocs 0;
+      mail = Hashtbl.create 16;
+      snaps =
+        Array.make nprocs
+          {
+            s_pc = 0;
+            s_acc = 0;
+            s_cursor = [||];
+            s_sent = [||];
+            s_dv = [||];
+            s_stable = [||];
+          };
+      since = Array.make nprocs [];
+      draws = Hashtbl.create 16;
+      log = Hashtbl.create 16;
+      recv_bind = Hashtbl.create 16;
+      first_stamp = Hashtbl.create 16;
+      now = 0;
+      next_tag = 0;
+      ack_tag = -1;
+      round = 0;
+      observed_rev = [];
+      commit_pcs_rev = [];
+      steps = 0;
+      committed_this_step = false;
+      last_pid = None;
+      mid_victim = None;
+      trace = Trace.create ~nprocs;
+    }
+  in
   (* the initial state of every process is committed (paper §2.3) *)
   for p = 0 to nprocs - 1 do
     snapshot st p
   done;
-  let quiescent () =
-    let stuck = ref true in
-    for p = 0 to nprocs - 1 do
-      if st.pcs.(p) < Array.length program.(p) && not (blocked st p) then
-        stuck := false
-    done;
-    !stuck
-  in
-  let n = List.length prefix in
-  let mid_victim = ref None in
-  List.iteri
-    (fun i pid ->
-      if !mid_victim = None then begin
-        st.committed_this_step <- false;
-        let trap =
-          match crash with
-          | Mid_commit { landed } when i = n - 1 ->
-              Some { landed; fired = false }
-          | _ -> None
-        in
-        (* scheduling a blocked process is a no-op — unless the whole
-           system is quiescent, in which case no message can ever arrive
-           and the blocked receive deterministically resolves to a skip *)
-        let force_skip = blocked st pid && quiescent () in
-        try ignore (exec_step st proto ~defect ~trap ~force_skip pid)
-        with Crashed_mid_commit -> mid_victim := Some pid
-      end)
-    prefix;
+  st
+
+let quiescent st =
+  let stuck = ref true in
+  for p = 0 to st.nprocs - 1 do
+    if st.pcs.(p) < Array.length st.prog.(p) && not (blocked st p) then
+      stuck := false
+  done;
+  !stuck
+
+let advance st ?trap pid =
+  st.last_pid <- Some pid;
+  if st.mid_victim = None then begin
+    st.committed_this_step <- false;
+    let trap = Option.map (fun landed -> { landed; fired = false }) trap in
+    (* scheduling a blocked process is a no-op — unless the whole system
+       is quiescent, in which case no message can ever arrive and the
+       blocked receive deterministically resolves to a skip *)
+    let force_skip = blocked st pid && quiescent st in
+    try ignore (exec_step st ~trap ~force_skip pid)
+    with Crashed_mid_commit -> st.mid_victim <- Some pid
+  end
+
+(* Everything mutable is copied; what is shared is immutable once
+   written (snapshots, mail entries, log entries, recorded events).  A
+   protocol instance keeps its state in closures it does not expose, so
+   the copy gets a fresh instance driven through the same calls: each
+   call's effect is a function of its arguments and the instance's
+   state, so the replayed instance ends in the same state. *)
+let fork st =
+  let proto = Protocol.instantiate st.spec ~nprocs:st.nprocs in
+  List.iter
+    (function
+      | React (pid, info) -> ignore (proto.Protocol.react ~pid info)
+      | Note_commit pid -> proto.Protocol.note_commit ~pid)
+    (List.rev st.calls);
+  let matrix = Array.map Array.copy in
+  {
+    st with
+    proto;
+    pcs = Array.copy st.pcs;
+    accs = Array.copy st.accs;
+    gens = matrix st.gens;
+    cursor = matrix st.cursor;
+    sent = matrix st.sent;
+    dvs = matrix st.dvs;
+    stable = matrix st.stable;
+    mail = Hashtbl.copy st.mail;
+    snaps = Array.copy st.snaps;
+    since = Array.copy st.since;
+    draws = Hashtbl.copy st.draws;
+    log = Hashtbl.copy st.log;
+    recv_bind = Hashtbl.copy st.recv_bind;
+    first_stamp = Hashtbl.copy st.first_stamp;
+    trace = Trace.copy st.trace;
+  }
+
+let finish st crash =
+  let nprocs = st.nprocs and program = st.prog in
   let last_step_committed = st.committed_this_step in
-  let state_key = state_key st in
   (* the schedule choices available after this prefix: processes that
      can make progress, or — at quiescence — the blocked ones, whose
      next step is the deterministic skip *)
@@ -840,10 +884,7 @@ let run ~spec ~defect ~program ~prefix ~crash =
     in
     if can <> [] then can else runnable program ~pcs:st.pcs
   in
-  let prefix_trace =
-    match st.mirror with Some m -> m | None -> st.trace
-  in
-  st.mirror <- None;
+  let prefix_trace = Trace.copy st.trace in
   let prefix_bindings =
     Hashtbl.fold
       (fun k b acc ->
@@ -870,19 +911,19 @@ let run ~spec ~defect ~program ~prefix ~crash =
      the hole (FIFO links), so the whole link falls silent and the
      blocked receives resolve to skips at quiescence. *)
   (match crash with
-  | Lose { src; dst; seq } when defect = No_retransmit ->
+  | Lose { src; dst; seq } when st.defect = No_retransmit ->
       Hashtbl.remove st.mail (src, dst, seq)
   | _ -> ());
   let victim =
-    match (crash, !mid_victim) with
+    match (crash, st.mid_victim) with
     | No_crash, _ | Lose _, _ -> None
     | _, Some v -> Some v
     | Stop v, None -> Some v
     | Nested { victim = v; _ }, None -> Some v
-    | Mid_commit _, None -> (
+    | Mid_commit _, None ->
         (* the step had no commit to crash inside: degenerate to a stop
            failure of the last scheduled process *)
-        match List.rev prefix with [] -> None | pid :: _ -> Some pid)
+        st.last_pid
   in
   let crash_pc =
     match victim with
@@ -893,7 +934,7 @@ let run ~spec ~defect ~program ~prefix ~crash =
         let nested =
           match crash with Nested { stage; _ } -> Some stage | _ -> None
         in
-        rollback ?nested st proto ~defect v;
+        rollback ?nested st v;
         Some at
   in
   (* canonical completion: round-robin to the end of every script (the
@@ -903,19 +944,18 @@ let run ~spec ~defect ~program ~prefix ~crash =
   while unfinished () do
     let progressed = ref false in
     for p = 0 to nprocs - 1 do
-      if exec_step st proto ~defect ~trap:None p then progressed := true
+      if exec_step st ~trap:None p then progressed := true
     done;
     if not !progressed then
       match runnable program ~pcs:st.pcs with
-      | p :: _ ->
-          ignore (exec_step st proto ~defect ~trap:None ~force_skip:true p)
+      | p :: _ -> ignore (exec_step st ~trap:None ~force_skip:true p)
       | [] -> ()
   done;
   {
     trace = st.trace;
     prefix_trace;
     observed = List.rev st.observed_rev;
-    reference = build_reference st;
+    reference = lazy (build_reference st);
     commit_pcs = List.rev st.commit_pcs_rev;
     crash_pc;
     last_step_committed;
@@ -925,5 +965,18 @@ let run ~spec ~defect ~program ~prefix ~crash =
     logged_pcs =
       Hashtbl.fold (fun k _ acc -> k :: acc) st.log [] |> List.sort compare;
     steps = st.steps;
-    state_key;
   }
+
+let run ~spec ~defect ~program ~prefix ~crash =
+  let st = start ~spec ~defect ~program in
+  let n = List.length prefix in
+  List.iteri
+    (fun i pid ->
+      let trap =
+        match crash with
+        | Mid_commit { landed } when i = n - 1 -> Some landed
+        | _ -> None
+      in
+      advance st ?trap pid)
+    prefix;
+  finish st crash

@@ -100,8 +100,9 @@ type run = {
       (** the crash-free prefix alone: the Save-work invariant must hold
           on it — this is the state of the world at the crash instant *)
   observed : int list;  (** visible values, in order, across the crash *)
-  reference : int list;
-      (** visible values of the surviving lineage's failure-free run *)
+  reference : int list Lazy.t;
+      (** visible values of the surviving lineage's failure-free run,
+          built when first forced *)
   commit_pcs : (int * int) list;  (** (pid, pc at commit), run order *)
   crash_pc : (int * int) option;  (** (victim, pc when it crashed) *)
   last_step_committed : bool;
@@ -123,7 +124,6 @@ type run = {
           progress, or, at quiescence, the blocked ones (whose next step
           is the deterministic skip of their receive) *)
   steps : int;  (** total step executions, replay included *)
-  state_key : string;  (** digest of the post-prefix machine state *)
 }
 
 val run :
@@ -137,7 +137,39 @@ val run :
     ignored, scheduling a blocked one is a no-op except at quiescence,
     where its receive deterministically resolves to a skip), injects
     [crash], recovers, and completes every process's script round-robin.
-    Deterministic. *)
+    Deterministic.  The same as {!start}, one {!advance} per prefix step
+    (the last one trapped for a [Mid_commit] crash), then {!finish}. *)
+
+(** {2 Step by step}
+
+    A run is [start], one [advance] per schedule step, then [finish].
+    Between them a state can be {!fork}ed, so executions that share a
+    schedule prefix execute it once. *)
+
+type state
+(** A mutable machine state part-way through a run. *)
+
+val start :
+  spec:Ft_core.Protocol.spec -> defect:defect -> program:program -> state
+(** The initial state: every process at pc 0, committed. *)
+
+val advance : state -> ?trap:bool -> int -> unit
+(** One prefix step of the given process.  With [trap], the process
+    crashes inside this step's commit, which lands ([true]) or does not
+    ([false]); a crashed state ignores further steps. *)
+
+val fork : state -> state
+(** An independent copy: advancing or finishing either leaves the other
+    unchanged. *)
+
+val state_key : state -> string
+(** Digest of everything the state's future can depend on; equal keys
+    are merged by the checker's memo. *)
+
+val finish : state -> crash -> run
+(** Injects [crash] after the steps taken so far (a [Mid_commit] needs
+    the trapped last step), recovers, completes the run and returns it.
+    The state must not be used afterwards. *)
 
 val runnable : program -> pcs:int array -> int list
 (** Processes with script left, ascending. *)

@@ -113,18 +113,23 @@ let test_logging_default_bound () =
 
 let test_model_deterministic () =
   let program = program ~depth:5 in
+  (* the post-prefix key of a prefix that then crashes, and the run *)
   let run () =
-    Ft_mc.Model.run ~spec:Protocols.cand_log ~defect:Ft_mc.Model.Drop_log
-      ~program ~prefix:[ 0; 0; 0; 1; 1 ]
-      ~crash:(Ft_mc.Model.Stop 0)
+    let st =
+      Ft_mc.Model.start ~spec:Protocols.cand_log
+        ~defect:Ft_mc.Model.Drop_log ~program
+    in
+    List.iter (Ft_mc.Model.advance st) [ 0; 0; 0; 1; 1 ];
+    let key = Ft_mc.Model.state_key st in
+    (key, Ft_mc.Model.finish st (Ft_mc.Model.Stop 0))
   in
-  let a = run () and b = run () in
-  Alcotest.(check string) "state key" a.Ft_mc.Model.state_key
-    b.Ft_mc.Model.state_key;
+  let ka, a = run () and kb, b = run () in
+  Alcotest.(check string) "state key" ka kb;
   Alcotest.(check (list int)) "observed" a.Ft_mc.Model.observed
     b.Ft_mc.Model.observed;
-  Alcotest.(check (list int)) "reference" a.Ft_mc.Model.reference
-    b.Ft_mc.Model.reference
+  Alcotest.(check (list int)) "reference"
+    (Lazy.force a.Ft_mc.Model.reference)
+    (Lazy.force b.Ft_mc.Model.reference)
 
 (* --- the mutant suite ----------------------------------------------------- *)
 
@@ -470,6 +475,85 @@ let test_sweep_resumes () =
     (Sys.readdir out_dir);
   Unix.rmdir out_dir
 
+(* A stored row decodes only if every field does: one that fails must
+   read as no verdict, never as a clean or smaller one. *)
+let row text =
+  match Ft_exp.Jstore.of_string text with
+  | Ok v -> v
+  | Error e -> Alcotest.fail ("bad test row: " ^ e)
+
+let stats_row ?(counts = {|"nodes":5,"runs":9,"memo_hits":1,"steps":40|})
+    violations =
+  row
+    (Printf.sprintf {|{%s,"violations":[%s]}|} counts
+       (String.concat "," violations))
+
+let violation ?(oracle = "consistency") ?(prefix = "01") ?(crash = "stop:1")
+    ?(detail = {|"detail":"saw it"|}) () =
+  Printf.sprintf {|{"oracle":"%s","prefix":"%s","crash":"%s",%s}|} oracle
+    prefix crash detail
+
+let decodes v = Ft_mc.Checker.stats_of_value v <> None
+
+let test_row_decodes () =
+  match
+    Ft_mc.Checker.stats_of_value
+      (stats_row
+         [
+           violation ~oracle:"save-work" ~crash:"none" ();
+           violation ();
+           violation ~oracle:"lose-work" ~crash:"nested:0:cascade" ();
+         ])
+  with
+  | None -> Alcotest.fail "a well-formed row must decode"
+  | Some s ->
+      Alcotest.(check (list string)) "oracles"
+        [ "save-work"; "consistency"; "lose-work" ]
+        (List.map
+           (fun v -> Ft_mc.Checker.oracle_to_string v.Ft_mc.Checker.v_oracle)
+           s.Ft_mc.Checker.violations);
+      Alcotest.(check int) "nodes" 5 s.Ft_mc.Checker.nodes
+
+let test_row_unknown_oracle () =
+  Alcotest.(check bool) "unknown oracle" false
+    (decodes (stats_row [ violation ~oracle:"save-wrok" () ]))
+
+let test_row_bad_violation () =
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check bool) what false
+        (decodes (stats_row [ violation (); v ])))
+    [
+      ("bad prefix", violation ~prefix:"0x" ());
+      ("bad crash", violation ~crash:"stop:me" ());
+      ("missing detail", violation ~detail:{|"detial":"x"|} ());
+      ("missing oracle", {|{"prefix":"0","crash":"none","detail":""}|});
+    ]
+
+let test_row_bad_counts () =
+  List.iter
+    (fun (what, v) -> Alcotest.(check bool) what false (decodes v))
+    [
+      ( "renamed count",
+        stats_row ~counts:{|"nodez":5,"runs":9,"memo_hits":1,"steps":40|} [] );
+      ( "mistyped count",
+        stats_row ~counts:{|"nodes":5,"runs":"9","memo_hits":1,"steps":40|}
+          [] );
+      ( "no violation list",
+        row {|{"nodes":5,"runs":9,"memo_hits":1,"steps":40}|} );
+    ]
+
+let test_xcheck_row () =
+  let decodes text =
+    Ft_mc.Engine_xcheck.stats_of_value (row text) <> None
+  in
+  Alcotest.(check bool) "well-formed" true
+    (decodes {|{"runs":4,"kills":2,"failures":["x"]}|});
+  Alcotest.(check bool) "missing kills" false
+    (decodes {|{"runs":4,"failures":[]}|});
+  Alcotest.(check bool) "non-string failure" false
+    (decodes {|{"runs":4,"kills":2,"failures":["x",3]}|})
+
 let test_mutant_jobs_distinct_keys () =
   (* a mutant may reuse an honest spec verbatim (drop-log-entry is
      honest CAND-LOG over a lossy logger): their sweep keys must not
@@ -739,6 +823,15 @@ let () =
             test_sweep_resumes;
           Alcotest.test_case "mutant sweep keys distinct" `Quick
             test_mutant_jobs_distinct_keys;
+          Alcotest.test_case "stored row decodes" `Quick test_row_decodes;
+          Alcotest.test_case "unknown oracle is no verdict" `Quick
+            test_row_unknown_oracle;
+          Alcotest.test_case "undecodable violation is no verdict" `Quick
+            test_row_bad_violation;
+          Alcotest.test_case "undecodable count is no verdict" `Quick
+            test_row_bad_counts;
+          Alcotest.test_case "cross-check row decoding" `Quick
+            test_xcheck_row;
         ] );
       ( "engine",
         [

@@ -54,6 +54,126 @@ let conformance_tests =
      :: Protocols.manetho :: Protocols.coordinated_checkpointing
      :: Protocols.figure8_extended)
 
+(* --- forked executions ---------------------------------------------------- *)
+
+(* The checker executes a node's prefix once and forks the state for each
+   of the node's executions; every one must equal the same execution run
+   from scratch, under every honest protocol and every mutant, for every
+   fault the checker injects there. *)
+let gen_fork_case =
+  QCheck.Gen.(
+    int_range 2 3 >>= fun nprocs ->
+    let op =
+      frequency
+        [
+          (2, return Model.Internal);
+          (2, return (Model.Nd (Event.Transient, false)));
+          (1, return (Model.Nd (Event.Transient, true)));
+          (1, return (Model.Nd (Event.Fixed, true)));
+          (1, return (Model.Nd (Event.Fixed, false)));
+          (2, return Model.Visible);
+          (3, map (fun d -> Model.Send d) (int_bound (nprocs - 1)));
+          (3, return Model.Receive);
+        ]
+    in
+    array_repeat nprocs (array_size (int_range 1 4) op) >>= fun program ->
+    list_size (int_range 1 8) (int_bound (nprocs - 1)) >>= fun prefix ->
+    return (program, prefix))
+
+let print_fork_case (program, prefix) =
+  let procs =
+    Array.to_list
+      (Array.mapi
+         (fun pid ops ->
+           let step op = Script.step_to_string { Script.pid; op } in
+           String.concat "; " (Array.to_list (Array.map step ops)))
+         program)
+  in
+  Printf.sprintf "%s\nprefix %s" (String.concat "\n" procs)
+    (Ft_mc.Checker.prefix_to_string prefix)
+
+let fork_specs =
+  List.map
+    (fun s -> (s, Model.Honest))
+    (Protocols.commit_all :: Protocols.sender_based_logging
+     :: Protocols.manetho :: Protocols.coordinated_checkpointing
+     :: Protocols.figure8_extended)
+  @ List.map
+      (fun m -> (m.Ft_mc.Mutants.spec, m.Ft_mc.Mutants.defect))
+      Ft_mc.Mutants.all
+
+let same_trace a b =
+  let same (x : Event.t) (y : Event.t) =
+    x.Event.pid = y.Event.pid && x.Event.index = y.Event.index
+    && x.Event.kind = y.Event.kind && x.Event.logged = y.Event.logged
+    && Vclock.equal x.Event.vc y.Event.vc
+  in
+  Trace.length a = Trace.length b
+  && List.for_all2 same (Trace.events a) (Trace.events b)
+
+(* The fields on which two runs differ. *)
+let run_diff (a : Model.run) (b : Model.run) =
+  List.filter_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      ("trace", same_trace a.Model.trace b.Model.trace);
+      ("prefix_trace", same_trace a.Model.prefix_trace b.Model.prefix_trace);
+      ("observed", a.Model.observed = b.Model.observed);
+      ("reference", Lazy.force a.Model.reference = Lazy.force b.Model.reference);
+      ("commit_pcs", a.Model.commit_pcs = b.Model.commit_pcs);
+      ("crash_pc", a.Model.crash_pc = b.Model.crash_pc);
+      ("last_step_committed",
+       a.Model.last_step_committed = b.Model.last_step_committed);
+      ("prefix_bindings", a.Model.prefix_bindings = b.Model.prefix_bindings);
+      ("pending", a.Model.pending = b.Model.pending);
+      ("logged_pcs", a.Model.logged_pcs = b.Model.logged_pcs);
+      ("next_pids", a.Model.next_pids = b.Model.next_pids);
+      ("steps", a.Model.steps = b.Model.steps);
+    ]
+
+let fork_matches_scratch_prop =
+  QCheck.Test.make ~name:"forked executions equal from-scratch runs"
+    ~count:100
+    (QCheck.make gen_fork_case ~print:print_fork_case)
+    (fun (program, prefix) ->
+      let nprocs = Array.length program in
+      let earlier, last =
+        match List.rev prefix with
+        | last :: rev -> (List.rev rev, last)
+        | [] -> assert false
+      in
+      List.for_all
+        (fun (spec, defect) ->
+          let name =
+            spec.Protocol.spec_name ^ "/" ^ Ft_mc.Checker.defect_to_string defect
+          in
+          (* the checker's way: the parent's state, forked and advanced *)
+          let parent = Model.start ~spec ~defect ~program in
+          List.iter (Model.advance parent) earlier;
+          let st = Model.fork parent in
+          Model.advance st last;
+          let scratch = Model.start ~spec ~defect ~program in
+          List.iter (Model.advance scratch) prefix;
+          if Model.state_key st <> Model.state_key scratch then
+            QCheck.Test.fail_reportf "%s: post-prefix keys differ" name;
+          let run crash = Model.run ~spec ~defect ~program ~prefix ~crash in
+          List.for_all
+            (fun crash ->
+              let forked =
+                Model.finish
+                  (Ft_mc.Checker.fault_state ~parent ~last st crash)
+                  crash
+              in
+              match run_diff forked (run crash) with
+              | [] -> true
+              | fields ->
+                  QCheck.Test.fail_reportf "%s, crash %s: %s differ" name
+                    (Ft_mc.Checker.crash_to_string crash)
+                    (String.concat ", " fields))
+            (Model.No_crash
+            :: Ft_mc.Checker.faults ~nprocs (run Model.No_crash)))
+        fork_specs)
+
 (* NO-COMMIT must violate Save-work whenever unlogged ND precedes a
    visible event. *)
 let no_commit_violates =
@@ -630,4 +750,9 @@ let tests =
       Alcotest.test_case "sbl logs receives" `Quick test_sbl_logs_receives;
     ]
 
-let () = Alcotest.run "ft_props" [ ("properties", tests) ]
+let () =
+  Alcotest.run "ft_props"
+    [
+      ("properties", tests);
+      ("fork", [ QCheck_alcotest.to_alcotest fork_matches_scratch_prop ]);
+    ]
