@@ -111,18 +111,6 @@ let plan rng (ft : Fault_type.t) ~code ~horizon =
    engine.  Uses the machine's [on_execute] hook for activation detection
    and flip scheduling; the engine's fault-suppression path clears the
    hook and restores pristine code on recovery. *)
-let eval_cmp op a b =
-  let r =
-    match op with
-    | Ft_vm.Instr.Lt -> a < b
-    | Ft_vm.Instr.Le -> a <= b
-    | Ft_vm.Instr.Gt -> a > b
-    | Ft_vm.Instr.Ge -> a >= b
-    | Ft_vm.Instr.Eq -> a = b
-    | Ft_vm.Instr.Ne -> a <> b
-  in
-  if r then 1 else 0
-
 let arm engine ~pid p =
   let m = Ft_runtime.Engine.machine engine pid in
   match p with
@@ -140,7 +128,7 @@ let arm engine ~pid p =
           when a = a' && b = b' ->
             let va = m.Ft_vm.Machine.regs.(a)
             and vb = m.Ft_vm.Machine.regs.(b) in
-            eval_cmp op va vb <> eval_cmp op' va vb
+            Ft_vm.Machine.cmp op va vb <> Ft_vm.Machine.cmp op' va vb
         | Ft_vm.Instr.Jz (r, _), Ft_vm.Instr.Nop ->
             m.Ft_vm.Machine.regs.(r) = 0
         | Ft_vm.Instr.Jnz (r, _), Ft_vm.Instr.Nop ->

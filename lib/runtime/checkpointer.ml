@@ -249,8 +249,7 @@ let restore t ~pid ~(machine : Ft_vm.Machine.t) =
   let stack = Ft_stablemem.Rio.sub region ~off:s.stack_base ~len:sp in
   let snap =
     {
-      Ft_vm.Machine.s_code_len = 0;
-      s_pc = meta.(nregs);
+      Ft_vm.Machine.s_pc = meta.(nregs);
       s_regs = Array.sub meta 0 nregs;
       s_stack = stack;
       s_sp = sp;

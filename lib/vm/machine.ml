@@ -6,7 +6,13 @@
     policy.  Crash conditions — out-of-bounds memory access, division by
     zero, wild jumps, failed consistency checks — are the {e crash
     events} of the paper's model: transitions into a state from which the
-    process cannot continue (§2.5). *)
+    process cannot continue (§2.5).
+
+    There is one interpreter loop, [exec] under {!step_n}.  It keeps the
+    hot state in registers and must stay in this module: the dev profile
+    compiles with [-opaque], so nothing from [Instr] or [Memory] inlines
+    into it.  The per-instruction interpreter it replaced lives on in
+    [test/test_vm.ml] as the reference it is checked against. *)
 
 type crash_reason =
   | Heap_out_of_bounds of int
@@ -68,16 +74,9 @@ let kill t = crash t Killed
 
 (* Constant-time status test.  [t.status = Running] would go through
    polymorphic equality (a C call: [status] has non-constant
-   constructors), which the interpreter loop pays several times per
-   instruction. *)
+   constructors). *)
 let[@inline] is_running t =
   match t.status with Running -> true | _ -> false
-
-(* The explicit range checks below subsume the bounds check the safe
-   array operations would repeat, so the hot accesses are unsafe_. *)
-let reg t r =
-  if r < 0 || r >= Instr.num_regs then (crash t (Bad_register r); 0)
-  else Array.unsafe_get t.regs r
 
 let set_reg t r v =
   if r < 0 || r >= Instr.num_regs then crash t (Bad_register r)
@@ -109,7 +108,8 @@ let jump t a =
   if a < 0 || a > Array.length t.code then crash t (Bad_jump a)
   else t.pc <- a
 
-let cmp op a b =
+(* Typed [int]: left polymorphic, every comparison is a C call. *)
+let[@inline] cmp op (a : int) (b : int) =
   let r =
     match op with
     | Instr.Lt -> a < b
@@ -121,128 +121,278 @@ let cmp op a b =
   in
   if r then 1 else 0
 
-(* Execute exactly one instruction.  On [Sys s], sets status to
-   [Need_syscall s] and leaves pc pointing *past* the Sys instruction:
-   the engine rewinds to it ([rewind_syscall]), services the call,
-   writes result registers, and steps over it ([advance_past_syscall]). *)
-let step t =
-  match t.status with
-  | Halted | Crashed _ | Need_syscall _ -> ()
-  | Running ->
-      if t.pc < 0 || t.pc >= Array.length t.code then crash t (Bad_jump t.pc)
-      else begin
-        let at = t.pc in
-        (match t.on_execute with Some f -> f at | None -> ());
-        t.icount <- t.icount + 1;
-        t.pc <- t.pc + 1;
-        match Array.unsafe_get t.code at with
-        | Instr.Nop -> ()
-        | Instr.Halt -> t.status <- Halted
-        | Instr.Const (d, n) -> set_reg t d n
-        | Instr.Mov (d, s) -> set_reg t d (reg t s)
-        | Instr.Bin (op, d, a, b) ->
-            (* Operand order mirrors the former [binop op (reg t a)
-               (reg t b)] call (right-to-left); the dispatch is inlined
-               so arithmetic never allocates an option. *)
-            let y = reg t b in
-            let x = reg t a in
-            (match op with
-            | Instr.Add -> set_reg t d (x + y)
-            | Instr.Sub -> set_reg t d (x - y)
-            | Instr.Mul -> set_reg t d (x * y)
-            | Instr.Div ->
-                if y = 0 then crash t Division_by_zero
-                else set_reg t d (x / y)
-            | Instr.Mod ->
-                if y = 0 then crash t Division_by_zero
-                else set_reg t d (x mod y)
-            | Instr.And -> set_reg t d (x land y)
-            | Instr.Or -> set_reg t d (x lor y)
-            | Instr.Xor -> set_reg t d (x lxor y)
-            | Instr.Shl -> set_reg t d (x lsl (y land 62))
-            | Instr.Shr -> set_reg t d (x asr (y land 62)))
-        | Instr.Cmp (op, d, a, b) -> set_reg t d (cmp op (reg t a) (reg t b))
-        | Instr.Load (d, a) -> (
-            match Memory.read t.heap (reg t a) with
-            | v -> set_reg t d v
-            | exception Memory.Out_of_bounds addr ->
-                crash t (Heap_out_of_bounds addr))
-        | Instr.Store (a, s) -> (
-            match Memory.write t.heap (reg t a) (reg t s) with
-            | () -> ()
-            | exception Memory.Out_of_bounds addr ->
-                crash t (Heap_out_of_bounds addr))
-        | Instr.Push r -> push t (reg t r)
-        | Instr.Pop r ->
-            let v = pop t in
-            if is_running t then set_reg t r v
-        | Instr.Sload (d, off) ->
-            let i = t.fp + off in
-            if i < 0 || i >= Array.length t.stack then crash t Stack_overflow
-            else set_reg t d (Array.unsafe_get t.stack i)
-        | Instr.Sstore (off, s) ->
-            let i = t.fp + off in
-            if i < 0 || i >= Array.length t.stack then crash t Stack_overflow
-            else Array.unsafe_set t.stack i (reg t s)
-        | Instr.Jmp a -> jump t a
-        | Instr.Jz (r, a) -> if reg t r = 0 then jump t a
-        | Instr.Jnz (r, a) -> if reg t r <> 0 then jump t a
-        | Instr.Call a ->
-            push t t.pc;
-            if is_running t then jump t a
-        | Instr.Ret ->
-            let a = pop t in
-            if is_running t then jump t a
-        | Instr.Enter n ->
-            push t t.fp;
-            if is_running t then begin
-              t.fp <- t.sp;
-              if t.sp + n > Array.length t.stack then crash t Stack_overflow
-              else
-                (* Locals are NOT cleared: like a real stack, a frame
-                   starts with stale garbage from earlier calls, so a
-                   lost-initialization fault reads junk immediately. *)
-                t.sp <- t.sp + n
-            end
-        | Instr.Leave ->
-            if t.fp > t.sp || t.fp < 1 then crash t Stack_underflow
-            else begin
-              t.sp <- t.fp;
-              let old_fp = pop t in
-              if is_running t then t.fp <- old_fp
-            end
-        | Instr.Sys s -> t.status <- Need_syscall s
-        | Instr.Check r ->
-            if reg t r = 0 then crash t (Check_failed at)
-        | Instr.Sigret ->
-            (* Restore the register file pushed by [deliver_signal], then
-               return to the interrupted pc. *)
-            for r = Instr.num_regs - 1 downto 0 do
-              let v = pop t in
-              if is_running t then t.regs.(r) <- v
-            done;
-            if is_running t then begin
-              let a = pop t in
-              if is_running t then begin
-                t.in_signal <- false;
-                jump t a
-              end
-            end
+(* Every register operand is checked with one mask test against this
+   bound, so the loop below can read and write [regs] unsafely. *)
+let () = assert (Instr.num_regs = 16)
+
+(* End of a slice: write the carried registers back. *)
+let stop t pc sp fp left =
+  t.pc <- pc;
+  t.sp <- sp;
+  t.fp <- fp;
+  left
+
+(* The exits below write [status], a call to [caml_modify]; kept out of
+   line so that no call sits in the loop to make it spill. *)
+let[@inline never] crash_stop t pc sp fp left reason =
+  crash t reason;
+  stop t pc sp fp left
+
+let[@inline never] halt t pc sp fp left =
+  t.status <- Halted;
+  stop t pc sp fp left
+
+(* The crash of an instruction whose operands failed the mask test names
+   the first bad one in operand order. *)
+let[@inline never] bad_register t pc sp fp left a b c =
+  let ok r = r land lnot 15 = 0 in
+  let r = if not (ok a) then a else if not (ok b) then b else c in
+  crash_stop t pc sp fp left (Bad_register r)
+
+(* pc stays past the [Sys]: see {!rewind_syscall}. *)
+let[@inline never] syscall t pc sp fp left s =
+  t.status <- Need_syscall s;
+  stop t pc sp fp left
+
+(* The interpreter loop.  [pc], [sp], [fp] and the budget [left] ride in
+   arguments, so they live in machine registers; [t] sees them only when
+   the slice ends (budget spent, crash, [Halt], [Sys]) or around a frame
+   instruction.  Returns the budget left; the caller counts [icount].
+   Every crash consumes its instruction except a wild pc.  Whatever
+   calls out (heap access, status writes, frame instructions, division)
+   sits in a function the loop tail-calls, so no call forces the carried
+   state onto the stack.  Top level and closure-free: a slice allocates
+   nothing. *)
+let rec exec t pc sp fp left =
+  let code = t.code in
+  if left <= 0 then stop t pc sp fp left
+  else if pc < 0 || pc >= Array.length code then
+    crash_stop t pc sp fp left (Bad_jump pc)
+  else
+    let left = left - 1 and next = pc + 1 in
+    let regs = t.regs and stack = t.stack in
+    match Array.unsafe_get code pc with
+    | Instr.Push r ->
+        if r land lnot 15 <> 0 then bad_register t next sp fp left r r r
+        else if sp >= Array.length stack then
+          crash_stop t next sp fp left Stack_overflow
+        else begin
+          Array.unsafe_set stack sp (Array.unsafe_get regs r);
+          exec t next (sp + 1) fp left
+        end
+    | Instr.Pop r ->
+        if r land lnot 15 <> 0 then bad_register t next sp fp left r r r
+        else if sp <= 0 then crash_stop t next sp fp left Stack_underflow
+        else begin
+          let sp = sp - 1 in
+          Array.unsafe_set regs r (Array.unsafe_get stack sp);
+          exec t next sp fp left
+        end
+    | Instr.Sload (d, off) ->
+        let i = fp + off in
+        if d land lnot 15 <> 0 then bad_register t next sp fp left d d d
+        else if i < 0 || i >= Array.length stack then
+          crash_stop t next sp fp left Stack_overflow
+        else begin
+          Array.unsafe_set regs d (Array.unsafe_get stack i);
+          exec t next sp fp left
+        end
+    | Instr.Sstore (off, s) ->
+        let i = fp + off in
+        if s land lnot 15 <> 0 then bad_register t next sp fp left s s s
+        else if i < 0 || i >= Array.length stack then
+          crash_stop t next sp fp left Stack_overflow
+        else begin
+          Array.unsafe_set stack i (Array.unsafe_get regs s);
+          exec t next sp fp left
+        end
+    | Instr.Const (d, v) ->
+        if d land lnot 15 <> 0 then bad_register t next sp fp left d d d
+        else begin
+          Array.unsafe_set regs d v;
+          exec t next sp fp left
+        end
+    | Instr.Mov (d, s) ->
+        if (d lor s) land lnot 15 <> 0 then
+          bad_register t next sp fp left d s s
+        else begin
+          Array.unsafe_set regs d (Array.unsafe_get regs s);
+          exec t next sp fp left
+        end
+    | Instr.Bin (op, d, a, b) -> (
+        if (d lor a lor b) land lnot 15 <> 0 then
+          bad_register t next sp fp left d a b
+        else
+          let x = Array.unsafe_get regs a and y = Array.unsafe_get regs b in
+          match op with
+          | Instr.Div | Instr.Mod -> divide t next sp fp left op d x y
+          | _ ->
+              Array.unsafe_set regs d
+                (match op with
+                | Instr.Add -> x + y
+                | Instr.Sub -> x - y
+                | Instr.Mul -> x * y
+                | Instr.And -> x land y
+                | Instr.Or -> x lor y
+                | Instr.Xor -> x lxor y
+                | Instr.Shl -> x lsl (y land 62)
+                | Instr.Shr -> x asr (y land 62)
+                | Instr.Div | Instr.Mod -> assert false);
+              exec t next sp fp left)
+    | Instr.Cmp (op, d, a, b) ->
+        if (d lor a lor b) land lnot 15 <> 0 then
+          bad_register t next sp fp left d a b
+        else begin
+          Array.unsafe_set regs d
+            (cmp op (Array.unsafe_get regs a) (Array.unsafe_get regs b));
+          exec t next sp fp left
+        end
+    | Instr.Load (d, a) ->
+        if (d lor a) land lnot 15 <> 0 then
+          bad_register t next sp fp left d a a
+        else load t next sp fp left d (Array.unsafe_get regs a)
+    | Instr.Store (a, s) ->
+        if (a lor s) land lnot 15 <> 0 then
+          bad_register t next sp fp left a s s
+        else
+          store t next sp fp left (Array.unsafe_get regs a)
+            (Array.unsafe_get regs s)
+    | Instr.Jmp a ->
+        if a < 0 || a > Array.length code then
+          crash_stop t next sp fp left (Bad_jump a)
+        else exec t a sp fp left
+    | Instr.Jz (r, a) ->
+        if r land lnot 15 <> 0 then bad_register t next sp fp left r r r
+        else if Array.unsafe_get regs r <> 0 then
+          exec t next sp fp left
+        else if a < 0 || a > Array.length code then
+          crash_stop t next sp fp left (Bad_jump a)
+        else exec t a sp fp left
+    | Instr.Jnz (r, a) ->
+        if r land lnot 15 <> 0 then bad_register t next sp fp left r r r
+        else if Array.unsafe_get regs r = 0 then
+          exec t next sp fp left
+        else if a < 0 || a > Array.length code then
+          crash_stop t next sp fp left (Bad_jump a)
+        else exec t a sp fp left
+    | Instr.Check r ->
+        if r land lnot 15 <> 0 then bad_register t next sp fp left r r r
+        else if Array.unsafe_get regs r = 0 then
+          crash_stop t next sp fp left (Check_failed pc)
+        else exec t next sp fp left
+    | Instr.Nop -> exec t next sp fp left
+    | Instr.Halt -> halt t next sp fp left
+    | Instr.Sys s -> syscall t next sp fp left s
+    | (Instr.Call _ | Instr.Ret | Instr.Enter _ | Instr.Leave | Instr.Sigret)
+      as frame ->
+        framed t next sp fp left frame
+
+and divide t pc sp fp left op d x y =
+  if y = 0 then crash_stop t pc sp fp left Division_by_zero
+  else begin
+    Array.unsafe_set t.regs d
+      (match op with Instr.Div -> x / y | _ -> x mod y);
+    exec t pc sp fp left
+  end
+
+and load t pc sp fp left d addr =
+  match Memory.read t.heap addr with
+  | v ->
+      Array.unsafe_set t.regs d v;
+      exec t pc sp fp left
+  | exception Memory.Out_of_bounds addr ->
+      crash_stop t pc sp fp left (Heap_out_of_bounds addr)
+
+and store t pc sp fp left addr v =
+  match Memory.write t.heap addr v with
+  | () -> exec t pc sp fp left
+  | exception Memory.Out_of_bounds addr ->
+      crash_stop t pc sp fp left (Heap_out_of_bounds addr)
+
+(* A frame instruction runs on the state written back to [t], through
+   the [push]/[pop]/[jump] it shares with signal delivery; the loop
+   resumes from [t] unless it crashed. *)
+and framed t pc sp fp left frame =
+  t.pc <- pc;
+  t.sp <- sp;
+  t.fp <- fp;
+  (match frame with
+  | Instr.Call a ->
+      push t t.pc;
+      if is_running t then jump t a
+  | Instr.Ret ->
+      let a = pop t in
+      if is_running t then jump t a
+  | Instr.Enter k ->
+      push t t.fp;
+      if is_running t then begin
+        t.fp <- t.sp;
+        (* A negative frame would take sp below 0, where [push] stores
+           unchecked. *)
+        if k < 0 then crash t Stack_underflow
+        else if t.sp + k > Array.length t.stack then crash t Stack_overflow
+        else
+          (* Locals are NOT cleared: like a real stack, a frame starts
+             with stale garbage from earlier calls, so a
+             lost-initialization fault reads junk immediately. *)
+          t.sp <- t.sp + k
       end
+  | Instr.Leave ->
+      if t.fp > t.sp || t.fp < 1 then crash t Stack_underflow
+      else begin
+        t.sp <- t.fp;
+        let old_fp = pop t in
+        if is_running t then t.fp <- old_fp
+      end
+  | Instr.Sigret ->
+      (* Restore the register file pushed by [deliver_signal], then
+         return to the interrupted pc. *)
+      for r = Instr.num_regs - 1 downto 0 do
+        let v = pop t in
+        if is_running t then t.regs.(r) <- v
+      done;
+      if is_running t then begin
+        let a = pop t in
+        if is_running t then begin
+          t.in_signal <- false;
+          jump t a
+        end
+      end
+  | _ -> assert false);
+  if is_running t then exec t t.pc t.sp t.fp left else left
+
+(* With an [on_execute] hook, one instruction at a time: the pc check,
+   the hook with the pc about to execute, then a one-instruction run of
+   the same loop.  [icount] is counted here, so a hook reads it current. *)
+let rec hooked t left =
+  if left <= 0 || not (is_running t) then left
+  else if t.pc < 0 || t.pc >= Array.length t.code then begin
+    crash t (Bad_jump t.pc);
+    left
+  end
+  else begin
+    (match t.on_execute with Some f -> f t.pc | None -> ());
+    t.icount <- t.icount + 1;
+    ignore (exec t t.pc t.sp t.fp 1 : int);
+    hooked t (left - 1)
+  end
 
 (* Execute up to [budget] instructions, stopping early at the first
-   status change.  Behaviourally identical to calling {!step} in a loop,
-   but the scheduler pays one call per slice instead of three
-   cross-module calls (two of them polymorphic compares) per
-   instruction.  Returns the number of instructions actually executed
-   (a crash on a wild pc consumes no instruction, exactly as in
-   {!step}). *)
+   status change.  Returns the number of instructions actually executed
+   (a crash on a wild pc consumes no instruction).  On [Sys s] the
+   status becomes [Need_syscall s] with pc pointing *past* the Sys
+   instruction: the engine rewinds to it ([rewind_syscall]), services
+   the call, writes result registers, and steps over it
+   ([advance_past_syscall]). *)
 let step_n t budget =
-  let start = t.icount in
-  while t.icount - start < budget && is_running t do
-    step t
-  done;
-  t.icount - start
+  if not (is_running t) then 0
+  else
+    match t.on_execute with
+    | Some _ -> budget - hooked t budget
+    | None ->
+        let n = budget - exec t t.pc t.sp t.fp budget in
+        t.icount <- t.icount + n;
+        n
 
 (* Rewind to the [Sys] instruction itself.  The engine does this as soon
    as it sees [Need_syscall]: the machine is then at a clean boundary, so
@@ -279,7 +429,6 @@ let deliver_signal t =
 (* --- checkpoint support ------------------------------------------------ *)
 
 type snapshot = {
-  s_code_len : int;          (* sanity: snapshots are per-program *)
   s_pc : int;
   s_regs : int array;
   s_stack : int array;       (* live prefix only *)
@@ -293,7 +442,6 @@ type snapshot = {
 
 let snapshot t =
   {
-    s_code_len = Array.length t.code;
     s_pc = t.pc;
     s_regs = Array.copy t.regs;
     s_stack = Array.sub t.stack 0 t.sp;

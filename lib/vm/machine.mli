@@ -56,14 +56,20 @@ val stack_slot : t -> int -> int option
 val set_stack_slot : t -> int -> int -> unit
 val live_stack_size : t -> int
 
-val step : t -> unit
-(** Execute one instruction; no-op unless [Running]. *)
+val cmp : Instr.cmp -> int -> int -> int
+(** [cmp op a b] is 1 when [a op b] holds, else 0: what [Cmp] writes. *)
 
 val step_n : t -> int -> int
 (** [step_n t budget] executes up to [budget] instructions, stopping
-    early at the first status change; returns the number executed.
-    Equivalent to calling {!step} in a loop, minus the per-instruction
-    call overhead. *)
+    early at the first status change; returns the number executed.  A
+    no-op unless [Running].  A [Sys] stops it with [Need_syscall] and pc
+    just past the instruction.  Every crash consumes its instruction
+    except a wild pc; a register operand outside [0 .. num_regs-1]
+    crashes [Bad_register] and changes nothing else.  With an
+    [on_execute] hook the hook sees each pc before its instruction runs.
+    The reference semantics, one instruction at a time, is the
+    interpreter in [test/test_vm.ml], which a property checks this
+    against. *)
 
 val rewind_syscall : t -> unit
 (** Point the machine back at the pending [Sys] instruction so a
@@ -78,7 +84,6 @@ val deliver_signal : t -> bool
     already running, or the machine is not [Running]. *)
 
 type snapshot = {
-  s_code_len : int;
   s_pc : int;
   s_regs : int array;
   s_stack : int array;  (** live prefix *)

@@ -1,20 +1,16 @@
-(* Unit tests for the VM: instruction semantics, the Asm compiler, memory
-   dirty tracking, and machine snapshot/restore. *)
+(* Unit tests for the VM: instruction semantics, the interpreter loop
+   against a per-instruction reference, the Asm compiler, memory dirty
+   tracking, and machine snapshot/restore. *)
 
 let run_program ?(steps = 1_000_000) prog =
   let code = Ft_vm.Asm.compile prog in
   let m = Ft_vm.Machine.create ~heap_size:4096 code in
-  let rec go n =
-    if n = 0 then failwith "program did not halt";
-    match Ft_vm.Machine.status m with
-    | Ft_vm.Machine.Running ->
-        Ft_vm.Machine.step m;
-        go (n - 1)
-    | Ft_vm.Machine.Need_syscall _ ->
-        failwith "unexpected syscall in pure program"
-    | Ft_vm.Machine.Halted | Ft_vm.Machine.Crashed _ -> ()
-  in
-  go steps;
+  ignore (Ft_vm.Machine.step_n m steps);
+  (match Ft_vm.Machine.status m with
+  | Ft_vm.Machine.Running -> failwith "program did not halt"
+  | Ft_vm.Machine.Need_syscall _ ->
+      failwith "unexpected syscall in pure program"
+  | Ft_vm.Machine.Halted | Ft_vm.Machine.Crashed _ -> ());
   m
 
 open Ft_vm.Asm
@@ -342,20 +338,16 @@ let test_snapshot_restore () =
   let code = Ft_vm.Asm.compile prog in
   let m = Ft_vm.Machine.create ~heap_size:4096 code in
   (* run ~500 instructions, snapshot, run to completion, restore, rerun *)
-  for _ = 1 to 500 do Ft_vm.Machine.step m done;
+  ignore (Ft_vm.Machine.step_n m 500);
   let snap = Ft_vm.Machine.snapshot m in
   let mid_heap = Ft_vm.Memory.snapshot (Ft_vm.Machine.heap m) in
-  while Ft_vm.Machine.status m = Ft_vm.Machine.Running do
-    Ft_vm.Machine.step m
-  done;
+  ignore (Ft_vm.Machine.step_n m max_int);
   Alcotest.(check int) "99^2 written" (99 * 99)
     (Ft_vm.Memory.read (Ft_vm.Machine.heap m) 99);
   Ft_vm.Machine.restore m snap;
   Alcotest.(check bool) "heap restored" true
     (Ft_vm.Memory.snapshot (Ft_vm.Machine.heap m) = mid_heap);
-  while Ft_vm.Machine.status m = Ft_vm.Machine.Running do
-    Ft_vm.Machine.step m
-  done;
+  ignore (Ft_vm.Machine.step_n m max_int);
   Alcotest.(check int) "re-execution completes identically" (99 * 99)
     (Ft_vm.Memory.read (Ft_vm.Machine.heap m) 99)
 
@@ -373,6 +365,401 @@ let test_compile_error () =
   Alcotest.check_raises "unbound variable"
     (Ft_vm.Asm.Compile_error "function main: unbound variable nope")
     (fun () -> ignore (Ft_vm.Asm.compile prog))
+
+(* --- the interpreter against its reference ------------------------------ *)
+
+(* The per-instruction interpreter [Machine.step_n]'s loop replaced, kept
+   as the reference semantics of the instruction set: one instruction per
+   call, every register through a checked accessor, every state change
+   made on the record at once.  It gained one check with the loop: a
+   negative [Enter] frame crashes [Stack_underflow] instead of taking sp
+   below 0. *)
+module Ref = struct
+  open Ft_vm.Machine
+  module I = Ft_vm.Instr
+
+  let is_running t = match t.status with Running -> true | _ -> false
+
+  let reg t r =
+    if r < 0 || r >= I.num_regs then (crash t (Bad_register r); 0)
+    else t.regs.(r)
+
+  let set_reg t r v =
+    if r < 0 || r >= I.num_regs then crash t (Bad_register r)
+    else t.regs.(r) <- v
+
+  let push t v =
+    if t.sp >= Array.length t.stack then crash t Stack_overflow
+    else begin
+      t.stack.(t.sp) <- v;
+      t.sp <- t.sp + 1
+    end
+
+  let pop t =
+    if t.sp <= 0 then (crash t Stack_underflow; 0)
+    else begin
+      t.sp <- t.sp - 1;
+      t.stack.(t.sp)
+    end
+
+  let jump t a =
+    if a < 0 || a > Array.length t.code then crash t (Bad_jump a)
+    else t.pc <- a
+
+  let cmp op a b =
+    let r =
+      match op with
+      | I.Lt -> a < b
+      | I.Le -> a <= b
+      | I.Gt -> a > b
+      | I.Ge -> a >= b
+      | I.Eq -> a = b
+      | I.Ne -> a <> b
+    in
+    if r then 1 else 0
+
+  (* Execute exactly one instruction; a no-op unless [Running]. *)
+  let step t =
+    match t.status with
+    | Halted | Crashed _ | Need_syscall _ -> ()
+    | Running ->
+        if t.pc < 0 || t.pc >= Array.length t.code then crash t (Bad_jump t.pc)
+        else begin
+          let at = t.pc in
+          (match t.on_execute with Some f -> f at | None -> ());
+          t.icount <- t.icount + 1;
+          t.pc <- t.pc + 1;
+          match t.code.(at) with
+          | I.Nop -> ()
+          | I.Halt -> t.status <- Halted
+          | I.Const (d, n) -> set_reg t d n
+          | I.Mov (d, s) -> set_reg t d (reg t s)
+          | I.Bin (op, d, a, b) -> (
+              let y = reg t b in
+              let x = reg t a in
+              match op with
+              | I.Add -> set_reg t d (x + y)
+              | I.Sub -> set_reg t d (x - y)
+              | I.Mul -> set_reg t d (x * y)
+              | I.Div ->
+                  if y = 0 then crash t Division_by_zero
+                  else set_reg t d (x / y)
+              | I.Mod ->
+                  if y = 0 then crash t Division_by_zero
+                  else set_reg t d (x mod y)
+              | I.And -> set_reg t d (x land y)
+              | I.Or -> set_reg t d (x lor y)
+              | I.Xor -> set_reg t d (x lxor y)
+              | I.Shl -> set_reg t d (x lsl (y land 62))
+              | I.Shr -> set_reg t d (x asr (y land 62)))
+          | I.Cmp (op, d, a, b) -> set_reg t d (cmp op (reg t a) (reg t b))
+          | I.Load (d, a) -> (
+              match Ft_vm.Memory.read t.heap (reg t a) with
+              | v -> set_reg t d v
+              | exception Ft_vm.Memory.Out_of_bounds addr ->
+                  crash t (Heap_out_of_bounds addr))
+          | I.Store (a, s) -> (
+              match Ft_vm.Memory.write t.heap (reg t a) (reg t s) with
+              | () -> ()
+              | exception Ft_vm.Memory.Out_of_bounds addr ->
+                  crash t (Heap_out_of_bounds addr))
+          | I.Push r -> push t (reg t r)
+          | I.Pop r ->
+              let v = pop t in
+              if is_running t then set_reg t r v
+          | I.Sload (d, off) ->
+              let i = t.fp + off in
+              if i < 0 || i >= Array.length t.stack then crash t Stack_overflow
+              else set_reg t d t.stack.(i)
+          | I.Sstore (off, s) ->
+              let i = t.fp + off in
+              if i < 0 || i >= Array.length t.stack then crash t Stack_overflow
+              else t.stack.(i) <- reg t s
+          | I.Jmp a -> jump t a
+          | I.Jz (r, a) -> if reg t r = 0 then jump t a
+          | I.Jnz (r, a) -> if reg t r <> 0 then jump t a
+          | I.Call a ->
+              push t t.pc;
+              if is_running t then jump t a
+          | I.Ret ->
+              let a = pop t in
+              if is_running t then jump t a
+          | I.Enter n ->
+              push t t.fp;
+              if is_running t then begin
+                t.fp <- t.sp;
+                if n < 0 then crash t Stack_underflow
+                else if t.sp + n > Array.length t.stack then
+                  crash t Stack_overflow
+                else t.sp <- t.sp + n
+              end
+          | I.Leave ->
+              if t.fp > t.sp || t.fp < 1 then crash t Stack_underflow
+              else begin
+                t.sp <- t.fp;
+                let old_fp = pop t in
+                if is_running t then t.fp <- old_fp
+              end
+          | I.Sys s -> t.status <- Need_syscall s
+          | I.Check r -> if reg t r = 0 then crash t (Check_failed at)
+          | I.Sigret ->
+              for r = I.num_regs - 1 downto 0 do
+                let v = pop t in
+                if is_running t then t.regs.(r) <- v
+              done;
+              if is_running t then begin
+                let a = pop t in
+                if is_running t then begin
+                  t.in_signal <- false;
+                  jump t a
+                end
+              end
+        end
+
+  let step_n t budget =
+    let start = t.icount in
+    while t.icount - start < budget && is_running t do
+      step t
+    done;
+    t.icount - start
+end
+
+(* A random machine: a small code array over every constructor, stacks
+   and heaps small enough for every reachable crash to fire, random
+   starting registers and signal handler, and the slices to run it in
+   (a budget each, with or without a signal delivered first). *)
+type interp_case = {
+  code : Ft_vm.Instr.t array;
+  stack_size : int;
+  heap_size : int;
+  page_size : int;
+  regs0 : int array;
+  handler : int;
+  slices : (int * bool) list;
+}
+
+let gen_interp_case =
+  let open QCheck.Gen in
+  let module I = Ft_vm.Instr in
+  let* len = 1 -- 24 in
+  let* stack_size = 2 -- 24 in
+  let* page_size = oneofl [ 8; 16 ] in
+  let* heap_size = 8 -- 48 in
+  let reg = 0 -- 15 in
+  let target = -2 -- (len + 1) in
+  let value =
+    frequency
+      [ (4, -3 -- 3); (3, -1 -- (heap_size + page_size)); (1, int) ]
+  in
+  let off =
+    frequency [ (3, -3 -- 3); (1, -(stack_size + 2) -- (stack_size + 2)) ]
+  in
+  let binop = oneofl I.[ Add; Sub; Mul; Div; Mod; And; Or; Xor; Shl; Shr ] in
+  let cmpop = oneofl I.[ Lt; Le; Gt; Ge; Eq; Ne ] in
+  let instr =
+    frequency
+      [ (1, return I.Nop); (1, return I.Halt);
+        (3, map2 (fun d n -> I.Const (d, n)) reg value);
+        (2, map2 (fun d s -> I.Mov (d, s)) reg reg);
+        (3, map4 (fun op d a b -> I.Bin (op, d, a, b)) binop reg reg reg);
+        (2, map4 (fun op d a b -> I.Cmp (op, d, a, b)) cmpop reg reg reg);
+        (2, map2 (fun d a -> I.Load (d, a)) reg reg);
+        (2, map2 (fun a s -> I.Store (a, s)) reg reg);
+        (4, map (fun r -> I.Push r) reg); (4, map (fun r -> I.Pop r) reg);
+        (3, map2 (fun d o -> I.Sload (d, o)) reg off);
+        (3, map2 (fun o s -> I.Sstore (o, s)) off reg);
+        (2, map (fun a -> I.Jmp a) target);
+        (2, map2 (fun r a -> I.Jz (r, a)) reg target);
+        (2, map2 (fun r a -> I.Jnz (r, a)) reg target);
+        (2, map (fun a -> I.Call a) target); (2, return I.Ret);
+        (2, map (fun n -> I.Enter n) (-2 -- (stack_size + 1)));
+        (2, return I.Leave);
+        (1, map (fun s -> I.Sys s) (oneofl Ft_vm.Syscall.all));
+        (1, map (fun r -> I.Check r) reg); (1, return I.Sigret) ]
+  in
+  let* code = array_size (return len) instr in
+  let* regs0 = array_size (return Ft_vm.Instr.num_regs) value in
+  let* handler = frequency [ (1, return (-1)); (2, 0 -- (len - 1)) ] in
+  let signal = frequency [ (3, return false); (1, return true) ] in
+  let+ slices = list_size (1 -- 4) (pair (1 -- 300) signal) in
+  { code; stack_size; heap_size; page_size; regs0; handler; slices }
+
+let show_interp_case c =
+  Printf.sprintf
+    "stack_size=%d heap_size=%d page_size=%d handler=%d\nregs=[%s]\n\
+     slices=[%s]\n%s"
+    c.stack_size c.heap_size c.page_size c.handler
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.regs0)))
+    (String.concat ";"
+       (List.map
+          (fun (b, s) -> Printf.sprintf "%d%s" b (if s then "+sig" else ""))
+          c.slices))
+    (String.concat "\n"
+       (Array.to_list
+          (Array.mapi
+             (fun i x -> Printf.sprintf "%3d  %s" i (Ft_vm.Instr.to_string x))
+             c.code)))
+
+let arb_interp_case = QCheck.make gen_interp_case ~print:show_interp_case
+
+(* A fresh machine for [c], with its own copy of the code. *)
+let machine_of_case c =
+  let m =
+    Ft_vm.Machine.create ~stack_size:c.stack_size ~heap_size:c.heap_size
+      ~page_size:c.page_size (Array.copy c.code)
+  in
+  Array.blit c.regs0 0 m.regs 0 Ft_vm.Instr.num_regs;
+  m.signal_handler <- c.handler;
+  m
+
+(* Everything an instruction can change, and the count a slice reports. *)
+let machine_view executed (m : Ft_vm.Machine.t) =
+  ( executed,
+    (m.pc, m.sp, m.fp, m.icount, m.in_signal, m.status),
+    (Array.copy m.regs, Array.copy m.stack),
+    ( Ft_vm.Memory.snapshot m.heap,
+      Ft_vm.Memory.dirty_pages m.heap ) )
+
+let show_status (s : Ft_vm.Machine.status) =
+  match s with
+  | Running -> "running"
+  | Halted -> "halted"
+  | Need_syscall s -> "syscall " ^ Ft_vm.Syscall.to_string s
+  | Crashed r ->
+      "crashed "
+      ^ (match r with
+        | Heap_out_of_bounds a -> Printf.sprintf "heap_oob %d" a
+        | Stack_overflow -> "stack_overflow"
+        | Stack_underflow -> "stack_underflow"
+        | Division_by_zero -> "div0"
+        | Bad_jump a -> Printf.sprintf "bad_jump %d" a
+        | Bad_register r -> Printf.sprintf "bad_register %d" r
+        | Check_failed pc -> Printf.sprintf "check_failed %d" pc
+        | Killed -> "killed")
+
+let show_view (n, (pc, sp, fp, ic, sg, st), (regs, stack), (heap, dirty)) =
+  let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf
+    "executed=%d pc=%d sp=%d fp=%d icount=%d in_signal=%b %s\n\
+    \  regs=[%s]\n  stack=[%s]\n  heap=[%s] dirty=[%s]"
+    n pc sp fp ic sg (show_status st) (ints regs) (ints stack) (ints heap)
+    (String.concat ";" (List.map string_of_int dirty))
+
+let show_seen seen =
+  String.concat ";"
+    (List.rev_map (fun (pc, ic) -> Printf.sprintf "%d@%d" pc ic) seen)
+
+(* Run [c] through [Machine.step_n] and through the reference, slice by
+   slice, comparing after each; a pending syscall is stepped over on
+   both sides.  With [hooked], both machines record the pc and icount
+   their [on_execute] hook sees, and the sequences must match too. *)
+let interp_agrees ~hooked c =
+  let module M = Ft_vm.Machine in
+  let fast = machine_of_case c and slow = machine_of_case c in
+  let seen_fast = ref [] and seen_slow = ref [] in
+  let record m seen = Some (fun pc -> seen := (pc, M.icount m) :: !seen) in
+  if hooked then begin
+    fast.on_execute <- record fast seen_fast;
+    slow.on_execute <- record slow seen_slow
+  end;
+  List.iteri
+    (fun i (budget, signal) ->
+      if signal then begin
+        let df = M.deliver_signal fast and ds = M.deliver_signal slow in
+        if df <> ds then
+          QCheck.Test.fail_reportf "slice %d: deliver_signal differs" i
+      end;
+      let vf = machine_view (M.step_n fast budget) fast
+      and vs = machine_view (Ref.step_n slow budget) slow in
+      if vf <> vs then
+        QCheck.Test.fail_reportf
+          "slice %d (budget %d, hooked %b):\nstep_n    %s\nreference %s" i
+          budget hooked (show_view vf) (show_view vs);
+      if !seen_fast <> !seen_slow then
+        QCheck.Test.fail_reportf
+          "slice %d: the hook saw (pc, icount) [%s], the reference [%s]" i
+          (show_seen !seen_fast) (show_seen !seen_slow);
+      match (M.status fast, M.status slow) with
+      | M.Need_syscall _, M.Need_syscall _ ->
+          List.iter
+            (fun m ->
+              M.rewind_syscall m;
+              M.advance_past_syscall m)
+            [ fast; slow ]
+      | _ -> ())
+    c.slices;
+  true
+
+let prop_interp_matches_reference =
+  QCheck.Test.make ~name:"step_n matches the reference interpreter" ~count:1000
+    arb_interp_case (fun c ->
+      interp_agrees ~hooked:false c && interp_agrees ~hooked:true c)
+
+(* The generator is only as good as the crashes it reaches: over a fixed
+   sample, every reason the instruction set can raise with in-range
+   registers fires, and so do [Halt] and [Sys]. *)
+let test_interp_cases_reach_every_stop () =
+  let rand = Random.State.make [| 27 |] in
+  let seen = Hashtbl.create 16 in
+  for _ = 1 to 2000 do
+    let c = gen_interp_case rand in
+    let m = machine_of_case c in
+    List.iter
+      (fun (budget, signal) ->
+        if signal then ignore (Ft_vm.Machine.deliver_signal m);
+        ignore (Ft_vm.Machine.step_n m budget))
+      c.slices;
+    match String.split_on_char ' ' (show_status (Ft_vm.Machine.status m)) with
+    | "crashed" :: reason :: _ | reason :: _ -> Hashtbl.replace seen reason ()
+    | [] -> ()
+  done;
+  List.iter
+    (fun what ->
+      if not (Hashtbl.mem seen what) then
+        Alcotest.failf "no generated case ends %s" what)
+    [ "halted"; "syscall"; "heap_oob"; "stack_overflow"; "stack_underflow";
+      "div0"; "bad_jump"; "check_failed" ]
+
+(* No generated program names a bad register ([Asm] and the fault
+   injectors draw from 0..15), so these are built by hand: one
+   instruction, a [Bad_register] crash, and no register written. *)
+let test_bad_register () =
+  let module M = Ft_vm.Machine in
+  List.iter
+    (fun (instr, bad) ->
+      List.iter
+        (fun hooked ->
+          let m = M.create [| instr; Ft_vm.Instr.Halt |] in
+          Array.iteri (fun i _ -> m.regs.(i) <- 100 + i) m.regs;
+          let regs0 = Array.copy m.regs in
+          if hooked then m.on_execute <- Some ignore;
+          let what = Ft_vm.Instr.to_string instr in
+          Alcotest.(check int) (what ^ ": executed") 1 (M.step_n m 10);
+          Alcotest.(check string) (what ^ ": status")
+            (show_status (M.Crashed (M.Bad_register bad)))
+            (show_status (M.status m));
+          Alcotest.(check int) (what ^ ": icount") 1 (M.icount m);
+          Alcotest.(check int) (what ^ ": pc") 1 (M.pc m);
+          Alcotest.(check (array int)) (what ^ ": registers untouched") regs0
+            m.regs)
+        [ false; true ])
+    Ft_vm.Instr.[ (Const (16, 1), 16); (Mov (0, -1), -1) ]
+
+(* A negative frame is refused before it moves sp: below 0, a later
+   [Push] would store outside the stack array. *)
+let test_negative_frame () =
+  let module M = Ft_vm.Machine in
+  List.iter
+    (fun hooked ->
+      let m = M.create [| Ft_vm.Instr.Enter (-5); Push 0; Halt |] in
+      if hooked then m.on_execute <- Some ignore;
+      Alcotest.(check int) "executed" 1 (M.step_n m 10);
+      Alcotest.(check string) "status"
+        (show_status (M.Crashed M.Stack_underflow))
+        (show_status (M.status m));
+      Alcotest.(check (pair int int)) "sp, fp: fp pushed, no frame" (1, 1)
+        (m.sp, m.fp))
+    [ false; true ]
 
 let tests =
   [
@@ -392,6 +779,17 @@ let tests =
     Alcotest.test_case "fault mutation helpers" `Quick
       test_dest_reg_mutation_helpers;
     Alcotest.test_case "compile error" `Quick test_compile_error;
+    Alcotest.test_case "bad register" `Quick test_bad_register;
+    Alcotest.test_case "negative frame" `Quick test_negative_frame;
   ]
 
-let () = Alcotest.run "ft_vm" [ ("vm", tests) ]
+(* Run alone, at a fixed seed, by CI's "Interpreter reference
+   differential" step: [QCHECK_SEED=n test_vm.exe test interp]. *)
+let interp_tests =
+  [
+    QCheck_alcotest.to_alcotest prop_interp_matches_reference;
+    Alcotest.test_case "generated cases reach every stop" `Quick
+      test_interp_cases_reach_every_stop;
+  ]
+
+let () = Alcotest.run "ft_vm" [ ("vm", tests); ("interp", interp_tests) ]
