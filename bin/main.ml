@@ -483,13 +483,7 @@ let run_single app protocol medium seed scale kills_ms =
     | Ft_runtime.Checkpointer.Reliable_memory -> "reliable memory"
     | Ft_runtime.Checkpointer.Disk _ -> "synchronous disk");
   Printf.printf "outcome    : %s\n"
-    (match r.Ft_runtime.Engine.outcome with
-    | Ft_runtime.Engine.Completed -> "completed"
-    | Ft_runtime.Engine.Deadline -> "deadline"
-    | Ft_runtime.Engine.Recovery_failed -> "recovery failed"
-    | Ft_runtime.Engine.Deadlocked -> "deadlocked"
-    | Ft_runtime.Engine.Instruction_budget -> "instruction budget"
-    | Ft_runtime.Engine.Net_unreachable -> "network unreachable");
+    (Ft_runtime.Engine.outcome_name r.Ft_runtime.Engine.outcome);
   Printf.printf "sim time   : %.3f s\n"
     (float_of_int r.Ft_runtime.Engine.sim_time_ns /. 1e9);
   Printf.printf "commits    : %s (total %d)\n"

@@ -50,17 +50,24 @@ let study ft =
     if seed > 600 then print_endline "  (no crashing run found in budget)"
     else
       match run_with_fault ft ~seed with
-      | Some (plan, r) when r.Ft_runtime.Engine.first_crash <> None ->
+      | Some (plan, r) when r.Ft_runtime.Engine.crashes > 0 ->
           Format.printf "  injected: %a@." Ft_faults.App_injector.pp_plan
             plan;
-          (match (r.Ft_runtime.Engine.activation,
-                  r.Ft_runtime.Engine.first_crash) with
-          | Some (_, a), Some (_, c) ->
+          let trace = r.Ft_runtime.Engine.trace in
+          (match (r.Ft_runtime.Engine.activation, Ft_core.Trace.crashes trace)
+           with
+          | Some (_, a), crash :: _ ->
+              let c = crash.Ft_core.Event.index in
               Printf.printf
                 "  activation at event %d, crash at event %d (latency %d \
                  events)\n" a c (c - a)
           | _ -> ());
-          let violated = r.Ft_runtime.Engine.commit_after_activation in
+          let violated =
+            match r.Ft_runtime.Engine.activation with
+            | Some activation ->
+                Ft_core.Lose_work.committed_after_activation trace ~activation
+            | None -> false
+          in
           Printf.printf "  commit on the dangerous path (Lose-work violated)? %b\n"
             violated;
           let recovered =

@@ -4,16 +4,17 @@
     failures is guaranteed possible iff the application executes no commit
     event on a dangerous path.
 
-    Two checkers are provided.  The graph-based one (via
-    {!Dangerous_paths}) is exact given a state machine with known crash
-    events.  The trace-based one mirrors the paper's fault-injection
+    These are the trace-based checkers; the graph-based coloring is
+    {!Dangerous_paths}.  They mirror the paper's fault-injection
     methodology (§4.1): given an execution that crashed, the dangerous
     path extends backwards from the crash to (just after) the last
     transient non-deterministic event; a commit inside that window, and in
-    particular a commit after fault activation, violates Lose-work.  If
-    there is no transient ND event at all before the crash, the bug is a
-    Bohrbug: the dangerous path extends to the initial state, which is
-    always committed, so Lose-work is inherently violated. *)
+    particular a commit after fault activation (the Table-1 criterion,
+    which [Ft_harness.Table1] judges with {!committed_after_activation}),
+    violates Lose-work.  If there is no transient ND event at all before
+    the crash, the bug is a Bohrbug: the dangerous path extends to the
+    initial state, which is always committed, so Lose-work is inherently
+    violated. *)
 
 type analysis = {
   crash : Event.t;
@@ -53,25 +54,24 @@ let analyze trace ~(crash : Event.t) =
   let violated = bohrbug || commits_on_path <> [] in
   { crash; bohrbug; dangerous_from; commits_on_path; violated }
 
-(* The Table-1 criterion: did the process commit after the fault was
-   activated (and before the crash)?  Such a commit necessarily lies on
-   the dangerous path, and the paper verifies end-to-end that recovery
-   fails iff such a commit exists. *)
-let committed_after_activation trace ~(activation : Event.t)
-    ~(crash : Event.t) =
-  activation.pid = crash.pid
-  &&
-  let found = ref false in
-  Trace.iter_of trace crash.pid (fun (e : Event.t) ->
-      if Event.is_commit e && e.index > activation.index
-         && e.index < crash.index
-      then found := true);
-  !found
-
-(* Graph-level check: any state at which the application commits must not
-   be doomed. *)
-let safe_to_commit ?receive_class g ~state =
-  not (Dangerous_paths.doomed_states ?receive_class g).(state)
+(* The Table-1 criterion (§4.1): did the faulty process commit after
+   the fault was activated and before the run's first crash?
+   [activation] is the position the injector recorded: the faulty pid
+   and the index of its first event after activation.  Such a commit
+   necessarily lies on the dangerous path, and the paper verifies
+   end-to-end that recovery fails iff such a commit exists.  The scan
+   stops at the first crash of any process: from there on, recovery
+   decides what the process re-executes. *)
+let committed_after_activation trace ~activation:(pid, index) =
+  let n = Trace.length trace in
+  let rec go i =
+    i < n
+    &&
+    let e = Trace.get trace i in
+    (not (Event.is_crash e))
+    && ((e.pid = pid && e.index >= index && Event.is_commit e) || go (i + 1))
+  in
+  go 0
 
 (* Save-work and Lose-work conflict for an application (§4, Figure 9) when
    a transient ND event causally precedes a visible event along a path

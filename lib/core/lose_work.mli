@@ -1,6 +1,7 @@
 (** The Lose-work invariant (paper §2.5, §4): application-generic
     recovery from propagation failures is possible iff no commit lands
-    on a dangerous path. *)
+    on a dangerous path.  These checkers judge a recorded trace; the
+    graph-based coloring is {!Dangerous_paths}. *)
 
 type analysis = {
   crash : Event.t;
@@ -17,18 +18,14 @@ val analyze : Trace.t -> crash:Event.t -> analysis
     starts just after the last transient ND event before the crash
     (committing before that event is safe, Figure 6B). *)
 
-val committed_after_activation :
-  Trace.t -> activation:Event.t -> crash:Event.t -> bool
-(** The Table-1 criterion: a commit between fault activation and the
-    crash.  The paper verifies end-to-end that recovery fails iff such a
-    commit exists. *)
-
-val safe_to_commit :
-  ?receive_class:(State_graph.edge -> Event.nd_class) ->
-  State_graph.t ->
-  state:int ->
-  bool
-(** Graph-level check: is the given state outside every dangerous path? *)
+val committed_after_activation : Trace.t -> activation:int * int -> bool
+(** The Table-1 criterion (§4.1): [committed_after_activation trace
+    ~activation:(pid, index)] holds when a [Commit] or [Commit_round] of
+    [pid] with index at least [index] was recorded before the trace's
+    first [Crash] (of any process).  [(pid, index)] is the activation
+    position the injector recorded: the faulty process and the index of
+    its first event after activation.  The paper verifies end-to-end
+    that recovery fails iff such a commit exists. *)
 
 val conflict : Trace.t -> crash:Event.t -> bool
 (** Save-work and Lose-work conflict for this failure (Figure 9): the

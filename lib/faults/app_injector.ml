@@ -6,10 +6,12 @@
     program before the run; their {e activation} is the first dynamic
     execution of the mutated instruction.  Bit flips (stack, heap) are
     applied at a random dynamic instruction count; activation is the flip
-    itself.  The engine records activation so {!Ft_core.Lose_work} can
-    later decide whether a commit landed between activation and the
-    crash, and so recovery can suppress the fault (the paper's end-to-end
-    check). *)
+    itself.  The engine records the activation position (the faulty pid
+    and the index of its first trace event after activation), from
+    which {!Ft_core.Lose_work.committed_after_activation} decides, over
+    the run's trace, whether a commit landed between activation and the
+    crash.  Recovery suppresses the fault by restoring pristine code and
+    dropping the injector's hook (the paper's end-to-end check). *)
 
 type plan =
   | Code_mutation of { at : int; replacement : Ft_vm.Instr.t }
@@ -161,23 +163,10 @@ let arm engine ~pid p =
                     | None -> ()
                   end
               | `Heap ->
+                  (* Live data, often metadata: corrupting a pointer or a
+                     count is what makes heap flips dangerous. *)
                   let heap = Ft_vm.Machine.heap m in
-                  let size = Ft_vm.Memory.size heap in
-                  (* Bias towards live data — and half the time towards
-                     the low region, where programs keep their metadata
-                     (headers, tables, allocators): corrupting a pointer
-                     or a count is what makes heap flips dangerous. *)
-                  let region =
-                    if Random.State.bool rng then min size 4096 else size
-                  in
-                  let rec hunt tries best =
-                    if tries = 0 then best
-                    else
-                      let a = Random.State.int rng region in
-                      if Ft_vm.Memory.read heap a <> 0 then a
-                      else hunt (tries - 1) best
-                  in
-                  let a = hunt 64 (Random.State.int rng region) in
+                  let a = Ft_vm.Memory.pick_live_word heap rng in
                   Ft_vm.Memory.write heap a
                     (Ft_vm.Memory.read heap a lxor (1 lsl bit)));
               Ft_runtime.Engine.record_activation engine pid

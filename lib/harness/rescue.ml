@@ -123,12 +123,12 @@ let run_one ~app ~fault_type ~protocol ~ladder ~reference_visible ~horizon
         Ft_core.Consistency.is_consistent ~reference:reference_visible
           ~observed:r.Engine.visible
       in
-      match r.Engine.first_crash with
-      | None ->
+      match r.Engine.crashes with
+      | 0 ->
           if r.Engine.outcome = Engine.Instruction_budget then Hung
           else if consistent then Benign
           else Wrong_output
-      | Some _ ->
+      | _ ->
           (* Attribution: once the injected fault has ACTIVATED, anything
              wrong with the stream is the fault's doing — a corrupt value
              released before any crash (the paper's wrong-output bucket,

@@ -4,10 +4,11 @@
     For each fault type we inject a planned fault into nvi or postgres
     running under Discount Checking with CPVS (the best uniprocess
     protocol for not violating Lose-work), keep only runs that crash,
-    and measure whether a commit landed between fault activation and the
-    crash.  The end-to-end check mirrors the paper's: recovery suppresses
-    the fault activation; the run must then complete with consistent
-    output iff no commit followed activation. *)
+    and judge from the run's trace whether a commit landed between fault
+    activation and the crash ({!Ft_core.Lose_work.committed_after_activation}).
+    The end-to-end check mirrors the paper's: recovery suppresses the
+    fault activation; the run must then complete with consistent output
+    iff no commit followed activation. *)
 
 type app = Nvi | Postgres
 
@@ -95,12 +96,17 @@ let run_one (w : Ft_apps.Workload.t) ~fault_type ~reference_visible ~horizon
         (* Either an endless loop, or a slow-burn crash whose recovery ran
            out of patience: indeterminate, so discarded. *)
         Hung
-      else if r.Ft_runtime.Engine.first_crash = None then
+      else if r.Ft_runtime.Engine.crashes = 0 then
         if consistent then No_effect else Wrong_output
       else
         Crashed
           {
-            violation = r.Ft_runtime.Engine.commit_after_activation;
+            violation =
+              (match r.Ft_runtime.Engine.activation with
+              | Some activation ->
+                  Ft_core.Lose_work.committed_after_activation
+                    r.Ft_runtime.Engine.trace ~activation
+              | None -> false);
             recovered =
               r.Ft_runtime.Engine.outcome = Ft_runtime.Engine.Completed
               && consistent;

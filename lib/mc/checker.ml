@@ -93,57 +93,17 @@ let prefix_of_string s =
 (* ---- the Lose-work oracle ----------------------------------------------- *)
 
 (* Build the victim's linear state graph (state [i] = "about to execute
-   pc i", one extra crash state) with the crash edge at the crashed pc,
-   classify its receive edges with the Multi-Process Dangerous Paths
-   Algorithm over the crash-free prefix trace, and require that no
-   commit of the victim landed on a doomed state.  A stop failure is
-   transient — re-execution gets past it — so the only doomed state a
-   linear program can have is the terminal one with no continuation
-   left, a modeling artifact we exclude.  We additionally cross-check
-   the library's fixpoint coloring against an independent backward
-   recursion, and require the transient-crash doomed set to be included
-   in the fixed-crash one. *)
+   pc i", one extra crash state) with a transient crash edge at the
+   crashed pc, classify its receive edges with the Multi-Process
+   Dangerous Paths Algorithm over the crash-free prefix trace, and
+   require that no commit of the victim landed on a doomed state.  A
+   stop failure is transient — re-execution gets past it — so the only
+   doomed state a linear program can have is the terminal one with no
+   continuation left, a modeling artifact we exclude.  (test_core's
+   reference group checks the coloring of every graph of this shape
+   against an independent backward recursion.) *)
 
-(* Independent re-implementation of the three coloring rules, memoized
-   recursion instead of the library's iterate-to-fixpoint loop. *)
-let dangerous_edges_recursive ~receive_class (g : State_graph.t) =
-  let n = State_graph.nedges g in
-  let color = Array.make n false in
-  (* seed: crash edges *)
-  for i = 0 to n - 1 do
-    if State_graph.is_crash_edge g (State_graph.edge g i) then
-      color.(i) <- true
-  done;
-  let is_fixed (e : State_graph.edge) =
-    match e.State_graph.kind with
-    | State_graph.Fixed_nd -> true
-    | State_graph.Receive_nd _ -> receive_class e = Event.Fixed
-    | _ -> false
-  in
-  (* on a DAG one backward pass in reverse topological order suffices;
-     our graphs are linear so dst > src orders them *)
-  let edges = Array.init n (State_graph.edge g) in
-  Array.sort
-    (fun a b -> compare b.State_graph.dst a.State_graph.dst)
-    edges;
-  Array.iter
-    (fun (e : State_graph.edge) ->
-      if not color.(e.id) then begin
-        let out = State_graph.out_edges g e.dst in
-        let all =
-          out <> [] && List.for_all (fun o -> color.(o.State_graph.id)) out
-        in
-        let fixed =
-          List.exists
-            (fun o -> color.(o.State_graph.id) && is_fixed o)
-            out
-        in
-        if all || fixed then color.(e.id) <- true
-      end)
-    edges;
-  color
-
-let victim_graph ~program ~logged_pcs ~bindings ~victim ~crash_pc ~crash_kind =
+let victim_graph ~program ~logged_pcs ~bindings ~victim ~crash_pc =
   let ops = program.(victim) in
   let depth = Array.length ops in
   let kind_of pc =
@@ -168,7 +128,10 @@ let victim_graph ~program ~logged_pcs ~bindings ~victim ~crash_pc ~crash_kind =
      the whole linear graph) *)
   let edges =
     List.init depth (fun i -> (i, i + 1, kind_of i))
-    @ [ (depth, depth + 2, State_graph.Det); (crash_pc, depth + 1, crash_kind) ]
+    @ [
+        (depth, depth + 2, State_graph.Det);
+        (crash_pc, depth + 1, State_graph.Transient_nd);
+      ]
   in
   State_graph.make ~nstates:(depth + 3) ~edges ~crash_states:[ depth + 1 ]
 
@@ -209,44 +172,26 @@ let check_lose_work ~program ~(run : Model.run) ~victim ~crash_pc =
        dangerous-path classification of the pre-crash graph *)
     run.Model.prefix_bindings
   in
-  let logged_pcs = run.Model.logged_pcs in
   let depth = Array.length program.(victim) in
-  let mk kind =
-    victim_graph ~program ~logged_pcs ~bindings ~victim ~crash_pc
-      ~crash_kind:kind
+  let g =
+    victim_graph ~program ~logged_pcs:run.Model.logged_pcs ~bindings ~victim
+      ~crash_pc
   in
-  let g_transient = mk State_graph.Transient_nd in
-  let g_fixed = mk State_graph.Fixed_nd in
   let receive_class =
     receive_class_fn ~prefix_trace:run.Model.prefix_trace ~bindings ~victim
   in
-  let doomed_t = Dangerous_paths.doomed_states ~receive_class g_transient in
-  let doomed_f = Dangerous_paths.doomed_states ~receive_class g_fixed in
-  let errors = ref [] in
-  (* the library coloring must agree with the independent recursion *)
-  let lib = Dangerous_paths.dangerous_edges ~receive_class g_transient in
-  let ind = dangerous_edges_recursive ~receive_class g_transient in
-  if lib <> ind then
-    errors := "dangerous_edges disagrees with backward recursion" :: !errors;
-  (* transient-crash doom must be included in fixed-crash doom *)
-  Array.iteri
-    (fun s d ->
-      if d && not doomed_f.(s) then
-        errors :=
-          Printf.sprintf "state %d doomed under transient crash only" s
-          :: !errors)
-    doomed_t;
+  let doomed = Dangerous_paths.doomed_states ~receive_class g in
   (* Lose-work: under a transient stop failure no commit of the victim
      before the crash point may sit on a doomed state (the terminal
-     no-continuation state excepted) *)
-  List.iter
-    (fun (p, pc) ->
-      if p = victim && pc <= crash_pc && pc < depth && doomed_t.(pc) then
-        errors :=
-          Printf.sprintf "commit at doomed state %d (crash at %d)" pc crash_pc
-          :: !errors)
-    run.Model.commit_pcs;
-  !errors
+     no-continuation state excepted); the last such commit reports
+     first *)
+  List.fold_left
+    (fun errors (p, pc) ->
+      if p = victim && pc <= crash_pc && pc < depth && doomed.(pc) then
+        Printf.sprintf "commit at doomed state %d (crash at %d)" pc crash_pc
+        :: errors
+      else errors)
+    [] run.Model.commit_pcs
 
 (* ---- judging one execution ---------------------------------------------- *)
 

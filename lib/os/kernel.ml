@@ -251,6 +251,11 @@ let nprocs t = t.nprocs
 
 let net t = t.net
 
+(* Complete a transport delivery: [dst] is this kernel's local pid;
+   [at] is the arrival time stamped by the transport. *)
+let deliver_net t ~at ~dst (m : message) =
+  Queue.add { m with msg_deliver_at = at } t.mailboxes.(dst)
+
 (* Attach an {!Ft_net.Transport} between send and receive.  The
    transport owns delivery timing (latency, jitter, and whatever the
    policy adds), sequencing, retransmission and in-order reassembly; the
@@ -260,13 +265,12 @@ let net t = t.net
    (driven by the engine), landing in the destination mailbox with
    [msg_deliver_at] set to the arrival time. *)
 let attach_net ?(policy = Ft_net.Policy.reliable) ~seed t =
-  let deliver ~at ~src:_ ~dst (m : message) =
-    Queue.add { m with msg_deliver_at = at } t.mailboxes.(dst)
-  in
   let tr =
     Ft_net.Transport.create ~policy:(fun _ _ -> policy) ~seed
       ~nprocs:t.nprocs ~latency_ns:testbed_costs.network_latency_ns
-      ~jitter_ns:testbed_costs.network_jitter_ns ~deliver ()
+      ~jitter_ns:testbed_costs.network_jitter_ns
+      ~deliver:(fun ~at ~src:_ ~dst m -> deliver_net t ~at ~dst m)
+      ()
   in
   t.net <- Some tr;
   tr
@@ -280,11 +284,6 @@ let set_net t ?(base = 0) tr =
   t.net_base <- base
 
 let net_base t = t.net_base
-
-(* Complete a shared-transport delivery: [dst] is this kernel's local
-   pid; [at] is the arrival time stamped by the transport. *)
-let deliver_net t ~at ~dst (m : message) =
-  Queue.add { m with msg_deliver_at = at } t.mailboxes.(dst)
 
 (* Scripted user input.  Each entry is (gap, token): the token becomes
    available [gap] after the previous read completed — the paper's

@@ -251,8 +251,8 @@ val net_base : t -> int
 
 val deliver_net : t -> at:int -> dst:int -> message -> unit
 (** Complete a transport delivery into local pid [dst]'s mailbox,
-    stamping the arrival time.  Used by the shared-transport routing
-    callback; {!attach_net} installs an equivalent private one. *)
+    stamping the arrival time: the [deliver] callback of the transport
+    {!attach_net} creates, and of the shared transport's routing. *)
 
 val service :
   t -> pid:int -> now:int -> a0:int -> a1:int -> Ft_vm.Syscall.t -> result

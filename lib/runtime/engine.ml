@@ -5,8 +5,8 @@
     monolithic engine did; the golden tests pin that.
 
     Fault injectors ({!Ft_faults}) plug in through the [on_execute]
-    machine hook, the activation/crash bookkeeping, and the [on_replay]
-    callback (recurring faults re-arm after every restore). *)
+    machine hook, [record_activation], and the [on_replay] callback
+    (recurring faults re-arm after every restore). *)
 
 include Run_types
 

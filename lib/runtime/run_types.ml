@@ -101,11 +101,11 @@ type result = {
       (** crashes during restore itself; each costs a process-restart
           pause (10 ms times the attempt number) and a retry from the
           same checkpoint *)
-  activation : (int * int) option;  (** pid, trace index at activation *)
-  first_crash : (int * int) option;  (** pid, trace index of crash event *)
-  commit_after_activation : bool;
-      (** a commit landed between fault activation and the first crash:
-          the Table-1 Lose-work violation criterion *)
+  activation : (int * int) option;
+      (** the faulty pid and the trace index of its first event after the
+          injected fault activated: the position
+          {!Ft_core.Lose_work.committed_after_activation} judges Table 1
+          from *)
   aborted_rounds : int;
       (** 2PC (and dependent-commit) rounds presumed aborted on a
           prepare/commit timeout *)

@@ -128,8 +128,6 @@ type tenant = {
   mutable decision_kills : (int * int) list;
   mutable decisions : int;  (* scheduling decisions taken so far *)
   mutable activation : (int * int) option;
-  mutable first_crash : (int * int) option;
-  mutable commit_after_activation : bool;
   mutable on_replay : (int -> salt:int -> unit) option;
       (* called after every restore with the environment salt in
          effect; recurring-fault injectors re-arm here *)
@@ -245,8 +243,6 @@ let make_tenant tid (cfg, kernel, programs) =
       decision_kills = List.sort compare cfg.kill_at_decision;
       decisions = 0;
       activation = None;
-      first_crash = None;
-      commit_after_activation = false;
       on_replay = None;
       deep_rollbacks = 0;
       perturbed_replays = 0;
@@ -311,9 +307,7 @@ let net_range tn =
 
 let record_crash tn (p : proc) =
   tn.crash_rev <- (p.pid, p.time) :: tn.crash_rev;
-  let e = Ft_core.Trace.record tn.trace ~pid:p.pid Ft_core.Event.Crash in
-  if tn.first_crash = None then
-    tn.first_crash <- Some (p.pid, e.Ft_core.Event.index)
+  ignore (Ft_core.Trace.record tn.trace ~pid:p.pid Ft_core.Event.Crash)
 
 let give_up tn (p : proc) =
   p.failed <- true;
@@ -630,10 +624,6 @@ let do_local_commit ?round tn (p : proc) =
       in
       ignore (Ft_core.Trace.record tn.trace ~pid:p.pid kind);
       tn.protocol.Ft_core.Protocol.note_commit ~pid:p.pid;
-      (match tn.activation with
-      | Some (apid, _) when apid = p.pid && tn.first_crash = None ->
-          tn.commit_after_activation <- true
-      | _ -> ());
       true
 
 (* One coordinated commit round, shared by two-phase commit and
@@ -971,19 +961,8 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
           (match served.Ft_os.Kernel.poke with
           | Some seed ->
               let heap = Ft_vm.Machine.heap m in
-              let size = Ft_vm.Memory.size heap in
               let rng = Random.State.make [| seed |] in
-              let region =
-                if Random.State.bool rng then min size 4096 else size
-              in
-              let rec hunt tries best =
-                if tries = 0 then best
-                else
-                  let a = Random.State.int rng region in
-                  if Ft_vm.Memory.read heap a <> 0 then a
-                  else hunt (tries - 1) best
-              in
-              let a = hunt 64 (Random.State.int rng region) in
+              let a = Ft_vm.Memory.pick_live_word heap rng in
               let bit = Random.State.int rng 24 in
               Ft_vm.Memory.write heap a
                 (Ft_vm.Memory.read heap a lxor (1 lsl bit))
@@ -1190,8 +1169,6 @@ let result_of tn outcome =
     crashes = List.length tn.crash_rev;
     recovery_crashes = tn.recovery_crashes;
     activation = tn.activation;
-    first_crash = tn.first_crash;
-    commit_after_activation = tn.commit_after_activation;
     aborted_rounds = tn.aborted_rounds;
     orphan_rollbacks = tn.orphan_rollbacks;
     visible_times;

@@ -85,6 +85,20 @@ let write t addr v =
   end;
   Array.unsafe_set (Array.unsafe_get t.pages page) (addr land t.page_mask) v
 
+(* The word an injected bit flip corrupts, drawn from [rng]: half the
+   time from the low 4096 words, where programs keep their metadata
+   (headers, tables, allocators), and live data first: up to 64 probes
+   for a non-zero word, else the first draw. *)
+let pick_live_word t rng =
+  let region = if Random.State.bool rng then min t.size 4096 else t.size in
+  let rec hunt tries best =
+    if tries = 0 then best
+    else
+      let a = Random.State.int rng region in
+      if read t a <> 0 then a else hunt (tries - 1) best
+  in
+  hunt 64 (Random.State.int rng region)
+
 (* Raw poke that bypasses bounds/accounting policy decisions is not
    offered: fault injectors flip bits through [write] so the corruption
    is captured by checkpoints exactly as a real stray store would be. *)

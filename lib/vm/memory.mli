@@ -18,6 +18,14 @@ val read : t -> int -> int
 val write : t -> int -> int -> unit
 (** Marks the containing page dirty.  Raises {!Out_of_bounds}. *)
 
+val pick_live_word : t -> Random.State.t -> int
+(** The address an injected bit flip corrupts: half the time (one
+    [Random.State.bool]) within the low 4096 words, where programs keep
+    their metadata, and preferably a non-zero word — a first
+    [Random.State.int] draw, then up to 64 probes for a non-zero one.
+    Both the application and the kernel injectors draw through it, so a
+    seed names the same word in either. *)
+
 val dirty_pages : t -> int list
 (** Pages written since the last {!clear_dirty}, ascending. *)
 

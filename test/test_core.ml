@@ -284,8 +284,8 @@ let test_safe_to_commit_api () =
   in
   (* state 0: its only exit is a transient ND... whose every outcome
      crashes, so it is doomed; build a safe variant with an escape *)
-  Alcotest.(check bool) "no escape: unsafe" false
-    (Lose_work.safe_to_commit g ~state:0);
+  Alcotest.(check bool) "no escape: unsafe" true
+    (Dangerous_paths.doomed_states g).(0);
   let g2 =
     State_graph.make ~nstates:4
       ~edges:
@@ -293,8 +293,8 @@ let test_safe_to_commit_api () =
           (1, 2, State_graph.Det) ]
       ~crash_states:[ 2 ]
   in
-  Alcotest.(check bool) "transient escape exists: safe" true
-    (Lose_work.safe_to_commit g2 ~state:0)
+  Alcotest.(check bool) "transient escape exists: safe" false
+    (Dangerous_paths.doomed_states g2).(0)
 
 (* --- Lose-work ------------------------------------------------------------ *)
 
@@ -314,7 +314,8 @@ let test_lose_work_figure9 () =
     (nd.Event.index + 1) a.Lose_work.dangerous_from;
   Alcotest.(check bool) "violated" true a.Lose_work.violated;
   Alcotest.(check bool) "table-1 criterion" true
-    (Lose_work.committed_after_activation t ~activation:act ~crash);
+    (Lose_work.committed_after_activation t
+       ~activation:(act.Event.pid, act.Event.index));
   Alcotest.(check bool) "save-work/lose-work conflict" true
     (Lose_work.conflict t ~crash)
 
@@ -338,6 +339,45 @@ let test_lose_work_bohrbug () =
   let a = Lose_work.analyze t ~crash in
   Alcotest.(check bool) "Bohrbug" true a.Lose_work.bohrbug;
   Alcotest.(check bool) "inherently violated" true a.Lose_work.violated
+
+(* The Table-1 criterion over hand-built traces: [activation] is the
+   faulty pid and the index of its first event after activation, as the
+   injectors record it. *)
+let test_lose_work_table1_criterion () =
+  let judge ?(nprocs = 1) events ~activation =
+    let t = Trace.create ~nprocs in
+    List.iter (fun (pid, kind) -> ignore (Trace.record t ~pid kind)) events;
+    Lose_work.committed_after_activation t ~activation
+  in
+  Alcotest.(check bool) "a commit at the activation index counts" true
+    (judge
+       [ (0, Event.Internal); (0, Event.Commit); (0, Event.Crash) ]
+       ~activation:(0, 1));
+  Alcotest.(check bool) "a commit just before it does not" false
+    (judge
+       [ (0, Event.Internal); (0, Event.Commit); (0, Event.Internal);
+         (0, Event.Crash) ]
+       ~activation:(0, 2));
+  Alcotest.(check bool) "a commit after another process's crash does not"
+    false
+    (judge ~nprocs:2
+       [ (0, Event.Internal); (1, Event.Crash); (0, Event.Commit);
+         (0, Event.Crash) ]
+       ~activation:(0, 1));
+  Alcotest.(check bool) "another process's commit does not" false
+    (judge ~nprocs:2
+       [ (0, Event.Internal); (1, Event.Commit); (0, Event.Crash) ]
+       ~activation:(0, 1));
+  Alcotest.(check bool) "with no crash, a later commit counts" true
+    (judge
+       [ (0, Event.Internal); (0, Event.Internal); (0, Event.Visible 3);
+         (0, Event.Commit) ]
+       ~activation:(0, 1));
+  Alcotest.(check bool) "a 2PC round commit counts" true
+    (judge ~nprocs:2
+       [ (0, Event.Internal); (1, Event.Commit_round 4);
+         (0, Event.Commit_round 4); (0, Event.Crash) ]
+       ~activation:(0, 1))
 
 (* --- consistency ----------------------------------------------------------- *)
 
@@ -1041,6 +1081,171 @@ let prop_consistency_truncated_sound =
       | Consistency.Truncated { missing } -> missing = k
       | _ -> false)
 
+(* ---- Dangerous paths: the backward-recursion reference ---- *)
+
+(* The three coloring rules as one backward pass in reverse topological
+   order, instead of the library's iterate-to-fixpoint loop.  Valid on
+   graphs whose edges all lead from a lower state to a higher one, as
+   every victim-shaped graph below does. *)
+let dangerous_edges_reference ~receive_class (g : State_graph.t) =
+  let n = State_graph.nedges g in
+  let color = Array.make n false in
+  for i = 0 to n - 1 do
+    if State_graph.is_crash_edge g (State_graph.edge g i) then
+      color.(i) <- true
+  done;
+  let is_fixed (e : State_graph.edge) =
+    match e.State_graph.kind with
+    | State_graph.Fixed_nd -> true
+    | State_graph.Receive_nd _ -> receive_class e = Event.Fixed
+    | _ -> false
+  in
+  let edges = Array.init n (State_graph.edge g) in
+  Array.sort (fun a b -> compare b.State_graph.dst a.State_graph.dst) edges;
+  Array.iter
+    (fun (e : State_graph.edge) ->
+      if not color.(e.id) then begin
+        let out = State_graph.out_edges g e.dst in
+        let all =
+          out <> [] && List.for_all (fun o -> color.(o.State_graph.id)) out
+        in
+        let fixed =
+          List.exists (fun o -> color.(o.State_graph.id) && is_fixed o) out
+        in
+        if all || fixed then color.(e.id) <- true
+      end)
+    edges;
+  (color, is_fixed)
+
+(* Doomed states off the reference coloring: a crash state, or every
+   exit colored, or a colored fixed-ND exit. *)
+let doomed_reference ~receive_class (g : State_graph.t) =
+  let color, is_fixed = dangerous_edges_reference ~receive_class g in
+  Array.init g.State_graph.nstates (fun s ->
+      let out = State_graph.out_edges g s in
+      State_graph.is_crash_state g s
+      || (out <> [] && List.for_all (fun o -> color.(o.State_graph.id)) out)
+      || List.exists (fun o -> color.(o.State_graph.id) && is_fixed o) out)
+
+(* The shape of the model checker's Lose-work graph: a chain of
+   [links] (state [i] is "about to execute pc [i]"; a receive link
+   carries the class the multi-process algorithm gave it), a
+   deterministic exit from the last state to an absorbing "done" state,
+   and a crash edge out of state [crash_pc]. *)
+type victim_shape = {
+  links : (State_graph.edge_kind * Event.nd_class) array;
+  crash_pc : int;
+}
+
+let link_choices =
+  [ (State_graph.Det, Event.Transient);
+    (State_graph.Transient_nd, Event.Transient);
+    (State_graph.Fixed_nd, Event.Transient);
+    (State_graph.Receive_nd 0, Event.Transient);
+    (State_graph.Receive_nd 0, Event.Fixed) ]
+
+let victim_shape_to_string v =
+  Printf.sprintf "[%s] crash at %d"
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (function
+               | State_graph.Det, _ -> "det"
+               | State_graph.Transient_nd, _ -> "transient"
+               | State_graph.Fixed_nd, _ -> "fixed"
+               | State_graph.Receive_nd _, Event.Transient -> "recv:transient"
+               | State_graph.Receive_nd _, Event.Fixed -> "recv:fixed")
+             v.links)))
+    v.crash_pc
+
+(* Every disagreement on one shape, under both crash classes: the
+   library's coloring and doomed states against the reference, and
+   transient-crash doom inside fixed-crash doom. *)
+let victim_shape_failures v =
+  let depth = Array.length v.links in
+  let receive_class (e : State_graph.edge) =
+    if e.State_graph.id < depth then snd v.links.(e.State_graph.id)
+    else Event.Transient
+  in
+  let graph crash =
+    State_graph.make ~nstates:(depth + 3)
+      ~edges:
+        (List.init depth (fun i -> (i, i + 1, fst v.links.(i)))
+        @ [ (depth, depth + 2, State_graph.Det);
+            (v.crash_pc, depth + 1, crash) ])
+      ~crash_states:[ depth + 1 ]
+  in
+  let doomed_under (name, crash) =
+    let g = graph crash in
+    let doomed = Dangerous_paths.doomed_states ~receive_class g in
+    let disagrees what =
+      Printf.sprintf "%s crash: %s disagrees with the reference" name what
+    in
+    ( doomed,
+      (if
+         Dangerous_paths.dangerous_edges ~receive_class g
+         <> fst (dangerous_edges_reference ~receive_class g)
+       then [ disagrees "dangerous_edges" ]
+       else [])
+      @
+      if doomed <> doomed_reference ~receive_class g then
+        [ disagrees "doomed_states" ]
+      else [] )
+  in
+  let doomed_t, fails_t =
+    doomed_under ("transient", State_graph.Transient_nd)
+  in
+  let doomed_f, fails_f = doomed_under ("fixed", State_graph.Fixed_nd) in
+  fails_t @ fails_f
+  @ List.filter_map
+      (fun s ->
+        if doomed_t.(s) && not doomed_f.(s) then
+          Some (Printf.sprintf "state %d doomed under transient crash only" s)
+        else None)
+      (List.init (depth + 3) Fun.id)
+
+(* Exhaustive to depth 4: every link kind and receive class, every crash
+   position, both crash classes. *)
+let test_dangerous_paths_exhaustive () =
+  let rec chains d =
+    if d = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun rest -> List.map (fun l -> l :: rest) link_choices)
+        (chains (d - 1))
+  in
+  let shapes = ref 0 in
+  List.iter
+    (fun depth ->
+      List.iter
+        (fun chain ->
+          let links = Array.of_list chain in
+          for crash_pc = 0 to depth do
+            incr shapes;
+            let v = { links; crash_pc } in
+            match victim_shape_failures v with
+            | [] -> ()
+            | f :: _ -> Alcotest.failf "%s: %s" (victim_shape_to_string v) f
+          done)
+        (chains depth))
+    [ 0; 1; 2; 3; 4 ];
+  Alcotest.(check int) "shapes checked" 3711 !shapes
+
+let prop_dangerous_paths_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 5 14 >>= fun depth ->
+      array_repeat depth (oneofl link_choices) >>= fun links ->
+      int_bound depth >>= fun crash_pc -> return { links; crash_pc })
+  in
+  QCheck.Test.make ~name:"dangerous paths equal the recursive reference"
+    ~count:300
+    (QCheck.make gen ~print:victim_shape_to_string)
+    (fun v ->
+      match victim_shape_failures v with
+      | [] -> true
+      | fails -> QCheck.Test.fail_reportf "%s" (String.concat "; " fails))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1116,13 +1321,20 @@ let tests =
       test_coloring_receive_classification;
     Alcotest.test_case "round-mate covers" `Quick
       test_save_work_round_mate_covers;
+    Alcotest.test_case "table-1 criterion" `Quick
+      test_lose_work_table1_criterion;
   ]
 
-(* Run alone, at a fixed seed, by CI's "Save-work oracle differential"
+(* Run alone, at a fixed seed, by CI's "Oracle reference differentials"
    step: [QCHECK_SEED=n test_core.exe test reference]. *)
 let differential_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_save_work_differential; prop_hb_one_component ]
+  @ [
+      Alcotest.test_case "dangerous paths to depth 4" `Quick
+        test_dangerous_paths_exhaustive;
+      QCheck_alcotest.to_alcotest prop_dangerous_paths_reference;
+    ]
 
 let () =
   Alcotest.run "ft_core"
