@@ -7,9 +7,11 @@
     interprets the decisions, charges their cost, and records the
     resulting commit events in the trace.
 
-    Protocols are instantiated per run ({!spec.instantiate}) so they can
-    keep per-process state such as "has executed an unlogged ND event
-    since its last commit". *)
+    A protocol keeps no state of its own.  The one piece of history any
+    of them consults — per process, "has executed an unlogged ND event
+    since its last commit" — is an array the executor owns: {!consult}
+    sets a process's bit, and the executor clears it at each commit of
+    that process. *)
 
 type commit_scope =
   | Local   (* commit just this process *)
@@ -44,24 +46,13 @@ type reaction = {
 
 let no_reaction = { log = false; commit_before = None; commit_after = None }
 
-type t = {
-  name : string;
-  react : pid:int -> event_info -> reaction;
-  note_commit : pid:int -> unit;
-      (* the engine performed a commit of [pid] (for any reason,
-         including as a 2PC participant); protocols clear their
-         nd-since-commit bookkeeping here *)
-}
-
 type spec = {
   spec_name : string;
   nd_effort : float;       (* protocol-space x coordinate, 0..1 (Fig. 3) *)
   visible_effort : float;  (* protocol-space y coordinate, 0..1 (Fig. 3) *)
   style : style;
-  instantiate : nprocs:int -> t;
+  react : nd_since:bool array -> pid:int -> event_info -> reaction;
 }
-
-let instantiate spec ~nprocs = spec.instantiate ~nprocs
 
 (* Does executing an event of [kind] taint the process — advance its own
    dependency-vector component — under [style]?  Coordinated protocols
@@ -93,3 +84,11 @@ let info_is_visible (i : event_info) =
 
 let info_is_send (i : event_info) =
   match i.kind with Event.Send _ -> true | _ -> false
+
+(* The one rule for the executor-owned bit: an ND event the reaction does
+   not log leaves non-determinism no commit covers yet.  The bit is read
+   by [react] before it is set, so an event never sees its own ND. *)
+let consult spec ~nd_since ~pid info =
+  let r = spec.react ~nd_since ~pid info in
+  if (not r.log) && info_is_nd info then nd_since.(pid) <- true;
+  r

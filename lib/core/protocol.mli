@@ -33,25 +33,25 @@ type reaction = {
 
 val no_reaction : reaction
 
-(** A per-run protocol instance. *)
-type t = {
-  name : string;
-  react : pid:int -> event_info -> reaction;
-  note_commit : pid:int -> unit;
-      (** called whenever the engine commits [pid], including as a 2PC
-          participant: protocols clear nd-since-commit bookkeeping *)
-}
-
-(** A protocol definition with its protocol-space coordinates. *)
+(** A protocol definition with its protocol-space coordinates: a pure
+    decision function whose only history is one bit per process,
+    [nd_since.(pid)] — an unlogged ND event since the last commit.  The
+    executor owns the bits and clears [pid]'s at each commit of [pid]. *)
 type spec = {
   spec_name : string;
   nd_effort : float;  (** Figure-3 x coordinate, 0..1 *)
   visible_effort : float;  (** Figure-3 y coordinate, 0..1 *)
   style : style;
-  instantiate : nprocs:int -> t;
+  react : nd_since:bool array -> pid:int -> event_info -> reaction;
+      (** the reaction to the event [pid] is about to execute; reads
+          [nd_since] and never writes it *)
 }
 
-val instantiate : spec -> nprocs:int -> t
+val consult :
+  spec -> nd_since:bool array -> pid:int -> event_info -> reaction
+(** [spec.react], then [nd_since.(pid) <- true] when the event is ND and
+    the reaction does not log it.  Executors call this, never
+    [spec.react] directly. *)
 
 val taints : style -> logged:bool -> Event.kind -> bool
 (** Does executing an event of this kind advance the process's own

@@ -19,6 +19,10 @@ open Protocol
 
 let commit_after_local = { no_reaction with commit_after = Some Local }
 let commit_before_local = { no_reaction with commit_before = Some Local }
+let commit_before_global = { no_reaction with commit_before = Some Global }
+let commit_before_dependent =
+  { no_reaction with commit_before = Some Dependent }
+let log_it = { no_reaction with log = true }
 
 (* Commit after every event: maximal simplicity, maximal commits. *)
 let commit_all =
@@ -27,17 +31,9 @@ let commit_all =
     nd_effort = 0.0;
     visible_effort = 0.0;
     style = Coordinated;
-    instantiate =
-      (fun ~nprocs:_ ->
-        {
-          name = "COMMIT-ALL";
-          react =
-            (fun ~pid:_ info ->
-              match info.kind with
-              | Event.Crash -> no_reaction
-              | _ -> commit_after_local);
-          note_commit = (fun ~pid:_ -> ());
-        });
+    react =
+      (fun ~nd_since:_ ~pid:_ info ->
+        if info.kind = Event.Crash then no_reaction else commit_after_local);
   }
 
 (* Never commit: the simplest way to uphold Lose-work (§2.6). *)
@@ -47,13 +43,7 @@ let no_commit =
     nd_effort = 0.0;
     visible_effort = 0.0;
     style = Coordinated;
-    instantiate =
-      (fun ~nprocs:_ ->
-        {
-          name = "NO-COMMIT";
-          react = (fun ~pid:_ _ -> no_reaction);
-          note_commit = (fun ~pid:_ -> ());
-        });
+    react = (fun ~nd_since:_ ~pid:_ _ -> no_reaction);
   }
 
 (* CAND: Commit After Non-Deterministic. *)
@@ -63,15 +53,9 @@ let cand =
     nd_effort = 0.35;
     visible_effort = 0.0;
     style = Coordinated;
-    instantiate =
-      (fun ~nprocs:_ ->
-        {
-          name = "CAND";
-          react =
-            (fun ~pid:_ info ->
-              if info_is_nd info then commit_after_local else no_reaction);
-          note_commit = (fun ~pid:_ -> ());
-        });
+    react =
+      (fun ~nd_since:_ ~pid:_ info ->
+        if info_is_nd info then commit_after_local else no_reaction);
   }
 
 (* CAND-LOG: log the loggable ND events (user input, receives); commit
@@ -82,18 +66,11 @@ let cand_log =
     nd_effort = 0.6;
     visible_effort = 0.0;
     style = Coordinated;
-    instantiate =
-      (fun ~nprocs:_ ->
-        {
-          name = "CAND-LOG";
-          react =
-            (fun ~pid:_ info ->
-              if info_is_nd info then
-                if info.loggable then { no_reaction with log = true }
-                else commit_after_local
-              else no_reaction);
-          note_commit = (fun ~pid:_ -> ());
-        });
+    react =
+      (fun ~nd_since:_ ~pid:_ info ->
+        if info_is_nd info then
+          if info.loggable then log_it else commit_after_local
+        else no_reaction);
   }
 
 (* CPVS: Commit Prior to Visible or Send.  Needs no knowledge of
@@ -105,17 +82,10 @@ let cpvs =
     nd_effort = 0.0;
     visible_effort = 0.5;
     style = Coordinated;
-    instantiate =
-      (fun ~nprocs:_ ->
-        {
-          name = "CPVS";
-          react =
-            (fun ~pid:_ info ->
-              if info_is_visible info || info_is_send info then
-                commit_before_local
-              else no_reaction);
-          note_commit = (fun ~pid:_ -> ());
-        });
+    react =
+      (fun ~nd_since:_ ~pid:_ info ->
+        if info_is_visible info || info_is_send info then commit_before_local
+        else no_reaction);
   }
 
 (* CBNDVS: commit before a visible or send only if an unlogged ND event
@@ -126,27 +96,13 @@ let make_cbndvs ~name ~nd_effort ~log_loggable =
     nd_effort;
     visible_effort = 0.5;
     style = Coordinated;
-    instantiate =
-      (fun ~nprocs ->
-        let nd_since = Array.make nprocs false in
-        {
-          name;
-          react =
-            (fun ~pid info ->
-              if info_is_nd info then
-                if log_loggable && info.loggable then
-                  { no_reaction with log = true }
-                else begin
-                  nd_since.(pid) <- true;
-                  no_reaction
-                end
-              else if
-                (info_is_visible info || info_is_send info)
-                && nd_since.(pid)
-              then commit_before_local
-              else no_reaction);
-          note_commit = (fun ~pid -> nd_since.(pid) <- false);
-        });
+    react =
+      (fun ~nd_since ~pid info ->
+        if info_is_nd info then
+          if log_loggable && info.loggable then log_it else no_reaction
+        else if (info_is_visible info || info_is_send info) && nd_since.(pid)
+        then commit_before_local
+        else no_reaction);
   }
 
 let cbndvs = make_cbndvs ~name:"CBNDVS" ~nd_effort:0.35 ~log_loggable:false
@@ -161,18 +117,12 @@ let cpv_2pc =
     nd_effort = 0.0;
     visible_effort = 0.85;
     style = Coordinated;
-    instantiate =
-      (fun ~nprocs:_ ->
-        {
-          name = "CPV-2PC";
-          react =
-            (fun ~pid:_ info ->
-              if info_is_visible info then
-                { no_reaction with commit_before = Some Global }
-              else no_reaction);
-          note_commit = (fun ~pid:_ -> ());
-        });
+    react =
+      (fun ~nd_since:_ ~pid:_ info ->
+        if info_is_visible info then commit_before_global else no_reaction);
   }
+
+let any_nd_since nd_since = Array.exists Fun.id nd_since
 
 (* CBNDV-2PC: a global commit before a visible event, but only when some
    process has executed an unlogged ND event since the last commit. *)
@@ -182,23 +132,11 @@ let cbndv_2pc =
     nd_effort = 0.35;
     visible_effort = 0.85;
     style = Coordinated;
-    instantiate =
-      (fun ~nprocs ->
-        let nd_since = Array.make nprocs false in
-        {
-          name = "CBNDV-2PC";
-          react =
-            (fun ~pid info ->
-              if info_is_nd info then begin
-                nd_since.(pid) <- true;
-                no_reaction
-              end
-              else if
-                info_is_visible info && Array.exists (fun b -> b) nd_since
-              then { no_reaction with commit_before = Some Global }
-              else no_reaction);
-          note_commit = (fun ~pid -> nd_since.(pid) <- false);
-        });
+    react =
+      (fun ~nd_since ~pid:_ info ->
+        if info_is_visible info && any_nd_since nd_since then
+          commit_before_global
+        else no_reaction);
   }
 
 (* Coordinated checkpointing (§2.4): processes executing a visible event
@@ -218,19 +156,11 @@ let sender_based_logging =
     nd_effort = 0.55;
     visible_effort = 0.0;
     style = Coordinated;
-    instantiate =
-      (fun ~nprocs:_ ->
-        {
-          name = "SBL";
-          react =
-            (fun ~pid:_ info ->
-              match info.kind with
-              | Event.Receive _ -> { no_reaction with log = true }
-              | _ ->
-                  if info_is_nd info then commit_after_local
-                  else no_reaction);
-          note_commit = (fun ~pid:_ -> ());
-        });
+    react =
+      (fun ~nd_since:_ ~pid:_ info ->
+        match info.kind with
+        | Event.Receive _ -> log_it
+        | _ -> if info_is_nd info then commit_after_local else no_reaction);
   }
 
 (* A Manetho-style protocol (§2.4): log all the non-determinism the
@@ -242,25 +172,13 @@ let manetho =
     nd_effort = 0.75;
     visible_effort = 0.95;
     style = Coordinated;
-    instantiate =
-      (fun ~nprocs ->
-        let nd_since = Array.make nprocs false in
-        {
-          name = "MANETHO";
-          react =
-            (fun ~pid info ->
-              if info_is_nd info then
-                if info.loggable then { no_reaction with log = true }
-                else begin
-                  nd_since.(pid) <- true;
-                  no_reaction
-                end
-              else if
-                info_is_visible info && Array.exists (fun b -> b) nd_since
-              then { no_reaction with commit_before = Some Global }
-              else no_reaction);
-          note_commit = (fun ~pid -> nd_since.(pid) <- false);
-        });
+    react =
+      (fun ~nd_since ~pid:_ info ->
+        if info_is_nd info then
+          if info.loggable then log_it else no_reaction
+        else if info_is_visible info && any_nd_since nd_since then
+          commit_before_global
+        else no_reaction);
   }
 
 (* A message-logging protocol's react is style-independent: log every
@@ -275,20 +193,12 @@ let make_logging ~name ~nd_effort ~visible_effort ~style =
     nd_effort;
     visible_effort;
     style;
-    instantiate =
-      (fun ~nprocs:_ ->
-        {
-          name;
-          react =
-            (fun ~pid:_ info ->
-              if info_is_nd info then
-                if info.loggable then { no_reaction with log = true }
-                else no_reaction
-              else if info_is_visible info then
-                { no_reaction with commit_before = Some Dependent }
-              else no_reaction);
-          note_commit = (fun ~pid:_ -> ());
-        });
+    react =
+      (fun ~nd_since:_ ~pid:_ info ->
+        if info_is_nd info then
+          if info.loggable then log_it else no_reaction
+        else if info_is_visible info then commit_before_dependent
+        else no_reaction);
   }
 
 (* CAUSAL-LOG: Manetho-style causal message logging (§2.4).  Determinants

@@ -299,7 +299,6 @@ let check ?(no_prune = false) ?(lose_work = true) ?(root = []) ?stop_depth
      prefix. *)
   let rec dfs ~parent prefix st =
     incr nodes;
-    let node = exec (Model.fork st) Model.No_crash in
     let pruned =
       (not no_prune)
       &&
@@ -308,8 +307,15 @@ let check ?(no_prune = false) ?(lose_work = true) ?(root = []) ?stop_depth
       if not hit then Hashtbl.add seen key ();
       hit
     in
-    if pruned then incr memo
+    if pruned then begin
+      (* nothing judges a merged node's crash-free run, so it is counted
+         without being executed *)
+      incr memo;
+      incr runs;
+      steps := !steps + Model.crash_free_steps st
+    end
     else begin
+      let node = exec (Model.fork st) Model.No_crash in
       let judge_run crash r =
         judge ~lose_work ~program ~node crash r (fun v_oracle v_detail ->
             violations :=
@@ -433,6 +439,7 @@ let defect_to_string = function
   | Model.No_orphan_kill -> "no-orphan-kill"
   | Model.Resume_from_scratch -> "resume-from-scratch"
   | Model.Gc_live_determinant -> "gc-live-determinant"
+  | Model.Commit_budget -> "commit-budget"
 
 let jobs ?(no_prune = false) ?(lose_work = true) ?(shard_depth = 2) ~specs
     ~program () =

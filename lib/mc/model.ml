@@ -64,6 +64,7 @@ type defect =
   | No_orphan_kill
   | Resume_from_scratch
   | Gc_live_determinant
+  | Commit_budget
 
 type nstage = NRestore | NCascade
 
@@ -118,18 +119,14 @@ type snapshot = {
   s_stable : int array;  (* confirmed-stable marks at the commit *)
 }
 
-(* A protocol call, recorded so that {!fork} can rebuild the protocol
-   instance's hidden state (see there). *)
-type proto_call = React of int * Protocol.event_info | Note_commit of int
-
 type state = {
   prog : program;
   nprocs : int;
   spec : Protocol.spec;
   defect : defect;
   style : Protocol.style;
-  proto : Protocol.t;
-  mutable calls : proto_call list;  (* every protocol call, newest first *)
+  nd_since : bool array;  (* per process, for {!Protocol.consult} *)
+  mutable budget : int;  (* [Commit_budget]: committing reactions left *)
   pcs : int array;
   accs : int array;
   gens : int array array;  (* executions of (pid, pc), for redraws *)
@@ -163,13 +160,17 @@ type state = {
   trace : Trace.t;
 }
 
-let react st ~pid info =
-  st.calls <- React (pid, info) :: st.calls;
-  st.proto.Protocol.react ~pid info
+(* [Commit_budget]: the broken commit machinery honours only the first
+   [commit_budget] reactions that ask for a commit, and drops the commit
+   requests of every later one. *)
+let commit_budget = 2
 
-let note_commit st ~pid =
-  st.calls <- Note_commit pid :: st.calls;
-  st.proto.Protocol.note_commit ~pid
+let react st ~pid info =
+  let r = Protocol.consult st.spec ~nd_since:st.nd_since ~pid info in
+  let commits = r.commit_before <> None || r.commit_after <> None in
+  if st.defect <> Commit_budget || not commits then r
+  else if st.budget > 0 then (st.budget <- st.budget - 1; r)
+  else { r with commit_before = None; commit_after = None }
 
 let record st ~pid ?(logged = false) kind =
   Trace.record st.trace ~pid ~logged kind
@@ -203,7 +204,7 @@ let commit_one st ~pid kind =
   ignore (record st ~pid kind);
   st.commit_pcs_rev <- (pid, st.pcs.(pid)) :: st.commit_pcs_rev;
   snapshot st pid;
-  note_commit st ~pid
+  st.nd_since.(pid) <- false
 
 (* The processes a dependent commit at [pid] must pull in: everyone
    whose non-determinism the coordinator's state (or a participant's)
@@ -500,11 +501,8 @@ let restore st pid =
   if Array.length s.s_stable = st.nprocs then
     Array.blit s.s_stable 0 st.stable.(pid) 0 st.nprocs;
   st.since.(pid) <- [];
-  (* Protocol-state restore: every protocol's per-process state is
-     nd-since-commit bookkeeping, which is exactly what note_commit
-     clears — so the state right after the snapshot's commit is
-     recoverable through the public interface. *)
-  note_commit st ~pid
+  (* the restored state is the one right after the snapshot's commit *)
+  st.nd_since.(pid) <- false
 
 (* Roll the victim back to its last commit, then cascade.
 
@@ -772,8 +770,8 @@ let start ~spec ~defect ~program =
       spec;
       defect;
       style = spec.Protocol.style;
-      proto = Protocol.instantiate spec ~nprocs;
-      calls = [];
+      nd_since = Array.make nprocs false;
+      budget = commit_budget;
       pcs = Array.make nprocs 0;
       accs = Array.init nprocs acc0;
       gens =
@@ -839,22 +837,12 @@ let advance st ?trap pid =
   end
 
 (* Everything mutable is copied; what is shared is immutable once
-   written (snapshots, mail entries, log entries, recorded events).  A
-   protocol instance keeps its state in closures it does not expose, so
-   the copy gets a fresh instance driven through the same calls: each
-   call's effect is a function of its arguments and the instance's
-   state, so the replayed instance ends in the same state. *)
+   written (snapshots, mail entries, log entries, recorded events). *)
 let fork st =
-  let proto = Protocol.instantiate st.spec ~nprocs:st.nprocs in
-  List.iter
-    (function
-      | React (pid, info) -> ignore (proto.Protocol.react ~pid info)
-      | Note_commit pid -> proto.Protocol.note_commit ~pid)
-    (List.rev st.calls);
   let matrix = Array.map Array.copy in
   {
     st with
-    proto;
+    nd_since = Array.copy st.nd_since;
     pcs = Array.copy st.pcs;
     accs = Array.copy st.accs;
     gens = matrix st.gens;
@@ -871,6 +859,14 @@ let fork st =
     first_stamp = Hashtbl.copy st.first_stamp;
     trace = Trace.copy st.trace;
   }
+
+(* A crash-free completion executes each remaining op exactly once: a
+   receive either binds or, at quiescence, skips, and a blocked one is
+   retried without counting. *)
+let crash_free_steps st =
+  let n = ref st.steps in
+  Array.iteri (fun p ops -> n := !n + Array.length ops - st.pcs.(p)) st.prog;
+  !n
 
 let finish st crash =
   let nprocs = st.nprocs and program = st.prog in

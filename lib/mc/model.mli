@@ -65,6 +65,11 @@ type defect =
           {e executed} past instead of any its owner has {e committed}
           past: a bystander's commit drops an entry a future replay
           still needs, and the replay redraws *)
+  | Commit_budget
+      (** the commit machinery honours the commit requests of only the
+          first two reactions that make any, for the whole run, and
+          drops every later one: once the budget is spent, ND runs
+          uncommitted *)
 
 (** The stage of the recovery path a nested failure lands in.  (The
     third stage, a crash while coordinating a dependent-commit round,
@@ -165,6 +170,11 @@ val fork : state -> state
 val state_key : state -> string
 (** Digest of everything the state's future can depend on; equal keys
     are merged by the checker's memo. *)
+
+val crash_free_steps : state -> int
+(** [(finish (fork st) No_crash).steps], without executing anything:
+    the steps taken so far plus one per op every process has left.  For
+    a state whose steps took no trapped commit. *)
 
 val finish : state -> crash -> run
 (** Injects [crash] after the steps taken so far (a [Mid_commit] needs

@@ -34,57 +34,27 @@ let commit_after_visible =
       {
         cpvs with
         spec_name = "CPVS!after";
-        instantiate =
-          (fun ~nprocs ->
-            let inner = cpvs.Protocol.instantiate ~nprocs in
-            {
-              inner with
-              Protocol.react =
-                (fun ~pid info ->
-                  let r = inner.Protocol.react ~pid info in
-                  match r.Protocol.commit_before with
-                  | Some scope ->
-                      { r with commit_before = None; commit_after = Some scope }
-                  | None -> r);
-            });
+        react =
+          (fun ~nd_since ~pid info ->
+            let r = cpvs.Protocol.react ~nd_since ~pid info in
+            match r.Protocol.commit_before with
+            | Some scope ->
+                { r with commit_before = None; commit_after = Some scope }
+            | None -> r);
       };
   }
 
-(* CAND whose commit machinery has a budget of two commits and never
-   replenishes it: once exhausted, ND events run uncommitted and the
-   next visible anywhere convicts it. *)
+(* CAND over commit machinery with a budget of two commits that it never
+   replenishes: once exhausted, ND events run uncommitted and the next
+   visible anywhere convicts it. *)
 let budget_never_reset =
-  let cand = base "CAND" in
   {
     mutant_name = "budget-never-reset";
     program = None;
     based_on = "CAND";
-    defect = Model.Honest;
+    defect = Model.Commit_budget;
     expected = "commits stop after the budget; later visibles violate Save-work";
-    spec =
-      {
-        cand with
-        spec_name = "CAND!budget";
-        instantiate =
-          (fun ~nprocs ->
-            let inner = cand.Protocol.instantiate ~nprocs in
-            let budget = ref 2 in
-            {
-              inner with
-              Protocol.react =
-                (fun ~pid info ->
-                  let r = inner.Protocol.react ~pid info in
-                  if r.Protocol.commit_before <> None
-                     || r.Protocol.commit_after <> None
-                  then
-                    if !budget > 0 then begin
-                      decr budget;
-                      r
-                    end
-                    else { r with commit_before = None; commit_after = None }
-                  else r);
-            });
-      };
+    spec = { (base "CAND") with spec_name = "CAND!budget" };
   }
 
 (* CPV-2PC whose participants never actually commit their half of the

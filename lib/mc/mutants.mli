@@ -17,9 +17,9 @@ type t = {
 }
 
 val all : t list
-(** At least six: skip-orphan-commit, commit-after-visible,
-    drop-log-entry, publish-before-log, budget-never-reset,
-    never-retransmit — plus the nested-failure pair
-    resume-cascade-from-scratch and gc-live-determinant. *)
+(** Ten: commit-after-visible, budget-never-reset, skip-orphan-commit,
+    drop-log-entry, publish-before-log, never-retransmit,
+    drop-dependency-vector, commit-without-orphan-kill and the nested
+    pair resume-cascade-from-scratch and gc-live-determinant. *)
 
 val by_name : string -> t option

@@ -3,7 +3,7 @@
     application instances ("tenants") against a shared virtual clock.
 
     A tenant is everything one experiment used to own: its VM processes,
-    kernel, checkpointer, protocol instance, trace, fault bookkeeping
+    kernel, checkpointer, nd-since-commit bits, trace, fault bookkeeping
     and recovery budgets.  The scheduler repeatedly picks the tenant
     whose next runnable process has the smallest local clock (ties break
     to the lowest tenant id) and runs exactly one iteration of the
@@ -116,7 +116,8 @@ type tenant = {
   kernel : Ft_os.Kernel.t;
   procs : proc array;
   ckpt : Checkpointer.t;
-  protocol : Ft_core.Protocol.t;
+  nd_since : bool array;
+      (* per pid, for [Ft_core.Protocol.consult]; cleared at each commit *)
   trace : Ft_core.Trace.t;
   mutable visible_rev : (int * int * int) list;
   mutable crash_rev : (int * int) list;
@@ -232,7 +233,7 @@ let make_tenant tid (cfg, kernel, programs) =
       kernel;
       procs;
       ckpt;
-      protocol = Ft_core.Protocol.instantiate cfg.protocol ~nprocs;
+      nd_since = Array.make nprocs false;
       trace = Ft_core.Trace.create ~nprocs;
       visible_rev = [];
       crash_rev = [];
@@ -623,7 +624,7 @@ let do_local_commit ?round tn (p : proc) =
         | None -> Ft_core.Event.Commit
       in
       ignore (Ft_core.Trace.record tn.trace ~pid:p.pid kind);
-      tn.protocol.Ft_core.Protocol.note_commit ~pid:p.pid;
+      tn.nd_since.(p.pid) <- false;
       true
 
 (* One coordinated commit round, shared by two-phase commit and
@@ -870,7 +871,10 @@ let maybe_deliver_signal tn (p : proc) =
       { Ft_core.Protocol.kind = Ft_core.Event.Nd Ft_core.Event.Transient;
         loggable = false }
     in
-    let reaction = tn.protocol.Ft_core.Protocol.react ~pid:p.pid info in
+    let reaction =
+      Ft_core.Protocol.consult tn.cfg.protocol ~nd_since:tn.nd_since
+        ~pid:p.pid info
+    in
     let survived =
       match reaction.Ft_core.Protocol.commit_before with
       | Some scope -> do_commit tn p scope
@@ -906,7 +910,9 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
       let pre = classify_pre ~sys ~a0 in
       let reaction =
         match pre with
-        | Some info -> tn.protocol.Ft_core.Protocol.react ~pid:p.pid info
+        | Some info ->
+            Ft_core.Protocol.consult tn.cfg.protocol ~nd_since:tn.nd_since
+              ~pid:p.pid info
         | None -> Ft_core.Protocol.no_reaction
       in
       let survived =
@@ -943,7 +949,8 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
           let reaction =
             match (pre, served.Ft_os.Kernel.ev) with
             | None, Ft_os.Kernel.Ev_nd (c, loggable) ->
-                tn.protocol.Ft_core.Protocol.react ~pid:p.pid
+                Ft_core.Protocol.consult tn.cfg.protocol
+                  ~nd_since:tn.nd_since ~pid:p.pid
                   { Ft_core.Protocol.kind = Ft_core.Event.Nd c; loggable }
             | _ -> reaction
           in

@@ -3,7 +3,7 @@
     ("tenants") against a shared virtual clock.
 
     A tenant is everything one experiment used to own — VM processes,
-    kernel, checkpointer, protocol instance, trace, fault bookkeeping,
+    kernel, checkpointer, nd-since-commit bits, trace, fault bookkeeping,
     recovery budgets.  The scheduler repeatedly picks the live tenant
     furthest behind on the virtual clock (ties to the lowest tenant id)
     and runs one iteration of the legacy engine loop for it, so a

@@ -1325,11 +1325,250 @@ let tests =
       test_lose_work_table1_criterion;
   ]
 
+(* ---- Protocols: the closure-instance reference ---- *)
+
+(* The protocols as they stood when each run built an opaque instance
+   that kept its own "unlogged ND since commit" bits and cleared them in
+   [note_commit].  Kept as the test-time reference the pure [react] plus
+   the executor-owned bits ([Protocol.consult], cleared at each commit)
+   must match reaction for reaction. *)
+module Closure_reference = struct
+  open Protocol
+
+  type t = {
+    react : pid:int -> event_info -> reaction;
+    note_commit : pid:int -> unit;
+  }
+
+  let stateless react ~nprocs:_ = { react; note_commit = (fun ~pid:_ -> ()) }
+  let commit_after_local = { no_reaction with commit_after = Some Local }
+  let commit_before_local = { no_reaction with commit_before = Some Local }
+
+  let commit_all =
+    stateless (fun ~pid:_ info ->
+        match info.kind with
+        | Event.Crash -> no_reaction
+        | _ -> commit_after_local)
+
+  let no_commit = stateless (fun ~pid:_ _ -> no_reaction)
+
+  let cand =
+    stateless (fun ~pid:_ info ->
+        if info_is_nd info then commit_after_local else no_reaction)
+
+  let cand_log =
+    stateless (fun ~pid:_ info ->
+        if info_is_nd info then
+          if info.loggable then { no_reaction with log = true }
+          else commit_after_local
+        else no_reaction)
+
+  let cpvs =
+    stateless (fun ~pid:_ info ->
+        if info_is_visible info || info_is_send info then commit_before_local
+        else no_reaction)
+
+  let cbndvs ~log_loggable ~nprocs =
+    let nd_since = Array.make nprocs false in
+    {
+      react =
+        (fun ~pid info ->
+          if info_is_nd info then
+            if log_loggable && info.loggable then
+              { no_reaction with log = true }
+            else begin
+              nd_since.(pid) <- true;
+              no_reaction
+            end
+          else if (info_is_visible info || info_is_send info) && nd_since.(pid)
+          then commit_before_local
+          else no_reaction);
+      note_commit = (fun ~pid -> nd_since.(pid) <- false);
+    }
+
+  let cpv_2pc =
+    stateless (fun ~pid:_ info ->
+        if info_is_visible info then
+          { no_reaction with commit_before = Some Global }
+        else no_reaction)
+
+  let cbndv_2pc ~nprocs =
+    let nd_since = Array.make nprocs false in
+    {
+      react =
+        (fun ~pid info ->
+          if info_is_nd info then begin
+            nd_since.(pid) <- true;
+            no_reaction
+          end
+          else if info_is_visible info && Array.exists (fun b -> b) nd_since
+          then { no_reaction with commit_before = Some Global }
+          else no_reaction);
+      note_commit = (fun ~pid -> nd_since.(pid) <- false);
+    }
+
+  let sbl =
+    stateless (fun ~pid:_ info ->
+        match info.kind with
+        | Event.Receive _ -> { no_reaction with log = true }
+        | _ -> if info_is_nd info then commit_after_local else no_reaction)
+
+  let manetho ~nprocs =
+    let nd_since = Array.make nprocs false in
+    {
+      react =
+        (fun ~pid info ->
+          if info_is_nd info then
+            if info.loggable then { no_reaction with log = true }
+            else begin
+              nd_since.(pid) <- true;
+              no_reaction
+            end
+          else if info_is_visible info && Array.exists (fun b -> b) nd_since
+          then { no_reaction with commit_before = Some Global }
+          else no_reaction);
+      note_commit = (fun ~pid -> nd_since.(pid) <- false);
+    }
+
+  let logging =
+    stateless (fun ~pid:_ info ->
+        if info_is_nd info then
+          if info.loggable then { no_reaction with log = true } else no_reaction
+        else if info_is_visible info then
+          { no_reaction with commit_before = Some Dependent }
+        else no_reaction)
+
+  let cpvs_after ~nprocs =
+    let inner = cpvs ~nprocs in
+    {
+      inner with
+      react =
+        (fun ~pid info ->
+          let r = inner.react ~pid info in
+          match r.commit_before with
+          | Some scope ->
+              { r with commit_before = None; commit_after = Some scope }
+          | None -> r);
+    }
+
+  let by_name = function
+    | "COMMIT-ALL" -> commit_all
+    | "NO-COMMIT" -> no_commit
+    | "CAND" -> cand
+    | "CAND-LOG" -> cand_log
+    | "CPVS" -> cpvs
+    | "CBNDVS" -> cbndvs ~log_loggable:false
+    | "CBNDVS-LOG" -> cbndvs ~log_loggable:true
+    | "CPV-2PC" | "COORD-CKPT" -> cpv_2pc
+    | "CBNDV-2PC" -> cbndv_2pc
+    | "SBL" -> sbl
+    | "MANETHO" -> manetho
+    | "CAUSAL-LOG" | "OPTIMISTIC" -> logging
+    | "CPVS!after" -> cpvs_after
+    | n -> invalid_arg ("Closure_reference: no reference for " ^ n)
+end
+
+type protocol_step = React of int * Protocol.event_info | Committed of int
+
+let gen_protocol_stream =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun nprocs ->
+    let pid = int_bound (nprocs - 1) in
+    let info =
+      frequency
+        [
+          ( 3,
+            map2
+              (fun c loggable -> { Protocol.kind = Event.Nd c; loggable })
+              (oneofl [ Event.Transient; Event.Fixed ])
+              bool );
+          ( 2,
+            map
+              (fun src ->
+                { Protocol.kind = Event.Receive { src; tag = 0 };
+                  loggable = true })
+              pid );
+          ( 2,
+            map
+              (fun v -> { Protocol.kind = Event.Visible v; loggable = false })
+              small_nat );
+          ( 2,
+            map
+              (fun dest ->
+                { Protocol.kind = Event.Send { dest; tag = 0 };
+                  loggable = false })
+              pid );
+          (1, return { Protocol.kind = Event.Internal; loggable = false });
+        ]
+    in
+    let step =
+      frequency
+        [
+          (4, map2 (fun p i -> React (p, i)) pid info);
+          (1, map (fun p -> Committed p) pid);
+        ]
+    in
+    list_size (int_range 1 40) step >>= fun steps -> return (nprocs, steps))
+
+let print_protocol_stream (nprocs, steps) =
+  let step = function
+    | React (p, i) ->
+        Printf.sprintf "p%d %s%s" p (Event.kind_to_string i.Protocol.kind)
+          (if i.Protocol.loggable then " loggable" else "")
+    | Committed p -> Printf.sprintf "p%d commit" p
+  in
+  Printf.sprintf "%d procs: %s" nprocs
+    (String.concat "; " (List.map step steps))
+
+let pp_reaction (r : Protocol.reaction) =
+  let scope = function
+    | None -> "-"
+    | Some Protocol.Local -> "local"
+    | Some Protocol.Global -> "global"
+    | Some Protocol.Dependent -> "dependent"
+  in
+  Printf.sprintf "{log=%b before=%s after=%s}" r.Protocol.log
+    (scope r.Protocol.commit_before) (scope r.Protocol.commit_after)
+
+let prop_protocols_match_closures =
+  let specs =
+    Protocols.all
+    @ [ (Option.get (Ft_mc.Mutants.by_name "commit-after-visible"))
+          .Ft_mc.Mutants.spec ]
+  in
+  QCheck.Test.make ~name:"pure protocols equal the closure instances"
+    ~count:500
+    (QCheck.make gen_protocol_stream ~print:print_protocol_stream)
+    (fun (nprocs, steps) ->
+      List.for_all
+        (fun (spec : Protocol.spec) ->
+          let inst =
+            Closure_reference.by_name spec.Protocol.spec_name ~nprocs
+          in
+          let nd_since = Array.make nprocs false in
+          List.for_all
+            (fun (i, step) ->
+              match step with
+              | Committed pid ->
+                  inst.Closure_reference.note_commit ~pid;
+                  nd_since.(pid) <- false;
+                  true
+              | React (pid, info) ->
+                  let want = inst.Closure_reference.react ~pid info in
+                  let got = Protocol.consult spec ~nd_since ~pid info in
+                  got = want
+                  || QCheck.Test.fail_reportf "%s, step %d: got %s, want %s"
+                       spec.Protocol.spec_name i (pp_reaction got)
+                       (pp_reaction want))
+            (List.mapi (fun i s -> (i, s)) steps))
+        specs)
+
 (* Run alone, at a fixed seed, by CI's "Oracle reference differentials"
    step: [QCHECK_SEED=n test_core.exe test reference]. *)
 let differential_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_save_work_differential; prop_hb_one_component ]
+    [ prop_save_work_differential; prop_hb_one_component;
+      prop_protocols_match_closures ]
   @ [
       Alcotest.test_case "dangerous paths to depth 4" `Quick
         test_dangerous_paths_exhaustive;

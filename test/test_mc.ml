@@ -196,6 +196,27 @@ let test_mutant_suite_shape () =
   Alcotest.(check bool) "gc mutant brings its own program" true
     (m.Ft_mc.Mutants.program <> None)
 
+(* The commit-budget defect spends its two commits on the first two ND
+   events; the third runs uncommitted, and the visible after it is the
+   Save-work violation the budget-never-reset mutant dies of. *)
+let test_commit_budget_spends_two () =
+  let nd = Ft_mc.Model.Nd (Event.Transient, false) in
+  let r =
+    Ft_mc.Model.run ~spec:Protocols.cand ~defect:Ft_mc.Model.Commit_budget
+      ~program:[| [| nd; nd; nd; Ft_mc.Model.Visible |] |]
+      ~prefix:[ 0; 0; 0; 0 ] ~crash:Ft_mc.Model.No_crash
+  in
+  Alcotest.(check (list (pair int int)))
+    "commits after the first two nd events" [ (0, 1); (0, 2) ]
+    r.Ft_mc.Model.commit_pcs;
+  match Save_work.visible_violations r.Ft_mc.Model.prefix_trace with
+  | [ v ] ->
+      (* p0's trace: nd, commit, nd, commit, nd, visible *)
+      Alcotest.(check (pair int int))
+        "the third nd precedes the visible uncommitted" (4, 5)
+        (v.Save_work.nd.Event.index, v.Save_work.target.Event.index)
+  | vs -> Alcotest.failf "%d visible violations, want 1" (List.length vs)
+
 (* Replay a script crash-free through the model, under the protocol and
    runtime defect it was found with; the trace is what Save-work judges. *)
 let replay ~spec ~defect ~nprocs steps =
@@ -810,6 +831,8 @@ let () =
             test_mutants_killed;
           Alcotest.test_case "mutant suite shape" `Quick
             test_mutant_suite_shape;
+          Alcotest.test_case "commit budget spends two commits" `Quick
+            test_commit_budget_spends_two;
           Alcotest.test_case "shrunk script replays" `Quick
             test_shrunk_script_replayable;
         ] );

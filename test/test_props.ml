@@ -174,6 +174,36 @@ let fork_matches_scratch_prop =
             :: Ft_mc.Checker.faults ~nprocs (run Model.No_crash)))
         fork_specs)
 
+(* A memo-pruned node's crash-free run is counted, not executed: its
+   step count from [Model.crash_free_steps] must equal the executed
+   run's, at every state along every generated prefix. *)
+let crash_free_steps_prop =
+  QCheck.Test.make ~name:"crash-free step count equals the executed run's"
+    ~count:100
+    (QCheck.make gen_fork_case ~print:print_fork_case)
+    (fun (program, prefix) ->
+      List.for_all
+        (fun (spec, defect) ->
+          let st = Model.start ~spec ~defect ~program in
+          let agrees () =
+            let counted = Model.crash_free_steps st in
+            let executed =
+              (Model.finish (Model.fork st) Model.No_crash).Model.steps
+            in
+            counted = executed
+            || QCheck.Test.fail_reportf "%s/%s: counted %d, executed %d"
+                 spec.Protocol.spec_name
+                 (Ft_mc.Checker.defect_to_string defect)
+                 counted executed
+          in
+          agrees ()
+          && List.for_all
+               (fun p ->
+                 Model.advance st p;
+                 agrees ())
+               prefix)
+        fork_specs)
+
 (* NO-COMMIT must violate Save-work whenever unlogged ND precedes a
    visible event. *)
 let no_commit_violates =
@@ -754,5 +784,7 @@ let () =
   Alcotest.run "ft_props"
     [
       ("properties", tests);
-      ("fork", [ QCheck_alcotest.to_alcotest fork_matches_scratch_prop ]);
+      ( "fork",
+        List.map QCheck_alcotest.to_alcotest
+          [ fork_matches_scratch_prop; crash_free_steps_prop ] );
     ]
