@@ -846,8 +846,15 @@ let ablation_cmd =
 
 let mc_cmd =
   let procs_arg =
-    Arg.(value & opt pos_int 2
-         & info [ "procs" ] ~doc:"Number of model processes.")
+    let procs =
+      bounded Arg.int
+        (fun n -> n > 0 && n <= Ft_mc.Checker.max_procs)
+        (Printf.sprintf "an integer from 1 to %d" Ft_mc.Checker.max_procs)
+    in
+    Arg.(value & opt procs 2
+         & info [ "procs" ] ~doc:
+             (Printf.sprintf "Number of model processes, at most %d."
+                Ft_mc.Checker.max_procs))
   in
   let depth_arg =
     Arg.(value & opt pos_int 6

@@ -7,7 +7,7 @@
 
     Events live in an amortized-O(1) append array with a per-process
     index vector, so checker queries iterate in place instead of
-    re-reversing a cons list: {!events_of} and {!commits_of} touch only
+    re-reversing a cons list: {!events_of} and {!iter_of} touch only
     that process's events, {!find} and {!matching_send} are O(1), and
     the Save-work / Consistency / Lose-work oracles stream over
     {!iter}/{!filter} without materializing the whole history. *)
@@ -31,8 +31,8 @@ let create ~nprocs =
     by_pid = Array.make nprocs [||];
     by_pid_count = Array.make nprocs 0;
     clocks = Array.init nprocs (fun _ -> Vclock.create nprocs);
-    send_clocks = Hashtbl.create 64;
-    first_sends = Hashtbl.create 64;
+    send_clocks = Hashtbl.create 8;
+    first_sends = Hashtbl.create 8;
   }
 
 (* Recorded events and the clocks they captured are never mutated, so a
@@ -141,12 +141,6 @@ let find t ~pid ~index =
      || index >= t.by_pid_count.(pid)
   then None
   else Some t.arr.(t.by_pid.(pid).(index))
-
-let commits_of t pid =
-  List.rev
-    (let acc = ref [] in
-     iter_of t pid (fun e -> if Event.is_commit e then acc := e :: !acc);
-     !acc)
 
 let crashes t = filter t Event.is_crash
 

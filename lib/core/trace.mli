@@ -45,7 +45,6 @@ val filter : t -> (Event.t -> bool) -> Event.t list
     intermediate full-history list). *)
 
 val find : t -> pid:int -> index:int -> Event.t option
-val commits_of : t -> int -> Event.t list
 
 val crashes : t -> Event.t list
 

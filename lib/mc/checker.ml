@@ -80,6 +80,10 @@ let crash_of_string = function
 let prefix_to_string prefix =
   String.concat "" (List.map string_of_int prefix)
 
+(* [prefix_to_string] writes a pid as one digit: above 10 processes
+   [1; 11] and [1; 1; 1] would both be "111". *)
+let max_procs = 10
+
 let prefix_of_string s =
   let rec go acc i =
     if i >= String.length s then Ok (List.rev acc)
@@ -444,6 +448,10 @@ let defect_to_string = function
 let jobs ?(no_prune = false) ?(lose_work = true) ?(shard_depth = 2) ~specs
     ~program () =
   let nprocs = Array.length program in
+  if nprocs > max_procs then
+    invalid_arg
+      (Printf.sprintf "Checker.jobs: %d processes, at most %d have keys"
+         nprocs max_procs);
   let digest = String.sub (Model.program_digest program) 0 12 in
   let job_of ~spec ~defect ~tag ~root ~stop_depth =
     (* the defect and the oracle set are part of the result's identity:

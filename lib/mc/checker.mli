@@ -83,7 +83,13 @@ val defect_to_string : Model.defect -> string
 val crash_to_string : Model.crash -> string
 val crash_of_string : string -> (Model.crash, string) result
 val prefix_to_string : int list -> string
+(** One decimal digit per pid: only pids 0..9 read back. *)
+
 val prefix_of_string : string -> (int list, string) result
+
+val max_procs : int
+(** The most processes a sweep can key: 10, the pids
+    {!prefix_to_string} writes one digit each. *)
 
 (** {2 Exp fan-out} *)
 
@@ -101,7 +107,9 @@ val jobs :
 (** One job per (protocol, shard) plus one shallow job per protocol
     covering the prefixes above the shard boundary.  Job keys encode the
     program digest and bound, so a warm {!Ft_exp.Exp} store resumes an
-    interrupted sweep without re-exploring completed shards. *)
+    interrupted sweep without re-exploring completed shards.
+    @raise Invalid_argument above {!max_procs} processes, where two
+    shard prefixes would share a key. *)
 
 val stats_of_value : Ft_exp.Jstore.value -> stats option
 (** Decode one job's result row back into {!stats}; [None] when any

@@ -110,6 +110,31 @@ type log_entry =
   | Lnd of int
   | Lrecv of { src : int; seq : int; payload : int; tag : int }
 
+(* The per-run tables are persistent maps in mutable fields: a fork shares
+   them, and a write replaces only the writer's field. *)
+module Pc_map = Map.Make (struct
+  type t = int * int
+
+  let compare ((a, b) : t) ((c, d) : t) =
+    match Int.compare a c with 0 -> Int.compare b d | x -> x
+end)
+
+module Msg_map = Map.Make (struct
+  type t = int * int * int
+
+  let compare ((a, b, c) : t) ((d, e, f) : t) =
+    match Int.compare a d with
+    | 0 -> ( match Int.compare b e with 0 -> Int.compare c f | y -> y)
+    | x -> x
+end)
+
+(* One event since the process's last commit, as the state key sees it. *)
+type since =
+  | R of { pc : int; src : int; seq : int; logged : bool }  (* receive *)
+  | N of { pc : int; logged : bool }  (* ND draw *)
+  | V of int  (* visible at pc *)
+  | S of { pc : int; dst : int }  (* send *)
+
 type snapshot = {
   s_pc : int;  (* resume point *)
   s_acc : int;
@@ -138,15 +163,15 @@ type state = {
          CONFIRMED stable, via a dependent-commit round's ack — local
          knowledge, never an omniscient read of q's commit state.  Rolls
          back with pid (the confirming ack may be un-received). *)
-  mail : (int * int * int, int * int * int list * int list) Hashtbl.t;
+  mutable mail : (int * int * Vclock.t * int array) Msg_map.t;
       (* (src, dst, seq) -> payload, tag, send vclock, sender dv *)
   snaps : snapshot array;
-  since : string list array;  (* event descriptors since last commit *)
-  draws : (int * int, int) Hashtbl.t;  (* surviving ND result at (pid, pc) *)
-  log : (int * int, log_entry) Hashtbl.t;
-  recv_bind : (int * int, (int * int * int) option) Hashtbl.t;
+  since : since list array;  (* events since last commit *)
+  mutable draws : int Pc_map.t;  (* surviving ND result at (pid, pc) *)
+  mutable log : log_entry Pc_map.t;
+  mutable recv_bind : (int * int * int) option Pc_map.t;
       (* surviving receive binding: (src, seq, payload), None = skipped *)
-  first_stamp : (int * int, int) Hashtbl.t;
+  mutable first_stamp : int Pc_map.t;
   mutable now : int;
   mutable next_tag : int;
   mutable ack_tag : int;
@@ -252,12 +277,7 @@ let dependent_noop st ~pid =
    once the owner's commit watermark has passed it (and its dependents
    have committed), so a replay can never miss one. *)
 let gc_live st =
-  let doomed =
-    Hashtbl.fold
-      (fun (q, pc) _ acc -> if pc < st.pcs.(q) then (q, pc) :: acc else acc)
-      st.log []
-  in
-  List.iter (Hashtbl.remove st.log) doomed
+  st.log <- Pc_map.filter (fun (q, pc) _ -> pc >= st.pcs.(q)) st.log
 
 let commit_scope st ~pid scope =
   (match scope with
@@ -331,18 +351,18 @@ let desc_since st pid d = st.since.(pid) <- d :: st.since.(pid)
 let stamp st pid pc =
   let s = st.now in
   st.now <- s + 1;
-  if not (Hashtbl.mem st.first_stamp (pid, pc)) then
-    Hashtbl.replace st.first_stamp (pid, pc) s
+  if not (Pc_map.mem (pid, pc) st.first_stamp) then
+    st.first_stamp <- Pc_map.add (pid, pc) s st.first_stamp
 
 let receive_binding st pid pc =
-  match Hashtbl.find_opt st.log (pid, pc) with
+  match Pc_map.find_opt (pid, pc) st.log with
   | Some (Lrecv { src; seq; payload; tag }) -> Some (src, seq, payload, tag)
   | _ ->
       let rec scan src =
         if src >= st.nprocs then None
         else if st.sent.(src).(pid) > st.cursor.(pid).(src) then
           let seq = st.cursor.(pid).(src) in
-          match Hashtbl.find_opt st.mail (src, pid, seq) with
+          match Msg_map.find_opt (src, pid, seq) st.mail with
           | Some (payload, tag, _, _) -> Some (src, seq, payload, tag)
           | None -> scan (src + 1)
         else scan (src + 1)
@@ -374,7 +394,7 @@ let exec_step st ~trap ?(force_skip = false) pid =
         | None ->
             st.steps <- st.steps + 1;
             stamp st pid pc;
-            Hashtbl.replace st.recv_bind (pid, pc) None;
+            st.recv_bind <- Pc_map.add (pid, pc) None st.recv_bind;
             st.pcs.(pid) <- pc + 1;
             true
         | Some (src, seq, payload, tag) ->
@@ -392,20 +412,23 @@ let exec_step st ~trap ?(force_skip = false) pid =
             st.accs.(pid) <- mix st.accs.(pid) payload;
             (* piggybacked dependency vector: the receiver's state now
                depends on everything the sender's did at send time *)
-            (match Hashtbl.find_opt st.mail (src, pid, seq) with
+            (match Msg_map.find_opt (src, pid, seq) st.mail with
             | Some (_, _, _, dv) when st.defect <> Drop_dv ->
-                List.iteri
+                Array.iteri
                   (fun q x ->
                     if x > st.dvs.(pid).(q) then st.dvs.(pid).(q) <- x)
                   dv
             | _ -> ());
             if Protocol.taints st.style ~logged (Event.Receive { src; tag })
             then st.dvs.(pid).(pid) <- st.dvs.(pid).(pid) + 1;
-            Hashtbl.replace st.recv_bind (pid, pc) (Some (src, seq, payload));
+            st.recv_bind <-
+              Pc_map.add (pid, pc) (Some (src, seq, payload)) st.recv_bind;
             if logged && st.defect <> Drop_log
-               && not (Hashtbl.mem st.log (pid, pc))
-            then Hashtbl.replace st.log (pid, pc) (Lrecv { src; seq; payload; tag });
-            desc_since st pid (Printf.sprintf "r%d<%d.%d:%b" pc src seq logged);
+               && not (Pc_map.mem (pid, pc) st.log)
+            then
+              st.log <-
+                Pc_map.add (pid, pc) (Lrecv { src; seq; payload; tag }) st.log;
+            desc_since st pid (R { pc; src; seq; logged });
             st.pcs.(pid) <- pc + 1;
             do_commit st ~trap ~pid reaction.Protocol.commit_after;
             true)
@@ -415,7 +438,7 @@ let exec_step st ~trap ?(force_skip = false) pid =
           | Internal -> ({ Protocol.kind = Event.Internal; loggable = false }, 0)
           | Nd (c, lg) ->
               let v =
-                match Hashtbl.find_opt st.log (pid, pc) with
+                match Pc_map.find_opt (pid, pc) st.log with
                 | Some (Lnd v) -> v
                 | _ -> (
                     match c with
@@ -442,30 +465,30 @@ let exec_step st ~trap ?(force_skip = false) pid =
           | Internal -> ()
           | Nd (c, lg) ->
               st.gens.(pid).(pc) <- st.gens.(pid).(pc) + 1;
-              Hashtbl.replace st.draws (pid, pc) value;
+              st.draws <- Pc_map.add (pid, pc) value st.draws;
               st.accs.(pid) <- mix st.accs.(pid) value;
               let logged = reaction.Protocol.log && lg in
               if Protocol.taints st.style ~logged (Event.Nd c) then
                 st.dvs.(pid).(pid) <- st.dvs.(pid).(pid) + 1;
               ignore (record st ~pid ~logged (Event.Nd c));
               if logged && st.defect <> Drop_log
-                 && not (Hashtbl.mem st.log (pid, pc))
-              then Hashtbl.replace st.log (pid, pc) (Lnd value);
-              desc_since st pid (Printf.sprintf "n%d:%b" pc logged)
+                 && not (Pc_map.mem (pid, pc) st.log)
+              then st.log <- Pc_map.add (pid, pc) (Lnd value) st.log;
+              desc_since st pid (N { pc; logged })
           | Visible ->
               ignore (record st ~pid (Event.Visible value));
               st.observed_rev <- value :: st.observed_rev;
-              desc_since st pid (Printf.sprintf "v%d" pc)
+              desc_since st pid (V pc)
           | Send d ->
               let seq = st.sent.(pid).(d) in
               let tag = st.next_tag in
               st.next_tag <- tag + 1;
               let e = record st ~pid (Event.Send { dest = d; tag }) in
-              let vc = List.init st.nprocs (Vclock.get e.Event.vc) in
-              let dv = Array.to_list st.dvs.(pid) in
-              Hashtbl.replace st.mail (pid, d, seq) (value, tag, vc, dv);
+              let dv = Array.copy st.dvs.(pid) in
+              st.mail <-
+                Msg_map.add (pid, d, seq) (value, tag, e.Event.vc, dv) st.mail;
               st.sent.(pid).(d) <- seq + 1;
-              desc_since st pid (Printf.sprintf "s%d>%d" pc d)
+              desc_since st pid (S { pc; dst = d })
           | Receive -> ()
         in
         let publish_early =
@@ -532,12 +555,7 @@ let rollback ?nested st victim =
   let wipe_volatile_log p =
     if st.style = Protocol.Optimistic_log then begin
       let s_pc = st.snaps.(p).s_pc in
-      let doomed =
-        Hashtbl.fold
-          (fun (q, pc) _ acc -> if q = p && pc >= s_pc then (q, pc) :: acc else acc)
-          st.log []
-      in
-      List.iter (Hashtbl.remove st.log) doomed
+      st.log <- Pc_map.filter (fun (q, pc) _ -> q <> p || pc < s_pc) st.log
     end
   in
   let rerestore p =
@@ -623,19 +641,17 @@ let rollback ?nested st victim =
          rolled-back receiver's restore point whose sender also rolled
          back past the send (seq at or beyond the restored send count)
          names a message that no longer exists *)
-      let dead =
-        Hashtbl.fold
-          (fun (p, pc) entry acc ->
-            if rolled.(p) && pc >= st.snaps.(p).s_pc then
+      st.log <-
+        Pc_map.filter
+          (fun (p, pc) entry ->
+            not
+              (rolled.(p) && pc >= st.snaps.(p).s_pc
+              &&
               match entry with
-              | Lrecv { src; seq; _ }
-                when rolled.(src) && seq >= st.sent.(src).(p) ->
-                  (p, pc) :: acc
-              | _ -> acc
-            else acc)
-          st.log []
-      in
-      List.iter (Hashtbl.remove st.log) dead
+              | Lrecv { src; seq; _ } ->
+                  rolled.(src) && seq >= st.sent.(src).(p)
+              | Lnd _ -> false))
+          st.log
 
 (* ---- state key ---------------------------------------------------------- *)
 
@@ -645,65 +661,43 @@ let rollback ?nested st victim =
    (what Save-work verdicts on extensions are computed from), and the
    events since each last commit (the protocols' internal state).
    Deliberately rich — a missed merge costs time, a false merge costs
-   soundness; `--no-prune` cross-checks the choice. *)
+   soundness; `--no-prune` cross-checks the choice.  The arrays, records,
+   event kinds and clocks are marshalled as they are, without sharing, so
+   equal states give equal bytes whatever their physical sharing: a
+   process's ND and receive events stand whole (its pid is implied by
+   its slot), its commits as (index, clock), and its current clock is
+   the last event's, if it has one. *)
 let state_key st =
-  let vcl vc = List.init st.nprocs (Vclock.get vc) in
   let per_proc p =
-    let evs = Trace.events_of st.trace p in
-    let nds =
-      List.filter_map
-        (fun e ->
-          if Event.is_nd e || Event.is_receive e then
-            Some (e.Event.index, Event.kind_to_string e.Event.kind,
-                  e.Event.logged, vcl e.Event.vc)
-          else None)
-        evs
-    in
-    let commits =
-      List.map (fun e -> (e.Event.index, vcl e.Event.vc)) (Trace.commits_of st.trace p)
-    in
-    let cur_vc =
-      match List.rev evs with [] -> [] | e :: _ -> vcl e.Event.vc
-    in
-    (nds, commits, cur_vc)
+    let nds = ref [] and commits = ref [] and cur_vc = ref None in
+    Trace.iter_of st.trace p (fun e ->
+        if Event.is_nd e || Event.is_receive e then nds := e :: !nds
+        else if Event.is_commit e then
+          commits := (e.Event.index, e.Event.vc) :: !commits;
+        cur_vc := Some e.Event.vc);
+    (!nds, !commits, !cur_vc)
   in
   let pending = ref [] in
-  for src = 0 to st.nprocs - 1 do
-    for dst = 0 to st.nprocs - 1 do
-      for seq = st.cursor.(dst).(src) to st.sent.(src).(dst) - 1 do
-        match Hashtbl.find_opt st.mail (src, dst, seq) with
+  for src = st.nprocs - 1 downto 0 do
+    for dst = st.nprocs - 1 downto 0 do
+      for seq = st.sent.(src).(dst) - 1 downto st.cursor.(dst).(src) do
+        match Msg_map.find_opt (src, dst, seq) st.mail with
         | Some (payload, _, vc, dv) ->
             pending := (src, dst, seq, payload, vc, dv) :: !pending
         | None -> ()
       done
     done
   done;
-  let snaps =
-    Array.map
-      (fun s ->
-        ( s.s_pc,
-          s.s_acc,
-          Array.to_list s.s_cursor,
-          Array.to_list s.s_sent,
-          Array.to_list s.s_dv,
-          Array.to_list s.s_stable ))
-      st.snaps
-  in
   let repr =
-    ( ( Array.to_list st.pcs,
-        Array.to_list st.accs,
-        Array.to_list (Array.map (fun a -> Array.to_list a) st.cursor),
-        Array.to_list (Array.map (fun a -> Array.to_list a) st.sent),
-        Array.to_list (Array.map (fun a -> Array.to_list a) st.dvs),
-        Array.to_list (Array.map (fun a -> Array.to_list a) st.stable) ),
-      List.sort compare !pending,
-      Array.to_list snaps,
-      Array.to_list st.since,
-      List.init st.nprocs per_proc,
+    ( (st.pcs, st.accs, st.cursor, st.sent, st.dvs, st.stable),
+      !pending,
+      st.snaps,
+      st.since,
+      Array.init st.nprocs per_proc,
       st.round,
-      List.rev st.observed_rev )
+      st.observed_rev )
   in
-  Digest.string (Marshal.to_string repr [])
+  Digest.string (Marshal.to_string repr [ Marshal.No_sharing ])
 
 (* ---- reference construction --------------------------------------------- *)
 
@@ -719,19 +713,21 @@ let state_key st =
    divergence this hides is visible in the lineages downstream. *)
 let build_reference st =
   let pairs =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.first_stamp []
+    Pc_map.bindings st.first_stamp
     |> List.sort (fun ((_ : int * int), a) (_, b) -> compare a b)
   in
   let accs = Array.init st.nprocs acc0 in
   let rsent = Array.make_matrix st.nprocs st.nprocs 0 in
-  let rmail = Hashtbl.create 64 in
+  let rmail = Hashtbl.create 8 in
   let out = ref [] in
   List.iter
     (fun ((pid, pc), _) ->
       match st.prog.(pid).(pc) with
       | Internal -> ()
       | Nd _ ->
-          let v = try Hashtbl.find st.draws (pid, pc) with Not_found -> 0 in
+          let v =
+            Option.value ~default:0 (Pc_map.find_opt (pid, pc) st.draws)
+          in
           accs.(pid) <- mix accs.(pid) v
       | Visible -> out := visible_of ~pid ~pc ~acc:accs.(pid) :: !out
       | Send d ->
@@ -740,7 +736,7 @@ let build_reference st =
             (payload_of ~pid ~pc ~acc:accs.(pid));
           rsent.(pid).(d) <- seq + 1
       | Receive -> (
-          match Hashtbl.find_opt st.recv_bind (pid, pc) with
+          match Pc_map.find_opt (pid, pc) st.recv_bind with
           | None | Some None -> ()
           | Some (Some (src, seq, raw)) ->
               let payload =
@@ -780,7 +776,7 @@ let start ~spec ~defect ~program =
       sent = Array.make_matrix nprocs nprocs 0;
       dvs = Array.make_matrix nprocs nprocs 0;
       stable = Array.make_matrix nprocs nprocs 0;
-      mail = Hashtbl.create 16;
+      mail = Msg_map.empty;
       snaps =
         Array.make nprocs
           {
@@ -792,10 +788,10 @@ let start ~spec ~defect ~program =
             s_stable = [||];
           };
       since = Array.make nprocs [];
-      draws = Hashtbl.create 16;
-      log = Hashtbl.create 16;
-      recv_bind = Hashtbl.create 16;
-      first_stamp = Hashtbl.create 16;
+      draws = Pc_map.empty;
+      log = Pc_map.empty;
+      recv_bind = Pc_map.empty;
+      first_stamp = Pc_map.empty;
       now = 0;
       next_tag = 0;
       ack_tag = -1;
@@ -836,8 +832,11 @@ let advance st ?trap pid =
     with Crashed_mid_commit -> st.mid_victim <- Some pid
   end
 
-(* Everything mutable is copied; what is shared is immutable once
-   written (snapshots, mail entries, log entries, recorded events). *)
+(* A fork copies the arrays and the trace and shares everything else:
+   the persistent tables (a write replaces only the writer's own field),
+   the snapshots and since lists the copied arrays hold, and the mail
+   entries, log entries and recorded events, all immutable once
+   written. *)
 let fork st =
   let matrix = Array.map Array.copy in
   {
@@ -850,13 +849,8 @@ let fork st =
     sent = matrix st.sent;
     dvs = matrix st.dvs;
     stable = matrix st.stable;
-    mail = Hashtbl.copy st.mail;
     snaps = Array.copy st.snaps;
     since = Array.copy st.since;
-    draws = Hashtbl.copy st.draws;
-    log = Hashtbl.copy st.log;
-    recv_bind = Hashtbl.copy st.recv_bind;
-    first_stamp = Hashtbl.copy st.first_stamp;
     trace = Trace.copy st.trace;
   }
 
@@ -882,18 +876,16 @@ let finish st crash =
   in
   let prefix_trace = Trace.copy st.trace in
   let prefix_bindings =
-    Hashtbl.fold
-      (fun k b acc ->
-        (k, Option.map (fun (src, seq, _) -> (src, seq)) b) :: acc)
-      st.recv_bind []
-    |> List.sort compare
+    List.map
+      (fun (k, b) -> (k, Option.map (fun (src, seq, _) -> (src, seq)) b))
+      (Pc_map.bindings st.recv_bind)
   in
   let pending =
     let acc = ref [] in
     for src = nprocs - 1 downto 0 do
       for dst = nprocs - 1 downto 0 do
         for seq = st.sent.(src).(dst) - 1 downto st.cursor.(dst).(src) do
-          if Hashtbl.mem st.mail (src, dst, seq) then
+          if Msg_map.mem (src, dst, seq) st.mail then
             acc := (src, dst, seq) :: !acc
         done
       done
@@ -908,7 +900,7 @@ let finish st crash =
      blocked receives resolve to skips at quiescence. *)
   (match crash with
   | Lose { src; dst; seq } when st.defect = No_retransmit ->
-      Hashtbl.remove st.mail (src, dst, seq)
+      st.mail <- Msg_map.remove (src, dst, seq) st.mail
   | _ -> ());
   let victim =
     match (crash, st.mid_victim) with
@@ -958,8 +950,7 @@ let finish st crash =
     prefix_bindings;
     pending;
     next_pids;
-    logged_pcs =
-      Hashtbl.fold (fun k _ acc -> k :: acc) st.log [] |> List.sort compare;
+    logged_pcs = List.map fst (Pc_map.bindings st.log);
     steps = st.steps;
   }
 

@@ -165,7 +165,8 @@ val advance : state -> ?trap:bool -> int -> unit
 
 val fork : state -> state
 (** An independent copy: advancing or finishing either leaves the other
-    unchanged. *)
+    unchanged.  It copies the state's arrays and trace and shares its
+    tables, which are persistent. *)
 
 val state_key : state -> string
 (** Digest of everything the state's future can depend on; equal keys

@@ -78,6 +78,49 @@ let test_honest_counts () =
            Protocols.figure8_extended))
     honest_counts
 
+(* The memo's partition of the perfbench mc workload: the default 3x3
+   program's sharded jobs under every Figure 8 protocol, nodes, runs,
+   memo hits and steps summed per protocol.  A state key that merges
+   more or fewer states moves the memo column. *)
+let memo_partition_3x3 =
+  [
+    ("CAND", (601, 4538, 218, 44672));
+    ("CAND-LOG", (601, 4502, 218, 44762));
+    ("CPVS", (601, 4952, 218, 49089));
+    ("CBNDVS", (601, 4640, 218, 47532));
+    ("CBNDVS-LOG", (601, 4640, 218, 47532));
+    ("CPV-2PC", (1627, 18846, 86, 180184));
+    ("CBNDV-2PC", (1611, 17582, 102, 170132));
+    ("CAUSAL-LOG", (601, 4714, 218, 46863));
+    ("OPTIMISTIC", (601, 4714, 218, 46863));
+  ]
+
+let test_memo_partition_3x3 () =
+  let program = Ft_mc.Model.default_program ~nprocs:3 ~depth:3 in
+  let quad = Alcotest.(pair (pair int int) (pair int int)) in
+  Alcotest.(check (list (pair string quad)))
+    "nodes, runs, memo hits, steps at 3x3"
+    (List.map
+       (fun (name, (n, r, m, s)) -> (name, ((n, r), (m, s))))
+       memo_partition_3x3)
+    (List.map
+       (fun spec ->
+         let s =
+           List.fold_left
+             (fun acc (j : Ft_exp.Job.t) ->
+               match Ft_mc.Checker.stats_of_value (j.Ft_exp.Job.run ()) with
+               | Some s -> Ft_mc.Checker.add_stats acc s
+               | None -> Alcotest.fail ("undecodable row " ^ j.Ft_exp.Job.key))
+             Ft_mc.Checker.zero_stats
+             (Ft_mc.Checker.jobs
+                ~specs:[ (spec, Ft_mc.Model.Honest) ]
+                ~program ())
+         in
+         ( spec.Protocol.spec_name,
+           ( (s.Ft_mc.Checker.nodes, s.Ft_mc.Checker.runs),
+             (s.Ft_mc.Checker.memo_hits, s.Ft_mc.Checker.steps) ) ))
+       Protocols.figure8_extended)
+
 let test_honest_default_bound () =
   (* the issue's default bound: 2 procs x 6 events, all crash points *)
   let program = program ~depth:6 in
@@ -414,9 +457,20 @@ let test_crash_roundtrip () =
       Ft_mc.Model.Nested { victim = 0; stage = Ft_mc.Model.NRestore };
       Ft_mc.Model.Nested { victim = 2; stage = Ft_mc.Model.NCascade };
     ];
-  match Ft_mc.Checker.prefix_of_string "010221" with
+  (match Ft_mc.Checker.prefix_of_string "010221" with
   | Ok p -> Alcotest.(check (list int)) "prefix" [ 0; 1; 0; 2; 2; 1 ] p
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  (* every pid a sweep can key (0..9) reads back, alone and in runs *)
+  let pids = List.init Ft_mc.Checker.max_procs Fun.id in
+  List.iter
+    (fun prefix ->
+      match
+        Ft_mc.Checker.prefix_of_string (Ft_mc.Checker.prefix_to_string prefix)
+      with
+      | Ok p -> Alcotest.(check (list int)) "prefix" prefix p
+      | Error e -> Alcotest.fail e)
+    ([ []; pids; List.rev pids ]
+    @ List.concat_map (fun p -> [ [ p ]; [ p; p ]; [ 1; p ] ]) pids)
 
 let test_script_roundtrip () =
   let program = program ~depth:6 in
@@ -574,6 +628,34 @@ let test_xcheck_row () =
     (decodes {|{"runs":4,"failures":[]}|});
   Alcotest.(check bool) "non-string failure" false
     (decodes {|{"runs":4,"kills":2,"failures":["x",3]}|})
+
+(* One store row per job at every process count a sweep accepts, and
+   none above it: there, prefix strings collide and a shard would be
+   reported twice and another never. *)
+let test_jobs_distinct_keys_by_procs () =
+  for nprocs = 1 to Ft_mc.Checker.max_procs do
+    let program = Ft_mc.Model.default_program ~nprocs ~depth:1 in
+    let keys =
+      List.map
+        (fun j -> j.Ft_exp.Job.key)
+        (Ft_mc.Checker.jobs
+           ~specs:[ (Protocols.cand, Ft_mc.Model.Honest) ]
+           ~program ())
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "distinct keys at %d procs" nprocs)
+      (List.length keys)
+      (List.length (List.sort_uniq String.compare keys))
+  done;
+  let program =
+    Ft_mc.Model.default_program ~nprocs:(Ft_mc.Checker.max_procs + 1) ~depth:1
+  in
+  match
+    Ft_mc.Checker.jobs ~specs:[ (Protocols.cand, Ft_mc.Model.Honest) ]
+      ~program ()
+  with
+  | _ -> Alcotest.fail "jobs keyed more processes than prefixes can name"
+  | exception Invalid_argument _ -> ()
 
 let test_mutant_jobs_distinct_keys () =
   (* a mutant may reuse an honest spec verbatim (drop-log-entry is
@@ -806,6 +888,8 @@ let () =
         [
           Alcotest.test_case "honest protocols exhaust 2x5 clean" `Quick
             test_honest_clean;
+          Alcotest.test_case "memo partition at 3x3 (golden)" `Quick
+            test_memo_partition_3x3;
           Alcotest.test_case "honest state counts (golden)" `Quick
             test_honest_counts;
           Alcotest.test_case "default bound 2x6" `Quick
@@ -840,6 +924,8 @@ let () =
         [
           Alcotest.test_case "crash/prefix round-trip" `Quick
             test_crash_roundtrip;
+          Alcotest.test_case "sweep keys distinct up to 10 procs" `Quick
+            test_jobs_distinct_keys_by_procs;
           Alcotest.test_case "conformance script round-trip" `Quick
             test_script_roundtrip;
           Alcotest.test_case "sweep resumes from warm store" `Quick

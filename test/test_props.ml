@@ -131,27 +131,32 @@ let run_diff (a : Model.run) (b : Model.run) =
       ("steps", a.Model.steps = b.Model.steps);
     ]
 
+let spec_name (spec, defect) =
+  spec.Protocol.spec_name ^ "/" ^ Ft_mc.Checker.defect_to_string defect
+
+(* The checker's way to a node: the state one step short of [prefix]
+   (the parent), then a fork of it advanced by the last step.  Returns
+   the parent, that last pid and the node's state. *)
+let node_state ~spec ~defect ~program prefix =
+  match List.rev prefix with
+  | [] -> assert false
+  | last :: rev ->
+      let parent = Model.start ~spec ~defect ~program in
+      List.iter (Model.advance parent) (List.rev rev);
+      let st = Model.fork parent in
+      Model.advance st last;
+      (parent, last, st)
+
 let fork_matches_scratch_prop =
   QCheck.Test.make ~name:"forked executions equal from-scratch runs"
     ~count:100
     (QCheck.make gen_fork_case ~print:print_fork_case)
     (fun (program, prefix) ->
       let nprocs = Array.length program in
-      let earlier, last =
-        match List.rev prefix with
-        | last :: rev -> (List.rev rev, last)
-        | [] -> assert false
-      in
       List.for_all
         (fun (spec, defect) ->
-          let name =
-            spec.Protocol.spec_name ^ "/" ^ Ft_mc.Checker.defect_to_string defect
-          in
-          (* the checker's way: the parent's state, forked and advanced *)
-          let parent = Model.start ~spec ~defect ~program in
-          List.iter (Model.advance parent) earlier;
-          let st = Model.fork parent in
-          Model.advance st last;
+          let name = spec_name (spec, defect) in
+          let parent, last, st = node_state ~spec ~defect ~program prefix in
           let scratch = Model.start ~spec ~defect ~program in
           List.iter (Model.advance scratch) prefix;
           if Model.state_key st <> Model.state_key scratch then
@@ -174,6 +179,54 @@ let fork_matches_scratch_prop =
             :: Ft_mc.Checker.faults ~nprocs (run Model.No_crash)))
         fork_specs)
 
+(* Forks share the model's persistent tables with their source, so
+   nothing a fork does may reach back: after each of the node's fault
+   executions and after advancing and finishing a forked child per
+   schedule choice, the node's and its parent's state keys are what they
+   were, and a second crash-free run from the node equals the first. *)
+let fork_isolation_prop =
+  QCheck.Test.make ~name:"forks leave the node and its parent unchanged"
+    ~count:100
+    (QCheck.make gen_fork_case ~print:print_fork_case)
+    (fun (program, prefix) ->
+      let nprocs = Array.length program in
+      List.for_all
+        (fun (spec, defect) ->
+          let name = spec_name (spec, defect) in
+          let parent, last, st = node_state ~spec ~defect ~program prefix in
+          let parent_key = Model.state_key parent
+          and node_key = Model.state_key st in
+          let unchanged what =
+            (Model.state_key st = node_key
+            || QCheck.Test.fail_reportf "%s: %s changed the node" name what)
+            && (Model.state_key parent = parent_key
+               || QCheck.Test.fail_reportf "%s: %s changed the parent" name
+                    what)
+          in
+          let node = Model.finish (Model.fork st) Model.No_crash in
+          List.for_all
+            (fun crash ->
+              ignore
+                (Model.finish
+                   (Ft_mc.Checker.fault_state ~parent ~last st crash)
+                   crash);
+              unchanged ("crash " ^ Ft_mc.Checker.crash_to_string crash))
+            (Ft_mc.Checker.faults ~nprocs node)
+          && List.for_all
+               (fun p ->
+                 let child = Model.fork st in
+                 Model.advance child p;
+                 ignore (Model.finish child Model.No_crash);
+                 unchanged (Printf.sprintf "child %d" p))
+               node.Model.next_pids
+          &&
+          match run_diff node (Model.finish (Model.fork st) Model.No_crash) with
+          | [] -> true
+          | fields ->
+              QCheck.Test.fail_reportf "%s: second crash-free run: %s differ"
+                name (String.concat ", " fields))
+        fork_specs)
+
 (* A memo-pruned node's crash-free run is counted, not executed: its
    step count from [Model.crash_free_steps] must equal the executed
    run's, at every state along every generated prefix. *)
@@ -191,10 +244,8 @@ let crash_free_steps_prop =
               (Model.finish (Model.fork st) Model.No_crash).Model.steps
             in
             counted = executed
-            || QCheck.Test.fail_reportf "%s/%s: counted %d, executed %d"
-                 spec.Protocol.spec_name
-                 (Ft_mc.Checker.defect_to_string defect)
-                 counted executed
+            || QCheck.Test.fail_reportf "%s: counted %d, executed %d"
+                 (spec_name (spec, defect)) counted executed
           in
           agrees ()
           && List.for_all
@@ -786,5 +837,9 @@ let () =
       ("properties", tests);
       ( "fork",
         List.map QCheck_alcotest.to_alcotest
-          [ fork_matches_scratch_prop; crash_free_steps_prop ] );
+          [
+            fork_matches_scratch_prop;
+            crash_free_steps_prop;
+            fork_isolation_prop;
+          ] );
     ]
