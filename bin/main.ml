@@ -224,12 +224,19 @@ let run_serve procs requests protocols crash_rate recovery_crash_rate det_cap
   | Some msg -> `Error (true, msg)
   | None ->
   let procs = v procs d.procs and requests = v requests d.requests in
+  let fleet = if smoke then Ft_harness.Serve.smoke_params.procs else procs in
   if (not smoke) && requests < procs then
     `Error
       (true,
        Printf.sprintf
          "--requests (%d) must be at least --procs (%d): every tenant \
           serves at least one query" requests procs)
+  else if poison > fleet then
+    `Error
+      (true,
+       Printf.sprintf
+         "--poison (%d) must be at most the fleet size (%d): a tenant is \
+          poisoned at most once" poison fleet)
   else
   let p =
     if smoke then

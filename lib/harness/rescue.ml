@@ -35,7 +35,9 @@ let base_cfg ~protocol ~ladder w =
       (* No fault suppression: the whole point is to meet the recurring
          fault head-on and see which rung gets past it. *)
       suppress_faults_on_recovery = false;
-      policy = Some ladder;
+      (* Rung L0: two generic replays before any ladder escalates. *)
+      max_recovery_attempts = 2;
+      policy = ladder;
     }
 
 let reference ~protocol app =

@@ -194,7 +194,6 @@ type t = {
   mutable det_live : int;            (* cached: sum of hi - mark *)
   mutable det_high_water : int;      (* running max of det_live *)
   mutable det_cap : int;             (* hard cap on det_live; 0 = none *)
-  mutable det_forced_flushes : int;  (* cap hits that forced a commit *)
 }
 
 let create ?(seed = 42) ?(fs_capacity = 1 lsl 20)
@@ -241,7 +240,6 @@ let create ?(seed = 42) ?(fs_capacity = 1 lsl 20)
     det_live = 0;
     det_high_water = 0;
     det_cap = 0;
-    det_forced_flushes = 0;
   }
 
 let costs _ = testbed_costs
@@ -451,8 +449,6 @@ let set_det_cap t cap = t.det_cap <- cap
 let det_cap t = t.det_cap
 let det_live t = t.det_live
 let det_high_water t = t.det_high_water
-let det_forced_flushes t = t.det_forced_flushes
-let note_forced_flush t = t.det_forced_flushes <- t.det_forced_flushes + 1
 
 (* --- lineage: ND events, commits and rollbacks -------------------------- *)
 

@@ -208,10 +208,6 @@ val set_det_cap : t -> int -> unit
 val det_cap : t -> int
 val det_live : t -> int
 val det_high_water : t -> int
-val det_forced_flushes : t -> int
-
-val note_forced_flush : t -> unit
-(** Record that a cap hit forced a flush (reported by the engine). *)
 
 val perturb : t -> salt:int -> unit
 (** Environment perturbation for an escalated (rung L2) replay:

@@ -5,15 +5,17 @@ type action =
   | Give_up
 
 type t = {
-  l0_attempts : int;
   l1_attempts : int;
   l1_depth : int;
   l2_attempts : int;
+  sequenced : bool;
 }
 
-(* [generic]: two generic replays, then Recovery_failed.  The engine's
-   legacy path is this ladder with [l0_attempts = max_recovery_attempts]. *)
-let generic = { l0_attempts = 2; l1_attempts = 0; l1_depth = 1; l2_attempts = 0 }
+(* [legacy]: L0 alone, duplicates allowed, every commit past the restore
+   point counts as progress.  [generic] is the same ladder with
+   sequenced egress and the crash-bar progress rule. *)
+let legacy = { l1_attempts = 0; l1_depth = 1; l2_attempts = 0; sequenced = false }
+let generic = { legacy with sequenced = true }
 let deep = { generic with l1_attempts = 2; l1_depth = 2 }
 let full = { deep with l2_attempts = 3 }
 
@@ -23,27 +25,21 @@ let by_name = function
   | "full" -> Some full
   | _ -> None
 
-let name t =
-  if t = generic then "generic"
-  else if t = deep then "deep"
-  else if t = full then "full"
-  else
-    Printf.sprintf "l0:%d,l1:%dx%d,l2:%d" t.l0_attempts t.l1_attempts
-      t.l1_depth t.l2_attempts
-
-let decide t ~attempt =
-  if attempt <= t.l0_attempts then Replay
-  else if attempt <= t.l0_attempts + t.l1_attempts then Deep_rollback t.l1_depth
-  else if attempt <= t.l0_attempts + t.l1_attempts + t.l2_attempts then
+let decide t ~l0_attempts ~attempt =
+  let l1_end = l0_attempts + t.l1_attempts in
+  if attempt <= l0_attempts then Replay
+  else if attempt <= l1_end then Deep_rollback t.l1_depth
+  else if attempt <= l1_end + t.l2_attempts then
     (* A fresh salt per attempt: each perturbed replay explores a
        different environment, not the same dodge twice. *)
-    Perturbed_replay { salt = attempt - t.l0_attempts - t.l1_attempts }
+    Perturbed_replay { salt = attempt - l1_end }
   else Give_up
+
+let progressed t ~icount ~restore_point ~crash_bar =
+  icount > restore_point && ((not t.sequenced) || icount > crash_bar)
 
 let rung = function
   | Replay -> 0
   | Deep_rollback _ -> 1
   | Perturbed_replay _ -> 2
   | Give_up -> 3
-
-let max_attempts t = t.l0_attempts + t.l1_attempts + t.l2_attempts

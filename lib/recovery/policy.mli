@@ -26,16 +26,29 @@ type action =
   | Give_up  (** ladder exhausted *)
 
 type t = {
-  l0_attempts : int;  (** generic replays before escalating *)
   l1_attempts : int;  (** deep rollbacks before escalating *)
   l1_depth : int;  (** committed generations discarded per L1 attempt *)
   l2_attempts : int;  (** perturbed replays before giving up *)
+  sequenced : bool;
+      (** sequenced egress and the crash-bar progress rule.  A replayed
+          output below the released cursor is absorbed, so the released
+          stream equals the failure-free run's; and a commit counts as
+          progress only past the highest icount the process crashed at.
+          [false] is the legacy discipline: replayed outputs are released
+          again as duplicates (consistent, not exactly-once), and any
+          commit past the restore point is progress. *)
 }
+(** The rungs after L0.  L0's depth is not a ladder property: it is the
+    run's [max_recovery_attempts], which also caps restore retries at
+    every rung. *)
+
+val legacy : t
+(** L0 alone, unsequenced: the engine's historical generic replay, and
+    the default configuration's recovery. *)
 
 val generic : t
-(** L0 only: [l1_attempts = l2_attempts = 0], two replays.  The
-    engine's legacy path ([policy = None]) {e is} this ladder with
-    [l0_attempts = max_recovery_attempts]. *)
+(** L0 alone, sequenced: the paper's baseline under exactly-once
+    egress. *)
 
 val deep : t
 (** L0 + L1, no perturbation. *)
@@ -46,17 +59,19 @@ val full : t
 val by_name : string -> t option
 (** ["generic"], ["deep"], ["full"]. *)
 
-val name : t -> string
-(** Inverse of {!by_name} for the stock ladders; a compact spec
-    otherwise. *)
+val decide : t -> l0_attempts:int -> attempt:int -> action
+(** [decide t ~l0_attempts ~attempt] is the action for the [attempt]-th
+    consecutive crash since the process last made progress (1-based),
+    with [l0_attempts] generic replays before the first escalation. *)
 
-val decide : t -> attempt:int -> action
-(** [decide t ~attempt] is the action for the [attempt]-th consecutive
-    crash since the process last made progress (1-based). *)
+val progressed : t -> icount:int -> restore_point:int -> crash_bar:int -> bool
+(** Whether a commit at [icount] is progress that refills the attempt
+    budget.  It must lie strictly past [restore_point]: a commit there is
+    the deterministic replay re-reaching the same state.  A [sequenced]
+    ladder also requires it strictly past [crash_bar], the highest icount
+    the process crashed at: a recurring fault keeps crashing there, so
+    commits underneath it are replay, not escape. *)
 
 val rung : action -> int
 (** 0 for [Replay], 1 for [Deep_rollback], 2 for [Perturbed_replay],
     3 for [Give_up]. *)
-
-val max_attempts : t -> int
-(** Total crashes tolerated before {!decide} returns [Give_up]. *)

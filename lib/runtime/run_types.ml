@@ -22,8 +22,9 @@ type config = {
       (** the paper's end-to-end check (§4.1): restore pristine code and
           silence the injector when recovering *)
   max_recovery_attempts : int;
-      (** the legacy path's replay budget (the L0 rung when [policy] is
-          [None]) and the cap on restore retries at every rung *)
+      (** the depth of rung L0 (generic replays before the ladder
+          escalates or gives up) and the cap on restore retries at every
+          rung *)
   kills : (int * int) list;  (** (time_ns, pid) stop failures to inject *)
   kill_at_decision : (int * int) list;
       (** (decision_index, pid) stop failures, applied just before the
@@ -42,11 +43,11 @@ type config = {
   excluded_pages : int -> bool;
       (** §2.6: recomputable heap pages left out of checkpoints; lost at
           recovery *)
-  policy : Ft_recovery.Policy.t option;
-      (** escalation ladder driving recovery (L0 generic replay, L1 deep
-          rollback, L2 perturbed replay); [None] is the legacy
-          generic-replay path, byte-identical to the old engine: the
-          same ladder on L0 alone, [max_recovery_attempts] replays deep *)
+  policy : Ft_recovery.Policy.t;
+      (** the rungs after L0 (L1 deep rollback, L2 perturbed replay) and
+          whether egress is sequenced; {!Ft_recovery.Policy.legacy}, the
+          default, is the engine's historical generic replay: L0 alone,
+          duplicates allowed *)
   quarantine : Ft_recovery.Quarantine.params option;
       (** per-tenant crash-loop circuit breaker: [threshold] crashes
           within [window_ns] park the whole tenant until a half-open

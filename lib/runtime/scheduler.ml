@@ -49,16 +49,13 @@ type proc = {
   mutable last_rung : int;       (* rung of the most recent recovery *)
   mutable salt : int;            (* perturbation salt in effect, 0 = none *)
   mutable crash_bar : int;
-      (* policy runs: highest icount at which this process has crashed.
-         A recurring fault keeps biting at (or before) the bar however
-         many commits land under it, so only a commit strictly past the
-         bar counts as progress and resets the ladder — otherwise a
-         fault whose recurrence outpaces nothing but the attempt counter
-         would hold the ladder at rung L0 forever. *)
+      (* highest icount at which this process has crashed; a sequenced
+         ladder counts only commits past it as progress
+         ({!Ft_recovery.Policy.progressed}) *)
   mutable out_seq : int;
-      (* policy runs: this lineage's visible-output cursor.  Rewinds
-         with every restore/rollback; outputs below [visible_count]
-         are replays the sequenced egress channel absorbs. *)
+      (* this lineage's visible-output cursor.  Rewinds with every
+         restore/rollback; under sequenced egress, outputs below
+         [visible_count] are replays the channel absorbs. *)
   mutable committed_out_seq : int;  (* out_seq as of the newest commit *)
   mutable emitted_rev : int list;   (* released values, newest first *)
   classifier : Ft_recovery.Classifier.t;
@@ -86,7 +83,7 @@ let default_config =
     page_size = 64;
     expand_resources_on_recovery = false;
     excluded_pages = (fun _ -> false);
-    policy = None;
+    policy = Ft_recovery.Policy.legacy;
     quarantine = None;
     recovery_kills = [];
     det_cap = 0;
@@ -150,6 +147,7 @@ type tenant = {
   mutable recovery_kills_pending : (recovery_stage * int) list;
   stage_counts : int array;       (* entries into each recovery stage *)
   mutable nested_crashes : int;   (* injected recovery-stage crashes *)
+  mutable det_forced_flushes : int;  (* determinant-cap forced commits *)
   mutable cascade_resumes : int;
   mutable cascade_progress : (int * int list) option;
       (* persisted rollback progress: (original victim, worklist of pids
@@ -204,13 +202,8 @@ let make_tenant tid (cfg, kernel, programs) =
   (* Deep rollback (rung L1) needs archived generations: enough for
      every L1 attempt to go [l1_depth] further back, plus the current
      one.  Zero (the default) keeps the commit hot path archive-free. *)
-  let history =
-    match cfg.policy with
-    | Some pol when pol.Ft_recovery.Policy.l1_attempts > 0 ->
-        (pol.Ft_recovery.Policy.l1_depth * pol.Ft_recovery.Policy.l1_attempts)
-        + 1
-    | _ -> 0
-  in
+  let { Ft_recovery.Policy.l1_attempts; l1_depth; _ } = cfg.policy in
+  let history = if l1_attempts > 0 then (l1_depth * l1_attempts) + 1 else 0 in
   let ckpt =
     Checkpointer.create ~excluded:cfg.excluded_pages
       ~page_size:cfg.page_size ~history ~medium:cfg.medium ~nprocs
@@ -258,6 +251,7 @@ let make_tenant tid (cfg, kernel, programs) =
       recovery_kills_pending = cfg.recovery_kills;
       stage_counts = Array.make 3 0;
       nested_crashes = 0;
+      det_forced_flushes = 0;
       cascade_resumes = 0;
       cascade_progress = None;
       result = None;
@@ -418,19 +412,14 @@ let finish_restore tn (p : proc) (kstate, cost) =
    crashes since the process last committed past its restore point)
    picks the rung; each rung restores *some* committed state —
    Consistency is never traded, only whose work is lost and what
-   environment the replay sees.  The legacy path ([policy = None]) is
-   this same ladder on rung L0 alone, [max_recovery_attempts] replays
-   deep: it gives up at the same crash, with the same counters and
-   callbacks, as the engine's historical generic replay. *)
+   environment the replay sees.  Rung L0 is [max_recovery_attempts]
+   replays deep under every ladder. *)
 let recover tn (p : proc) =
-  let pol =
-    Option.value tn.cfg.policy
-      ~default:
-        { Ft_recovery.Policy.generic with
-          l0_attempts = tn.cfg.max_recovery_attempts }
-  in
   p.recoveries <- p.recoveries + 1;
-  match Ft_recovery.Policy.decide pol ~attempt:p.recoveries with
+  match
+    Ft_recovery.Policy.decide tn.cfg.policy
+      ~l0_attempts:tn.cfg.max_recovery_attempts ~attempt:p.recoveries
+  with
   | Ft_recovery.Policy.Give_up -> give_up tn p
   | action ->
       tn.total_recoveries <- tn.total_recoveries + 1;
@@ -550,8 +539,7 @@ and recover_and_cascade tn (p : proc) =
 
 and crash_proc tn (p : proc) =
   record_crash tn p;
-  if tn.cfg.policy <> None then
-    p.crash_bar <- max p.crash_bar (Ft_vm.Machine.icount p.machine);
+  p.crash_bar <- max p.crash_bar (Ft_vm.Machine.icount p.machine);
   (* Classification is pure observation: it never feeds back into the
      simulation, so the legacy path stays byte-identical. *)
   Ft_recovery.Classifier.note_crash p.classifier ~salt:p.salt
@@ -597,18 +585,12 @@ let do_local_commit ?round tn (p : proc) =
       Ft_os.Kernel.commit tn.kernel p.pid ~live:(fun q ->
           let s = tn.procs.(q) in
           (not s.failed) && not s.halted);
-      (* A commit strictly past the last restore point is real progress:
-         the failure was transient, so the next crash starts a fresh
-         recovery budget.  (A commit AT the restore point is just the
-         deterministic replay re-reaching the same state and must not
-         refill the budget, or a crash loop would never give up.) *)
-      (* Policy runs additionally require the commit to pass the crash
-         high-water mark: a recurring fault keeps crashing at the same
-         icount, so commits underneath it are replay, not escape. *)
+      (* Progress means the failure was transient, so the next crash
+         starts a fresh recovery budget. *)
       if p.recoveries > 0
-         && Ft_vm.Machine.icount p.machine > p.recovered_at_icount
-         && (tn.cfg.policy = None
-             || Ft_vm.Machine.icount p.machine > p.crash_bar)
+         && Ft_recovery.Policy.progressed tn.cfg.policy
+              ~icount:(Ft_vm.Machine.icount p.machine)
+              ~restore_point:p.recovered_at_icount ~crash_bar:p.crash_bar
       then begin
         Ft_recovery.Classifier.note_progress p.classifier ~rung:p.last_rung;
         (match tn.breaker with
@@ -1005,29 +987,22 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
                            kind)
                   then force_flush := true
               | Ft_core.Event.Visible v ->
-                  (* Sequenced egress (policy runs): a replayed output
-                     below the released cursor is absorbed by the
-                     channel — the outside world already has it — but it
-                     must agree with the value that was released, or the
-                     recovery machinery broke exactly-once output. *)
-                  let release =
-                    match tn.cfg.policy with
-                    | None -> true
-                    | Some _ ->
-                        if p.out_seq < p.visible_count then begin
-                          let prior =
-                            List.nth p.emitted_rev
-                              (p.visible_count - 1 - p.out_seq)
-                          in
-                          if prior <> v then
-                            tn.replay_mismatches <-
-                              tn.replay_mismatches + 1;
-                          false
-                        end
-                        else true
+                  (* Sequenced egress: a replayed output below the
+                     released cursor is absorbed by the channel — the
+                     outside world already has it — but it must agree
+                     with the value that was released, or the recovery
+                     machinery broke exactly-once output. *)
+                  let absorbed =
+                    tn.cfg.policy.Ft_recovery.Policy.sequenced
+                    && p.out_seq < p.visible_count
                   in
+                  if
+                    absorbed
+                    && List.nth p.emitted_rev (p.visible_count - 1 - p.out_seq)
+                       <> v
+                  then tn.replay_mismatches <- tn.replay_mismatches + 1;
                   p.out_seq <- p.out_seq + 1;
-                  if release then begin
+                  if not absorbed then begin
                     p.visible_count <- p.visible_count + 1;
                     tn.visible_rev <- (p.pid, v, p.time) :: tn.visible_rev;
                     p.emitted_rev <- v :: p.emitted_rev
@@ -1047,7 +1022,7 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
              The machine is past the syscall, so a crash inside the
              forced commit replays from there. *)
           if !force_flush && (not p.halted) && not p.failed then begin
-            Ft_os.Kernel.note_forced_flush tn.kernel;
+            tn.det_forced_flushes <- tn.det_forced_flushes + 1;
             ignore (do_local_commit tn p : bool)
           end)
 
@@ -1189,7 +1164,7 @@ let result_of tn outcome =
     nested_crashes = tn.nested_crashes;
     cascade_resumes = tn.cascade_resumes;
     det_high_water = Ft_os.Kernel.det_high_water tn.kernel;
-    det_forced_flushes = Ft_os.Kernel.det_forced_flushes tn.kernel;
+    det_forced_flushes = tn.det_forced_flushes;
   }
 
 (* Fire transport events up to this tenant's most advanced live local

@@ -206,10 +206,6 @@ let test_det_log_cap_and_flush () =
   Alcotest.(check int) "live counts both owners" 4 (Ft_os.Kernel.det_live k);
   Alcotest.(check int) "high water tracks peak" 4
     (Ft_os.Kernel.det_high_water k);
-  Alcotest.(check int) "no flushes recorded yet" 0
-    (Ft_os.Kernel.det_forced_flushes k);
-  Ft_os.Kernel.note_forced_flush k;
-  Alcotest.(check int) "flush counted" 1 (Ft_os.Kernel.det_forced_flushes k);
   Ft_os.Kernel.set_det_cap k 0;
   Alcotest.(check bool) "cap 0 disables the signal" false
     (Ft_os.Kernel.note_nd k 0 ~taints:false)

@@ -16,7 +16,7 @@ let test_policy_ladder_shape () =
   let check_ladder name pol expected =
     List.iteri
       (fun i want ->
-        let got = Policy.decide pol ~attempt:(i + 1) in
+        let got = Policy.decide pol ~l0_attempts:2 ~attempt:(i + 1) in
         Alcotest.(check bool)
           (Printf.sprintf "%s attempt %d" name (i + 1))
           true (got = want))
@@ -39,16 +39,35 @@ let test_policy_ladder_shape () =
 
 let test_policy_names_and_budgets () =
   List.iter
-    (fun n ->
+    (fun (n, stock) ->
       match Policy.by_name n with
       | None -> Alcotest.fail ("by_name " ^ n)
-      | Some pol -> Alcotest.(check string) ("name " ^ n) n (Policy.name pol))
-    [ "generic"; "deep"; "full" ];
+      | Some pol -> Alcotest.(check bool) ("by_name " ^ n) true (pol = stock))
+    [ ("generic", Policy.generic); ("deep", Policy.deep); ("full", Policy.full) ];
   Alcotest.(check bool) "unknown ladder" true (Policy.by_name "l33t" = None);
-  Alcotest.(check int) "generic budget" 2 (Policy.max_attempts Policy.generic);
-  Alcotest.(check int) "deep budget" 4 (Policy.max_attempts Policy.deep);
-  Alcotest.(check int) "full budget" 7 (Policy.max_attempts Policy.full);
   Alcotest.(check int) "give-up rung" 3 (Policy.rung Policy.Give_up)
+
+(* Both progress rules, in the one function that holds them: a commit at
+   the restore point is never progress; one past it but at or below the
+   crash bar is progress only for the unsequenced legacy ladder; one past
+   both is progress for every ladder. *)
+let test_policy_progressed () =
+  let restore_point = 10 and crash_bar = 20 in
+  List.iter
+    (fun (name, pol, at_restore, under_bar, past_both) ->
+      let check what icount want =
+        Alcotest.(check bool) (name ^ " " ^ what) want
+          (Policy.progressed pol ~icount ~restore_point ~crash_bar)
+      in
+      check "at the restore point" restore_point at_restore;
+      check "past the restore point, under the bar" (restore_point + 1)
+        under_bar;
+      check "at the bar" crash_bar under_bar;
+      check "past both" (crash_bar + 1) past_both)
+    [
+      ("legacy", Policy.legacy, false, true, true);
+      ("generic", Policy.generic, false, false, true);
+    ]
 
 (* --- quarantine breaker ---------------------------------------------------- *)
 
@@ -196,22 +215,27 @@ let bohr_code () =
     code;
   code
 
-let run_bohr ?policy ?(max_recovery_attempts = 3) () =
+let run_bohr ?(policy = Policy.legacy) ?(max_recovery_attempts = 3) () =
   let cfg = { Engine.default_config with policy; max_recovery_attempts } in
   let kernel = make_kernel () in
   let _, r = Engine.execute ~cfg ~kernel ~programs:[| bohr_code () |] () in
   r
 
 (* Every rung of every ladder meets the same deterministic crash; the
-   ladder burns exactly its budget, the classifier calls it a Bohrbug,
-   and — the Consistency half of the tentpole claim — the released
-   output stream is EXACTLY the fault-free stream: deep rollback
-   re-emits old outputs and the sequenced egress absorbs every one. *)
+   ladder burns exactly its budget (the run's L0 depth, then its L1 and
+   L2 attempts), the classifier calls it a Bohrbug, and — the
+   Consistency half of the tentpole claim — the released output stream
+   is EXACTLY the fault-free stream: deep rollback re-emits old outputs
+   and the sequenced egress absorbs every one. *)
 let test_ladder_bohrbug_escalation () =
   List.iter
-    (fun (name, pol, crashes, deep, perturbed, peak) ->
-      let r = run_bohr ~policy:pol () in
+    (fun (name, pol, budget, deep, perturbed, peak) ->
+      let r = run_bohr ~policy:pol ~max_recovery_attempts:budget () in
+      let name = Printf.sprintf "%s budget %d" name budget in
       let check msg = Alcotest.(check int) (name ^ " " ^ msg) in
+      let crashes =
+        budget + pol.Policy.l1_attempts + pol.Policy.l2_attempts + 1
+      in
       Alcotest.(check bool) (name ^ " gave up") true
         (r.Engine.outcome = Engine.Recovery_failed);
       check "crashes" crashes r.Engine.crashes;
@@ -221,12 +245,21 @@ let test_ladder_bohrbug_escalation () =
       check "replay mismatches" 0 r.Engine.replay_mismatches;
       Alcotest.(check (list int)) (name ^ " exactly-once output")
         expected_output r.Engine.visible;
-      Alcotest.(check bool) (name ^ " classified bohrbug") true
-        (r.Engine.fault_classes.(0) = Classifier.Bohrbug))
+      (* The Bohrbug signature is two replays crashing at the same
+         offset; one replay's crash alone reads Sticky. *)
+      Alcotest.(check bool) (name ^ " classified") true
+        (r.Engine.fault_classes.(0)
+        = if crashes >= 3 then Classifier.Bohrbug else Classifier.Sticky))
     [
+      ("generic", Policy.generic, 2, 0, 0, 0);
+      ("deep", Policy.deep, 2, 2, 0, 1);
+      ("full", Policy.full, 2, 2, 3, 2);
+      ("generic", Policy.generic, 1, 0, 0, 0);
+      ("deep", Policy.deep, 1, 2, 0, 1);
+      ("full", Policy.full, 1, 2, 3, 2);
       ("generic", Policy.generic, 3, 0, 0, 0);
-      ("deep", Policy.deep, 5, 2, 0, 1);
-      ("full", Policy.full, 8, 2, 3, 2);
+      ("deep", Policy.deep, 3, 2, 0, 1);
+      ("full", Policy.full, 3, 2, 3, 2);
     ]
 
 (* The crash bar: commits made during replay BELOW the highest crash
@@ -236,17 +269,16 @@ let test_ladder_bohrbug_escalation () =
    spin to the instruction budget instead of giving up after its two
    replays. *)
 let test_crash_bar_prevents_l0_loop () =
-  let r = run_bohr ~policy:Policy.generic () in
+  let r = run_bohr ~policy:Policy.generic ~max_recovery_attempts:2 () in
   Alcotest.(check bool) "gave up (did not spin)" true
     (r.Engine.outcome = Engine.Recovery_failed);
   Alcotest.(check int) "exactly the L0 budget" 3 r.Engine.crashes
 
-(* Legacy guard: the same Bohrbug on the policy-free path keeps the
-   engine's historical behavior — duplicates in the visible stream are
-   tolerated (no egress dedup without a policy), and the run still ends
-   in Recovery_failed.  The budget is [max_recovery_attempts] replays,
-   so the run crashes once more than it recovers: the legacy path is the
-   L0-only ladder with that budget, giving up at the same crash. *)
+(* Legacy guard: the same Bohrbug under [Policy.legacy] (the default)
+   keeps the engine's historical behavior — duplicates in the visible
+   stream are tolerated (unsequenced egress), and the run still ends in
+   Recovery_failed.  The budget is [max_recovery_attempts] replays, so
+   the run crashes once more than it recovers. *)
 let test_legacy_path_unchanged () =
   List.iter
     (fun n ->
@@ -270,7 +302,8 @@ let test_egress_exactly_once_under_kills () =
   let cfg =
     {
       Engine.default_config with
-      policy = Some Policy.generic;
+      policy = Policy.generic;
+      max_recovery_attempts = 2;
       kills = [ (2_100_000, 0); (5_300_000, 0) ];
     }
   in
@@ -301,7 +334,8 @@ let run_recurring ~policy ~seed ft =
   let cfg =
     {
       Engine.default_config with
-      policy = Some policy;
+      policy;
+      max_recovery_attempts = 2;
       suppress_faults_on_recovery = false;
       max_instructions = (40 * horizon) + 200_000;
     }
@@ -366,6 +400,7 @@ let tests =
     Alcotest.test_case "policy ladder shape" `Quick test_policy_ladder_shape;
     Alcotest.test_case "policy names and budgets" `Quick
       test_policy_names_and_budgets;
+    Alcotest.test_case "policy progress rules" `Quick test_policy_progressed;
     Alcotest.test_case "quarantine trips and parks" `Quick
       test_quarantine_trips_and_parks;
     Alcotest.test_case "quarantine latches" `Quick test_quarantine_latches;

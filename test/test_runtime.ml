@@ -451,8 +451,8 @@ let test_ladder_give_up_is_recovery_failed () =
       { Ft_runtime.Engine.default_config with
         protocol = Ft_core.Protocols.cpv_2pc;
         kills;
-        max_recovery_attempts = 10;
-        policy = Some Ft_recovery.Policy.generic }
+        max_recovery_attempts = 2;
+        policy = Ft_recovery.Policy.generic }
   in
   let _, r =
     Ft_runtime.Engine.execute ~cfg ~kernel
