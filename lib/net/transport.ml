@@ -312,12 +312,17 @@ let pump t ~now =
 let event_src = function
   | Data { e_src; _ } | Ack { e_src; _ } | Retry { e_src; _ } -> e_src
 
+(* A range covering every pid (a private transport's) is answered from
+   [earliest] without touching the queue. *)
 let next_event_in t ~lo ~hi =
-  Seq.find_map
-    (fun ((at, _), ev) ->
-      let s = event_src ev in
-      if lo <= s && s < hi then Some at else None)
-    (Q.to_seq t.queue)
+  if lo <= 0 && hi >= t.nprocs then
+    if Q.is_empty t.queue then None else Some t.earliest
+  else
+    Seq.find_map
+      (fun ((at, _), ev) ->
+        let s = event_src ev in
+        if lo <= s && s < hi then Some at else None)
+      (Q.to_seq t.queue)
 
 let any_failed_in t ~lo ~hi =
   Hashtbl.fold

@@ -56,9 +56,10 @@ val next_event_in : 'a t -> lo:int -> hi:int -> int option
     sending endpoint lies in [lo, hi) — one tenant's slice of a shared
     transport — or [None] if that slice has nothing queued.  Links never
     cross tenants, so this is exactly the tenant's own traffic;
-    [~lo:0 ~hi:nprocs] asks about the whole transport.  It tells the
-    engine how far to advance simulated time for the network to make
-    progress when every process of that range is blocked. *)
+    [~lo:0 ~hi:nprocs] asks about the whole transport, and a range
+    that covers it is answered in O(1) with no walk of the queue.  It
+    tells the engine how far to advance simulated time for the network
+    to make progress when every process of that range is blocked. *)
 
 val any_failed_in : 'a t -> lo:int -> hi:int -> bool
 (** Some link whose source lies in [lo, hi) has exhausted a retry

@@ -123,14 +123,14 @@ type t = {
   inputs : (int * int) array array;        (* per pid: (ready_ns, token) *)
   kstates : proc_kstate array;
   mailboxes : message Queue.t array;
-  (* messages consumed since the receiver's last commit, oldest first *)
+  (* messages consumed since the receiver's last commit, newest first *)
   uncommitted_recv : message list ref array;
   files : (int, file) Hashtbl.t array;     (* private FS per process *)
   mutable fs_capacity : int;
   mutable max_open_files : int;
   mutable os_fault : os_fault option;
   mutable panicked : bool;
-  syscall_tally : (Ft_vm.Syscall.t, int) Hashtbl.t;
+  syscall_tally : int array;  (* by {!Ft_vm.Syscall.index} *)
       (* how often each syscall was serviced: OS fault injection targets
          the kernel paths the workload actually exercises *)
   mutable net : message Ft_net.Transport.t option;
@@ -223,7 +223,7 @@ let create ?(seed = 42) ?(fs_capacity = 1 lsl 20)
     max_open_files;
     os_fault = None;
     panicked = false;
-    syscall_tally = Hashtbl.create 16;
+    syscall_tally = Array.make Ft_vm.Syscall.count 0;
     net = None;
     net_base = 0;
     input_abs = Array.make nprocs false;
@@ -354,8 +354,14 @@ let snapshot_kstate t pid =
      |last_seen|;  (sender, seq) pairs;
      |open_files|; (fd, name, offset) triples ] *)
 let kstate_to_words (s : kstate_snapshot) =
-  let out = ref [] in
-  let push v = out := v :: !out in
+  let nseen = List.length s.last_seen
+  and nfiles = List.length s.open_files in
+  let out = Array.make (9 + (2 * nseen) + (3 * nfiles)) 0 in
+  let pos = ref 0 in
+  let push v =
+    Array.unsafe_set out !pos v;
+    incr pos
+  in
   push s.input_pos;
   push s.last_input_at;
   push s.send_seq;
@@ -363,13 +369,13 @@ let kstate_to_words (s : kstate_snapshot) =
   push s.fs_used;
   push s.sig_period;
   push s.next_signal;
-  push (List.length s.last_seen);
+  push nseen;
   List.iter (fun (sender, seq) -> push sender; push seq) s.last_seen;
-  push (List.length s.open_files);
+  push nfiles;
   List.iter
     (fun (fd, (name, offset)) -> push fd; push name; push offset)
     s.open_files;
-  Array.of_list (List.rev !out)
+  out
 
 let kstate_of_words w =
   let pos = ref 0 in
@@ -543,7 +549,7 @@ let rollback t pid (s : kstate_snapshot) =
   Queue.transfer t.mailboxes.(pid) pending;
   List.iter
     (fun m -> if not (message_dead t m) then Queue.add m t.mailboxes.(pid))
-    !(t.uncommitted_recv.(pid));
+    (List.rev !(t.uncommitted_recv.(pid)));
   Queue.transfer pending t.mailboxes.(pid);
   t.uncommitted_recv.(pid) := []
 
@@ -643,8 +649,8 @@ let file_append f v =
    registers [a0], [a1]. *)
 let service t ~pid ~now ~a0 ~a1 s =
   let k = t.kstates.(pid) in
-  Hashtbl.replace t.syscall_tally s
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.syscall_tally s));
+  let i = Ft_vm.Syscall.index s in
+  t.syscall_tally.(i) <- t.syscall_tally.(i) + 1;
   let base = testbed_costs.syscall_ns in
   let done_ ?r0 ?r1 ?(cost = base) ?new_time ev =
     let served = { r0; r1; cost_ns = cost; new_time; ev; poke = None } in
@@ -767,8 +773,7 @@ let service t ~pid ~now ~a0 ~a1 s =
           k.last_seen <-
             (m.msg_src, m.msg_seq)
             :: List.remove_assoc m.msg_src k.last_seen;
-          t.uncommitted_recv.(pid) :=
-            !(t.uncommitted_recv.(pid)) @ [ m ];
+          t.uncommitted_recv.(pid) := m :: !(t.uncommitted_recv.(pid));
           (* Merge the piggybacked dependency vector: the receiver's
              state now causally depends on everything the sender's state
              depended on at send time. *)
@@ -820,8 +825,7 @@ let service t ~pid ~now ~a0 ~a1 s =
       done_ ~new_time:(now + max 0 (a0 * 1_000)) ~cost:0 Ev_none
   | Ft_vm.Syscall.Yield -> done_ ~cost:0 Ev_none
 
-let syscall_count t s =
-  Option.value ~default:0 (Hashtbl.find_opt t.syscall_tally s)
+let syscall_count t s = t.syscall_tally.(Ft_vm.Syscall.index s)
 
 (* File observation, for tests and app assertions. *)
 let file_length t pid name =

@@ -146,7 +146,8 @@ let write_machine s ~(machine : Ft_vm.Machine.t) ~kwords =
     Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.stack_base
       ~src:machine.Ft_vm.Machine.stack ~spos:0 ~len:sp;
   let nregs = Ft_vm.Instr.num_regs in
-  Array.blit machine.Ft_vm.Machine.regs 0 s.meta_buf 0 nregs;
+  let regs : int array = machine.Ft_vm.Machine.regs in
+  for i = 0 to nregs - 1 do s.meta_buf.(i) <- regs.(i) done;
   s.meta_buf.(nregs) <- Ft_vm.Machine.pc machine;
   s.meta_buf.(nregs + 1) <- sp;
   s.meta_buf.(nregs + 2) <- machine.Ft_vm.Machine.fp;
@@ -159,7 +160,7 @@ let write_machine s ~(machine : Ft_vm.Machine.t) ~kwords =
   if klen > s.kstate_cap then
     invalid_arg "Checkpointer.commit: kernel state exceeds its region area";
   s.kstate_buf.(0) <- klen;
-  Array.blit kwords 0 s.kstate_buf 1 klen;
+  for i = 0 to klen - 1 do s.kstate_buf.(1 + i) <- kwords.(i) done;
   Ft_stablemem.Vista.write_sub ~diff:true v ~off:s.kstate_base
     ~src:s.kstate_buf ~spos:0 ~len:(1 + klen);
   sp
@@ -174,7 +175,9 @@ let write_machine s ~(machine : Ft_vm.Machine.t) ~kwords =
    cost is untouched: the ns model still charges a COW trap per dirty
    page and a copy per page word, exactly as Vista's page-granular COW
    on a real address space would — this function is the OCaml process's
-   hot path, not the paper's cost model. *)
+   hot path, not the paper's cost model.  Its HOST cost follows the same
+   rule as the paper's: it scales with the dirty pages and the changed
+   words, never with the heap's size. *)
 let commit ?(out_seq = 0) t ~pid ~(machine : Ft_vm.Machine.t) ~kstate =
   let s = t.slots.(pid) in
   let heap = Ft_vm.Machine.heap machine in
@@ -208,18 +211,14 @@ let commit ?(out_seq = 0) t ~pid ~(machine : Ft_vm.Machine.t) ~kstate =
     in
     s.archive <- take t.history (g :: s.archive)
   end;
-  let words =
-    (List.length dirty * page_size) + sp + meta_words + kstate_words
-  in
+  let ndirty = List.length dirty in
+  let words = (ndirty * page_size) + sp + meta_words + kstate_words in
   match t.medium with
   | Reliable_memory ->
-      base_ns
-      + (List.length dirty * page_trap_ns)
-      + (words * word_copy_ns)
+      base_ns + (ndirty * page_trap_ns) + (words * word_copy_ns)
   | Disk d ->
       (* COW traps still happen; the synchronous log write dominates. *)
-      base_ns
-      + (List.length dirty * page_trap_ns)
+      base_ns + (ndirty * page_trap_ns)
       + Ft_stablemem.Disk.commit_cost d ~words
 
 (* Pessimistic logging of an ND event's result: the record must be stable

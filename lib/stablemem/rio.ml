@@ -20,9 +20,11 @@
     between any two word writes ({!Crash_point}), and tear a {!blit_in}
     partway through — the substrate the crash-point torture harness
     drives.  When NO hook is installed (every failure-free run), the bulk
-    operations take a fast path: one [Array.blit] per page plus one
-    accounting update, with the exact same persisted words and the exact
-    same {!words_written} count as the hooked word-by-word path. *)
+    operations take a fast path: one int-typed copy loop per page plus
+    one accounting update, with the exact same persisted words and the
+    exact same {!words_written} count as the hooked word-by-word path.
+    (A loop, not [Array.blit]: pages are long-lived arrays, and a blit
+    into one pays the write barrier per word.) *)
 
 exception Crash_point of int
 (** Raised by a write hook to model a crash after the carried number of
@@ -65,8 +67,8 @@ let own_page t p =
     pg
   end
 
-(* Bounds-unchecked read for hot scans whose range was validated once up
-   front (e.g. Vista's diff comparison). *)
+(* Bounds-unchecked read for word-by-word paths whose range was
+   validated once up front. *)
 let unsafe_read t off =
   Array.unsafe_get (Array.unsafe_get t.pages (off lsr page_bits))
     (off land page_mask)
@@ -92,11 +94,19 @@ let write t off v =
    or of [b] (whichever is nearer), capped at [len]: the next piece of a
    copy that stays within one page on both sides. *)
 let piece ~pos ~len a b =
-  min (len - pos) (page_words - max (a land page_mask) (b land page_mask))
+  Int.min (len - pos)
+    (page_words - Int.max (a land page_mask) (b land page_mask))
+
+(* [dst.(dpos .. dpos+n-1) <- src.(spos .. spos+n-1)] for int arrays,
+   with no write barrier.  Callers keep both ranges in bounds. *)
+let copy_ints (src : int array) spos (dst : int array) dpos n =
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst (dpos + i) (Array.unsafe_get src (spos + i))
+  done
 
 (* Bulk copy of [src.(spos .. spos+len-1)] into the region.  Hooked:
    word by word, so a crash point can land between any two words and
-   leave a torn blit.  Unhooked: one [Array.blit] per page — the same
+   leave a torn blit.  Unhooked: one copy loop per page — the same
    result and the same [words_written] accounting, without the per-word
    closure check. *)
 let blit_sub_in t ~off src ~spos ~len =
@@ -110,7 +120,7 @@ let blit_sub_in t ~off src ~spos ~len =
       while !pos < len do
         let d = off + !pos in
         let n = piece ~pos:!pos ~len d d in
-        Array.blit src (spos + !pos) (own_page t (d lsr page_bits))
+        copy_ints src (spos + !pos) (own_page t (d lsr page_bits))
           (d land page_mask) n;
         pos := !pos + n
       done;
@@ -139,7 +149,7 @@ let copy_within t ~src_off ~dst_off ~len =
         let s = src_off + !pos and d = dst_off + !pos in
         let n = piece ~pos:!pos ~len s d in
         let dst = own_page t (d lsr page_bits) in
-        Array.blit t.pages.(s lsr page_bits) (s land page_mask) dst
+        copy_ints t.pages.(s lsr page_bits) (s land page_mask) dst
           (d land page_mask) n;
         pos := !pos + n
       done;
@@ -158,10 +168,42 @@ let sub t ~off ~len =
   while !pos < len do
     let s = off + !pos in
     let n = piece ~pos:!pos ~len s s in
-    Array.blit t.pages.(s lsr page_bits) (s land page_mask) dst !pos n;
+    copy_ints t.pages.(s lsr page_bits) (s land page_mask) dst !pos n;
     pos := !pos + n
   done;
   dst
+
+(* The least [i] in [from, len) at which region word [off + i] differs
+   from [src.(spos + i)] ([~differ:true]) or equals it ([~differ:false]);
+   [len] if there is none.  One loop per page, with no call per word:
+   Vista's diff mode finds its changed runs with it. *)
+let scan t ~off src ~spos ~len ~from ~differ =
+  if off < 0 || len < 0 || off + len > t.size then
+    invalid_arg "Rio.scan: out of range";
+  if spos < 0 || spos + len > Array.length src then
+    invalid_arg "Rio.scan: bad source range";
+  let src : int array = src in
+  let i = ref (Int.max 0 from) and found = ref false in
+  while (not !found) && !i < len do
+    let d = off + !i in
+    let pg : int array = Array.unsafe_get t.pages (d lsr page_bits) in
+    let stop = Int.min len (!i + page_words - (d land page_mask)) in
+    (* [pg.(k + shift)] is region word [off + k] on this page *)
+    let shift = (d land page_mask) - !i and j = ref !i in
+    if differ then
+      while !j < stop
+            && Array.unsafe_get pg (!j + shift)
+               = Array.unsafe_get src (spos + !j)
+      do incr j done
+    else
+      while !j < stop
+            && Array.unsafe_get pg (!j + shift)
+               <> Array.unsafe_get src (spos + !j)
+      do incr j done;
+    found := !j < stop;
+    i := !j
+  done;
+  !i
 
 (* Out-of-band mutation for fault injectors (e.g. cold-region bit
    flips): bypasses the hook and the write accounting, because it models

@@ -22,17 +22,13 @@ val set_on_write : t -> (int -> int -> unit) option -> unit
 
 val read : t -> int -> int
 
-val unsafe_read : t -> int -> int
-(** [read] without the bounds check, for hot scans that validated their
-    whole range up front. *)
-
 val write : t -> int -> int -> unit
 
 val blit_in : t -> off:int -> int array -> unit
 (** Bulk copy into the region (e.g. one checkpoint page).  With a hook
     installed the copy is word by word through the hook path; with no
-    hook it is one [Array.blit] per page with identical persisted words
-    and identical {!words_written} accounting. *)
+    hook it is one int-typed copy loop per page with identical persisted
+    words and identical {!words_written} accounting. *)
 
 val blit_sub_in : t -> off:int -> int array -> spos:int -> len:int -> unit
 (** [blit_sub_in t ~off src ~spos ~len] copies
@@ -46,6 +42,16 @@ val copy_within : t -> src_off:int -> dst_off:int -> len:int -> unit
 
 val sub : t -> off:int -> len:int -> int array
 (** A fresh copy of [len] region words from [off]. *)
+
+val scan :
+  t -> off:int -> int array -> spos:int -> len:int -> from:int ->
+  differ:bool -> int
+(** [scan t ~off src ~spos ~len ~from ~differ] is the least [i] in
+    [[from, len)] at which region word [off + i] differs from
+    [src.(spos + i)] (with [~differ:true]) or equals it (with
+    [~differ:false]), or [len] if there is none.  A read: no hook, no
+    accounting.  Raises [Invalid_argument] if either range is out of
+    bounds. *)
 
 val poke : t -> int -> int -> unit
 (** Out-of-band mutation for fault injectors (cold-region bit flips):

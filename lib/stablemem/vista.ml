@@ -96,14 +96,16 @@ let append_record t ~off ~len =
   let base = rec_base t + count in
   if base + record_words ~len > Rio.size t.region then
     invalid_arg "Vista: undo log overflow";
-  let publish () =
-    Rio.write t.region (log_base t + hdr_count) (count + record_words ~len)
+  let header_first =
+    match t.defect with Some Publish_header_first -> true | None -> false
   in
-  if t.defect = Some Publish_header_first then publish ();
+  let header = log_base t + hdr_count
+  and published = count + record_words ~len in
+  if header_first then Rio.write t.region header published;
   Rio.write t.region base off;
   Rio.write t.region (base + 1) len;
   Rio.copy_within t.region ~src_off:off ~dst_off:(base + 2) ~len;
-  if t.defect <> Some Publish_header_first then publish ()
+  if not header_first then Rio.write t.region header published
 
 (* Log one run of a transactional write, then update its data words:
    the record is always published before the data words change, so a
@@ -118,29 +120,37 @@ let write_run t ~off src ~spos ~len =
    against a saved 2-word record header, so small gaps amortize. *)
 let diff_gap = 2
 
-(* Compute the coalesced changed runs of [src] against the region, as
-   (start, len) pairs relative to [spos], newest last; [] when the
-   range is unchanged. *)
-let changed_runs t ~off src ~spos ~len =
-  let runs = ref [] in
-  let run_start = ref (-1) and run_end = ref (-1) in
-  let flush () =
-    if !run_start >= 0 then
-      runs := (!run_start, !run_end - !run_start + 1) :: !runs
-  in
-  for i = 0 to len - 1 do
-    if Array.unsafe_get src (spos + i) <> Rio.unsafe_read t.region (off + i)
-    then begin
-      if !run_start < 0 then run_start := i
-      else if i - !run_end > diff_gap + 1 then begin
-        flush ();
-        run_start := i
-      end;
-      run_end := i
-    end
-  done;
-  flush ();
-  List.rev !runs
+(* The fold below from the run [s, e) found so far: word [e] is
+   unchanged, or [e = len]. *)
+let rec fold_run t ~off src ~spos ~len f s e acc =
+  let r = t.region in
+  let c = Rio.scan r ~off src ~spos ~len ~from:e ~differ:true in
+  if c < len && c - e <= diff_gap then
+    fold_run t ~off src ~spos ~len f s
+      (Rio.scan r ~off src ~spos ~len ~from:(c + 1) ~differ:false)
+      acc
+  else
+    let acc = f s (e - s) acc in
+    if c = len then acc
+    else
+      fold_run t ~off src ~spos ~len f c
+        (Rio.scan r ~off src ~spos ~len ~from:(c + 1) ~differ:false)
+        acc
+
+(* Fold [f start len] over the coalesced changed runs of [src] against
+   the region, in ascending order, with [start] relative to [spos].  The
+   compares run inside {!Rio.scan}, and no run list is built.  [f] may
+   write its run: a run's words all lie below the next run's start,
+   which is found before [f] is called, so the fold still finds the
+   runs it would have found without the writes. *)
+let fold_runs t ~off src ~spos ~len f acc =
+  let r = t.region in
+  let s = Rio.scan r ~off src ~spos ~len ~from:0 ~differ:true in
+  if s = len then acc
+  else
+    fold_run t ~off src ~spos ~len f s
+      (Rio.scan r ~off src ~spos ~len ~from:(s + 1) ~differ:false)
+      acc
 
 (* Transactional write of a sub-range: log the before-image(s), then
    update.  In diff mode the incoming words are compared against the
@@ -149,7 +159,8 @@ let changed_runs t ~off src ~spos ~len =
    whole-range record, in which case the whole-range path is taken, so
    a diff-mode write NEVER consumes more log than [record_words ~len]
    (the {!Ft_runtime.Checkpointer.log_area_words} capacity bound holds
-   by construction). *)
+   by construction).  One fold counts the diff's log words, a second
+   writes its runs. *)
 let write_sub ?(diff = false) t ~off ~src ~spos ~len =
   require_tx t "Vista.write_range";
   if off < 0 || len < 0 || off + len > t.data_words then
@@ -158,17 +169,18 @@ let write_sub ?(diff = false) t ~off ~src ~spos ~len =
     invalid_arg "Vista.write_range: bad source range";
   if not diff then write_run t ~off src ~spos ~len
   else
-    let runs = changed_runs t ~off src ~spos ~len in
     let diff_log_words =
-      List.fold_left (fun acc (_, rlen) -> acc + rlen + 2) 0 runs
+      fold_runs t ~off src ~spos ~len
+        (fun _ rlen acc -> acc + record_words ~len:rlen) 0
     in
-    if runs = [] then ()  (* nothing changed: no record, no data write *)
-    else if diff_log_words >= len + 2 then write_run t ~off src ~spos ~len
+    if diff_log_words = 0 then ()  (* nothing changed: no record, no write *)
+    else if diff_log_words >= record_words ~len then
+      write_run t ~off src ~spos ~len
     else
-      List.iter
-        (fun (start, rlen) ->
+      fold_runs t ~off src ~spos ~len
+        (fun start rlen () ->
           write_run t ~off:(off + start) src ~spos:(spos + start) ~len:rlen)
-        runs
+        ()
 
 let write_range ?diff t ~off src =
   write_sub ?diff t ~off ~src ~spos:0 ~len:(Array.length src)

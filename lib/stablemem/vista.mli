@@ -44,8 +44,8 @@ val write_range : ?diff:bool -> t -> off:int -> int array -> unit
 
     With [~diff:true] the incoming words are first compared against the
     region: only the changed words, coalesced into runs (two changed
-    words whose gap of unchanged words is at most {!diff_gap} share a
-    run), are logged and stored.  An unchanged range appends no record
+    words whose gap of unchanged words is at most two share a run), are
+    logged and stored, in ascending order.  An unchanged range appends no record
     and writes no data word.  Whenever the per-run record headers would
     cost more log words than one whole-range record, the whole-range
     path is taken instead — so a diff-mode write never consumes more

@@ -19,7 +19,9 @@ type t = {
   page_shift : int;             (* log2 page_size: page = addr lsr shift *)
   page_mask : int;              (* page_size - 1: offset = addr land mask *)
   dirty : bool array;           (* per page, since last clear *)
-  mutable dirty_count : int;
+  mutable dirty_list : int list;
+      (* the pages [dirty] marks, newest first: a commit and a clear cost
+         what the program dirtied, not the heap's page count *)
 }
 
 exception Out_of_bounds of int
@@ -49,7 +51,7 @@ let create ?(page_size = 64) ~size () =
     page_shift;
     page_mask = page_size - 1;
     dirty = Array.make (max 1 npages) false;
-    dirty_count = 0;
+    dirty_list = [];
   }
 
 let size t = t.size
@@ -81,7 +83,7 @@ let write t addr v =
   if not (Array.unsafe_get t.dirty page) then begin
     ignore (own_page t page);
     Array.unsafe_set t.dirty page true;
-    t.dirty_count <- t.dirty_count + 1
+    t.dirty_list <- page :: t.dirty_list
   end;
   Array.unsafe_set (Array.unsafe_get t.pages page) (addr land t.page_mask) v
 
@@ -103,26 +105,26 @@ let pick_live_word t rng =
    offered: fault injectors flip bits through [write] so the corruption
    is captured by checkpoints exactly as a real stray store would be. *)
 
-let dirty_pages t =
-  let acc = ref [] in
-  for p = Array.length t.dirty - 1 downto 0 do
-    if t.dirty.(p) then acc := p :: !acc
-  done;
-  !acc
+let dirty_pages t = List.sort Int.compare t.dirty_list
 
-let dirty_count t = t.dirty_count
+let dirty_count t = List.length t.dirty_list
 
 let clear_dirty t =
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  t.dirty_count <- 0
+  List.iter (fun p -> Array.unsafe_set t.dirty p false) t.dirty_list;
+  t.dirty_list <- []
 
 (* Copy-free page access: the checkpointer's commit path reuses one
    scratch buffer per slot instead of allocating a page array per dirty
-   page per checkpoint. *)
+   page per checkpoint.  An int-typed loop, not [Array.blit]: the buffer
+   is a long-lived (promoted) array, and a blit into one pays the write
+   barrier per word. *)
 let blit_page_into t p dst =
   if Array.length dst < t.page_size then
     invalid_arg "Memory.blit_page_into: buffer smaller than a page";
-  Array.blit t.pages.(p) 0 dst 0 t.page_size
+  let pg : int array = t.pages.(p) in
+  for i = 0 to t.page_size - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get pg i)
+  done
 
 let snapshot t =
   let words = Array.make t.size 0 in

@@ -45,3 +45,23 @@ let all =
   [ Gettimeofday; Random; Read_input; Poll_input; Write_output; Send; Recv;
     Try_recv; Open_file; Write_file; Read_file; Close_file; Sigaction;
     Sleep; Yield ]
+
+(* Position in [all]: a dense key for per-syscall tables. *)
+let index = function
+  | Gettimeofday -> 0
+  | Random -> 1
+  | Read_input -> 2
+  | Poll_input -> 3
+  | Write_output -> 4
+  | Send -> 5
+  | Recv -> 6
+  | Try_recv -> 7
+  | Open_file -> 8
+  | Write_file -> 9
+  | Read_file -> 10
+  | Close_file -> 11
+  | Sigaction -> 12
+  | Sleep -> 13
+  | Yield -> 14
+
+let count = 15

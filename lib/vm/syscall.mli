@@ -21,3 +21,10 @@ type t =
 
 val to_string : t -> string
 val all : t list
+
+val index : t -> int
+(** The syscall's position in {!all}: a dense key in [[0, count)] for
+    per-syscall tables. *)
+
+val count : int
+(** [List.length all]. *)

@@ -309,6 +309,56 @@ let pump_leaves_nothing_due_prop =
                      ~dst:(l mod nprocs)))
         (List.init (nprocs * nprocs) Fun.id))
 
+(* A range that covers the whole transport is answered from the cached
+   earliest time; every narrower range walks the queue.  On random
+   sends and pumps over a lossy 3-process wire, the whole-range answer
+   must equal the earliest of the per-pid scans after every operation,
+   and so must a range wider than the transport. *)
+let next_event_fast_path_prop =
+  QCheck.Test.make ~name:"whole-range next event equals the scan"
+    ~count:200
+    QCheck.(pair (0 -- 1000) (list (triple (0 -- 2) (0 -- 2) (0 -- 300_000))))
+    (fun (seed, ops) ->
+      let nprocs = 3 in
+      let policy _ _ =
+        Policy.make ~drop:0.2 ~duplicate:0.1 ~reorder:0.3 ~reorder_ns:400_000
+          ()
+      in
+      let t =
+        Transport.create ~policy ~seed ~nprocs ~latency_ns:latency
+          ~jitter_ns:jitter ~deliver:(fun ~at:_ ~src:_ ~dst:_ _ -> ()) ()
+      in
+      let agrees () =
+        let scanned =
+          List.fold_left
+            (fun acc p ->
+              match (acc, Transport.next_event_in t ~lo:p ~hi:(p + 1)) with
+              | None, x | x, None -> x
+              | Some a, Some b -> Some (min a b))
+            None (List.init nprocs Fun.id)
+        in
+        Transport.next_event_in t ~lo:0 ~hi:nprocs = scanned
+        && Transport.next_event_in t ~lo:(-1) ~hi:(nprocs + 1) = scanned
+      in
+      (* [(p, p, dt)] advances the clock by [dt] and pumps; any other
+         triple is a send at the current clock. *)
+      let rec go now = function
+        | [] -> agrees ()
+        | (src, dst, dt) :: rest ->
+            let now =
+              if src = dst then begin
+                Transport.pump t ~now:(now + dt);
+                now + dt
+              end
+              else begin
+                Transport.send t ~now ~src ~dst 0;
+                now
+              end
+            in
+            agrees () && go now rest
+      in
+      agrees () && go 0 ops)
+
 (* --- engine integration -------------------------------------------------- *)
 
 let pingpong_programs ~rounds =
@@ -591,5 +641,7 @@ let () =
           Alcotest.test_case "retransmit + redelivery consumed once" `Quick
             test_retransmit_plus_redelivery_consumed_once;
         ] );
-      ("pump", [ QCheck_alcotest.to_alcotest pump_leaves_nothing_due_prop ]);
+      ( "pump",
+        [ QCheck_alcotest.to_alcotest pump_leaves_nothing_due_prop;
+          QCheck_alcotest.to_alcotest next_event_fast_path_prop ] );
     ]

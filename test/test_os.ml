@@ -253,6 +253,55 @@ let test_det_log_commit_retire_drop () =
   Ft_os.Kernel.commit k 0 ~live:(fun q -> q <> 1);
   Alcotest.(check int) "halted p1 pins nothing" 0 (Ft_os.Kernel.det_live k)
 
+(* The tally OS fault injection reads: one count per syscall, keyed by
+   the syscall's position in [Syscall.all]. *)
+let test_syscall_tally () =
+  let k = mk () in
+  List.iter
+    (fun s -> ignore (serve k 0 s))
+    Ft_vm.Syscall.[ Gettimeofday; Yield; Gettimeofday; Sleep ];
+  List.iteri
+    (fun i s ->
+      Alcotest.(check int) "index is the position in all" i
+        (Ft_vm.Syscall.index s);
+      let want =
+        match s with
+        | Ft_vm.Syscall.Gettimeofday -> 2
+        | Yield | Sleep -> 1
+        | _ -> 0
+      in
+      Alcotest.(check int) (Ft_vm.Syscall.to_string s) want
+        (Ft_os.Kernel.syscall_count k s))
+    Ft_vm.Syscall.all;
+  Alcotest.(check int) "count is the length of all"
+    (List.length Ft_vm.Syscall.all) Ft_vm.Syscall.count
+
+(* The recovery buffer's requeue order: the messages consumed since the
+   commit come back in consumption order, ahead of the ones still
+   pending, minus any a sender rollback killed. *)
+let test_recovery_buffer_requeue_order () =
+  let k = mk ~nprocs:3 () in
+  Ft_os.Kernel.enable_dependency_tracking k;
+  let p1_snap = Ft_os.Kernel.snapshot_kstate k 1 in
+  List.iter
+    (fun (src, v) -> ignore (serve ~a0:2 ~a1:v k src Ft_vm.Syscall.Send))
+    [ (0, 10); (1, 20); (0, 11); (0, 12) ];
+  let snap = Ft_os.Kernel.snapshot_kstate k 2 in
+  Ft_os.Kernel.commit k 2 ~live:all_live;
+  let recv () = (serve k 2 Ft_vm.Syscall.Recv).Ft_os.Kernel.r0 in
+  let consumed = List.init 3 (fun _ -> recv ()) in
+  Alcotest.(check (list (option int))) "consumed in send order"
+    [ Some 10; Some 20; Some 11 ] consumed;
+  (* p1 rolls back to before its send: 20 is dead *)
+  Ft_os.Kernel.rollback k 1 p1_snap;
+  Ft_os.Kernel.rollback k 2 snap;
+  let again = List.init 3 (fun _ -> recv ()) in
+  Alcotest.(check (list (option int))) "consumed first, in order, then pending"
+    [ Some 10; Some 11; Some 12 ] again;
+  match Ft_os.Kernel.service k ~pid:2 ~now:0 ~a0:0 ~a1:0 Ft_vm.Syscall.Recv with
+  | Ft_os.Kernel.Block_recv -> ()
+  | _ -> Alcotest.fail "the dead message must not come back"
+
 (* The lineage the kernel restores with a process: its dependency vector
    and its confirmed-stable marks roll back to the newest commit. *)
 let test_lineage_rollback () =
@@ -305,6 +354,9 @@ let tests =
     Alcotest.test_case "duplicate filtering" `Quick test_duplicate_filtering;
     Alcotest.test_case "recovery buffer" `Quick
       test_recovery_buffer_redelivery;
+    Alcotest.test_case "recovery buffer requeue order" `Quick
+      test_recovery_buffer_requeue_order;
+    Alcotest.test_case "syscall tally" `Quick test_syscall_tally;
     Alcotest.test_case "files and disk full" `Quick test_files_and_disk_full;
     Alcotest.test_case "open file table full" `Quick
       test_open_file_table_full;

@@ -248,7 +248,8 @@ let test_rio_fast_path_accounting () =
    page, ranges cross page boundaries and often end exactly at the
    region's end, and some ranges run past it (both sides must refuse
    them before writing a word).  With a hook armed to raise after [k]
-   words, both sides must keep the same torn prefix. *)
+   words, both sides must keep the same torn prefix.  A range scan must
+   answer as a word-by-word loop over the model does. *)
 type rio_op =
   | R_write of int * int
   | R_blit of int * int array * int * int  (* off, src, spos, len *)
@@ -256,6 +257,8 @@ type rio_op =
   | R_poke of int * int
   | R_read of int
   | R_sub of int * int
+  | R_scan of int * int array * int * int * int * bool
+      (* off, src, spos, len, from, differ *)
 
 let show_rio_op = function
   | R_write (o, v) -> Printf.sprintf "write %d %d" o v
@@ -266,6 +269,10 @@ let show_rio_op = function
   | R_poke (o, v) -> Printf.sprintf "poke %d %d" o v
   | R_read o -> Printf.sprintf "read %d" o
   | R_sub (o, l) -> Printf.sprintf "sub %d %d" o l
+  | R_scan (o, src, sp, l, from, differ) ->
+      Printf.sprintf "scan off=%d src=[%s] spos=%d len=%d from=%d differ=%b"
+        o (String.concat ";" (Array.to_list (Array.map string_of_int src)))
+        sp l from differ
 
 let gen_rio_case =
   let open QCheck.Gen in
@@ -298,7 +305,19 @@ let gen_rio_case =
          R_copy (src, dst, l));
         (1, map2 (fun o v -> R_poke (o, v)) (off 1) (1 -- 999));
         (2, map (fun o -> R_read o) (off 1));
-        (2, let* l = len in map (fun o -> R_sub (o, l)) (off l)) ]
+        (2, let* l = len in map (fun o -> R_sub (o, l)) (off l));
+        (2,
+         (* mostly zeros, which untouched words match *)
+         let* l = len in
+         let* o = off l in
+         let* spos = 0 -- 2 in
+         let* src =
+           array_size (return (spos + l))
+             (frequency [ (3, return 0); (1, 1 -- 999) ])
+         in
+         let* from = -1 -- (l + 1) in
+         let+ differ = bool in
+         R_scan (o, src, spos, l, from, differ)) ]
   in
   let+ ops = list_size (0 -- 25) op in
   (size, hook, ops)
@@ -339,6 +358,11 @@ let run_rio_model ~size ~hook ops =
     | R_sub (o, l) ->
         if not (in_range o l) then raise Exit;
         results := Array.to_list (Array.sub m o l) :: !results
+    | R_scan (o, src, sp, l, from, differ) ->
+        if not (in_range o l && sp + l <= Array.length src) then raise Exit;
+        let i = ref (max 0 from) in
+        while !i < l && (m.(o + !i) <> src.(sp + !i)) <> differ do incr i done;
+        results := [ !i ] :: !results
   in
   let crashed =
     List.exists
@@ -370,6 +394,9 @@ let run_rio ~size ~hook ops =
     | R_poke (o, v) -> Rio.poke r o v
     | R_read o -> results := [ Rio.read r o ] :: !results
     | R_sub (o, l) -> results := Array.to_list (Rio.sub r ~off:o ~len:l) :: !results
+    | R_scan (o, src, sp, l, from, differ) ->
+        results :=
+          [ Rio.scan r ~off:o src ~spos:sp ~len:l ~from ~differ ] :: !results
   in
   let crashed =
     List.exists
@@ -445,6 +472,121 @@ let prop_diff_mode_equivalence =
         Array.to_list (Rio.sub r ~off:0 ~len:32)
       in
       apply true (mk ()) = apply false (mk ()))
+
+(* --- commit-path reference differential -------------------------------- *)
+
+(* The reference diff-mode writer, built the plain way: one pass
+   compares word by word and builds the list of coalesced changed runs
+   (a gap of up to two unchanged words joins two runs), then the runs
+   are written one whole-range record each, in ascending order, or the
+   whole range when their headers would cost more log words. *)
+let reference_changed_runs r ~off src ~spos ~len =
+  let runs = ref [] in
+  let run_start = ref (-1) and run_end = ref (-1) in
+  let flush () =
+    if !run_start >= 0 then
+      runs := (!run_start, !run_end - !run_start + 1) :: !runs
+  in
+  for i = 0 to len - 1 do
+    if src.(spos + i) <> Rio.read r (off + i) then begin
+      if !run_start < 0 then run_start := i
+      else if i - !run_end > 3 then begin
+        flush ();
+        run_start := i
+      end;
+      run_end := i
+    end
+  done;
+  flush ();
+  List.rev !runs
+
+let reference_write_sub v ~off ~src ~spos ~len =
+  let runs = reference_changed_runs (Vista.region v) ~off src ~spos ~len in
+  let diff_log_words =
+    List.fold_left (fun acc (_, rlen) -> acc + rlen + 2) 0 runs
+  in
+  if runs = [] then ()
+  else if diff_log_words >= len + 2 then Vista.write_sub v ~off ~src ~spos ~len
+  else
+    List.iter
+      (fun (start, rlen) ->
+        Vista.write_sub v ~off:(off + start) ~src ~spos:(spos + start)
+          ~len:rlen)
+      runs
+
+(* A base image, then one transaction of diff-mode writes: each a source
+   array, the offset of its first word in it, and the data range it
+   covers.  Most source words repeat the base image's, so the writes mix
+   sparse runs, coalesced gaps, whole-range fallbacks and no-ops, and
+   data areas up to 200 words make runs cross region pages. *)
+let gen_commit_case =
+  let open QCheck.Gen in
+  let* data = 1 -- 200 in
+  let* base = array_size (return data) (0 -- 3) in
+  let write =
+    let* off = 0 -- (data - 1) in
+    let* len = 0 -- min 90 (data - off) in
+    let* spos = 0 -- 3 in
+    let+ words =
+      array_size (return (spos + len + 2))
+        (frequency [ (4, return None); (1, map Option.some (0 -- 3)) ])
+    in
+    let src =
+      Array.mapi
+        (fun j w ->
+          match w with
+          | Some x -> x
+          | None ->
+              let i = off + j - spos in
+              if i >= 0 && i < data then base.(i) else 0)
+        words
+    in
+    (off, src, spos, len)
+  in
+  let* writes = list_size (0 -- 6) write in
+  let* commit = bool in
+  let+ hook = bool in
+  (base, writes, commit, hook)
+
+let arb_commit_case =
+  QCheck.make gen_commit_case ~print:(fun (base, writes, commit, hook) ->
+      let ints a =
+        String.concat ";" (Array.to_list (Array.map string_of_int a))
+      in
+      Printf.sprintf "base=[%s]\n%s\n%s, hook %b" (ints base)
+        (String.concat "\n"
+           (List.map
+              (fun (off, src, spos, len) ->
+                Printf.sprintf "write off=%d spos=%d len=%d src=[%s]" off spos
+                  len (ints src))
+              writes))
+        (if commit then "commit" else "abort")
+        hook)
+
+(* The persisted-write sequence the hook records (empty without one),
+   every region word (data and log area) and [words_written]. *)
+let run_commit_case writer (base, writes, commit, hook) =
+  let data = Array.length base in
+  let r = Rio.create ~size:(data + 700) in
+  let v = Vista.create ~data_words:data r in
+  Vista.begin_tx v;
+  Vista.write_range v ~off:0 base;
+  Vista.commit v;
+  let seen = ref [] in
+  if hook then
+    Rio.set_on_write r (Some (fun off x -> seen := (off, x) :: !seen));
+  Vista.begin_tx v;
+  List.iter (fun (off, src, spos, len) -> writer v ~off ~src ~spos ~len) writes;
+  if commit then Vista.commit v else Vista.abort v;
+  Rio.set_on_write r None;
+  (List.rev !seen, Array.to_list (Rio.sub r ~off:0 ~len:(Rio.size r)),
+   Rio.words_written r)
+
+let prop_diff_writer_matches_reference =
+  QCheck.Test.make ~name:"diff writer matches the run-list reference"
+    ~count:500 arb_commit_case (fun case ->
+      run_commit_case (Vista.write_sub ~diff:true) case
+      = run_commit_case reference_write_sub case)
 
 (* Torture a diff-mode commit at every persisted word write: recovery
    over a fresh Vista must restore exactly the previous committed image
@@ -530,4 +672,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_rio_matches_flat_model;
   ]
 
-let () = Alcotest.run "ft_stablemem" [ ("stablemem", tests) ]
+let () =
+  Alcotest.run "ft_stablemem"
+    [ ("stablemem", tests);
+      ("reference",
+       [ QCheck_alcotest.to_alcotest prop_diff_writer_matches_reference ]) ]
