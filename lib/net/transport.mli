@@ -61,6 +61,12 @@ val next_event_in : 'a t -> lo:int -> hi:int -> int option
     tells the engine how far to advance simulated time for the network
     to make progress when every process of that range is blocked. *)
 
+val generation : 'a t -> int
+(** Events queued plus events fired so far: it moves exactly when the
+    queue does, and so whenever a delivery can fill a mailbox.  A
+    scheduler sharing the transport between tenants re-keys the
+    co-tenants of a step only when the step moved it. *)
+
 val any_failed_in : 'a t -> lo:int -> hi:int -> bool
 (** Some link whose source lies in [lo, hi) has exhausted a retry
     budget. *)

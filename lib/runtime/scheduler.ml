@@ -23,9 +23,11 @@
     by [(next time, tid)], so a step costs a re-key, not a scan of the
     fleet.  A step can move only its own tenant's key and, through the
     transport's pumps and deliveries, the keys of tenants on the same
-    transport; only those are re-keyed after it.  Every key is thus the
-    one a full rescan would compute, and ordering on the pair keeps the
-    lowest-tid tie-break, so each step picks the tenant a scan would. *)
+    transport; only those are re-keyed after it, and the co-tenants
+    only when the step moved the transport's queue.  Every key read
+    again is thus the one a full rescan would compute, and ordering on
+    the pair keeps the lowest-tid tie-break, so each step picks the
+    tenant a scan would. *)
 
 type proc = {
   pid : int;
@@ -1353,10 +1355,19 @@ let rekey_groups t =
       | Some net -> group net)
     t.tenants
 
+(* The transport generation a step of [tn] can move, if it has one. *)
+let net_generation tn =
+  match Ft_os.Kernel.net tn.kernel with
+  | Some net -> Ft_net.Transport.generation net
+  | None -> 0
+
 (* The index and the groups are built here, not in [create]: transports
-   may be attached between the two calls.  After each step only the
-   stepped tenant's group is re-keyed, and a tenant with a result
-   leaves. *)
+   may be attached between the two calls.  A tenant with a result
+   leaves.  After each step, with more than one tenant live, the
+   stepped tenant is re-keyed, and its whole group too if the step
+   moved their transport's queue: a queue the step left alone fired
+   nothing, so no co-tenant's mailbox or next event moved.  With one
+   tenant live the pick is forced and no key is read again. *)
 let run t =
   let groups = rekey_groups t in
   let n = Array.length t.tenants in
@@ -1383,10 +1394,13 @@ let run t =
     if t.live = 0 then Array.map (fun tn -> Option.get tn.result) t.tenants
     else begin
       let tn = t.tenants.(ix.heap.(0)) in
+      let gen = net_generation tn in
       step t tn;
       (* only a tenant's own step can finish it *)
       if Option.is_some tn.result then index_remove ix tn.tid;
-      Array.iter rekey groups.(tn.tid);
+      if ix.size > 1 then
+        if net_generation tn = gen then rekey tn
+        else Array.iter rekey groups.(tn.tid);
       drive ()
     end
   in

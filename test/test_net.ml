@@ -243,9 +243,49 @@ let dv_piggyback_roundtrip_prop =
            got
       && Ft_core.Vclock.get receiver src = n)
 
-(* --- the pump's earliest-time cache -------------------------------------- *)
+(* The integer backoff equals the float formula it replaced
+   ([Transport_reference]'s [rto_ns * 2.0 ** attempts], capped): a frame
+   on a permanently partitioned link is retried at the same times by
+   both transports, over the whole retry budget, at initial timeouts
+   ([4 * latency], floor 1us) below, at and above the 50ms cap. *)
+let test_backoff_matches_float () =
+  let policy _ _ =
+    Policy.make
+      ~partitions:[ Policy.partition ~from_ns:0 ~until_ns:max_int () ]
+      ()
+  in
+  List.iter
+    (fun latency_ns ->
+      let deliver ~at:_ ~src:_ ~dst:_ () = () in
+      let t =
+        Transport.create ~policy ~seed:5 ~nprocs:2 ~latency_ns ~jitter_ns:0
+          ~deliver ()
+      and r =
+        Transport_reference.create ~policy ~seed:5 ~nprocs:2 ~latency_ns
+          ~jitter_ns:0 ~deliver ()
+      in
+      Transport.send t ~now:0 ~src:0 ~dst:1 ();
+      Transport_reference.send r ~now:0 ~src:0 ~dst:1 ();
+      let rec retries n =
+        let at = Transport.next_event_in t ~lo:0 ~hi:2 in
+        Alcotest.(check (option int))
+          (Printf.sprintf "latency %d, retry %d" latency_ns n)
+          (Transport_reference.next_event_in r ~lo:0 ~hi:2)
+          at;
+        match at with
+        | Some now ->
+            Transport.pump t ~now;
+            Transport_reference.pump r ~now;
+            retries (n + 1)
+        | None -> n
+      in
+      Alcotest.(check int) "every timer of the budget fired" 17 (retries 0))
+    [ 100; 833; 48_828; 180_000; 190_735; 3_125_000; 12_499_999;
+      12_500_000; 20_000_000 ]
 
-(* The transport remembers its queue's earliest time so an idle pump is
+(* --- the pump's event queue --------------------------------------------- *)
+
+(* The heap's root is the queue's earliest time, so an idle pump is
    one compare.  Random sends and pumps at a nondecreasing clock over a
    lossy, duplicating, reordering 3-process wire: after every pump
    nothing queued may be due any more, and once drained every link has
@@ -309,8 +349,8 @@ let pump_leaves_nothing_due_prop =
                      ~dst:(l mod nprocs)))
         (List.init (nprocs * nprocs) Fun.id))
 
-(* A range that covers the whole transport is answered from the cached
-   earliest time; every narrower range walks the queue.  On random
+(* A range that covers the whole transport is answered from the heap's
+   root; every narrower range scans the queue.  On random
    sends and pumps over a lossy 3-process wire, the whole-range answer
    must equal the earliest of the per-pid scans after every operation,
    and so must a range wider than the transport. *)
@@ -358,6 +398,124 @@ let next_event_fast_path_prop =
             agrees () && go now rest
       in
       agrees () && go 0 ops)
+
+(* The heap queue fires events in the order the [Map] queue it replaced
+   did: random scripts of sends (several at one instant, and with a
+   small jitter colliding arrival times, so the insertion id breaks
+   ties), pumps at a nondecreasing clock and ranged next-event queries
+   over a lossy, duplicating, reordering 3-4 process wire, then a drain.
+   The transport and the test-only copy of the old one
+   ([Transport_reference]) must log the same deliveries in callback
+   order, give the same ranged answers and end with the same stats. *)
+let heap_order_prop =
+  QCheck.Test.make ~name:"heap queue fires in the map queue's order"
+    ~count:300
+    QCheck.(
+      triple
+        (pair (0 -- 1000)
+           (pair
+              (oneofl ~print:string_of_int [ 3; 4 ])
+              (oneofl ~print:string_of_int [ 0; 1; 7; 60_000 ])))
+        (float_bound_inclusive 0.3)
+        (small_list (quad (0 -- 5) (0 -- 4) (0 -- 4) (0 -- 300_000))))
+    (fun ((seed, (nprocs, jitter_ns)), drop, ops) ->
+      let policy _ _ =
+        Policy.make ~drop ~duplicate:0.2 ~reorder:0.3 ~reorder_ns:50_000 ()
+      in
+      let log = ref [] and ref_log = ref [] in
+      let t =
+        Transport.create ~policy ~seed ~nprocs ~latency_ns:latency ~jitter_ns
+          ~deliver:(fun ~at ~src ~dst v -> log := (at, src, dst, v) :: !log)
+          ()
+      in
+      let r =
+        Transport_reference.create ~policy ~seed ~nprocs ~latency_ns:latency
+          ~jitter_ns
+          ~deliver:(fun ~at ~src ~dst v ->
+            ref_log := (at, src, dst, v) :: !ref_log)
+          ()
+      in
+      let answers = ref [] and ref_answers = ref [] in
+      let query lo hi =
+        answers := Transport.next_event_in t ~lo ~hi :: !answers;
+        ref_answers :=
+          Transport_reference.next_event_in r ~lo ~hi :: !ref_answers
+      in
+      let pump now =
+        Transport.pump t ~now;
+        Transport_reference.pump r ~now
+      in
+      (* [(0..2, a, b, _)] sends a fresh payload from [a] to [b] at the
+         current clock; [(3..4, _, _, dt)] advances the clock by [dt] and
+         pumps; [(5, a, b, _)] asks for the next event of pids
+         [a - 1, a - 1 + b), an empty, partial, whole or wider range. *)
+      let now, _ =
+        List.fold_left
+          (fun (now, next) (k, a, b, dt) ->
+            if k <= 2 then begin
+              let src = a mod nprocs in
+              let dst =
+                if b mod nprocs = src then (src + 1) mod nprocs
+                else b mod nprocs
+              in
+              Transport.send t ~now ~src ~dst next;
+              Transport_reference.send r ~now ~src ~dst next;
+              (now, next + 1)
+            end
+            else if k <= 4 then begin
+              pump (now + dt);
+              (now + dt, next)
+            end
+            else begin
+              query (a - 1) (a - 1 + b);
+              (now, next)
+            end)
+          (0, 0) ops
+      in
+      let rec drain now =
+        query 0 nprocs;
+        query 1 nprocs;
+        match Transport.next_event_in t ~lo:0 ~hi:nprocs with
+        | Some at when at >= now ->
+            pump at;
+            drain at
+        | _ -> ()
+      in
+      drain now;
+      let stats s =
+        Transport.
+          [ s.sends; s.transmissions; s.retransmits; s.deliveries;
+            s.dup_frames; s.dropped; s.cut; s.acks; s.gave_up ]
+      and ref_stats s =
+        Transport_reference.
+          [ s.sends; s.transmissions; s.retransmits; s.deliveries;
+            s.dup_frames; s.dropped; s.cut; s.acks; s.gave_up ]
+      in
+      let show_log l =
+        String.concat " "
+          (List.rev_map
+             (fun (at, src, dst, v) -> Printf.sprintf "%d:%d>%d#%d" at src dst v)
+             l)
+      in
+      let show_answers l =
+        String.concat " "
+          (List.rev_map
+             (function None -> "-" | Some at -> string_of_int at)
+             l)
+      in
+      let show_stats l = String.concat "," (List.map string_of_int l) in
+      if !log <> !ref_log then
+        QCheck.Test.fail_reportf "deliveries differ:\nheap: %s\nmap:  %s"
+          (show_log !log) (show_log !ref_log)
+      else if !answers <> !ref_answers then
+        QCheck.Test.fail_reportf "ranged answers differ:\nheap: %s\nmap:  %s"
+          (show_answers !answers) (show_answers !ref_answers)
+      else if stats (Transport.stats t) <> ref_stats (Transport_reference.stats r)
+      then
+        QCheck.Test.fail_reportf "stats differ:\nheap: %s\nmap:  %s"
+          (show_stats (stats (Transport.stats t)))
+          (show_stats (ref_stats (Transport_reference.stats r)))
+      else true)
 
 (* --- engine integration -------------------------------------------------- *)
 
@@ -619,6 +777,8 @@ let () =
           Alcotest.test_case "asymmetric ack loss" `Quick
             test_asymmetric_ack_loss;
           Alcotest.test_case "paced burst (golden)" `Quick test_burst_golden;
+          Alcotest.test_case "backoff equals the float formula" `Quick
+            test_backoff_matches_float;
           QCheck_alcotest.to_alcotest dv_piggyback_roundtrip_prop;
         ] );
       ( "engine",
@@ -643,5 +803,6 @@ let () =
         ] );
       ( "pump",
         [ QCheck_alcotest.to_alcotest pump_leaves_nothing_due_prop;
-          QCheck_alcotest.to_alcotest next_event_fast_path_prop ] );
+          QCheck_alcotest.to_alcotest next_event_fast_path_prop;
+          QCheck_alcotest.to_alcotest heap_order_prop ] );
     ]
