@@ -29,6 +29,14 @@ let run_with_fault ft ~seed =
       let r = Ft_runtime.Engine.run engine in
       Some (plan, r)
 
+let describe = function
+  | Ft_faults.App_injector.Code_mutation { at; replacement } ->
+      Printf.sprintf "code[%d] := %s" at (Ft_vm.Instr.to_string replacement)
+  | Ft_faults.App_injector.Bit_flip { at_icount; target; bit; _ } ->
+      Printf.sprintf "flip bit %d of a %s word at icount %d" bit
+        (match target with `Stack -> "stack" | `Heap -> "heap")
+        at_icount
+
 let reference =
   lazy
     (let w =
@@ -51,8 +59,7 @@ let study ft =
     else
       match run_with_fault ft ~seed with
       | Some (plan, r) when r.Ft_runtime.Engine.crashes > 0 ->
-          Format.printf "  injected: %a@." Ft_faults.App_injector.pp_plan
-            plan;
+          Printf.printf "  injected: %s\n" (describe plan);
           let trace = r.Ft_runtime.Engine.trace in
           (match (r.Ft_runtime.Engine.activation, Ft_core.Trace.crashes trace)
            with

@@ -67,24 +67,46 @@ let scene1 () =
 
 (* --- scene 2: commit less state ------------------------------------------- *)
 
-(* The ablation studies are experiment jobs; run them serially in
+(* magic re-renders its framebuffer (the pages from [fb_base] on) every
+   command, so leaving those pages out of checkpoints loses nothing. *)
+let magic_sim_ns ~protocol ~excluded =
+  let params =
+    { Ft_apps.Magic.small_params with Ft_apps.Magic.commands = 30 }
+  in
+  let fb_first_page = Ft_apps.Magic.fb_base / 64 in
+  let w = Ft_apps.Magic.workload ~params () in
+  let cfg =
+    Ft_apps.Workload.engine_config w
+      { Ft_runtime.Engine.default_config with
+        protocol;
+        medium = Ft_runtime.Checkpointer.Disk Ft_stablemem.Disk.default;
+        excluded_pages = (fun p -> excluded && p >= fb_first_page) }
+  in
+  let kernel = Ft_apps.Workload.kernel w in
+  let _, r = Ft_runtime.Engine.execute ~cfg ~kernel ~programs:w.programs () in
+  r.Ft_runtime.Engine.sim_time_ns
+
+let scene2 () =
+  print_endline "--- scene 2: exclude recomputable state from commits (2.6) ---";
+  let base =
+    magic_sim_ns ~protocol:Ft_core.Protocols.no_commit ~excluded:false
+  in
+  List.iter
+    (fun (label, excluded) ->
+      let t = magic_sim_ns ~protocol:Ft_core.Protocols.cpvs ~excluded in
+      Printf.printf "  %-22s DC-disk overhead %s\n" label
+        (Ft_harness.Report.pct1
+           (100. *. float_of_int (t - base) /. float_of_int base)))
+    [ ("full checkpoints", false); ("framebuffer excluded", true) ];
+  print_newline ()
+
+(* --- scene 3: crash early -------------------------------------------------- *)
+
+(* The crash-early study is an experiment job; run it serially in
    memory. *)
 let in_memory jobs =
   Ft_exp.Exp.lookup
     (Ft_exp.Exp.run_sweep ~workers:1 ~quiet:true ~name:"mitigations" jobs)
-
-let scene2 () =
-  print_endline "--- scene 2: exclude recomputable state from commits (2.6) ---";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-22s DC-disk overhead %s\n"
-        r.Ft_harness.Ablation.label
-        (Ft_harness.Report.pct1 r.Ft_harness.Ablation.overhead_pct))
-    (Ft_harness.Ablation.exclusion_of_records ~commands:30
-       (in_memory (Ft_harness.Ablation.exclusion_jobs ~commands:30 ())));
-  print_newline ()
-
-(* --- scene 3: crash early -------------------------------------------------- *)
 
 let scene3 () =
   print_endline "--- scene 3: crash early to shorten dangerous paths (2.6) ---";

@@ -13,12 +13,8 @@ type params = {
 val default_params : params
 val small_params : params
 
-val heap_words : int
-
 val fb_base : int
 (** Start of the re-rendered layout view: fully rebuilt every command,
     so it can be excluded from checkpoints (§2.6). *)
-
-val program : Ft_vm.Asm.program
 
 val workload : ?params:params -> unit -> Workload.t

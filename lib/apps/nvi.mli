@@ -20,8 +20,4 @@ val small_params : params
 (** A fast non-interactive session for tests and fault campaigns (the
     paper's crash tests also used a fast nvi). *)
 
-val heap_words : int
-val wal_file : int  (** file name id used by [:w] *)
-
-val program : ?check_every:int -> unit -> Ft_vm.Asm.program
 val workload : ?params:params -> unit -> Workload.t

@@ -13,9 +13,4 @@ type params = { bodies : int; iters : int }
 val default_params : params
 val small_params : params
 
-val nprocs : int
-val heap_words : int
-
-val program : params:params -> pid:int -> Ft_vm.Asm.program
-
 val workload : ?params:params -> unit -> Workload.t

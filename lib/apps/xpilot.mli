@@ -8,9 +8,6 @@ type params = { frames : int }
 val default_params : params
 val small_params : params
 
-val nprocs : int
-val heap_words : int
-
 val workload : ?params:params -> unit -> Workload.t
 
 val fps : Ft_runtime.Engine.result -> float

@@ -110,8 +110,3 @@ let percentile_counts cells q =
   in
   scan 0 0
 
-let summary m =
-  Printf.sprintf
-    "commits=%d nd=%d (logged %d) recoveries=%d crashes=%d sim=%.3fs"
-    m.commits m.nd_events m.logged_events m.recoveries m.crashes
-    (sim_seconds m)

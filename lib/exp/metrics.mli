@@ -22,7 +22,6 @@ val commit_rate : t -> float
 
 val to_json : t -> Jstore.value
 val of_json : Jstore.value -> t
-val summary : t -> string
 
 val percentile : int array -> float -> int
 (** [percentile sample q] — exact nearest-rank quantile, [0 < q <= 1]:

@@ -22,15 +22,6 @@ type plan =
       loc_seed : int;  (* picks the word at flip time, among live state *)
     }
 
-let pp_plan fmt = function
-  | Code_mutation { at; replacement } ->
-      Format.fprintf fmt "code[%d] := %s" at
-        (Ft_vm.Instr.to_string replacement)
-  | Bit_flip { at_icount; target; bit; _ } ->
-      Format.fprintf fmt "flip bit %d of a %s word at icount %d" bit
-        (match target with `Stack -> "stack" | `Heap -> "heap")
-        at_icount
-
 (* Candidate instruction indices for each code-mutation fault type.
    [Enter]/[Leave] are calling-convention artifacts with no source-line
    counterpart, so the "delete a random line of source" fault skips

@@ -14,12 +14,6 @@ type plan =
       loc_seed : int;  (** picks the word at flip time among live state *)
     }
 
-val pp_plan : Format.formatter -> plan -> unit
-
-val candidates : Fault_type.t -> Ft_vm.Instr.t array -> int list
-(** Instruction indices eligible for a code-mutation fault of the given
-    type. *)
-
 val plan :
   Random.State.t ->
   Fault_type.t ->

@@ -8,15 +8,6 @@
     second meets the broken kernel paths proportionally more often —
     the paper's explanation for nvi's higher failure rate. *)
 
-type profile = {
-  corrupt_probability : float;
-  panic_min_ms : int;
-  panic_max_ms : int;
-  poke_probability : float;  (** per touched syscall: memory corruption *)
-}
-
-val profile : Fault_type.t -> profile
-
 type subsystem = Input | Network | Clock | Filesystem
 
 val touches : subsystem -> Ft_vm.Syscall.t -> bool

@@ -128,12 +128,17 @@ let exclusion_run ~commands ~excluded ~protocol =
   let _, r = Ft_runtime.Engine.execute ~cfg ~kernel ~programs:w.programs () in
   r.Ft_runtime.Engine.sim_time_ns
 
-let exclusion_key ~commands =
-  Printf.sprintf "ablation/exclusion/commands=%d" commands
+(* The one parameter the study runs at; its job key keeps naming it so
+   stored results stay valid. *)
+let exclusion_commands = 40
 
-let exclusion_jobs ?(commands = 40) () =
+let exclusion_key =
+  Printf.sprintf "ablation/exclusion/commands=%d" exclusion_commands
+
+let exclusion_jobs () =
+  let commands = exclusion_commands in
   [
-    Ft_exp.Job.make ~key:(exclusion_key ~commands) ~seed:0 (fun () ->
+    Ft_exp.Job.make ~key:exclusion_key ~seed:0 (fun () ->
         let base =
           exclusion_run ~commands ~excluded:false
             ~protocol:Ft_core.Protocols.no_commit
@@ -154,8 +159,8 @@ let exclusion_jobs ?(commands = 40) () =
           ]);
   ]
 
-let exclusion_of_records ?(commands = 40) lookup =
-  match lookup (exclusion_key ~commands) with
+let exclusion_of_records lookup =
+  match lookup exclusion_key with
   | None -> []
   | Some v ->
       let base = Ft_exp.Jstore.get_int "base_ns" v in

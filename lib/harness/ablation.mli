@@ -21,23 +21,11 @@ val crash_early_of_records :
 
 val render_crash_early : crash_early_row list -> string
 
-type exclusion_row = {
-  label : string;
-  sim_time_ns : int;
-  overhead_pct : float;
-}
-
-val exclusion_jobs : ?commands:int -> unit -> Ft_exp.Job.t list
-(** DC-disk overhead of magic with and without its recomputable
-    framebuffer excluded from checkpoints. *)
-
-val exclusion_of_records :
-  ?commands:int -> (string -> Ft_exp.Jstore.value option) ->
-  exclusion_row list
-
 val jobs : unit -> Ft_exp.Job.t list
 (** Every ablation study's jobs (default parameters), for sweeping: the
-    two above plus COW page size and commit medium. *)
+    crash-early cadence above, the DC-disk overhead of magic with and
+    without its recomputable framebuffer excluded from checkpoints, COW
+    page size and commit medium. *)
 
 val render_records : (string -> Ft_exp.Jstore.value option) -> string
 (** All four studies rendered from stored job values. *)

@@ -21,7 +21,7 @@
 module Engine = Ft_runtime.Engine
 module Jstore = Ft_exp.Jstore
 module Policy = Ft_recovery.Policy
-module Classifier = Ft_recovery.Classifier
+module Lineage = Ft_recovery.Lineage
 
 (* The ladders under comparison.  [generic] is the paper's baseline —
    the rung everything above it is measured against. *)
@@ -65,7 +65,7 @@ type crash = {
       (* replayed outputs that disagreed with a released value and
          were absorbed by the sequenced egress: fault-induced replay
          divergence the user never saw *)
-  verdict : Classifier.verdict;
+  verdict : Lineage.verdict;
   work : int;  (* distinct visible outputs released *)
   instr : int;
   deep_rollbacks : int;
@@ -202,7 +202,9 @@ let rescued_frac row =
   if row.crashes = 0 then 0.
   else float_of_int (rescued row) /. float_of_int row.crashes
 
-(* Useful work per million instructions. *)
+(* Acked visible outputs per million instructions over crashed runs:
+   the Dwork–Halpern–Waarts work-per-unit-cost with replay counted as
+   pure cost. *)
 let work_per_minstr row =
   if row.instr = 0 then 0.
   else float_of_int row.work *. 1e6 /. float_of_int row.instr
@@ -242,10 +244,10 @@ let campaign ~target_crashes ~max_attempts ~seed ~app ~protocol ~ladder_name
     benign = discarded (function Benign | Hung -> true | _ -> false);
     deep_rollbacks = sum (fun c -> c.deep_rollbacks);
     perturbed_replays = sum (fun c -> c.perturbed_replays);
-    transient = count (fun c -> c.verdict = Classifier.Transient);
-    heisenbug = count (fun c -> c.verdict = Classifier.Heisenbug);
-    bohrbug = count (fun c -> c.verdict = Classifier.Bohrbug);
-    sticky = count (fun c -> c.verdict = Classifier.Sticky);
+    transient = count (fun c -> c.verdict = Lineage.Transient);
+    heisenbug = count (fun c -> c.verdict = Lineage.Heisenbug);
+    bohrbug = count (fun c -> c.verdict = Lineage.Bohrbug);
+    sticky = count (fun c -> c.verdict = Lineage.Sticky);
     work = sum (fun c -> c.work);
     instr = sum (fun c -> c.instr);
     ref_work = crashes * ref_w;

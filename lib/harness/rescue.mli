@@ -47,11 +47,6 @@ type row = {
   ref_instr : int;
 }
 
-val work_per_minstr : row -> float
-(** Acked visible outputs per million instructions over crashed runs —
-    the Dwork–Halpern–Waarts work-per-unit-cost with replay counted as
-    pure cost. *)
-
 type spec = {
   apps : Table1.app list;
   protocols : Ft_core.Protocol.spec list;

@@ -21,7 +21,7 @@ let workload = function
 type run_class =
   | No_effect           (* completed with correct output: discarded *)
   | Wrong_output        (* completed but output diverged: discarded *)
-  | Hung                (* fault caused an endless loop: discarded *)
+  | Hung  (* endless loop or out-of-patience run: indeterminate, discarded *)
   | Crashed of {
       violation : bool;         (* commit between activation and crash *)
       recovered : bool;         (* end-to-end: consistent completion *)

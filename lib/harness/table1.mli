@@ -11,12 +11,6 @@ val workload : app -> Ft_apps.Workload.t
 
 val base_cfg : Ft_apps.Workload.t -> Ft_runtime.Engine.config
 
-type run_class =
-  | No_effect
-  | Wrong_output
-  | Hung  (** endless loop or out-of-patience run: indeterminate *)
-  | Crashed of { violation : bool; recovered : bool }
-
 type row = {
   fault_type : Ft_faults.Fault_type.t;
   crashes : int;

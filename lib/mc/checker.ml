@@ -369,6 +369,7 @@ let check ?(no_prune = false) ?(lose_work = true) ?(root = []) ?stop_depth
 
 (* ---- Exp fan-out -------------------------------------------------------- *)
 
+(* Every forced-first-choices string of the given length. *)
 let shards ~nprocs ~shard_depth =
   let rec go d =
     if d = 0 then [ [] ]

@@ -93,9 +93,6 @@ val max_procs : int
 
 (** {2 Exp fan-out} *)
 
-val shards : nprocs:int -> shard_depth:int -> int list list
-(** Every forced-first-choices string of the given length. *)
-
 val jobs :
   ?no_prune:bool ->
   ?lose_work:bool ->

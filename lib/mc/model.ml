@@ -750,6 +750,7 @@ let build_reference st =
 
 (* ---- whole runs --------------------------------------------------------- *)
 
+(* Processes with script left, ascending. *)
 let runnable prog ~pcs =
   let r = ref [] in
   for p = Array.length prog - 1 downto 0 do

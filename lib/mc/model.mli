@@ -182,5 +182,3 @@ val finish : state -> crash -> run
     the trapped last step), recovers, completes the run and returns it.
     The state must not be used afterwards. *)
 
-val runnable : program -> pcs:int array -> int list
-(** Processes with script left, ascending. *)

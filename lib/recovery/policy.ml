@@ -35,9 +35,6 @@ let decide t ~l0_attempts ~attempt =
     Perturbed_replay { salt = attempt - l1_end }
   else Give_up
 
-let progressed t ~icount ~restore_point ~crash_bar =
-  icount > restore_point && ((not t.sequenced) || icount > crash_bar)
-
 let rung = function
   | Replay -> 0
   | Deep_rollback _ -> 1

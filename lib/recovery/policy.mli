@@ -36,7 +36,8 @@ type t = {
           progress only past the highest icount the process crashed at.
           [false] is the legacy discipline: replayed outputs are released
           again as duplicates (consistent, not exactly-once), and any
-          commit past the restore point is progress. *)
+          commit past the restore point is progress.  {!Lineage} applies
+          both. *)
 }
 (** The rungs after L0.  L0's depth is not a ladder property: it is the
     run's [max_recovery_attempts], which also caps restore retries at
@@ -63,14 +64,6 @@ val decide : t -> l0_attempts:int -> attempt:int -> action
 (** [decide t ~l0_attempts ~attempt] is the action for the [attempt]-th
     consecutive crash since the process last made progress (1-based),
     with [l0_attempts] generic replays before the first escalation. *)
-
-val progressed : t -> icount:int -> restore_point:int -> crash_bar:int -> bool
-(** Whether a commit at [icount] is progress that refills the attempt
-    budget.  It must lie strictly past [restore_point]: a commit there is
-    the deterministic replay re-reaching the same state.  A [sequenced]
-    ladder also requires it strictly past [crash_bar], the highest icount
-    the process crashed at: a recurring fault keeps crashing there, so
-    commits underneath it are replay, not escape. *)
 
 val rung : action -> int
 (** 0 for [Replay], 1 for [Deep_rollback], 2 for [Perturbed_replay],

@@ -18,7 +18,6 @@ let create ?(cfg = default_config) ~kernel ~programs () =
   Scheduler.create ~tenants:[| (cfg, kernel, programs) |] ()
 
 let machine t pid = Scheduler.machine t ~tid:0 ~pid
-let kernel t = Scheduler.kernel t ~tid:0
 let checkpointer t = Scheduler.checkpointer t ~tid:0
 let set_on_replay t f = Scheduler.set_on_replay t ~tid:0 f
 let record_activation t pid = Scheduler.record_activation t ~tid:0 pid

@@ -24,7 +24,6 @@ val create :
     initial state of any application is always committed", §4). *)
 
 val machine : t -> int -> Ft_vm.Machine.t
-val kernel : t -> Ft_os.Kernel.t
 
 val checkpointer : t -> Checkpointer.t
 (** The engine's checkpointer — fault injectors reach the per-process

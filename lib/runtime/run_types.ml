@@ -45,7 +45,8 @@ type config = {
           recovery *)
   policy : Ft_recovery.Policy.t;
       (** the rungs after L0 (L1 deep rollback, L2 perturbed replay) and
-          whether egress is sequenced; {!Ft_recovery.Policy.legacy}, the
+          whether egress is sequenced, applied per process by
+          {!Ft_recovery.Lineage}; {!Ft_recovery.Policy.legacy}, the
           default, is the engine's historical generic replay: L0 alone,
           duplicates allowed *)
   quarantine : Ft_recovery.Quarantine.params option;
@@ -127,7 +128,7 @@ type result = {
   ladder_peaks : int array;
       (** per process: highest escalation rung used (0 = generic replay
           only, 1 = deep rollback, 2 = perturbed replay) *)
-  fault_classes : Ft_recovery.Classifier.verdict array;
+  fault_classes : Ft_recovery.Lineage.verdict array;
       (** per process, from observed replay behavior — [Benign] when it
           never crashed *)
   quarantine_trips : int;

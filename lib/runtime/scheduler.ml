@@ -37,34 +37,12 @@ type proc = {
   mutable blocked : bool;        (* waiting for a message *)
   mutable halted : bool;
   mutable failed : bool;         (* unrecoverable *)
-  mutable recoveries : int;      (* consecutive attempts from one point *)
-  mutable recovered_at_icount : int;
-      (* icount at the last restore; a commit strictly past it proves
-         progress and resets the attempt counter *)
-  mutable restore_base_icount : int;
-      (* the restored snapshot's own icount, before any re-execution.
-         Crash positions are classified relative to this base: replay
-         re-executes the rewound commit Sys, shifting absolute icounts
-         by one per restore under commit-before protocols, so only the
-         offset from the restore base is replay-invariant *)
-  mutable ladder_peak : int;     (* highest escalation rung used, 0..2 *)
-  mutable last_rung : int;       (* rung of the most recent recovery *)
-  mutable salt : int;            (* perturbation salt in effect, 0 = none *)
-  mutable crash_bar : int;
-      (* highest icount at which this process has crashed; a sequenced
-         ladder counts only commits past it as progress
-         ({!Ft_recovery.Policy.progressed}) *)
-  mutable out_seq : int;
-      (* this lineage's visible-output cursor.  Rewinds with every
-         restore/rollback; under sequenced egress, outputs below
-         [visible_count] are replays the channel absorbs. *)
-  mutable committed_out_seq : int;  (* out_seq as of the newest commit *)
-  mutable emitted_rev : int list;   (* released values, newest first *)
-  classifier : Ft_recovery.Classifier.t;
+  lineage : Ft_recovery.Lineage.t;
+      (* attempts, restore point, crash bar, rungs, salt, classifier
+         evidence and the output cursor *)
   mutable commit_count : int;    (* protocol-triggered commits *)
   mutable nd_count : int;
   mutable logged_count : int;
-  mutable visible_count : int;      (* = length emitted_rev *)
 }
 
 include Run_types
@@ -133,10 +111,6 @@ type tenant = {
          effect; recurring-fault injectors re-arm here *)
   mutable deep_rollbacks : int;
   mutable perturbed_replays : int;
-  mutable replay_mismatches : int;
-      (* replayed visible outputs that disagreed with the value already
-         released at that sequence position: the machinery-consistency
-         oracle for the escalation ladder, expected to stay 0 *)
   breaker : Ft_recovery.Quarantine.t option;
   mutable quarantine_trips : int;
   mutable outcome : outcome option;
@@ -183,21 +157,12 @@ let make_tenant tid (cfg, kernel, programs) =
           blocked = false;
           halted = false;
           failed = false;
-          recoveries = 0;
-          recovered_at_icount = 0;
-          restore_base_icount = 0;
-          ladder_peak = 0;
-          last_rung = 0;
-          salt = 0;
-          crash_bar = -1;
-          out_seq = 0;
-          committed_out_seq = 0;
-          emitted_rev = [];
-          classifier = Ft_recovery.Classifier.create ();
+          lineage =
+            Ft_recovery.Lineage.create cfg.policy
+              ~l0_attempts:cfg.max_recovery_attempts;
           commit_count = 0;
           nd_count = 0;
           logged_count = 0;
-          visible_count = 0;
         })
       programs
   in
@@ -242,7 +207,6 @@ let make_tenant tid (cfg, kernel, programs) =
       on_replay = None;
       deep_rollbacks = 0;
       perturbed_replays = 0;
-      replay_mismatches = 0;
       breaker = Option.map Ft_recovery.Quarantine.create cfg.quarantine;
       quarantine_trips = 0;
       outcome = None;
@@ -372,19 +336,28 @@ let pre_replay tn (p : proc) =
   if tn.cfg.expand_resources_on_recovery then
     Ft_os.Kernel.expand_resources tn.kernel
 
-(* The restore itself runs on the same fallible machine and can be
-   crashed by an injector mid-replay.  Vista recovery is idempotent,
-   so retry from the same checkpoint — with a growing restart pause —
-   up to the attempt cap, then degrade to [Recovery_failed] instead
-   of looping forever. *)
-let restore_with_retry tn (p : proc) =
+(* [?out_seq] is a deep rollback's archived output cursor. *)
+let finish_restore ?out_seq tn (p : proc) ~kstate ~cost =
+  Ft_os.Kernel.rollback tn.kernel p.pid kstate;
+  Ft_recovery.Lineage.restored ?out_seq p.lineage
+    ~icount:(Ft_vm.Machine.icount p.machine);
+  p.time <- p.time + cost;
+  p.blocked <- false;
+  p.halted <- false
+
+(* A plain restore of the last commit; [false] when it could not be
+   carried out.  The restore itself runs on the same fallible machine
+   and can be crashed by an injector mid-replay.  Vista recovery is
+   idempotent, so retry from the same checkpoint — with a growing
+   restart pause — up to the attempt cap, then degrade to
+   [Recovery_failed] instead of looping forever. *)
+let restore tn (p : proc) =
   let rec go attempt =
     let crashed ~injected =
       match note_recovery_crash tn p ~injected ~attempt with
-      | `Abandon -> None
+      | `Abandon -> false
       | `Retry ->
-          if attempt >= tn.cfg.max_recovery_attempts then None
-          else go (attempt + 1)
+          attempt < tn.cfg.max_recovery_attempts && go (attempt + 1)
     in
     (* Injected nested failure: the machine dies again before this
        restore attempt completes.  Vista recovery is idempotent, so the
@@ -392,23 +365,12 @@ let restore_with_retry tn (p : proc) =
     if recovery_crash_due tn Mid_restore then crashed ~injected:true
     else
       match Checkpointer.restore tn.ckpt ~pid:p.pid ~machine:p.machine with
-      | restored -> Some restored
+      | kstate, cost ->
+          finish_restore tn p ~kstate ~cost;
+          true
       | exception Ft_stablemem.Rio.Crash_point _ -> crashed ~injected:false
   in
   go 1
-
-let finish_restore tn (p : proc) (kstate, cost) =
-  Ft_os.Kernel.rollback tn.kernel p.pid kstate;
-  (* [+ 1]: a commit-before checkpoint counts its (rewound, not yet
-     serviced) Sys instruction in icount, so the replay re-reaches
-     that same commit at exactly icount + 1.  Progress means
-     committing beyond that. *)
-  p.restore_base_icount <- Ft_vm.Machine.icount p.machine;
-  p.recovered_at_icount <- Ft_vm.Machine.icount p.machine + 1;
-  p.out_seq <- p.committed_out_seq;
-  p.time <- p.time + cost;
-  p.blocked <- false;
-  p.halted <- false
 
 (* Recovery is the escalation ladder.  The attempt index (consecutive
    crashes since the process last committed past its restore point)
@@ -417,18 +379,11 @@ let finish_restore tn (p : proc) (kstate, cost) =
    environment the replay sees.  Rung L0 is [max_recovery_attempts]
    replays deep under every ladder. *)
 let recover tn (p : proc) =
-  p.recoveries <- p.recoveries + 1;
-  match
-    Ft_recovery.Policy.decide tn.cfg.policy
-      ~l0_attempts:tn.cfg.max_recovery_attempts ~attempt:p.recoveries
-  with
+  match Ft_recovery.Lineage.next_action p.lineage with
   | Ft_recovery.Policy.Give_up -> give_up tn p
   | action ->
       tn.total_recoveries <- tn.total_recoveries + 1;
       pre_replay tn p;
-      let rung = Ft_recovery.Policy.rung action in
-      p.last_rung <- rung;
-      if rung > p.ladder_peak then p.ladder_peak <- rung;
       let restored =
         match action with
         | Ft_recovery.Policy.Deep_rollback back -> (
@@ -441,31 +396,29 @@ let recover tn (p : proc) =
             with
             | Some (kstate, cost, out_seq) ->
                 tn.deep_rollbacks <- tn.deep_rollbacks + 1;
-                p.committed_out_seq <- out_seq;
-                Some (kstate, cost)
+                finish_restore ~out_seq tn p ~kstate ~cost;
+                true
             | None ->
                 (* Not enough archived generations yet: a plain replay
                    is the deepest rollback available. *)
-                restore_with_retry tn p
+                restore tn p
             | exception Ft_stablemem.Rio.Crash_point _ -> (
                 match note_recovery_crash tn p ~injected:false ~attempt:1 with
-                | `Abandon -> None
-                | `Retry -> restore_with_retry tn p))
-        | _ -> restore_with_retry tn p
+                | `Abandon -> false
+                | `Retry -> restore tn p))
+        | _ -> restore tn p
       in
-      (match restored with
-      | None -> give_up tn p
-      | Some restored ->
-          finish_restore tn p restored;
-          (match action with
-          | Ft_recovery.Policy.Perturbed_replay { salt } ->
-              tn.perturbed_replays <- tn.perturbed_replays + 1;
-              p.salt <- salt;
-              Ft_os.Kernel.perturb tn.kernel ~salt
-          | _ -> ());
-          (match tn.on_replay with
-          | Some f -> f p.pid ~salt:p.salt
-          | None -> ()))
+      if not restored then give_up tn p
+      else begin
+        (match action with
+        | Ft_recovery.Policy.Perturbed_replay { salt } ->
+            tn.perturbed_replays <- tn.perturbed_replays + 1;
+            Ft_os.Kernel.perturb tn.kernel ~salt
+        | _ -> ());
+        match tn.on_replay with
+        | Some f -> f p.pid ~salt:(Ft_recovery.Lineage.salt p.lineage)
+        | None -> ()
+      end
 
 (* Orphan detection and re-rollback (message-logging protocols).  After
    a victim is restored to its last commit, a survivor [s] is an orphan
@@ -508,9 +461,7 @@ let rec orphan_cascade tn (victim : proc) =
           && Ft_os.Kernel.orphaned tn.kernel ~victim:v.pid s.pid
         then begin
           tn.orphan_rollbacks <- tn.orphan_rollbacks + 1;
-          (match restore_with_retry tn s with
-          | None -> give_up tn s
-          | Some restored -> finish_restore tn s restored);
+          if not (restore tn s) then give_up tn s;
           if not s.failed then Queue.add s.pid worklist
         end)
       tn.procs;
@@ -541,11 +492,7 @@ and recover_and_cascade tn (p : proc) =
 
 and crash_proc tn (p : proc) =
   record_crash tn p;
-  p.crash_bar <- max p.crash_bar (Ft_vm.Machine.icount p.machine);
-  (* Classification is pure observation: it never feeds back into the
-     simulation, so the legacy path stays byte-identical. *)
-  Ft_recovery.Classifier.note_crash p.classifier ~salt:p.salt
-    ~icount:(Ft_vm.Machine.icount p.machine - p.restore_base_icount);
+  Ft_recovery.Lineage.crash p.lineage ~icount:(Ft_vm.Machine.icount p.machine);
   match quarantine_crash tn p with
   | `Latched -> give_up tn p
   | `Park_until until_ns ->
@@ -553,7 +500,7 @@ and crash_proc tn (p : proc) =
          half-open probe gets a fresh budget, recover, then park the
          whole tenant until the probe deadline — it stops burning
          scheduler steps and co-tenants' tail latency survives. *)
-      p.recoveries <- 0;
+      Ft_recovery.Lineage.restart p.lineage;
       recover_and_cascade tn p;
       if not p.failed then
         Array.iter
@@ -571,8 +518,8 @@ and crash_proc tn (p : proc) =
    it — rather than keep acting on the pre-crash control flow. *)
 let do_local_commit ?round tn (p : proc) =
   match
-    Checkpointer.commit ~out_seq:p.out_seq tn.ckpt ~pid:p.pid
-      ~machine:p.machine
+    Checkpointer.commit ~out_seq:(Ft_recovery.Lineage.out_seq p.lineage)
+      tn.ckpt ~pid:p.pid ~machine:p.machine
       ~kstate:(Ft_os.Kernel.snapshot_kstate tn.kernel p.pid)
   with
   | exception Ft_stablemem.Rio.Crash_point _ ->
@@ -583,25 +530,21 @@ let do_local_commit ?round tn (p : proc) =
   | cost ->
       p.time <- p.time + cost;
       p.commit_count <- p.commit_count + 1;
-      p.committed_out_seq <- p.out_seq;
       Ft_os.Kernel.commit tn.kernel p.pid ~live:(fun q ->
           let s = tn.procs.(q) in
           (not s.failed) && not s.halted);
-      (* Progress means the failure was transient, so the next crash
-         starts a fresh recovery budget. *)
-      if p.recoveries > 0
-         && Ft_recovery.Policy.progressed tn.cfg.policy
-              ~icount:(Ft_vm.Machine.icount p.machine)
-              ~restore_point:p.recovered_at_icount ~crash_bar:p.crash_bar
-      then begin
-        Ft_recovery.Classifier.note_progress p.classifier ~rung:p.last_rung;
-        (match tn.breaker with
+      (* Progress means the failure was transient: the lineage starts
+         the next crash on a fresh recovery budget, and the breaker
+         closes. *)
+      if
+        Ft_recovery.Lineage.committed p.lineage
+          ~icount:(Ft_vm.Machine.icount p.machine)
+      then (
+        match tn.breaker with
         | Some b ->
             ignore (Ft_recovery.Quarantine.probe b ~now_ns:p.time : bool);
             Ft_recovery.Quarantine.note_progress b
         | None -> ());
-        p.recoveries <- 0
-      end;
       let kind =
         match round with
         | Some r -> Ft_core.Event.Commit_round r
@@ -994,21 +937,8 @@ let handle_syscall tn (p : proc) (sys : Ft_vm.Syscall.t) =
                      outside world already has it — but it must agree
                      with the value that was released, or the recovery
                      machinery broke exactly-once output. *)
-                  let absorbed =
-                    tn.cfg.policy.Ft_recovery.Policy.sequenced
-                    && p.out_seq < p.visible_count
-                  in
-                  if
-                    absorbed
-                    && List.nth p.emitted_rev (p.visible_count - 1 - p.out_seq)
-                       <> v
-                  then tn.replay_mismatches <- tn.replay_mismatches + 1;
-                  p.out_seq <- p.out_seq + 1;
-                  if not absorbed then begin
-                    p.visible_count <- p.visible_count + 1;
-                    tn.visible_rev <- (p.pid, v, p.time) :: tn.visible_rev;
-                    p.emitted_rev <- v :: p.emitted_rev
-                  end
+                  if Ft_recovery.Lineage.output p.lineage v then
+                    tn.visible_rev <- (p.pid, v, p.time) :: tn.visible_rev
               | _ -> ())
           | None -> ());
           Ft_vm.Machine.advance_past_syscall m;
@@ -1117,18 +1047,10 @@ let slice tn (p : proc) =
   match Ft_vm.Machine.status m with
   | Ft_vm.Machine.Running -> ()
   | Ft_vm.Machine.Halted ->
-      (* Completion is progress too.  A fault planted after the last
-         commit leaves no commit past the crash bar to witness the
-         escape, yet reaching Halt means the rescue was real — record
-         it, or the classifier mistakes a perturbed-replay
-         squeak-through for a Bohrbug.  No crash-bar check here: the
-         bar exists so replay commits underneath a recurring crash
-         cannot refill the recovery budget, but a Halt is terminal —
-         there is no budget left to refill, and even a Halt below the
-         bar (the replay took a different exit) is an escape. *)
-      if p.recoveries > 0 && Ft_vm.Machine.icount m > p.recovered_at_icount
-      then
-        Ft_recovery.Classifier.note_progress p.classifier ~rung:p.last_rung;
+      (* Completion is progress too: reaching Halt after a crash means
+         the rescue was real — record it, or the classifier mistakes a
+         perturbed-replay squeak-through for a Bohrbug. *)
+      Ft_recovery.Lineage.halted p.lineage ~icount:(Ft_vm.Machine.icount m);
       p.halted <- true
   | Ft_vm.Machine.Crashed _ -> crash_proc tn p
   | Ft_vm.Machine.Need_syscall sys -> handle_syscall tn p sys
@@ -1148,7 +1070,7 @@ let result_of tn outcome =
     commit_counts = arr (fun p -> p.commit_count);
     nd_counts = arr (fun p -> p.nd_count);
     logged_counts = arr (fun p -> p.logged_count);
-    visible_counts = arr (fun p -> p.visible_count);
+    visible_counts = arr (fun p -> Ft_recovery.Lineage.released p.lineage);
     recoveries = tn.total_recoveries;
     crashes = List.length tn.crash_rev;
     recovery_crashes = tn.recovery_crashes;
@@ -1159,10 +1081,13 @@ let result_of tn outcome =
     crash_times = List.rev tn.crash_rev;
     deep_rollbacks = tn.deep_rollbacks;
     perturbed_replays = tn.perturbed_replays;
-    ladder_peaks = arr (fun p -> p.ladder_peak);
-    fault_classes = arr (fun p -> Ft_recovery.Classifier.classify p.classifier);
+    ladder_peaks = arr (fun p -> Ft_recovery.Lineage.peak_rung p.lineage);
+    fault_classes = arr (fun p -> Ft_recovery.Lineage.classify p.lineage);
     quarantine_trips = tn.quarantine_trips;
-    replay_mismatches = tn.replay_mismatches;
+    replay_mismatches =
+      Array.fold_left
+        (fun n p -> n + Ft_recovery.Lineage.mismatches p.lineage)
+        0 tn.procs;
     nested_crashes = tn.nested_crashes;
     cascade_resumes = tn.cascade_resumes;
     det_high_water = Ft_os.Kernel.det_high_water tn.kernel;

@@ -1070,7 +1070,7 @@ let prop_consistency_extra_sound =
 let prop_consistency_truncated_sound =
   QCheck.Test.make ~name:"dropped tail convicts as Truncated with its size"
     ~count:200
-    QCheck.(pair (1 -- 12) (1 -- 12))
+    QCheck.(pair (In_range.int 1 12) (In_range.int 1 12))
     (fun (n, k) ->
       let k = ((k - 1) mod n) + 1 in
       (* distinct values: the greedy scan cannot confuse a prefix

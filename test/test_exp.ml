@@ -497,7 +497,7 @@ let prop_percentile_counts_matches_expansion =
     QCheck.(
       pair
         (list_of_size Gen.(1 -- 8) (pair (0 -- 100) (0 -- 3)))
-        (1 -- 1000))
+        (In_range.int 1 1000))
     (fun (cells, qm) ->
       let q = float_of_int qm /. 1000. in
       let total = List.fold_left (fun a (_, c) -> a + c) 0 cells in

@@ -325,7 +325,7 @@ let test_kill_plan_deterministic () =
 let prop_kill_plan_pure =
   QCheck.Test.make ~name:"kill plan is a pure function of (seed, tid)"
     ~count:50
-    QCheck.(triple (0 -- 1000) (0 -- 64) (1 -- 100))
+    QCheck.(triple (0 -- 1000) (0 -- 64) (In_range.int 1 100))
     (fun (seed, tid, rate) ->
       let crash_rate = float_of_int rate in
       let horizon_ns = 500_000_000 in

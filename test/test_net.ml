@@ -208,7 +208,7 @@ let test_burst_golden () =
 let dv_piggyback_roundtrip_prop =
   QCheck.Test.make ~name:"dv piggyback survives loss, duplication, reorder"
     ~count:40
-    QCheck.(triple (1 -- 30) (0 -- 1000) (0 -- 2))
+    QCheck.(triple (In_range.int 1 30) (0 -- 1000) (0 -- 2))
     (fun (n, seed, storm_ix) ->
       let nprocs = 4 in
       let src = 0 and dst = 1 in

@@ -317,7 +317,9 @@ let stop_failure_prop =
   QCheck.Test.make
     ~name:"random kill schedules recover consistently (all protocols)"
     ~count:60
-    QCheck.(pair (0 -- 4) (list_of_size (QCheck.Gen.int_bound 2) (1 -- 12)))
+    QCheck.(
+      pair (0 -- 4)
+        (list_of_size (QCheck.Gen.int_bound 2) (In_range.int 1 12)))
     (fun (pi, kill_ms) ->
       let protocol =
         List.nth
@@ -350,7 +352,8 @@ let scheduler_matches_engines_prop =
     QCheck.(
       list_of_size
         (Gen.int_range 1 3)
-        (pair (0 -- 8) (list_of_size (Gen.int_bound 2) (1 -- 12))))
+        (pair (0 -- 8)
+           (list_of_size (Gen.int_bound 2) (In_range.int 1 12))))
     (fun tenants ->
       let mk i (pi, kill_ms) =
         scheduler_tenant
@@ -413,7 +416,7 @@ let consistency_dup_bursts_prop =
    checker must convict it as Extra at exactly that position. *)
 let consistency_reorder_extra_prop =
   QCheck.Test.make ~name:"reordered distinct pair convicted extra" ~count:200
-    QCheck.(pair (2 -- 30) (0 -- 28))
+    QCheck.(pair (In_range.int 2 30) (0 -- 28))
     (fun (n, i) ->
       QCheck.assume (i < n - 1);
       let reference = List.init n (fun k -> 10 + k) in
@@ -710,7 +713,9 @@ let no_orphan_survives_prop =
   QCheck.Test.make
     ~name:"no orphan survives recovery (CAUSAL-LOG / OPTIMISTIC)" ~count:40
     QCheck.(
-      triple bool (list_of_size (Gen.int_bound 2) (1 -- 12)) (0 -- 1))
+      triple bool
+        (list_of_size (Gen.int_bound 2) (In_range.int 1 12))
+        (0 -- 1))
     (fun (opt, kill_ms, victim) ->
       let protocol =
         if opt then Protocols.optimistic else Protocols.causal_log
@@ -806,6 +811,20 @@ let violations_agree_prop spec =
       let t = replay spec ~nprocs:3 script in
       Save_work.holds t = (Save_work.violations t = []))
 
+(* [In_range.int] keeps a failing case inside its range while it
+   shrinks: an always-failing property over [2, 30] reports 2, where
+   QCheck's own [(2 -- 30)] shrinks to 1. *)
+let test_in_range_shrinks_in_range () =
+  let cell =
+    QCheck.Test.make_cell ~count:10 (In_range.int 2 30) (fun _ -> false)
+  in
+  let rand = Random.State.make [| 0 |] in
+  match QCheck.TestResult.get_state (QCheck.Test.check_cell ~rand cell) with
+  | QCheck.TestResult.Failed { instances = c :: _ } ->
+      Alcotest.(check int) "shrunk to the lower bound" 2
+        c.QCheck.TestResult.instance
+  | _ -> Alcotest.fail "an always-failing property must fail"
+
 let tests =
   List.map QCheck_alcotest.to_alcotest
     (conformance_tests
@@ -829,6 +848,8 @@ let tests =
       Alcotest.test_case "checkpoint exclusion cheaper (2.6)" `Quick
         test_checkpoint_exclusion_cheaper;
       Alcotest.test_case "sbl logs receives" `Quick test_sbl_logs_receives;
+      Alcotest.test_case "in-range shrinker stays in range" `Quick
+        test_in_range_shrinks_in_range;
     ]
 
 let () =

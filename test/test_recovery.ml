@@ -1,5 +1,6 @@
 (* Tests for the escalating-recovery subsystem: the policy ladder, the
-   quarantine circuit breaker, the fault classifier, and the scheduler
+   quarantine circuit breaker, the recovery lineage (progress rule,
+   fault classifier, egress cursor), and the scheduler
    machinery the ladder rides on — crash-bar escalation, deep rollback,
    and the sequenced egress channel (exactly-once visible output under
    policy-driven recovery). *)
@@ -7,7 +8,7 @@
 open Ft_vm.Asm
 module Policy = Ft_recovery.Policy
 module Quarantine = Ft_recovery.Quarantine
-module Classifier = Ft_recovery.Classifier
+module Lineage = Ft_recovery.Lineage
 module Engine = Ft_runtime.Engine
 
 (* --- policy ladder --------------------------------------------------------- *)
@@ -47,17 +48,24 @@ let test_policy_names_and_budgets () =
   Alcotest.(check bool) "unknown ladder" true (Policy.by_name "l33t" = None);
   Alcotest.(check int) "give-up rung" 3 (Policy.rung Policy.Give_up)
 
-(* Both progress rules, in the one function that holds them: a commit at
-   the restore point is never progress; one past it but at or below the
-   crash bar is progress only for the unsequenced legacy ladder; one past
-   both is progress for every ladder. *)
-let test_policy_progressed () =
+(* Both progress rules, in the one transition that applies them: after
+   a crash at the bar (icount 20) and a restore whose restore point is
+   10, a commit at the restore point is never progress; one past it but
+   at or below the crash bar is progress only for the unsequenced legacy
+   ladder; one past both is progress for every ladder. *)
+let test_lineage_progress_rules () =
   let restore_point = 10 and crash_bar = 20 in
+  let progress pol ~icount =
+    let l = Lineage.create pol ~l0_attempts:2 in
+    Lineage.crash l ~icount:crash_bar;
+    ignore (Lineage.next_action l : Policy.action);
+    Lineage.restored l ~icount:(restore_point - 1);
+    Lineage.committed l ~icount
+  in
   List.iter
     (fun (name, pol, at_restore, under_bar, past_both) ->
       let check what icount want =
-        Alcotest.(check bool) (name ^ " " ^ what) want
-          (Policy.progressed pol ~icount ~restore_point ~crash_bar)
+        Alcotest.(check bool) (name ^ " " ^ what) want (progress pol ~icount)
       in
       check "at the restore point" restore_point at_restore;
       check "past the restore point, under the bar" (restore_point + 1)
@@ -138,40 +146,80 @@ let test_quarantine_window_slides () =
 
 (* --- classifier ------------------------------------------------------------ *)
 
-let test_classifier_verdicts () =
-  let mk () = Classifier.create () in
+(* The verdicts, driven through the lineage's transitions.  [crash]
+   records the salt in effect and the offset from the restore base; a
+   restore to icount 0 keeps offsets absolute, and a ladder whose first
+   action is a perturbed replay ([l2_first]) moves the salt to 1. *)
+let test_lineage_verdicts () =
+  let l2_first = { Policy.full with Policy.l1_attempts = 0 } in
+  let mk ?(pol = Policy.generic) ?(l0 = 2) () =
+    Lineage.create pol ~l0_attempts:l0
+  in
+  let replay l =
+    ignore (Lineage.next_action l : Policy.action);
+    Lineage.restored l ~icount:0
+  in
+  let is want l = Lineage.classify l = want in
+  Alcotest.(check bool) "benign" true (is Lineage.Benign (mk ()));
   let c = mk () in
-  Alcotest.(check bool) "benign" true (Classifier.classify c = Classifier.Benign);
+  Lineage.crash c ~icount:100;
+  replay c;
+  Lineage.crash c ~icount:100;
+  Alcotest.(check bool) "same-icount pair" true (is Lineage.Bohrbug c);
+  Alcotest.(check bool) "bohrbug" true (is Lineage.Bohrbug c);
   let c = mk () in
-  Classifier.note_crash c ~salt:0 ~icount:100;
-  Classifier.note_crash c ~salt:0 ~icount:100;
-  Alcotest.(check bool) "same-icount pair" true (Classifier.same_icount_pair c);
-  Alcotest.(check bool) "bohrbug" true
-    (Classifier.classify c = Classifier.Bohrbug);
+  Lineage.crash c ~icount:100;
+  replay c;
+  Alcotest.(check bool) "rescuing commit is progress" true
+    (Lineage.committed c ~icount:200);
+  Alcotest.(check bool) "transient" true (is Lineage.Transient c);
   let c = mk () in
-  Classifier.note_crash c ~salt:0 ~icount:100;
-  Classifier.note_progress c ~rung:0;
-  Alcotest.(check bool) "transient" true
-    (Classifier.classify c = Classifier.Transient);
-  let c = mk () in
-  Classifier.note_crash c ~salt:0 ~icount:100;
-  Classifier.note_crash c ~salt:0 ~icount:250;
-  Classifier.note_progress c ~rung:0;
+  Lineage.crash c ~icount:100;
+  replay c;
+  Lineage.crash c ~icount:250;
+  replay c;
+  ignore (Lineage.committed c ~icount:300 : bool);
   Alcotest.(check bool) "wandering crashes + rescue = heisenbug" true
-    (Classifier.classify c = Classifier.Heisenbug);
-  let c = mk () in
-  Classifier.note_crash c ~salt:0 ~icount:100;
-  Classifier.note_crash c ~salt:0 ~icount:100;
-  Classifier.note_progress c ~rung:2;
+    (is Lineage.Heisenbug c);
+  let c = mk ~pol:l2_first ~l0:1 () in
+  Lineage.crash c ~icount:100;
+  replay c;
+  Lineage.crash c ~icount:100;
+  replay c;
+  Alcotest.(check int) "rescued at L2" 1 (Lineage.salt c);
+  ignore (Lineage.committed c ~icount:200 : bool);
   Alcotest.(check bool) "L2 rescue = heisenbug even with a pair" true
-    (Classifier.classify c = Classifier.Heisenbug);
-  let c = mk () in
-  Classifier.note_crash c ~salt:0 ~icount:100;
-  Classifier.note_crash c ~salt:1 ~icount:100;
+    (is Lineage.Heisenbug c);
+  let c = mk ~pol:l2_first ~l0:0 () in
+  Lineage.crash c ~icount:100;
+  replay c;
+  Lineage.crash c ~icount:100;
   Alcotest.(check bool) "cross-salt crashes are no pair" false
-    (Classifier.same_icount_pair c);
-  Alcotest.(check bool) "sticky" true
-    (Classifier.classify c = Classifier.Sticky)
+    (is Lineage.Bohrbug c);
+  Alcotest.(check bool) "sticky" true (is Lineage.Sticky c)
+
+(* The restore base is 0 until the first restore, so the original
+   crash's offset counts from program start while the replay's counts
+   from the restored snapshot.  A process that commits at icount 60,
+   crashes 40 instructions later, is restored to that commit and crashes
+   40 instructions into the replay shows no same-offset pair, and the
+   deterministic fault reads Sticky; only a second replay crash makes it
+   a Bohrbug.  Measuring progress by lineage position is meant to make
+   the first replay crash enough. *)
+let test_lineage_first_crash_offset () =
+  let l = Lineage.create Policy.generic ~l0_attempts:2 in
+  ignore (Lineage.committed l ~icount:60 : bool);
+  Lineage.crash l ~icount:100;
+  ignore (Lineage.next_action l : Policy.action);
+  Lineage.restored l ~icount:60;
+  Lineage.crash l ~icount:100;
+  Alcotest.(check bool) "original + one replay crash reads sticky" true
+    (Lineage.classify l = Lineage.Sticky);
+  ignore (Lineage.next_action l : Policy.action);
+  Lineage.restored l ~icount:60;
+  Lineage.crash l ~icount:100;
+  Alcotest.(check bool) "a second replay crash reads bohrbug" true
+    (Lineage.classify l = Lineage.Bohrbug)
 
 (* --- the ladder on a real engine ------------------------------------------- *)
 
@@ -249,7 +297,7 @@ let test_ladder_bohrbug_escalation () =
          offset; one replay's crash alone reads Sticky. *)
       Alcotest.(check bool) (name ^ " classified") true
         (r.Engine.fault_classes.(0)
-        = if crashes >= 3 then Classifier.Bohrbug else Classifier.Sticky))
+        = if crashes >= 3 then Lineage.Bohrbug else Lineage.Sticky))
     [
       ("generic", Policy.generic, 2, 0, 0, 0);
       ("deep", Policy.deep, 2, 2, 0, 1);
@@ -363,7 +411,7 @@ let prop_code_mutation_is_bohrbug =
       | None -> true
       | Some r ->
           if r.Engine.crashes >= 2 then
-            r.Engine.fault_classes.(0) = Classifier.Bohrbug
+            r.Engine.fault_classes.(0) = Lineage.Bohrbug
           else true)
 
 (* Recurring bit flips under the full ladder: the whole observation —
@@ -392,7 +440,7 @@ let prop_bit_flip_classification_deterministic =
                 && r.Engine.crashes > 0
                 && r.Engine.perturbed_replays > 0
                 && r.Engine.ladder_peaks.(0) = 2)
-             || r.Engine.fault_classes.(0) = Classifier.Heisenbug)
+             || r.Engine.fault_classes.(0) = Lineage.Heisenbug)
       | _ -> false)
 
 let tests =
@@ -400,7 +448,8 @@ let tests =
     Alcotest.test_case "policy ladder shape" `Quick test_policy_ladder_shape;
     Alcotest.test_case "policy names and budgets" `Quick
       test_policy_names_and_budgets;
-    Alcotest.test_case "policy progress rules" `Quick test_policy_progressed;
+    Alcotest.test_case "policy progress rules" `Quick
+      test_lineage_progress_rules;
     Alcotest.test_case "quarantine trips and parks" `Quick
       test_quarantine_trips_and_parks;
     Alcotest.test_case "quarantine latches" `Quick test_quarantine_latches;
@@ -408,7 +457,9 @@ let tests =
       test_quarantine_progress_resets;
     Alcotest.test_case "quarantine window slides" `Quick
       test_quarantine_window_slides;
-    Alcotest.test_case "classifier verdicts" `Quick test_classifier_verdicts;
+    Alcotest.test_case "classifier verdicts" `Quick test_lineage_verdicts;
+    Alcotest.test_case "first crash offset counts from program start" `Quick
+      test_lineage_first_crash_offset;
     Alcotest.test_case "ladder bohrbug escalation" `Quick
       test_ladder_bohrbug_escalation;
     Alcotest.test_case "crash bar prevents L0 loop" `Quick

@@ -171,8 +171,9 @@ let prop_crash_point_atomicity =
     QCheck.(
       triple
         (list_of_size (QCheck.Gen.int_bound 6)
-           (triple (0 -- 27) (1 -- 1000) bool))
-        (list_of_size (QCheck.Gen.int_bound 6) (pair (0 -- 27) (1 -- 1000)))
+           (triple (0 -- 27) (In_range.int 1 1000) bool))
+        (list_of_size (QCheck.Gen.int_bound 6)
+           (pair (0 -- 27) (In_range.int 1 1000)))
         (0 -- 200))
     (fun (history, final_writes, crash_after) ->
       let r = Rio.create ~size:256 in
@@ -447,7 +448,7 @@ let prop_diff_mode_equivalence =
       triple
         (list_of_size (Gen.int_bound 8) (pair (0 -- 30) (0 -- 3)))
         (list_of_size (Gen.int_bound 8)
-           (triple (0 -- 24) (0 -- 3) (1 -- 8)))
+           (triple (0 -- 24) (0 -- 3) (In_range.int 1 8)))
         bool)
     (fun (base, tx_writes, commit) ->
       let mk () =
