@@ -11,8 +11,17 @@
     There is one interpreter loop, [exec] under {!step_n}.  It keeps the
     hot state in registers and must stay in this module: the dev profile
     compiles with [-opaque], so nothing from [Instr] or [Memory] inlines
-    into it.  The per-instruction interpreter it replaced lives on in
-    [test/test_vm.ml] as the reference it is checked against. *)
+    into it.  It runs the sequences {!Asm} emits for every expression
+    temporary without a dispatch per instruction: after a [Const]/[Sload]
+    it tests for the [Push] that spills it, after a [Push] for the
+    [Const|Sload; Pop] pair that loads the second operand and unspills
+    the first, and after a [Cmp d] for the [Jz d] that branches on it.
+    A fused instruction keeps its own semantics, budget unit and count;
+    a sequence is fused only when the budget covers it and nothing in it
+    can crash, and otherwise the loop dispatches at that pc as usual.
+    It reads [code] live, with no decoded copy, so code mutated in place
+    runs as written.  The per-instruction interpreter it replaced lives
+    on in [test/test_vm.ml] as the reference it is checked against. *)
 
 type crash_reason =
   | Heap_out_of_bounds of int
@@ -162,7 +171,8 @@ let[@inline never] syscall t pc sp fp left s =
    calls out (heap access, status writes, frame instructions, division)
    sits in a function the loop tail-calls, so no call forces the carried
    state onto the stack.  Top level and closure-free: a slice allocates
-   nothing. *)
+   nothing.  The fused sequences (see the top of this file) are tested
+   for with one constructor match each, not a second dispatch. *)
 let rec exec t pc sp fp left =
   let code = t.code in
   if left <= 0 then stop t pc sp fp left
@@ -178,7 +188,7 @@ let rec exec t pc sp fp left =
           crash_stop t next sp fp left Stack_overflow
         else begin
           Array.unsafe_set stack sp (Array.unsafe_get regs r);
-          exec t next (sp + 1) fp left
+          operand t next (sp + 1) fp left
         end
     | Instr.Pop r ->
         if r land lnot 15 <> 0 then bad_register t next sp fp left r r r
@@ -195,7 +205,15 @@ let rec exec t pc sp fp left =
           crash_stop t next sp fp left Stack_overflow
         else begin
           Array.unsafe_set regs d (Array.unsafe_get stack i);
-          exec t next sp fp left
+          (* Fused [Push]: the spill of an operand. *)
+          if left <= 0 || next >= Array.length code then
+            exec t next sp fp left
+          else
+            match Array.unsafe_get code next with
+            | Instr.Push r when r land lnot 15 = 0 && sp < Array.length stack ->
+                Array.unsafe_set stack sp (Array.unsafe_get regs r);
+                operand t (next + 1) (sp + 1) fp (left - 1)
+            | _ -> exec t next sp fp left
         end
     | Instr.Sstore (off, s) ->
         let i = fp + off in
@@ -210,7 +228,15 @@ let rec exec t pc sp fp left =
         if d land lnot 15 <> 0 then bad_register t next sp fp left d d d
         else begin
           Array.unsafe_set regs d v;
-          exec t next sp fp left
+          (* Fused [Push], as after [Sload]. *)
+          if left <= 0 || next >= Array.length code then
+            exec t next sp fp left
+          else
+            match Array.unsafe_get code next with
+            | Instr.Push r when r land lnot 15 = 0 && sp < Array.length stack ->
+                Array.unsafe_set stack sp (Array.unsafe_get regs r);
+                operand t (next + 1) (sp + 1) fp (left - 1)
+            | _ -> exec t next sp fp left
         end
     | Instr.Mov (d, s) ->
         if (d lor s) land lnot 15 <> 0 then
@@ -243,9 +269,20 @@ let rec exec t pc sp fp left =
         if (d lor a lor b) land lnot 15 <> 0 then
           bad_register t next sp fp left d a b
         else begin
-          Array.unsafe_set regs d
-            (cmp op (Array.unsafe_get regs a) (Array.unsafe_get regs b));
-          exec t next sp fp left
+          let c = cmp op (Array.unsafe_get regs a) (Array.unsafe_get regs b) in
+          Array.unsafe_set regs d c;
+          (* Fused [Jz d]: every [If]/[While] condition. *)
+          if left <= 0 || next >= Array.length code then
+            exec t next sp fp left
+          else
+            match Array.unsafe_get code next with
+            | Instr.Jz (r, a) when r = d ->
+                let left = left - 1 in
+                if c <> 0 then exec t (next + 1) sp fp left
+                else if a < 0 || a > Array.length code then
+                  crash_stop t (next + 1) sp fp left (Bad_jump a)
+                else exec t a sp fp left
+            | _ -> exec t next sp fp left
         end
     | Instr.Load (d, a) ->
         if (d lor a) land lnot 15 <> 0 then
@@ -286,6 +323,31 @@ let rec exec t pc sp fp left =
     | (Instr.Call _ | Instr.Ret | Instr.Enter _ | Instr.Leave | Instr.Sigret)
       as frame ->
         framed t next sp fp left frame
+
+(* After a [Push] at [pc - 1] (so [sp >= 1]): the fused pair
+   [Const|Sload d; Pop s] of [Asm.expr]'s [Bin]/[Cmp], its writes in
+   program order so that [s] wins when [d = s].  Falls back to plain
+   dispatch at [pc] unless both fit the budget and neither can crash. *)
+and operand t pc sp fp left =
+  let code = t.code in
+  if left < 2 || pc + 1 >= Array.length code then exec t pc sp fp left
+  else
+    match Array.unsafe_get code (pc + 1) with
+    | Instr.Pop s when s land lnot 15 = 0 -> (
+        let regs = t.regs and stack = t.stack in
+        match Array.unsafe_get code pc with
+        | Instr.Const (d, v) when d land lnot 15 = 0 ->
+            Array.unsafe_set regs d v;
+            Array.unsafe_set regs s (Array.unsafe_get stack (sp - 1));
+            exec t (pc + 2) (sp - 1) fp (left - 2)
+        | Instr.Sload (d, off)
+          when d land lnot 15 = 0 && fp + off >= 0
+               && fp + off < Array.length stack ->
+            Array.unsafe_set regs d (Array.unsafe_get stack (fp + off));
+            Array.unsafe_set regs s (Array.unsafe_get stack (sp - 1));
+            exec t (pc + 2) (sp - 1) fp (left - 2)
+        | _ -> exec t pc sp fp left)
+    | _ -> exec t pc sp fp left
 
 and divide t pc sp fp left op d x y =
   if y = 0 then crash_stop t pc sp fp left Division_by_zero

@@ -67,8 +67,13 @@ val step_n : t -> int -> int
     except a wild pc; a register operand outside [0 .. num_regs-1]
     crashes [Bad_register] and changes nothing else.  With an
     [on_execute] hook the hook sees each pc before its instruction runs.
-    The reference semantics, one instruction at a time, is the
-    interpreter in [test/test_vm.ml], which a property checks this
+    Without one, the sequences {!Asm} emits for expression temporaries
+    ([Const|Sload; Push], [Push; Const|Sload; Pop], [Cmp d; Jz d]) run
+    without a dispatch per instruction, each instruction with its own
+    effects, budget unit and count, so no slice end, crash or jump into
+    the middle of one can tell.  The reference semantics, one
+    instruction at a time, is the interpreter in [test/test_vm.ml],
+    which a property and a table of those sequences check this
     against. *)
 
 val rewind_syscall : t -> unit

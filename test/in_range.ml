@@ -10,3 +10,14 @@ let int lo hi =
   QCheck.add_shrink_invariant
     (fun x -> lo <= x && x <= hi)
     (QCheck.int_range lo hi)
+
+(* [list lo hi a] draws what [list_of_size (Gen.int_range lo hi) a]
+   draws and shrinks only to lists of [lo] to [hi] elements: QCheck's
+   list shrinker halves toward the empty list, so a property over
+   non-empty lists would report [[]]. *)
+let list lo hi a =
+  QCheck.add_shrink_invariant
+    (fun l ->
+      let n = List.length l in
+      lo <= n && n <= hi)
+    (QCheck.list_of_size (QCheck.Gen.int_range lo hi) a)

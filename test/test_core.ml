@@ -1054,7 +1054,7 @@ let test_save_work_round_mate_covers () =
 let prop_consistency_extra_sound =
   QCheck.Test.make ~name:"foreign value convicts as Extra at its position"
     ~count:200
-    QCheck.(pair (list_of_size (QCheck.Gen.int_range 1 12) (0 -- 20)) (0 -- 20))
+    QCheck.(pair (In_range.list 1 12 (0 -- 20)) (0 -- 20))
     (fun (reference, k) ->
       let fresh = List.fold_left max 0 reference + 1 in
       let i = k mod (List.length reference + 1) in

@@ -496,7 +496,7 @@ let prop_percentile_counts_matches_expansion =
     ~count:300
     QCheck.(
       pair
-        (list_of_size Gen.(1 -- 8) (pair (0 -- 100) (0 -- 3)))
+        (In_range.list 1 8 (pair (0 -- 100) (0 -- 3)))
         (In_range.int 1 1000))
     (fun (cells, qm) ->
       let q = float_of_int qm /. 1000. in

@@ -350,8 +350,7 @@ let scheduler_matches_engines_prop =
     ~name:"multi-tenant scheduler == one private engine per tenant"
     ~count:40
     QCheck.(
-      list_of_size
-        (Gen.int_range 1 3)
+      In_range.list 1 3
         (pair (0 -- 8)
            (list_of_size (Gen.int_bound 2) (In_range.int 1 12))))
     (fun tenants ->
@@ -393,7 +392,7 @@ let scheduler_matches_engines_prop =
    convict. *)
 let consistency_dup_bursts_prop =
   QCheck.Test.make ~name:"duplicate bursts stay consistent" ~count:200
-    QCheck.(pair (list_of_size Gen.(1 -- 20) (0 -- 9)) (0 -- 1_000_000))
+    QCheck.(pair (In_range.list 1 20 (0 -- 9)) (0 -- 1_000_000))
     (fun (reference, seed) ->
       QCheck.assume (reference <> []);
       let rng = Random.State.make [| seed; 0xc0 |] in
@@ -825,6 +824,22 @@ let test_in_range_shrinks_in_range () =
         c.QCheck.TestResult.instance
   | _ -> Alcotest.fail "an always-failing property must fail"
 
+(* [In_range.list] does the same for a list's length: QCheck's own
+   [list_of_size (Gen.int_range 1 12) (0 -- 20)] shrinks an
+   always-failing property to the empty list. *)
+let test_in_range_list_shrinks_in_range () =
+  let cell =
+    QCheck.Test.make_cell ~count:10
+      QCheck.(In_range.list 1 12 (0 -- 20))
+      (fun _ -> false)
+  in
+  let rand = Random.State.make [| 0 |] in
+  match QCheck.TestResult.get_state (QCheck.Test.check_cell ~rand cell) with
+  | QCheck.TestResult.Failed { instances = c :: _ } ->
+      Alcotest.(check int) "shrunk to one element" 1
+        (List.length c.QCheck.TestResult.instance)
+  | _ -> Alcotest.fail "an always-failing property must fail"
+
 let tests =
   List.map QCheck_alcotest.to_alcotest
     (conformance_tests
@@ -850,6 +865,8 @@ let tests =
       Alcotest.test_case "sbl logs receives" `Quick test_sbl_logs_receives;
       Alcotest.test_case "in-range shrinker stays in range" `Quick
         test_in_range_shrinks_in_range;
+      Alcotest.test_case "in-range list shrinker keeps its length" `Quick
+        test_in_range_list_shrinks_in_range;
     ]
 
 let () =
