@@ -8,19 +8,25 @@
     Events live in an amortized-O(1) append array with a per-process
     index vector, so checker queries iterate in place instead of
     re-reversing a cons list: {!events_of} and {!iter_of} touch only
-    that process's events, {!find} and {!matching_send} are O(1), and
+    that process's events, {!get} and {!matching_send} are O(1), and
     the Save-work / Consistency / Lose-work oracles stream over
-    {!iter}/{!filter} without materializing the whole history. *)
+    {!iter}/{!filter} without materializing the whole history.
+
+    Recording only ever appends, so a trace's history as of now is its
+    first [count] events: {!prefix} freezes that watermark into a
+    read-only view that shares the live trace's containers and copies
+    only the per-process counts. *)
 
 type t = {
   nprocs : int;
   mutable arr : Event.t array;              (* events.(0 .. count-1) *)
   mutable count : int;
   mutable by_pid : int array array;         (* positions in [arr], per pid *)
-  by_pid_count : int array;
+  by_pid_count : int array;                 (* events per pid (watermark) *)
   clocks : Vclock.t array;                  (* live clock per process *)
   send_clocks : (int, Vclock.t) Hashtbl.t;  (* tag -> clock at send *)
   first_sends : (int, Event.t) Hashtbl.t;   (* tag -> earliest send event *)
+  frozen : bool;                            (* a view: [record] refuses *)
 }
 
 let create ~nprocs =
@@ -33,10 +39,12 @@ let create ~nprocs =
     clocks = Array.init nprocs (fun _ -> Vclock.create nprocs);
     send_clocks = Hashtbl.create 8;
     first_sends = Hashtbl.create 8;
+    frozen = false;
   }
 
 (* Recorded events and the clocks they captured are never mutated, so a
-   copy shares them; only the containers and the live clocks are new. *)
+   copy shares them; only the containers and the live clocks are new.  A
+   copy of a view is a view: its tag tables may name later sends. *)
 let copy t =
   {
     t with
@@ -48,12 +56,19 @@ let copy t =
     first_sends = Hashtbl.copy t.first_sends;
   }
 
+(* The live trace keeps appending past the view's [count] and per-pid
+   counts, into the shared arrays or into grown copies of them, and only
+   adds tags to the shared tables, so everything below the watermark
+   reads as it did when the view was taken. *)
+let prefix t =
+  { t with by_pid_count = Array.copy t.by_pid_count; frozen = true }
+
 let nprocs t = t.nprocs
 let length t = t.count
 
-let next_index t pid =
-  (* Own component counts this process's events; index is 0-based. *)
-  Vclock.get t.clocks.(pid) pid
+(* Index is 0-based.  The count equals the live clock's own component:
+   only the process's own records tick it, and no merge can exceed it. *)
+let next_index t pid = t.by_pid_count.(pid)
 
 (* Doubling append; the freshly recorded event doubles as the fill
    element, so no dummy [Event.t] is ever needed. *)
@@ -76,6 +91,7 @@ let push t (e : Event.t) =
   t.by_pid_count.(pid) <- n + 1
 
 let record t ~pid ?(logged = false) kind =
+  if t.frozen then invalid_arg "Trace.record: a prefix view is read-only";
   if pid < 0 || pid >= t.nprocs then
     invalid_arg (Printf.sprintf "Trace.record: bad pid %d" pid);
   let index = next_index t pid in
@@ -134,22 +150,18 @@ let events_of t pid =
      iter_of t pid (fun e -> acc := e :: !acc);
      !acc)
 
-(* A process's events are indexed consecutively from 0, so lookup is one
-   array read. *)
-let find t ~pid ~index =
-  if pid < 0 || pid >= t.nprocs || index < 0
-     || index >= t.by_pid_count.(pid)
-  then None
-  else Some t.arr.(t.by_pid.(pid).(index))
-
 let crashes t = filter t Event.is_crash
 
 (* The matching send of a receive event, if it was recorded: the
    earliest send with the receive's tag, as the list scan used to
-   return. *)
+   return.  A view's shared table may hold a send past its watermark,
+   and then no earlier send had the tag. *)
 let matching_send t (recv : Event.t) =
   match recv.Event.kind with
-  | Event.Receive { tag; _ } -> Hashtbl.find_opt t.first_sends tag
+  | Event.Receive { tag; _ } -> (
+      match Hashtbl.find_opt t.first_sends tag with
+      | Some e when e.Event.index < t.by_pid_count.(e.Event.pid) -> Some e
+      | _ -> None)
   | _ -> None
 
 let pp fmt t = iter t (fun e -> Format.fprintf fmt "%a@." Event.pp e)

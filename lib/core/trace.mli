@@ -10,7 +10,14 @@ val create : nprocs:int -> t
 
 val copy : t -> t
 (** An independent trace with the same history: recording into either
-    leaves the other unchanged. *)
+    leaves the other unchanged.  A copy of a {!prefix} view is a view. *)
+
+val prefix : t -> t
+(** A read-only view of the trace's history as it is now: it reads as a
+    {!copy} taken now would, whatever is recorded into the trace later,
+    but shares the events, the per-process rows and the tag tables and
+    copies only the per-process counts.  {!record} into a view raises
+    [Invalid_argument]. *)
 
 val nprocs : t -> int
 
@@ -22,7 +29,8 @@ val next_index : t -> int -> int
 
 val record : t -> pid:int -> ?logged:bool -> Event.kind -> Event.t
 (** Append an event.  A [Receive] merges the clock captured by the [Send]
-    with the same tag, if one was recorded. *)
+    with the same tag, if one was recorded.  Raises [Invalid_argument] on
+    a {!prefix} view or a bad pid. *)
 
 val events : t -> Event.t list
 (** All events, in global recording order. *)
@@ -43,8 +51,6 @@ val iter_of : t -> int -> (Event.t -> unit) -> unit
 val filter : t -> (Event.t -> bool) -> Event.t list
 (** Matching events in global recording order, in one pass (no
     intermediate full-history list). *)
-
-val find : t -> pid:int -> index:int -> Event.t option
 
 val crashes : t -> Event.t list
 

@@ -154,15 +154,18 @@ type state = {
   mutable budget : int;  (* [Commit_budget]: committing reactions left *)
   pcs : int array;
   accs : int array;
-  gens : int array array;  (* executions of (pid, pc), for redraws *)
-  cursor : int array array;  (* cursor.(dst).(src): consumed count *)
-  sent : int array array;  (* sent.(src).(dst): sent count *)
-  dvs : int array array;  (* dvs.(pid): live dependency vector *)
-  stable : int array array;
-      (* stable.(pid).(q): how much of q's own non-determinism pid has
-         CONFIRMED stable, via a dependent-commit round's ack — local
-         knowledge, never an omniscient read of q's commit state.  Rolls
-         back with pid (the confirming ack may be un-received). *)
+  (* The matrices are flat, row [p] at [p * nprocs], so a fork copies
+     each with one [Array.copy]. *)
+  gen_base : int array;  (* gens row of pid: its first pc's slot *)
+  gens : int array;  (* gens.(gen_base.(pid) + pc): executions, for redraws *)
+  cursor : int array;  (* cursor.(dst * nprocs + src): consumed count *)
+  sent : int array;  (* sent.(src * nprocs + dst): sent count *)
+  dvs : int array;  (* row pid: live dependency vector *)
+  stable : int array;
+      (* stable.(pid * nprocs + q): how much of q's own non-determinism
+         pid has CONFIRMED stable, via a dependent-commit round's ack —
+         local knowledge, never an omniscient read of q's commit state.
+         Rolls back with pid (the confirming ack may be un-received). *)
   mutable mail : (int * int * Vclock.t * int array) Msg_map.t;
       (* (src, dst, seq) -> payload, tag, send vclock, sender dv *)
   snaps : snapshot array;
@@ -200,15 +203,24 @@ let react st ~pid info =
 let record st ~pid ?(logged = false) kind =
   Trace.record st.trace ~pid ~logged kind
 
+(* Slot (p, q) of a flat matrix. *)
+let ix st p q = (p * st.nprocs) + q
+let row st m p = Array.sub m (p * st.nprocs) st.nprocs
+
+(* One more unit of the process's own uncovered non-determinism. *)
+let tick_own_dv st pid =
+  let i = ix st pid pid in
+  st.dvs.(i) <- st.dvs.(i) + 1
+
 let snapshot st pid =
   st.snaps.(pid) <-
     {
       s_pc = st.pcs.(pid);
       s_acc = st.accs.(pid);
-      s_cursor = Array.copy st.cursor.(pid);
-      s_sent = Array.copy st.sent.(pid);
-      s_dv = Array.copy st.dvs.(pid);
-      s_stable = Array.copy st.stable.(pid);
+      s_cursor = row st st.cursor pid;
+      s_sent = row st st.sent pid;
+      s_dv = row st st.dvs pid;
+      s_stable = row st st.stable pid;
     };
   st.since.(pid) <- []
 
@@ -246,8 +258,8 @@ let dependent_set st ~pid =
   let in_set = Array.make st.nprocs false in
   let rec close p =
     for q = 0 to st.nprocs - 1 do
-      if q <> pid && (not in_set.(q)) && st.dvs.(p).(q) > st.stable.(p).(q)
-      then begin
+      let i = ix st p q in
+      if q <> pid && (not in_set.(q)) && st.dvs.(i) > st.stable.(i) then begin
         in_set.(q) <- true;
         close q
       end
@@ -261,7 +273,7 @@ let dependent_set st ~pid =
    lineage is already covered. *)
 let dependent_noop st ~pid =
   (not (Array.exists (fun b -> b) (dependent_set st ~pid)))
-  && st.dvs.(pid).(pid) <= committed_own st pid
+  && st.dvs.(ix st pid pid) <= committed_own st pid
 
 (* Two-phase commit: participants commit and acknowledge first, the
    coordinator commits last, all commits of the round atomic with each
@@ -312,14 +324,14 @@ let commit_scope st ~pid scope =
             (* the ack confirms everything of q's own ND to date is now
                durable; the coordinator's next commit snapshots this
                knowledge, so q is not re-contacted for old taint *)
-            st.stable.(pid).(q) <- st.dvs.(q).(q)
+            st.stable.(ix st pid q) <- st.dvs.(ix st q q)
           end
         done;
         (* the coordinator always closes the round, tainted or not: its
            commit is what makes the round reach the output *)
         commit_one st ~pid (Event.Commit_round r)
       end
-      else if st.dvs.(pid).(pid) > committed_own st pid then
+      else if st.dvs.(ix st pid pid) > committed_own st pid then
         commit_one st ~pid Event.Commit);
   if st.defect = Gc_live_determinant then gc_live st
 
@@ -360,8 +372,8 @@ let receive_binding st pid pc =
   | _ ->
       let rec scan src =
         if src >= st.nprocs then None
-        else if st.sent.(src).(pid) > st.cursor.(pid).(src) then
-          let seq = st.cursor.(pid).(src) in
+        else if st.sent.(ix st src pid) > st.cursor.(ix st pid src) then
+          let seq = st.cursor.(ix st pid src) in
           match Msg_map.find_opt (src, pid, seq) st.mail with
           | Some (payload, tag, _, _) -> Some (src, seq, payload, tag)
           | None -> scan (src + 1)
@@ -408,7 +420,8 @@ let exec_step st ~trap ?(force_skip = false) pid =
             stamp st pid pc;
             let logged = reaction.Protocol.log in
             ignore (record st ~pid ~logged (Event.Receive { src; tag }));
-            st.cursor.(pid).(src) <- max st.cursor.(pid).(src) (seq + 1);
+            let c = ix st pid src in
+            st.cursor.(c) <- Int.max st.cursor.(c) (seq + 1);
             st.accs.(pid) <- mix st.accs.(pid) payload;
             (* piggybacked dependency vector: the receiver's state now
                depends on everything the sender's did at send time *)
@@ -416,11 +429,12 @@ let exec_step st ~trap ?(force_skip = false) pid =
             | Some (_, _, _, dv) when st.defect <> Drop_dv ->
                 Array.iteri
                   (fun q x ->
-                    if x > st.dvs.(pid).(q) then st.dvs.(pid).(q) <- x)
+                    let i = ix st pid q in
+                    if x > st.dvs.(i) then st.dvs.(i) <- x)
                   dv
             | _ -> ());
             if Protocol.taints st.style ~logged (Event.Receive { src; tag })
-            then st.dvs.(pid).(pid) <- st.dvs.(pid).(pid) + 1;
+            then tick_own_dv st pid;
             st.recv_bind <-
               Pc_map.add (pid, pc) (Some (src, seq, payload)) st.recv_bind;
             if logged && st.defect <> Drop_log
@@ -443,7 +457,8 @@ let exec_step st ~trap ?(force_skip = false) pid =
                 | _ -> (
                     match c with
                     | Event.Transient ->
-                        draw_transient ~pid ~pc ~gen:st.gens.(pid).(pc)
+                        draw_transient ~pid ~pc
+                          ~gen:st.gens.(st.gen_base.(pid) + pc)
                     | Event.Fixed -> draw_fixed ~pid ~pc)
               in
               ({ Protocol.kind = Event.Nd c; loggable = lg }, v)
@@ -464,12 +479,13 @@ let exec_step st ~trap ?(force_skip = false) pid =
           match op with
           | Internal -> ()
           | Nd (c, lg) ->
-              st.gens.(pid).(pc) <- st.gens.(pid).(pc) + 1;
+              let g = st.gen_base.(pid) + pc in
+              st.gens.(g) <- st.gens.(g) + 1;
               st.draws <- Pc_map.add (pid, pc) value st.draws;
               st.accs.(pid) <- mix st.accs.(pid) value;
               let logged = reaction.Protocol.log && lg in
               if Protocol.taints st.style ~logged (Event.Nd c) then
-                st.dvs.(pid).(pid) <- st.dvs.(pid).(pid) + 1;
+                tick_own_dv st pid;
               ignore (record st ~pid ~logged (Event.Nd c));
               if logged && st.defect <> Drop_log
                  && not (Pc_map.mem (pid, pc) st.log)
@@ -480,14 +496,14 @@ let exec_step st ~trap ?(force_skip = false) pid =
               st.observed_rev <- value :: st.observed_rev;
               desc_since st pid (V pc)
           | Send d ->
-              let seq = st.sent.(pid).(d) in
+              let seq = st.sent.(ix st pid d) in
               let tag = st.next_tag in
               st.next_tag <- tag + 1;
               let e = record st ~pid (Event.Send { dest = d; tag }) in
-              let dv = Array.copy st.dvs.(pid) in
+              let dv = row st st.dvs pid in
               st.mail <-
                 Msg_map.add (pid, d, seq) (value, tag, e.Event.vc, dv) st.mail;
-              st.sent.(pid).(d) <- seq + 1;
+              st.sent.(ix st pid d) <- seq + 1;
               desc_since st pid (S { pc; dst = d })
           | Receive -> ()
         in
@@ -517,12 +533,13 @@ let restore st pid =
   let s = st.snaps.(pid) in
   st.pcs.(pid) <- s.s_pc;
   st.accs.(pid) <- s.s_acc;
-  Array.blit s.s_cursor 0 st.cursor.(pid) 0 st.nprocs;
-  Array.blit s.s_sent 0 st.sent.(pid) 0 st.nprocs;
+  let at = pid * st.nprocs in
+  Array.blit s.s_cursor 0 st.cursor at st.nprocs;
+  Array.blit s.s_sent 0 st.sent at st.nprocs;
   if Array.length s.s_dv = st.nprocs then
-    Array.blit s.s_dv 0 st.dvs.(pid) 0 st.nprocs;
+    Array.blit s.s_dv 0 st.dvs at st.nprocs;
   if Array.length s.s_stable = st.nprocs then
-    Array.blit s.s_stable 0 st.stable.(pid) 0 st.nprocs;
+    Array.blit s.s_stable 0 st.stable at st.nprocs;
   st.since.(pid) <- [];
   (* the restored state is the one right after the snapshot's commit *)
   st.nd_since.(pid) <- false
@@ -610,7 +627,8 @@ let rollback ?nested st victim =
       ignore
         (cascade (fun rolled work p ->
              for q = 0 to st.nprocs - 1 do
-               if (not rolled.(q)) && st.cursor.(q).(p) > st.sent.(p).(q)
+               if (not rolled.(q))
+                  && st.cursor.(ix st q p) > st.sent.(ix st p q)
                then begin
                  restore st q;
                  rolled.(q) <- true;
@@ -622,9 +640,9 @@ let rollback ?nested st victim =
       let rolled =
         if st.defect <> No_orphan_kill then
           cascade (fun rolled work v ->
-              let v_own = st.dvs.(v).(v) in
+              let v_own = st.dvs.(ix st v v) in
               for q = 0 to st.nprocs - 1 do
-                if (not rolled.(q)) && st.dvs.(q).(v) > v_own then begin
+                if (not rolled.(q)) && st.dvs.(ix st q v) > v_own then begin
                   restore st q;
                   wipe_volatile_log q;
                   rolled.(q) <- true;
@@ -649,7 +667,7 @@ let rollback ?nested st victim =
               &&
               match entry with
               | Lrecv { src; seq; _ } ->
-                  rolled.(src) && seq >= st.sent.(src).(p)
+                  rolled.(src) && seq >= st.sent.(ix st src p)
               | Lnd _ -> false))
           st.log
 
@@ -680,7 +698,7 @@ let state_key st =
   let pending = ref [] in
   for src = st.nprocs - 1 downto 0 do
     for dst = st.nprocs - 1 downto 0 do
-      for seq = st.sent.(src).(dst) - 1 downto st.cursor.(dst).(src) do
+      for seq = st.sent.(ix st src dst) - 1 downto st.cursor.(ix st dst src) do
         match Msg_map.find_opt (src, dst, seq) st.mail with
         | Some (payload, _, vc, dv) ->
             pending := (src, dst, seq, payload, vc, dv) :: !pending
@@ -760,6 +778,10 @@ let runnable prog ~pcs =
 
 let start ~spec ~defect ~program =
   let nprocs = Array.length program in
+  let gen_base = Array.make (nprocs + 1) 0 in
+  Array.iteri
+    (fun p ops -> gen_base.(p + 1) <- gen_base.(p) + Array.length ops)
+    program;
   let st =
     {
       prog = program;
@@ -771,12 +793,12 @@ let start ~spec ~defect ~program =
       budget = commit_budget;
       pcs = Array.make nprocs 0;
       accs = Array.init nprocs acc0;
-      gens =
-        Array.init nprocs (fun p -> Array.make (Array.length program.(p)) 0);
-      cursor = Array.make_matrix nprocs nprocs 0;
-      sent = Array.make_matrix nprocs nprocs 0;
-      dvs = Array.make_matrix nprocs nprocs 0;
-      stable = Array.make_matrix nprocs nprocs 0;
+      gen_base;
+      gens = Array.make gen_base.(nprocs) 0;
+      cursor = Array.make (nprocs * nprocs) 0;
+      sent = Array.make (nprocs * nprocs) 0;
+      dvs = Array.make (nprocs * nprocs) 0;
+      stable = Array.make (nprocs * nprocs) 0;
       mail = Msg_map.empty;
       snaps =
         Array.make nprocs
@@ -839,17 +861,16 @@ let advance st ?trap pid =
    entries, log entries and recorded events, all immutable once
    written. *)
 let fork st =
-  let matrix = Array.map Array.copy in
   {
     st with
     nd_since = Array.copy st.nd_since;
     pcs = Array.copy st.pcs;
     accs = Array.copy st.accs;
-    gens = matrix st.gens;
-    cursor = matrix st.cursor;
-    sent = matrix st.sent;
-    dvs = matrix st.dvs;
-    stable = matrix st.stable;
+    gens = Array.copy st.gens;
+    cursor = Array.copy st.cursor;
+    sent = Array.copy st.sent;
+    dvs = Array.copy st.dvs;
+    stable = Array.copy st.stable;
     snaps = Array.copy st.snaps;
     since = Array.copy st.since;
     trace = Trace.copy st.trace;
@@ -875,7 +896,7 @@ let finish st crash =
     in
     if can <> [] then can else runnable program ~pcs:st.pcs
   in
-  let prefix_trace = Trace.copy st.trace in
+  let prefix_trace = Trace.prefix st.trace in
   let prefix_bindings =
     List.map
       (fun (k, b) -> (k, Option.map (fun (src, seq, _) -> (src, seq)) b))
@@ -885,7 +906,8 @@ let finish st crash =
     let acc = ref [] in
     for src = nprocs - 1 downto 0 do
       for dst = nprocs - 1 downto 0 do
-        for seq = st.sent.(src).(dst) - 1 downto st.cursor.(dst).(src) do
+        for seq = st.sent.(ix st src dst) - 1 downto st.cursor.(ix st dst src)
+        do
           if Msg_map.mem (src, dst, seq) st.mail then
             acc := (src, dst, seq) :: !acc
         done

@@ -102,8 +102,10 @@ type crash =
 type run = {
   trace : Ft_core.Trace.t;  (** everything executed, crash included *)
   prefix_trace : Ft_core.Trace.t;
-      (** the crash-free prefix alone: the Save-work invariant must hold
-          on it — this is the state of the world at the crash instant *)
+      (** the crash-free prefix alone, a read-only
+          {!Ft_core.Trace.prefix} view of [trace]: the Save-work
+          invariant must hold on it — this is the state of the world at
+          the crash instant *)
   observed : int list;  (** visible values, in order, across the crash *)
   reference : int list Lazy.t;
       (** visible values of the surviving lineage's failure-free run,

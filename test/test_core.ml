@@ -1028,6 +1028,73 @@ let prop_hb_one_component =
             evs)
         evs)
 
+(* ---- Trace.prefix: a view reads as a copy taken at its watermark ---- *)
+
+(* The trace is re-recorded up to a random cut, where a view and a copy
+   are taken; then the rest, plus sends that reuse each prefix send's tag
+   and a send for each prefix receive that had none, go into the live
+   trace.  The view must still read as the copy does. *)
+let prop_prefix_view_is_copy =
+  QCheck.Test.make ~name:"a prefix view reads as a copy at its watermark"
+    ~count:300
+    QCheck.(pair arb_multi_trace (int_bound 1000))
+    (fun (t, k) ->
+      let nprocs = Trace.nprocs t and evs = Trace.events t in
+      let cut = k mod (List.length evs + 1) in
+      let live = Trace.create ~nprocs in
+      let replay (e : Event.t) =
+        ignore (Trace.record live ~pid:e.pid ~logged:e.logged e.kind)
+      in
+      List.iteri (fun i e -> if i < cut then replay e) evs;
+      let view = Trace.prefix live and copy = Trace.copy live in
+      List.iteri (fun i e -> if i >= cut then replay e) evs;
+      List.iter
+        (fun (e : Event.t) ->
+          match e.kind with
+          | Event.Send { dest; tag } ->
+              ignore
+                (Trace.record live ~pid:dest (Event.Send { dest = e.pid; tag }))
+          | Event.Receive { src; tag } when Trace.matching_send copy e = None
+            ->
+              ignore
+                (Trace.record live ~pid:src (Event.Send { dest = e.pid; tag }))
+          | _ -> ())
+        (Trace.events copy);
+      let agree name ok =
+        ok || QCheck.Test.fail_reportf "cut %d: %s differs" cut name
+      in
+      let pids = List.init nprocs Fun.id in
+      let recvs = Trace.filter copy Event.is_receive in
+      agree "length" (Trace.length view = Trace.length copy)
+      && agree "events" (Trace.events view = Trace.events copy)
+      && agree "events_of"
+           (List.for_all
+              (fun p -> Trace.events_of view p = Trace.events_of copy p)
+              pids)
+      && agree "next_index"
+           (List.for_all
+              (fun p -> Trace.next_index view p = Trace.next_index copy p)
+              pids)
+      && agree "get"
+           (List.for_all
+              (fun i -> Trace.get view i = Trace.get copy i)
+              (List.init (Trace.length copy) Fun.id))
+      && agree "get past the watermark"
+           (match Trace.get view (Trace.length view) with
+           | _ -> false
+           | exception Invalid_argument _ -> true)
+      && agree "matching_send"
+           (List.for_all
+              (fun r -> Trace.matching_send view r = Trace.matching_send copy r)
+              recvs)
+      && agree "Save_work.violations"
+           (same_violations (Save_work.violations view)
+              (Save_work.violations copy))
+      && agree "record into the view"
+           (match Trace.record view ~pid:0 Event.Internal with
+           | _ -> false
+           | exception Invalid_argument _ -> true))
+
 (* A round commit covers an ND through its round-mate: p0's round commit
    comes after the send, so only atomicity with p1's member reaches the
    visible. *)
@@ -1080,6 +1147,73 @@ let prop_consistency_truncated_sound =
       match Consistency.check ~reference ~observed with
       | Consistency.Truncated { missing } -> missing = k
       | _ -> false)
+
+(* The scan [Consistency.check] replaced, kept verbatim as the reference
+   its lazily built set of repeats must match. *)
+module Consistency_reference = struct
+  let check ~reference ~observed =
+    let seen = Hashtbl.create 64 in
+    let rec go pos obs ref_ =
+      match (obs, ref_) with
+      | [], [] -> Consistency.Consistent
+      | [], r -> Consistency.Truncated { missing = List.length r }
+      | o :: obs', r :: ref' when o = r ->
+          Hashtbl.replace seen o ();
+          go (pos + 1) obs' ref'
+      | o :: obs', _ when Hashtbl.mem seen o -> go (pos + 1) obs' ref_
+      | o :: _, _ -> Consistency.Extra { position = pos; value = o }
+    in
+    go 0 observed reference
+end
+
+(* An observed run built from the reference by a script: emit the next
+   reference value, repeat an earlier output, skip a reference value,
+   emit a value the reference never holds, or stop; then, or not, the
+   rest of the reference.  Reference values repeat (drawn from 0..5). *)
+type consistency_op = Emit | Repeat of int | Skip | Foreign of int | Stop
+
+let gen_consistency_case =
+  QCheck.Gen.(
+    list_size (int_bound 12) (int_bound 5) >>= fun reference ->
+    list_size (int_bound 16)
+      (frequency
+         [
+           (4, return Emit);
+           (2, map (fun i -> Repeat i) (int_bound 20));
+           (1, return Skip);
+           (1, map (fun v -> Foreign (6 + v)) (int_bound 3));
+           (1, return Stop);
+         ])
+    >>= fun ops ->
+    bool >|= fun complete ->
+    let rec go out rest = function
+      | [] -> (out, rest, complete)
+      | Stop :: _ -> (out, rest, false)
+      | Emit :: ops -> (
+          match rest with
+          | v :: rest' -> go (v :: out) rest' ops
+          | [] -> go out rest ops)
+      | Repeat i :: ops when out <> [] ->
+          go (List.nth out (i mod List.length out) :: out) rest ops
+      | Repeat _ :: ops -> go out rest ops
+      | Skip :: ops -> go out (match rest with [] -> [] | _ :: r -> r) ops
+      | Foreign v :: ops -> go (v :: out) rest ops
+    in
+    let out, rest, complete = go [] reference ops in
+    (reference, List.rev out @ if complete then rest else []))
+
+let prop_consistency_differential =
+  let show = QCheck.Print.(list int) in
+  QCheck.Test.make ~name:"consistency check equals the reference scan"
+    ~count:1000
+    (QCheck.make gen_consistency_case
+       ~print:(fun (r, o) -> "reference " ^ show r ^ "\nobserved " ^ show o))
+    (fun (reference, observed) ->
+      let got = Consistency.check ~reference ~observed
+      and want = Consistency_reference.check ~reference ~observed in
+      got = want
+      || QCheck.Test.fail_reportf "got %a, want %a" Consistency.pp_verdict got
+           Consistency.pp_verdict want)
 
 (* ---- Dangerous paths: the backward-recursion reference ---- *)
 
@@ -1568,6 +1702,7 @@ let prop_protocols_match_closures =
 let differential_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_save_work_differential; prop_hb_one_component;
+      prop_prefix_view_is_copy; prop_consistency_differential;
       prop_protocols_match_closures ]
   @ [
       Alcotest.test_case "dangerous paths to depth 4" `Quick

@@ -102,14 +102,32 @@ let fork_specs =
       (fun m -> (m.Ft_mc.Mutants.spec, m.Ft_mc.Mutants.defect))
       Ft_mc.Mutants.all
 
+(* Two traces read alike: the events in recording order, each process's
+   events and next index, and the matching send of every receive (which
+   on a prefix view must lie below its watermark). *)
 let same_trace a b =
   let same (x : Event.t) (y : Event.t) =
     x.Event.pid = y.Event.pid && x.Event.index = y.Event.index
     && x.Event.kind = y.Event.kind && x.Event.logged = y.Event.logged
     && Vclock.equal x.Event.vc y.Event.vc
   in
+  let same_list xs ys =
+    List.length xs = List.length ys && List.for_all2 same xs ys
+  in
+  let pids = List.init (Trace.nprocs a) Fun.id in
   Trace.length a = Trace.length b
-  && List.for_all2 same (Trace.events a) (Trace.events b)
+  && Trace.nprocs a = Trace.nprocs b
+  && same_list (Trace.events a) (Trace.events b)
+  && List.for_all
+       (fun p ->
+         same_list (Trace.events_of a p) (Trace.events_of b p)
+         && Trace.next_index a p = Trace.next_index b p)
+       pids
+  && List.for_all2
+       (fun r r' ->
+         Option.equal same (Trace.matching_send a r) (Trace.matching_send b r'))
+       (Trace.filter a Event.is_receive)
+       (Trace.filter b Event.is_receive)
 
 (* The fields on which two runs differ. *)
 let run_diff (a : Model.run) (b : Model.run) =
